@@ -16,6 +16,14 @@ then in intra-pack order), so all broadcast properties carry over.
 With the calibrated host model the per-message fixed CPU cost dominates
 small messages; packing amortises it, which
 ``benchmarks/bench_batching_ablation.py`` quantifies.
+
+This wrapper is simulator-only (it needs a :class:`Simulator` for its
+flush timer and a ``max_delay_s`` to tune).  The live serve tier packs
+client commands without either: :mod:`repro.serve.server` flushes what
+one event-loop turn decoded as a single ``@batch`` command, unpacked by
+:class:`~repro.smr.machine.ReplicatedStateMachine` (DESIGN.md §5h).
+Below both sits the transport's ``KIND_BATCH`` frame, which coalesces
+encoded ring *frames* per hop and saves syscalls, not protocol work.
 """
 
 from __future__ import annotations

@@ -13,7 +13,11 @@ one of three paths:
   replica without a ring round-trip.
 * **ordered** — everything else: wrap the request in a session
   envelope, TO-broadcast it, and respond when the total order applies
-  it here.
+  it here.  Envelopes are not broadcast one by one: everything this
+  server decoded in one event-loop turn rides a single ``@batch``
+  broadcast (group commit, DESIGN.md §5h) — an idle server sees
+  batches of one, a saturated one whatever piled up in its sockets
+  while it was busy, with no timer and no knob.
 
 Every *first* application of a session command is journalled (type
 ``"apply"``), so a SIGKILLed node still leaves its applied sequence
@@ -42,7 +46,7 @@ from repro.serve.wire import (
     read_frame,
     decode_request,
 )
-from repro.smr.machine import Command, ReplicatedStateMachine
+from repro.smr.machine import Command, ReplicatedStateMachine, batch_command
 from repro.types import ProcessId, View
 
 logger = logging.getLogger(__name__)
@@ -50,6 +54,15 @@ logger = logging.getLogger(__name__)
 #: Renewals per lease period; 3 keeps the lease alive across one lost
 #: renewal without ever serving from an expired one.
 _RENEWALS_PER_LEASE = 3
+
+#: Cap on the encoded envelopes of one ``@batch`` broadcast.  A full
+#: batch plus its framing stays well under the 100 KB message the paper
+#: (and ``ring_large_sat``) moves round the ring in one piece.
+MAX_BATCH_BYTES = 60_000
+
+#: One ordered request waiting for the next flush:
+#: (envelope, (client, seq), traced, waiter).
+_Pending = Tuple[Command, Tuple[str, int], bool, "asyncio.Future"]
 
 
 def snapshot_hash(snapshot: Any) -> str:
@@ -83,15 +96,20 @@ class SessionServer:
         # `is None`, not `or`: an enabled RequestLog with capacity=0 (the
         # live-node journal-sink shape) is falsy via __len__.
         self.reqlog = reqlog if reqlog is not None else RequestLog(enabled=False)
-        #: MessageId -> (client, seq) of traced in-flight proposals, so
-        #: the node's delivery hook can stamp the ``ordered`` boundary.
-        self._proposed: Dict[Any, Tuple[str, int]] = {}
+        #: MessageId -> [(client, seq)] of the traced requests riding
+        #: that in-flight broadcast, so the node's delivery hook can
+        #: stamp their ``ordered`` boundary.
+        self._proposed: Dict[Any, List[Tuple[str, int]]] = {}
         #: Keys whose ``ordered`` stamp this node emitted: the same
         #: node emits ``applied``, so stage boundaries share one clock.
         self._ordered_keys: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._view: Optional[View] = None
         self._waiters: Dict[Tuple[str, int], List[asyncio.Future]] = {}
+        #: Ordered requests decoded since the last flush (non-empty means
+        #: a flush callback is scheduled) and their encoded size.
+        self._pending: List[_Pending] = []
+        self._pending_bytes = 0
         self._conn_tasks: set = set()
         self._renew_handle: Optional[Any] = None
         self._closed = False
@@ -101,6 +119,8 @@ class SessionServer:
         self._ordered = self.telemetry.counter("serve_ordered")
         self._lease_rejects = self.telemetry.counter("serve_lease_rejects")
         self._barrier_rejects = self.telemetry.counter("serve_barrier_rejects")
+        self._batches = self.telemetry.counter("serve_batches")
+        self._batch_commands = self.telemetry.histogram("serve_batch_commands")
         machine.on_session_apply(self._on_session_apply)
         machine.on_traced_apply(self._on_traced_apply)
         machine.on_lease_apply(self._on_lease_apply)
@@ -129,6 +149,7 @@ class SessionServer:
                 if not fut.done():
                     fut.cancel()
         self._waiters.clear()
+        self._pending.clear()
 
     # -- membership / lease -------------------------------------------
     def on_view(self, view: View) -> None:
@@ -185,8 +206,7 @@ class SessionServer:
         a serve payload: the time the total order handed the envelope
         back is the replication/apply stage boundary.
         """
-        key = self._proposed.pop(message_id, None)
-        if key is not None:
+        for key in self._proposed.pop(message_id, ()):
             self._ordered_keys.add(key)
             self._trace(
                 "ordered", key[0], key[1],
@@ -363,21 +383,13 @@ class SessionServer:
         try:
             if traced:
                 self._trace("enqueued", client, seq)
-            message_id = self.rsm.submit(session_command(
-                client, seq, request.first_unacked, request.op, request.args,
-                trace=request.trace,
-            ))
-            if traced:
-                # The submit return is the broadcast MessageId — the
-                # join key onto the message-lifecycle spans.  Test
-                # harness RSMs may return None (apply-on-submit).
-                if message_id is not None:
-                    self._proposed[message_id] = key
-                self._trace(
-                    "proposed", client, seq,
-                    origin=getattr(message_id, "origin", None),
-                    local_seq=getattr(message_id, "local_seq", None),
-                )
+            self._enqueue(
+                session_command(
+                    client, seq, request.first_unacked, request.op,
+                    request.args, trace=request.trace,
+                ),
+                key, traced, fut,
+            )
             self._ordered.inc()
             outcome = await fut
         finally:
@@ -389,6 +401,63 @@ class SessionServer:
                     del self._waiters[key]
         return self._from_outcome(request, outcome, served="ordered")
 
+    # -- group commit --------------------------------------------------
+    def _enqueue(
+        self,
+        command: Command,
+        key: Tuple[str, int],
+        traced: bool,
+        fut: asyncio.Future,
+    ) -> None:
+        """Queue one envelope for this loop turn's broadcast.
+
+        The first envelope of a turn schedules the flush; the connection
+        tasks that run before it add theirs to the same batch.
+        """
+        size = len(command.encode())
+        if self._pending and self._pending_bytes + size > MAX_BATCH_BYTES:
+            self._submit_pending()  # full: goes out now, the rest follows
+        if not self._pending:
+            self.sched.loop.call_soon(self._flush)
+        self._pending.append((command, key, traced, fut))
+        self._pending_bytes += size
+
+    def _flush(self) -> None:
+        # Empty when a full batch went out early and nothing followed.
+        if self._pending:
+            self._submit_pending()
+
+    def _submit_pending(self) -> None:
+        """TO-broadcast everything pending as one command."""
+        batch, self._pending, self._pending_bytes = self._pending, [], 0
+        try:
+            message_id = self.rsm.submit(
+                batch_command([command for command, _k, _t, _f in batch])
+            )
+        except ReproError as exc:
+            # Broadcast rejected (view change in progress): every
+            # request of the batch answers ``unavailable``, as one
+            # submitted alone would have.
+            for _command, _key, _traced, fut in batch:
+                if not fut.done():
+                    fut.set_exception(exc)
+            return
+        self._batches.inc()
+        self._batch_commands.observe(len(batch))
+        for _command, key, traced, _fut in batch:
+            if traced:
+                # The submit return is the broadcast MessageId — the
+                # join key onto the message-lifecycle spans, shared by
+                # the whole batch.  Test harness RSMs may return None
+                # (apply-on-submit).
+                if message_id is not None:
+                    self._proposed.setdefault(message_id, []).append(key)
+                self._trace(
+                    "proposed", key[0], key[1],
+                    origin=getattr(message_id, "origin", None),
+                    local_seq=getattr(message_id, "local_seq", None),
+                )
+
     # -- reporting -----------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """JSON-able serving summary for the node's result record."""
@@ -399,6 +468,8 @@ class SessionServer:
             "ordered": self._ordered.value,
             "lease_rejects": self._lease_rejects.value,
             "barrier_rejects": self._barrier_rejects.value,
+            "batches": self._batches.value,
+            "batch_commands": self._batch_commands.summary(),
             "dedup_hits": self.machine.dedup_hits,
             "session_applies": self.machine.session_applies,
             "lease_applies": self.machine.lease_applies,

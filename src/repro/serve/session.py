@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.smr.machine import Command, StateMachine
+from repro.smr.machine import BATCH_OP, Command, StateMachine, unbatch
 
 #: Envelope op for session-wrapped client commands.
 SESSION_OP = "@session"
@@ -96,10 +96,16 @@ class SessionState:
     ``floor`` — every seq ≤ floor has been applied; results at or below
     it may have been pruned.  ``results`` — cached outcomes for applied
     seqs above the floor, kept until the client acks past them.
+    ``high`` — the highest seq ever recorded (derived from ``results``,
+    never snapshotted): :meth:`applied_seq` without a scan.
     """
 
     floor: int = 0
     results: Dict[int, Tuple[str, Any]] = field(default_factory=dict)
+    high: int = field(init=False, compare=False, default=0)
+
+    def __post_init__(self) -> None:
+        self.high = max(self.results, default=0)
 
     def lookup(self, seq_no: int) -> Optional[Tuple[str, Any]]:
         """Cached outcome for ``seq_no``, or None if never applied.
@@ -117,19 +123,27 @@ class SessionState:
 
     def record(self, seq_no: int, outcome: Tuple[str, Any]) -> None:
         self.results[seq_no] = outcome
+        if seq_no > self.high:
+            self.high = seq_no
 
     def prune(self, first_unacked: int) -> None:
         """Advance the floor to the client's own ack cursor."""
         new_floor = first_unacked - 1
         if new_floor <= self.floor:
             return
+        results = self.results
+        if new_floor - self.floor <= len(results):
+            # The usual step: the cursor moved by a request or two.
+            for seq in range(self.floor + 1, new_floor + 1):
+                results.pop(seq, None)
+        else:  # a jump past the whole cache (or a hostile cursor)
+            for seq in [s for s in results if s <= new_floor]:
+                del results[seq]
         self.floor = new_floor
-        for seq in [s for s in self.results if s <= new_floor]:
-            del self.results[seq]
 
     def applied_seq(self) -> int:
         """Highest seq this session has applied (floor or cached)."""
-        return max(self.results, default=self.floor)
+        return max(self.floor, self.high)
 
 
 class SessionMachine(StateMachine):
@@ -185,6 +199,11 @@ class SessionMachine(StateMachine):
     READ_ONLY_OPS = frozenset()  # session envelopes always mutate the table
 
     def apply(self, command: Command) -> Any:
+        if command.op == BATCH_OP:
+            # Only a machine driven without a ReplicatedStateMachine
+            # (apply-on-submit test stand-ins) sees a batch here; the
+            # RSM delivery path has already unpacked it.
+            return [self.apply(sub) for sub in unbatch(command)]
         self.applied_index += 1
         if command.op == SESSION_OP:
             return self._apply_session(command)

@@ -14,14 +14,14 @@ states bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.harness import Cluster, build_cluster
 from repro.core.fsr.config import FSRConfig
 from repro.serve.session import SessionMachine, session_command
 from repro.smr.kvstore import KVStore
-from repro.smr.machine import ReplicatedStateMachine
+from repro.smr.machine import ReplicatedStateMachine, batch_command
 from repro.types import ProcessId
 
 #: One scripted step: (client_id, seq, first_unacked, op, args).
@@ -73,6 +73,7 @@ def run_scripted_session(
     n: int = 3,
     t: int = 1,
     origin: ProcessId = 0,
+    batch_sizes: Optional[Sequence[int]] = None,
 ) -> ScriptedRun:
     """Drive a scripted client session through a simulated cluster.
 
@@ -80,6 +81,11 @@ def run_scripted_session(
     total order make the applied sequence exactly the script order with
     duplicates collapsing into dedup hits, which is what the live side
     reproduces by awaiting each ack before the next request.
+
+    ``batch_sizes`` cuts the script into consecutive ``@batch``
+    broadcasts of those sizes (the serve tier's group commit; a
+    remainder rides one last batch) — the applied sequence must not
+    depend on the cut.
     """
     steps = CONFORMANCE_SCRIPT if script is None else script
     config = ClusterConfig(n=n, protocol="fsr", protocol_config=FSRConfig(t=t))
@@ -101,8 +107,18 @@ def run_scripted_session(
             )
         )
     cluster.start()
-    for client, seq, first_unacked, op, args in steps:
-        rsms[origin].submit(session_command(client, seq, first_unacked, op, args))
+    commands = [
+        session_command(client, seq, first_unacked, op, args)
+        for client, seq, first_unacked, op, args in steps
+    ]
+    # The trailing len(commands) sweeps up whatever the sizes left over.
+    cuts = [1] * len(commands) if batch_sizes is None else [*batch_sizes, len(commands)]
+    start = 0
+    for size in cuts:
+        chunk = commands[start:start + size]
+        if chunk:
+            rsms[origin].submit(batch_command(chunk))
+        start += size
     cluster.run_until(
         lambda: all(
             machine.applied_index >= len(steps)

@@ -7,7 +7,22 @@ that thin layer — commands in, deterministic state out — plus a small
 replicated key-value store used by the examples and tests.
 """
 
-from repro.smr.machine import Command, ReplicatedStateMachine, StateMachine
+from repro.smr.machine import (
+    BATCH_OP,
+    Command,
+    ReplicatedStateMachine,
+    StateMachine,
+    batch_command,
+    unbatch,
+)
 from repro.smr.kvstore import KVStore
 
-__all__ = ["Command", "ReplicatedStateMachine", "StateMachine", "KVStore"]
+__all__ = [
+    "BATCH_OP",
+    "Command",
+    "ReplicatedStateMachine",
+    "StateMachine",
+    "KVStore",
+    "batch_command",
+    "unbatch",
+]

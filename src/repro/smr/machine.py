@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.api import BroadcastListener, TotalOrderBroadcast
 from repro.errors import ProtocolError
@@ -41,6 +41,46 @@ class Command:
             raise ProtocolError(f"undecodable command payload: {exc}") from exc
 
 
+#: Envelope op packing several commands into one TO-broadcast:
+#: ``Command("@batch", [[op, args], ...])`` (PROTOCOL.md Appendix D).
+BATCH_OP = "@batch"
+
+
+def batch_command(commands: Sequence[Command]) -> Command:
+    """Pack ``commands`` into one broadcastable command.
+
+    A batch of one is the command itself — byte-identical on the ring
+    to submitting it alone.
+    """
+    if len(commands) == 1:
+        return commands[0]
+    return Command(BATCH_OP, tuple([c.op, list(c.args)] for c in commands))
+
+
+def unbatch(command: Command) -> Tuple[Command, ...]:
+    """The commands ``command`` stands for, in apply order.
+
+    The whole envelope is validated here, so a malformed, empty or
+    nested batch raises :class:`ProtocolError` before any of its
+    sub-commands is applied.
+    """
+    if command.op != BATCH_OP:
+        return (command,)
+    commands = []
+    for entry in command.args:
+        try:
+            op, args = entry
+            sub = Command(op, tuple(args))
+        except (ValueError, TypeError) as exc:
+            raise ProtocolError(f"malformed {BATCH_OP} entry: {entry!r}") from exc
+        if not isinstance(op, str) or op == BATCH_OP:
+            raise ProtocolError(f"bad {BATCH_OP} sub-command op: {op!r}")
+        commands.append(sub)
+    if not commands:
+        raise ProtocolError(f"empty {BATCH_OP}")
+    return tuple(commands)
+
+
 class StateMachine(ABC):
     """A deterministic state machine: same commands, same state."""
 
@@ -56,6 +96,9 @@ class StateMachine(ABC):
 #: Upcall on every applied command: (index, origin, command, result).
 ApplyCallback = Callable[[int, ProcessId, Command, Any], None]
 
+#: Placeholder for a locally submitted command not yet delivered.
+_PENDING = object()
+
 
 class ReplicatedStateMachine:
     """One replica: a state machine driven by a TO-broadcast endpoint.
@@ -65,37 +108,59 @@ class ReplicatedStateMachine:
         rsm = ReplicatedStateMachine(protocol, KVStore())
         rsm.submit(Command("put", ("key", "value")))
         # ... after the run, every replica's snapshot() is identical.
+
+    A delivered ``@batch`` (:func:`batch_command`) is unpacked here and
+    nowhere else on the delivery path: ``applied_count``, apply
+    callbacks and the machine all see its sub-commands one by one,
+    exactly as if each had been broadcast alone.
+
+    ``keep_results=False`` is for callers that observe outcomes through
+    callbacks and never ask :meth:`result_of` (the serve tier).
     """
 
     def __init__(
         self,
         broadcast: TotalOrderBroadcast,
         machine: StateMachine,
+        keep_results: bool = True,
     ) -> None:
         self.broadcast = broadcast
         self.machine = machine
         self.applied_count = 0
+        self._keep_results = keep_results
         #: Optional :class:`repro.obs.profile.CpuAccountant`: when set,
         #: the delivery path charges payload decode and state-machine
         #: apply to separate CPU stages.  ``None`` costs one attribute
         #: check per delivery.
         self.profile: Optional[Any] = None
         self._apply_callbacks: List[ApplyCallback] = []
-        #: Results of locally submitted commands, by message id.
+        #: Results of locally submitted commands, by message id, from
+        #: submit until :meth:`result_of` collects them: bounded by what
+        #: the caller leaves uncollected, not by the delivery count.
         self._local_results: Dict[MessageId, Any] = {}
         broadcast.set_listener(BroadcastListener(self._on_deliver))
 
     def submit(self, command: Command) -> MessageId:
         """TO-broadcast ``command``; it will be applied at every replica."""
-        return self.broadcast.broadcast(command.encode())
+        message_id = self.broadcast.broadcast(command.encode())
+        if self._keep_results:
+            self._local_results[message_id] = _PENDING
+        return message_id
 
     def on_apply(self, callback: ApplyCallback) -> None:
         """Observe every applied command (testing, metrics)."""
         self._apply_callbacks.append(callback)
 
     def result_of(self, message_id: MessageId) -> Any:
-        """Result of a locally observed command, if applied already."""
-        return self._local_results.get(message_id)
+        """Collect the result of a locally submitted command.
+
+        ``None`` until it is applied (and for ids submitted elsewhere);
+        a batch yields the list of its sub-commands' results.  The
+        result is handed over once: collecting it drops it.
+        """
+        if self._local_results.get(message_id, _PENDING) is _PENDING:
+            return None
+        return self._local_results.pop(message_id)
 
     def deliver(
         self, origin: ProcessId, message_id: MessageId, payload: Any, size: int
@@ -115,16 +180,24 @@ class ReplicatedStateMachine:
         profile = self.profile
         if profile is None:
             command = Command.decode(payload)
-            result = self.machine.apply(command)
+            results = [self._apply(origin, sub) for sub in unbatch(command)]
         else:
             with profile.stage("decode"):
                 command = Command.decode(payload)
+                commands = unbatch(command)
             with profile.stage("apply"):
-                result = self.machine.apply(command)
+                results = [self._apply(origin, sub) for sub in commands]
+        if message_id in self._local_results:
+            self._local_results[message_id] = (
+                results if command.op == BATCH_OP else results[0]
+            )
+
+    def _apply(self, origin: ProcessId, command: Command) -> Any:
+        result = self.machine.apply(command)
         self.applied_count += 1
-        self._local_results[message_id] = result
         for callback in list(self._apply_callbacks):
             callback(self.applied_count, origin, command, result)
+        return result
 
     def snapshot(self) -> Any:
         """The replica's current deterministic state."""

@@ -17,12 +17,15 @@ import tempfile
 import pytest
 
 from repro.serve.client import SessionClient
+from repro.serve.loadgen import LoadStats
 from repro.serve.runner import (
     ServeSpec,
+    _await_drain,
     _await_starts,
     load_applied_log,
     run_serve_benchmark,
     run_serve_point,
+    verify_serve_run,
 )
 from repro.serve.sim import (
     CONFORMANCE_SCRIPT,
@@ -160,6 +163,93 @@ def test_leader_kill_preserves_exactly_once():
     # above it that recovery dragged past detection + view change.
     assert point.outage_s is not None
     assert 0.3 < point.outage_s < spec.heartbeat_timeout_s + 2.0, point.outage_s
+
+
+def test_leader_kill_with_batches_in_flight_preserves_exactly_once():
+    """Closed loop, 2 connections x 32 outstanding writes (the
+    ``serve_sat`` shape): every broadcast is a multi-command ``@batch``
+    when the SIGKILL lands, so a batch lost, half-applied or applied
+    twice across the view change shows up in the exactly-once battery."""
+    outstanding, load_s, kill_at_s = 32, 3.0, 1.0
+    stats = LoadStats()
+    with serve_cluster(heartbeat_timeout_s=1.0) as cluster:
+        addresses = [cluster.serve_addresses[pid] for pid in cluster.members]
+        victim = cluster.members[0]
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + load_s
+            clients = [
+                SessionClient(f"sat{i}", addresses, retry_timeout_s=2.0)
+                for i in range(2)
+            ]
+            for client in clients:
+                await client.connect()
+            done = asyncio.Event()
+            inflight = [0]
+
+            def submit(client, number):
+                args = ("put", f"k{number % 50}", f"{client.client_id}-{number}")
+                seq = client._next_seq
+                inflight[0] += 1
+
+                def finished(fut):
+                    inflight[0] -= 1
+                    if not fut.cancelled() and fut.exception() is None \
+                            and fut.result().ok:
+                        stats.acked_writes.append(
+                            (client.client_id, seq, args[0], args[1:])
+                        )
+                        stats.ack_times.append(loop.time())
+                    if loop.time() < deadline:
+                        submit(client, number + outstanding)
+                    elif not inflight[0]:
+                        done.set()
+
+                client.submit(*args).add_done_callback(finished)
+
+            loop.call_later(kill_at_s, cluster.kill, victim)
+            try:
+                for client in clients:
+                    for number in range(outstanding):
+                        submit(client, number)
+                await asyncio.wait_for(done.wait(), load_s + 20.0)
+            finally:
+                for client in clients:
+                    await client.close()
+
+        asyncio.run(drive())
+        assert cluster.procs[victim].poll() is not None, "leader never killed"
+        _await_drain(cluster, stats.acked_writes, victim, 5.0)
+        skip = {victim}
+        cluster.terminate(skip=skip)
+        cluster.wait(_SHUTDOWN_GRACE_S, skip=skip, fail_fast=False)
+        cluster.raise_on_failures(skip=skip)
+        records = cluster.collect(skip=skip)
+        applied_by_node = {
+            pid: load_applied_log(path)
+            for pid, path in cluster.journal_paths.items()
+        }
+        with open(cluster.journal_paths[victim]) as fh:
+            victim_deliveries = sum('"app_delivery"' in line for line in fh)
+
+    survivors = [pid for pid in cluster.members if pid != victim]
+    violations = verify_serve_run(
+        stats, applied_by_node, survivors, victim,
+        {pid: record["serve"]["snapshot_hash"] for pid, record in records.items()},
+    )
+    assert violations == [], violations
+    assert len(stats.acked_writes) > 2 * outstanding, "load never ran"
+    # Service resumed after the view change ...
+    assert max(stats.ack_times) - min(stats.ack_times) > kill_at_s + 1.0
+    # ... and multi-command batches really were what the ring carried:
+    # the killed leader applied more commands than it delivered
+    # broadcasts, and a survivor packed its own after failover.
+    assert len(applied_by_node[victim]) > 2 * victim_deliveries
+    assert any(
+        record["serve"]["batch_commands"].get("max", 0) >= 2
+        for record in records.values()
+    )
 
 
 @pytest.mark.slow

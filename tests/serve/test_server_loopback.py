@@ -135,8 +135,7 @@ def test_stale_barrier_forces_ordered_read(loopback):
         await client.request("put", "k", "v")
         # Simulate a replica lagging this client's acked writes: the
         # client's barrier (1) is ahead of what the session table shows.
-        harness.machine.sessions["c1"].floor = 0
-        harness.machine.sessions["c1"].results.clear()
+        del harness.machine.sessions["c1"]
         read = await client.request("get", "k")
         assert read.served == "ordered"
         assert harness.server.stats()["barrier_rejects"] == 1

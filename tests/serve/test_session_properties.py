@@ -22,7 +22,13 @@ from repro.serve.session import (
     session_command,
 )
 from repro.smr.kvstore import KVStore
-from repro.smr.machine import Command
+from repro.smr.machine import (
+    BATCH_OP,
+    Command,
+    ReplicatedStateMachine,
+    batch_command,
+)
+from tests.smr.test_machine_gaps import _RecordingBroadcast
 
 # One logical request: (op, args) over a tiny key space.  ``bogus`` and
 # ``incr`` on a string key are deterministic errors; they must dedup
@@ -126,6 +132,92 @@ def test_replicas_converge_under_different_interleavings(schedule):
     assert snap_a["sessions"] == snap_b["sessions"]
 
 
+def _replica():
+    machine = SessionMachine(KVStore())
+    # The tests hand deliveries to the RSM themselves.
+    rsm = ReplicatedStateMachine(_RecordingBroadcast(), machine)
+    outcomes = []
+    rsm.on_apply(lambda index, origin, command, result: outcomes.append(result))
+    firsts = []
+    machine.on_session_apply(
+        lambda client, seq, op, args, outcome, index:
+            firsts.append((client, seq, index))
+    )
+    return machine, rsm, outcomes, firsts
+
+
+@given(delivery_schedules(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_any_partition_into_batches_equals_the_unbatched_run(schedule, data):
+    """Group commit is invisible to the replicated state: however the
+    delivered command stream (duplicates and retries included) is cut
+    into ``@batch`` broadcasts (each replica here gets its own cut),
+    outcomes, ``applied_index``, ``dedup_hits``, first-application
+    indices and ``snapshot()`` equal the one-command-per-broadcast run."""
+    _requests, deliveries = schedule
+    commands = [session_command(*delivery) for delivery in deliveries]
+    plain, plain_rsm, plain_outcomes, plain_firsts = _replica()
+    for index, command in enumerate(commands):
+        plain_rsm.deliver(0, f"m{index}", command.encode(), size=1)
+
+    for replica in range(2):
+        cuts = data.draw(
+            st.lists(st.integers(1, len(commands)), max_size=len(commands)),
+            label=f"batch sizes on replica {replica}",
+        )
+        machine, rsm, outcomes, firsts = _replica()
+        start = 0
+        for number, size in enumerate([*cuts, len(commands)]):
+            chunk = commands[start:start + size]
+            start += size
+            if chunk:
+                rsm.deliver(0, f"b{number}", batch_command(chunk).encode(), size=1)
+        assert outcomes == plain_outcomes
+        assert firsts == plain_firsts
+        assert rsm.applied_count == plain_rsm.applied_count == len(commands)
+        assert machine.applied_index == plain.applied_index
+        assert machine.dedup_hits == plain.dedup_hits
+        assert machine.session_applies == plain.session_applies
+        assert machine.snapshot() == plain.snapshot()
+
+
+@given(delivery_schedules(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_machine_driven_directly_applies_a_batch_like_its_commands(schedule, data):
+    """Apply-on-submit stand-ins hand ``@batch`` straight to
+    ``SessionMachine.apply``: same outcomes, same state."""
+    _requests, deliveries = schedule
+    commands = [session_command(*delivery) for delivery in deliveries]
+    cut = data.draw(st.integers(0, len(commands)), label="cut")
+    plain = SessionMachine(KVStore())
+    expected = [plain.apply(command) for command in commands]
+    batched = SessionMachine(KVStore())
+    got = []
+    for chunk in (commands[:cut], commands[cut:]):
+        if chunk:
+            result = batched.apply(batch_command(chunk))
+            got.extend(result if len(chunk) > 1 else [result])
+    assert got == expected
+    assert batched.snapshot() == plain.snapshot()
+    assert batched.dedup_hits == plain.dedup_hits
+
+
+@pytest.mark.parametrize("args", [
+    (),
+    (["@session", ["c", 1, 1, "put", ["a", 1]]], ["@batch", []]),
+    (["@session", ["c", 1, 1, "put", ["a", 1]]], "junk"),
+    (["@session", ["c", 1, 1, "put", ["a", 1]]], ["@session"]),
+])
+def test_malformed_batches_rejected_before_any_sub_command_applies(args):
+    machine, rsm, outcomes, firsts = _replica()
+    with pytest.raises(ProtocolError):
+        rsm.deliver(0, "m0", Command(BATCH_OP, args).encode(), size=1)
+    with pytest.raises(ProtocolError):
+        machine.apply(Command(BATCH_OP, args))
+    assert outcomes == [] and firsts == []
+    assert machine.applied_index == 0 and machine.sessions == {}
+
+
 @given(
     st.lists(_OPS, min_size=1, max_size=8),
     st.data(),
@@ -195,6 +287,32 @@ def test_session_state_lookup_below_floor_is_a_pruned_error():
     assert status == ERROR and "pruned" in message
     assert state.lookup(3) is None
     assert state.applied_seq() == 2
+
+
+@given(st.lists(
+    st.tuples(st.integers(1, 40), st.integers(1, 45)), min_size=1, max_size=60,
+))
+@settings(max_examples=120, deadline=None)
+def test_prune_and_applied_seq_match_the_full_scan_definitions(steps):
+    """The range-walking ``prune`` and the running-max ``applied_seq``
+    are the scan-everything definitions, for any seq / cursor sequence
+    (stale cursors, jumps past the whole cache, gaps)."""
+    state = SessionState()
+    floor, results = 0, {}
+    for seq, first_unacked in steps:
+        state.prune(first_unacked)
+        if first_unacked - 1 > floor:
+            floor = first_unacked - 1
+            results = {s: o for s, o in results.items() if s > floor}
+        if state.lookup(seq) is None:
+            state.record(seq, (OK, seq))
+            results[seq] = (OK, seq)
+        assert (state.floor, state.results) == (floor, results)
+        assert state.applied_seq() == max(results, default=floor)
+    # ``high`` is derived, not state: a restored session agrees.
+    restored = SessionState(floor=state.floor, results=dict(state.results))
+    assert restored.applied_seq() == state.applied_seq()
+    assert restored == state
 
 
 def test_floor_never_regresses():

@@ -50,3 +50,18 @@ def test_script_survives_larger_cluster_and_backup_count():
     assert all(
         applied == run.applied[0] for applied in run.applied.values()
     )
+
+
+def test_script_replayed_as_batches_applies_the_same_sequence():
+    """Group commit on the sim runtime: the script cut into ``@batch``
+    broadcasts (duplicates inside one batch, across two, a batch of
+    one) applies exactly what the one-per-broadcast run applies."""
+    plain = run_scripted_session()
+    for batch_sizes in ([len(CONFORMANCE_SCRIPT)], [4, 1, 4], [2, 2, 2, 2, 1], [3]):
+        run = run_scripted_session(batch_sizes=batch_sizes)
+        for node_id, applied in run.applied.items():
+            assert applied == expected_applied(CONFORMANCE_SCRIPT), (
+                f"node {node_id} diverged with batches {batch_sizes}"
+            )
+        assert run.dedup_hits == plain.dedup_hits
+        assert run.snapshots == plain.snapshots

@@ -10,7 +10,14 @@ session layer persists through them.
 import pytest
 
 from repro.errors import ProtocolError
-from repro.smr import Command, KVStore, ReplicatedStateMachine
+from repro.smr import (
+    BATCH_OP,
+    Command,
+    KVStore,
+    ReplicatedStateMachine,
+    batch_command,
+    unbatch,
+)
 
 
 # -- Command codec edge cases ------------------------------------------
@@ -126,3 +133,73 @@ def test_rsm_local_read_rejects_mutations():
     with pytest.raises(ProtocolError):
         rsm.local_read(Command("delete", ("k",)))
     assert rsm.applied_count == 1  # the rejected read applied nothing
+
+
+# -- @batch envelopes ---------------------------------------------------
+def test_rsm_unpacks_a_batch_into_per_command_applies():
+    broadcast = _RecordingBroadcast()
+    rsm = ReplicatedStateMachine(broadcast, KVStore())
+    applies = []
+    rsm.on_apply(lambda index, origin, command, result:
+                 applies.append((index, origin, command.op, result)))
+    commands = [
+        Command("put", ("k", 1)), Command("incr", ("k", 2)), Command("get", ("k",)),
+    ]
+    message_id = rsm.submit(batch_command(commands))
+    rsm.deliver(1, message_id, broadcast.sent[0][1], size=10)
+    # Counters and callbacks are per sub-command, as if sent one by one.
+    assert rsm.applied_count == 3
+    assert applies == [(1, 1, "put", None), (2, 1, "incr", 3), (3, 1, "get", 3)]
+    assert rsm.result_of(message_id) == [None, 3, 3]
+    assert rsm.snapshot() == {"k": 3}
+
+
+def test_batch_of_one_is_the_command_itself():
+    command = Command("put", ("k", "v"))
+    assert batch_command([command]) is command
+    assert unbatch(command) == (command,)
+
+
+@pytest.mark.parametrize("args", [
+    (),                                              # empty
+    (["put", ["k", 1]], ["@batch", [["put", ["k", 2]]]]),  # nested
+    (["put", ["k", 1]], ["put"]),                    # entry too short
+    (["put", ["k", 1]], ["put", 7]),                 # args not iterable
+    (["put", ["k", 1]], 5),                          # entry not a pair
+    (["put", ["k", 1]], [None, ["k"]]),              # op not a string
+])
+def test_malformed_batch_is_rejected_before_anything_applies(args):
+    rsm = ReplicatedStateMachine(_RecordingBroadcast(), KVStore())
+    with pytest.raises(ProtocolError):
+        rsm.deliver(0, "m0", Command(BATCH_OP, args).encode(), size=1)
+    # The well-formed first entry was NOT applied.
+    assert rsm.applied_count == 0
+    assert rsm.snapshot() == {}
+
+
+# -- bounded result retention ------------------------------------------
+def test_rsm_results_stay_bounded_over_many_deliveries():
+    broadcast = _RecordingBroadcast()
+    rsm = ReplicatedStateMachine(broadcast, KVStore())
+    payload = Command("incr", ("n", 1)).encode()
+    for index in range(10_000):  # other replicas' commands
+        rsm.deliver(1, f"remote{index}", payload, size=1)
+    assert len(rsm._local_results) == 0
+    for _ in range(100):  # our own, each collected once applied
+        message_id = rsm.submit(Command("incr", ("n", 1)))
+        assert rsm.result_of(message_id) is None  # not applied yet
+        rsm.deliver(0, message_id, payload, size=1)
+        assert rsm.result_of(message_id) == rsm.applied_count
+        assert rsm.result_of(message_id) is None  # handed over once
+    assert len(rsm._local_results) == 0
+    assert rsm.applied_count == 10_100
+
+
+def test_rsm_keep_results_off_retains_nothing():
+    broadcast = _RecordingBroadcast()
+    rsm = ReplicatedStateMachine(broadcast, KVStore(), keep_results=False)
+    message_id = rsm.submit(Command("put", ("k", "v")))
+    rsm.deliver(0, message_id, broadcast.sent[0][1], size=1)
+    assert rsm._local_results == {}
+    assert rsm.result_of(message_id) is None
+    assert rsm.snapshot() == {"k": "v"}
