@@ -715,10 +715,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         serve_machine = SessionMachine(KVStore())
         # Claims the broadcast listener slot; the combined listener
         # installed below hands every delivery back to it.
-        # The server hears outcomes through the machine's callbacks.
-        serve_rsm = ReplicatedStateMachine(
-            process, serve_machine, keep_results=False
-        )
+        serve_rsm = ReplicatedStateMachine(process, serve_machine)
         serve_rsm.profile = cpu
         serve_server = SessionServer(
             me,

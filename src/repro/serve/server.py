@@ -55,9 +55,14 @@ logger = logging.getLogger(__name__)
 #: renewal without ever serving from an expired one.
 _RENEWALS_PER_LEASE = 3
 
-#: Cap on the encoded envelopes of one ``@batch`` broadcast.  A full
-#: batch plus its framing stays well under the 100 KB message the paper
-#: (and ``ring_large_sat``) moves round the ring in one piece.
+#: Cap on one ``@batch`` broadcast, counted in the wire-frame bytes of
+#: the requests it carries — known for free, where the envelope's own
+#: size would cost a second JSON encode per request.  An envelope drops
+#: the frame's field names and adds at most a space per separator, so
+#: for ASCII-escaped frames (what ``serve.client`` sends) it is under
+#: 1.5x its frame and a full batch stays under the 100 KB message the
+#: paper (and ``ring_large_sat``) moves in one piece.  A lone request is
+#: never split, whatever its size.
 MAX_BATCH_BYTES = 60_000
 
 #: One ordered request waiting for the next flush:
@@ -107,7 +112,7 @@ class SessionServer:
         self._view: Optional[View] = None
         self._waiters: Dict[Tuple[str, int], List[asyncio.Future]] = {}
         #: Ordered requests decoded since the last flush (non-empty means
-        #: a flush callback is scheduled) and their encoded size.
+        #: a flush callback is scheduled) and their wire-frame bytes.
         self._pending: List[_Pending] = []
         self._pending_bytes = 0
         self._conn_tasks: set = set()
@@ -150,6 +155,7 @@ class SessionServer:
                     fut.cancel()
         self._waiters.clear()
         self._pending.clear()
+        self._pending_bytes = 0
 
     # -- membership / lease -------------------------------------------
     def on_view(self, view: View) -> None:
@@ -270,7 +276,7 @@ class SessionServer:
                 if self.reqlog.enabled and request.trace:
                     self._trace("recv", request.client, request.seq)
                 sub = asyncio.ensure_future(
-                    self._serve_one(request, writer, write_lock)
+                    self._serve_one(request, writer, write_lock, len(body))
                 )
                 pending.add(sub)
                 sub.add_done_callback(pending.discard)
@@ -294,9 +300,10 @@ class SessionServer:
         request: Request,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
+        frame_bytes: int,
     ) -> None:
         try:
-            response = await self._dispatch(request)
+            response = await self._dispatch(request, frame_bytes)
         except asyncio.CancelledError:
             return
         except ReproError as exc:
@@ -345,7 +352,9 @@ class SessionServer:
             return self._response(request, ok=True, result=value, served=served)
         return self._response(request, ok=False, error=value, served=served)
 
-    async def _dispatch(self, request: Request) -> Response:
+    async def _dispatch(self, request: Request, frame_bytes: int = 0) -> Response:
+        """Answer one request; ``frame_bytes`` is the size of the wire
+        frame it came in (counted against the batch byte cap)."""
         self._requests.inc()
         client, seq = request.client, request.seq
         traced = self.reqlog.enabled and request.trace
@@ -388,7 +397,7 @@ class SessionServer:
                     client, seq, request.first_unacked, request.op,
                     request.args, trace=request.trace,
                 ),
-                key, traced, fut,
+                key, traced, fut, frame_bytes,
             )
             self._ordered.inc()
             outcome = await fut
@@ -408,13 +417,13 @@ class SessionServer:
         key: Tuple[str, int],
         traced: bool,
         fut: asyncio.Future,
+        size: int,
     ) -> None:
         """Queue one envelope for this loop turn's broadcast.
 
         The first envelope of a turn schedules the flush; the connection
         tasks that run before it add theirs to the same batch.
         """
-        size = len(command.encode())
         if self._pending and self._pending_bytes + size > MAX_BATCH_BYTES:
             self._submit_pending()  # full: goes out now, the rest follows
         if not self._pending:

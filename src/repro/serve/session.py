@@ -96,8 +96,11 @@ class SessionState:
     ``floor`` — every seq ≤ floor has been applied; results at or below
     it may have been pruned.  ``results`` — cached outcomes for applied
     seqs above the floor, kept until the client acks past them.
-    ``high`` — the highest seq ever recorded (derived from ``results``,
-    never snapshotted): :meth:`applied_seq` without a scan.
+    ``high`` — internal: the highest seq ever recorded, so
+    :meth:`applied_seq` needs no scan.  Derived from ``results`` (never
+    snapshotted, rebuilt on construction) and kept in step only by
+    :meth:`record`; mutate ``results`` through ``record``/``prune``,
+    not by hand.
     """
 
     floor: int = 0
@@ -199,15 +202,18 @@ class SessionMachine(StateMachine):
     READ_ONLY_OPS = frozenset()  # session envelopes always mutate the table
 
     def apply(self, command: Command) -> Any:
-        if command.op == BATCH_OP:
-            # Only a machine driven without a ReplicatedStateMachine
-            # (apply-on-submit test stand-ins) sees a batch here; the
-            # RSM delivery path has already unpacked it.
+        op = command.op
+        if op == SESSION_OP:
+            self.applied_index += 1
+            return self._apply_session(command)
+        if op == BATCH_OP:
+            # Never reached under a ReplicatedStateMachine, whose
+            # delivery path has already unpacked the batch: only a
+            # machine fed what the server submits directly (the
+            # apply-on-submit test and bench stand-ins) lands here.
             return [self.apply(sub) for sub in unbatch(command)]
         self.applied_index += 1
-        if command.op == SESSION_OP:
-            return self._apply_session(command)
-        if command.op == LEASE_OP:
+        if op == LEASE_OP:
             return self._apply_lease(command)
         return self.inner.apply(command)
 

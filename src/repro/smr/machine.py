@@ -68,14 +68,17 @@ def unbatch(command: Command) -> Tuple[Command, ...]:
         return (command,)
     commands = []
     for entry in command.args:
-        try:
-            op, args = entry
-            sub = Command(op, tuple(args))
-        except (ValueError, TypeError) as exc:
-            raise ProtocolError(f"malformed {BATCH_OP} entry: {entry!r}") from exc
-        if not isinstance(op, str) or op == BATCH_OP:
-            raise ProtocolError(f"bad {BATCH_OP} sub-command op: {op!r}")
-        commands.append(sub)
+        if not (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], (list, tuple))
+        ):
+            raise ProtocolError(f"malformed {BATCH_OP} entry: {entry!r}")
+        op, args = entry
+        if op == BATCH_OP:
+            raise ProtocolError(f"nested {BATCH_OP}")
+        commands.append(Command(op, tuple(args)))
     if not commands:
         raise ProtocolError(f"empty {BATCH_OP}")
     return tuple(commands)
@@ -99,6 +102,11 @@ ApplyCallback = Callable[[int, ProcessId, Command, Any], None]
 #: Placeholder for a locally submitted command not yet delivered.
 _PENDING = object()
 
+#: Results a replica holds for :meth:`ReplicatedStateMachine.result_of`
+#: before the oldest is dropped: callers that never collect (the serve
+#: tier hears outcomes through callbacks) stay at a constant footprint.
+MAX_UNCOLLECTED_RESULTS = 1024
+
 
 class ReplicatedStateMachine:
     """One replica: a state machine driven by a TO-broadcast endpoint.
@@ -113,21 +121,14 @@ class ReplicatedStateMachine:
     nowhere else on the delivery path: ``applied_count``, apply
     callbacks and the machine all see its sub-commands one by one,
     exactly as if each had been broadcast alone.
-
-    ``keep_results=False`` is for callers that observe outcomes through
-    callbacks and never ask :meth:`result_of` (the serve tier).
     """
 
     def __init__(
-        self,
-        broadcast: TotalOrderBroadcast,
-        machine: StateMachine,
-        keep_results: bool = True,
+        self, broadcast: TotalOrderBroadcast, machine: StateMachine
     ) -> None:
         self.broadcast = broadcast
         self.machine = machine
         self.applied_count = 0
-        self._keep_results = keep_results
         #: Optional :class:`repro.obs.profile.CpuAccountant`: when set,
         #: the delivery path charges payload decode and state-machine
         #: apply to separate CPU stages.  ``None`` costs one attribute
@@ -135,16 +136,18 @@ class ReplicatedStateMachine:
         self.profile: Optional[Any] = None
         self._apply_callbacks: List[ApplyCallback] = []
         #: Results of locally submitted commands, by message id, from
-        #: submit until :meth:`result_of` collects them: bounded by what
-        #: the caller leaves uncollected, not by the delivery count.
+        #: submit until :meth:`result_of` collects them — at most the
+        #: newest ``MAX_UNCOLLECTED_RESULTS``, whatever the delivery count.
         self._local_results: Dict[MessageId, Any] = {}
         broadcast.set_listener(BroadcastListener(self._on_deliver))
 
     def submit(self, command: Command) -> MessageId:
         """TO-broadcast ``command``; it will be applied at every replica."""
         message_id = self.broadcast.broadcast(command.encode())
-        if self._keep_results:
-            self._local_results[message_id] = _PENDING
+        results = self._local_results
+        results[message_id] = _PENDING
+        if len(results) > MAX_UNCOLLECTED_RESULTS:
+            del results[next(iter(results))]  # oldest submission
         return message_id
 
     def on_apply(self, callback: ApplyCallback) -> None:
@@ -154,9 +157,15 @@ class ReplicatedStateMachine:
     def result_of(self, message_id: MessageId) -> Any:
         """Collect the result of a locally submitted command.
 
-        ``None`` until it is applied (and for ids submitted elsewhere);
-        a batch yields the list of its sub-commands' results.  The
-        result is handed over once: collecting it drops it.
+        ``None`` until it is applied; a batch yields the list of its
+        sub-commands' results.
+
+        Breaking change (ISSUE 12): only ids this replica submitted are
+        answered — commands submitted elsewhere always read ``None`` —
+        the result is handed over once (collecting it drops it), and a
+        caller more than ``MAX_UNCOLLECTED_RESULTS`` submissions behind
+        finds its oldest results gone.  Observe every apply, remote ones
+        included, with :meth:`on_apply`.
         """
         if self._local_results.get(message_id, _PENDING) is _PENDING:
             return None

@@ -136,10 +136,27 @@ def test_full_batches_are_cut_at_the_byte_cap():
     _server, rsm, responses = _burst(_puts(20, value))
     assert all(r.ok for r in responses)
     assert len(rsm.submitted) > 1
-    assert all(len(c.encode()) <= MAX_BATCH_BYTES + 64 for c in rsm.submitted)
+    # The cap counts wire-frame bytes; an envelope is smaller than its frame.
+    assert all(len(c.encode()) <= MAX_BATCH_BYTES for c in rsm.submitted)
     # Nothing lost, nothing reordered across the cut.
     seqs = [sub.args[1] for c in rsm.submitted for sub in unbatch(c)]
     assert seqs == list(range(1, 21))
+
+
+def test_server_never_encodes_an_envelope_to_weigh_it(monkeypatch):
+    # The one json.dumps per ordered request belongs to rsm.submit; the
+    # apply-on-submit stand-in has none, so the server side must show zero.
+    from repro.smr.machine import Command
+
+    calls = []
+    encode = Command.encode
+    monkeypatch.setattr(
+        Command, "encode", lambda self: calls.append(self.op) or encode(self)
+    )
+    server, _rsm, responses = _burst(_puts(8))
+    assert all(r.ok for r in responses)
+    assert calls == []
+    assert server._pending_bytes == 0
 
 
 def test_rejected_broadcast_fails_every_request_of_the_batch():

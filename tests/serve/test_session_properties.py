@@ -181,6 +181,26 @@ def test_any_partition_into_batches_equals_the_unbatched_run(schedule, data):
         assert machine.snapshot() == plain.snapshot()
 
 
+def test_rsm_path_never_hands_the_session_machine_a_batch():
+    """``@batch`` is unpacked in one place, the RSM delivery path:
+    ``SessionMachine.apply``'s own batch branch exists only for
+    stand-ins without an RSM and must stay dead under one."""
+    seen = []
+
+    class Watched(SessionMachine):
+        def apply(self, command):
+            seen.append(command.op)
+            return super().apply(command)
+
+    machine = Watched(KVStore())
+    rsm = ReplicatedStateMachine(_RecordingBroadcast(), machine)
+    commands = [session_command("c", seq, 1, "put", ("k", seq)) for seq in (1, 2, 3)]
+    rsm.deliver(0, "b0", batch_command(commands).encode(), size=1)
+    rsm.deliver(0, "m1", commands[0].encode(), size=1)  # a lone duplicate
+    assert seen == ["@session"] * 4
+    assert machine.applied_index == 4 and machine.dedup_hits == 1
+
+
 @given(delivery_schedules(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_a_machine_driven_directly_applies_a_batch_like_its_commands(schedule, data):

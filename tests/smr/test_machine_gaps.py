@@ -18,6 +18,7 @@ from repro.smr import (
     batch_command,
     unbatch,
 )
+from repro.smr.machine import MAX_UNCOLLECTED_RESULTS
 
 
 # -- Command codec edge cases ------------------------------------------
@@ -167,6 +168,11 @@ def test_batch_of_one_is_the_command_itself():
     (["put", ["k", 1]], ["put", 7]),                 # args not iterable
     (["put", ["k", 1]], 5),                          # entry not a pair
     (["put", ["k", 1]], [None, ["k"]]),              # op not a string
+    (["put", ["k", 1]], "ab"),                       # a 2-char string unpacks
+    (["put", ["k", 1]], {"put": 1, "k": 2}),         # so does a 2-key dict
+    (["put", ["k", 1]], ["put", "k1"]),              # args a string, not a list
+    (["put", ["k", 1]], ["put", {"k": 1}]),          # args a dict
+    (["put", ["k", 1]], ["put", ["k", 1], 3]),       # entry too long
 ])
 def test_malformed_batch_is_rejected_before_anything_applies(args):
     rsm = ReplicatedStateMachine(_RecordingBroadcast(), KVStore())
@@ -195,11 +201,18 @@ def test_rsm_results_stay_bounded_over_many_deliveries():
     assert rsm.applied_count == 10_100
 
 
-def test_rsm_keep_results_off_retains_nothing():
+def test_rsm_uncollected_results_have_a_constant_bound():
+    # A caller that never asks result_of (the serve tier hears outcomes
+    # through callbacks) holds a constant number of entries, newest kept.
     broadcast = _RecordingBroadcast()
-    rsm = ReplicatedStateMachine(broadcast, KVStore(), keep_results=False)
-    message_id = rsm.submit(Command("put", ("k", "v")))
-    rsm.deliver(0, message_id, broadcast.sent[0][1], size=1)
-    assert rsm._local_results == {}
-    assert rsm.result_of(message_id) is None
-    assert rsm.snapshot() == {"k": "v"}
+    rsm = ReplicatedStateMachine(broadcast, KVStore())
+    payload = Command("incr", ("n", 1)).encode()
+    ids = []
+    for _ in range(10_000):
+        ids.append(rsm.submit(Command("incr", ("n", 1))))
+        rsm.deliver(0, ids[-1], payload, size=1)
+        assert len(rsm._local_results) <= MAX_UNCOLLECTED_RESULTS
+    assert len(rsm._local_results) == MAX_UNCOLLECTED_RESULTS
+    assert rsm.result_of(ids[0]) is None  # aged out
+    assert rsm.result_of(ids[-1]) == 10_000
+    assert rsm.snapshot() == {"n": 10_000}
