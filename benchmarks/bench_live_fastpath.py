@@ -39,10 +39,10 @@ QUICK_DURATION_S = 1.0
 #: guard against scheduler interference on a loopback benchmark.
 REPEATS = 2
 
-#: Fast-path knobs for the batched arm; mirrors the sim defaults.
+#: Batch-frame caps for the batched arm; mirrors the sim defaults.
+#: (When a flush happens is the transport's own business: DESIGN §5g.)
 BATCH_BYTES = 60_000
 BATCH_MESSAGES = 64
-BATCH_DELAY_S = 1e-3
 
 #: The acceptance gate from the issue.
 MIN_SPEEDUP_64B = 1.5
@@ -65,7 +65,6 @@ def _spec(
         spans=spans,
         batch_bytes=BATCH_BYTES if batched else None,
         batch_messages=BATCH_MESSAGES if batched else None,
-        batch_delay_s=BATCH_DELAY_S if batched else None,
     )
 
 
@@ -143,7 +142,6 @@ def build_payload(quick: bool) -> Dict[str, Any]:
             "repeats": 1 if quick else REPEATS,
             "batch_bytes": BATCH_BYTES,
             "batch_messages": BATCH_MESSAGES,
-            "batch_delay_s": BATCH_DELAY_S,
             "quick": quick,
         },
         "points": points,

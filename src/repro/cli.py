@@ -524,6 +524,10 @@ def _cmd_live(args: argparse.Namespace) -> int:
         frames = sum(s["frames_sent"] for s in node_stats)
         rows.append(["tx flushes (syscalls)", flushes])
         rows.append([
+            "written mid-burst (eager)",
+            sum(s["flushes_eager"] for s in node_stats),
+        ])
+        rows.append([
             "frames per flush", f"{frames / flushes:.1f}" if flushes else "-"
         ])
         rows.append([
@@ -889,7 +893,9 @@ def _add_batch_flags(sub: argparse.ArgumentParser) -> None:
     ``BatchingBroadcast``; on ``repro live`` they arm the transport fast
     path (DESIGN.md §5g).  Setting any one enables batching with the
     others at their defaults; nonpositive values are rejected with the
-    same ``ConfigurationError`` on both paths.
+    same ``ConfigurationError`` on both paths.  ``--batch-delay`` is
+    the simulator's dial: the live transport flushes per event-loop
+    turn and has no timer to set.
     """
     sub.add_argument("--batch-bytes", type=int, default=None,
                      help="flush a batch at this many payload bytes "
@@ -898,8 +904,9 @@ def _add_batch_flags(sub: argparse.ArgumentParser) -> None:
                      help="flush a batch at this many messages "
                           "(default 64 when batching is on)")
     sub.add_argument("--batch-delay", type=float, default=None,
-                     help="max seconds the head message waits before "
-                          "its batch flushes (default 0.002)")
+                     help="sim only: max seconds the head message "
+                          "waits before its pack flushes (default "
+                          "0.002); the live transport has no timer")
 
 
 def build_parser() -> argparse.ArgumentParser:

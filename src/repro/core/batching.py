@@ -23,7 +23,10 @@ client commands without either: :mod:`repro.serve.server` flushes what
 one event-loop turn decoded as a single ``@batch`` command, unpacked by
 :class:`~repro.smr.machine.ReplicatedStateMachine` (DESIGN.md §5h).
 Below both sits the transport's ``KIND_BATCH`` frame, which coalesces
-encoded ring *frames* per hop and saves syscalls, not protocol work.
+encoded ring *frames* per hop and saves syscalls, not protocol work;
+:class:`~repro.live.transport.RingTransport` takes its two size caps
+from a :class:`BatchingConfig` and, having no timer either, ignores
+``max_delay_s`` (DESIGN.md §5g).
 """
 
 from __future__ import annotations

@@ -23,13 +23,17 @@ FIFO channel the paper assumes; what this module adds is:
   transport keeps one lazily dialled, infinitely retried connection per
   control peer, mirroring the simulator's ``LayerDemux`` with
   layer-tagged :class:`~repro.live.codec.ControlFrame` envelopes;
-* an optional fast path (``batching=BatchingConfig(...)``): each drain
-  cycle coalesces every releasable queued frame into one batch frame —
-  a single ``writelines`` and a single ``drain()`` per flush — riding
-  pending ``AckBatch``es on the same syscall as data frames instead of
-  paying a standalone send for each (DESIGN.md §5g).  With batching
-  unset the transport is byte- and syscall-identical to the unbatched
-  build: one frame per write, one ``drain()`` per frame.
+* an optional fast path (``batching=BatchingConfig(...)``): every
+  flush coalesces the releasable queued frames into one batch frame —
+  a single ``writelines`` — riding pending ``AckBatch``es on the same
+  syscall as data frames instead of paying a standalone send for each.
+  Two rules and no timer decide when (DESIGN.md §5g): the first
+  ``send()`` of an event-loop turn schedules one flush for the end of
+  that turn, and a burst that reaches :data:`EAGER_FLUSH_FRAMES` queued
+  frames is written from inside ``send()`` so the successor starts on
+  it while this node is still producing the rest.  With batching unset
+  the transport is byte- and syscall-identical to the unbatched build:
+  one frame per write, one ``drain()`` per frame.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ import asyncio
 import logging
 import random
 import socket
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.batching import BatchingConfig
 from repro.core.fsr.messages import AckBatch
@@ -74,6 +79,17 @@ RECONNECT_BASE_S = 0.05
 RECONNECT_CAP_S = 2.0
 #: Poll period while the shaper holds a link fully blocked (partition).
 BLOCK_POLL_S = 0.02
+#: Batched mode: queued frames at which ``send()`` writes the queue to
+#: the socket itself instead of leaving it to the end-of-turn flush.
+#: A node handles a whole inbound batch in one event-loop turn; without
+#: this a burst that does not fragment by itself crosses the ring as
+#: one convoy and only one node works at a time.  Picked from a
+#: measured sweep of 4/8/16/32 on ``ring_small_sat`` (EXPERIMENTS.md
+#: "Ring convoy"): 4 spends the gain on receiver wake-ups, 8/16/32 tie
+#: on throughput, 16 is the largest that still fires on every burst
+#: and keeps every node over half busy.  A constant, not a setting: a
+#: deployment has nothing to choose here.
+EAGER_FLUSH_FRAMES = 16
 
 
 def _set_nodelay(writer: asyncio.StreamWriter) -> None:
@@ -260,7 +276,8 @@ class RingTransport:
         self._rng = rng if rng is not None else random.Random(
             f"transport:{node_id}"
         )
-        #: Fast-path flush policy (DESIGN.md §5g).  ``None`` keeps the
+        #: Fast-path batch caps (DESIGN.md §5g); ``max_delay_s`` is the
+        #: simulator's dial and is not read here.  ``None`` keeps the
         #: transport byte- and syscall-identical to the unbatched build.
         self.batching = batching
         #: Hot-path encoder: reusable buffer, prepacked struct headers.
@@ -276,11 +293,21 @@ class RingTransport:
         )
 
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Set by :meth:`start`; ``send()`` is only legal after it.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        #: Queued (frame, earliest-release loop time, is-ack, enqueue
-        #: loop time) tuples.
-        self._outbound: List[Tuple[bytes, float, bool, float]] = []
+        #: Resolves when the successor hangs up; ``None`` unless the
+        #: drain loop is serving a greeted connection.
+        self._hangup: Optional["asyncio.Future[bytes]"] = None
+        #: Queued (frame, earliest-release loop time, is-ack) tuples.
+        self._outbound: Deque[Tuple[bytes, float, bool]] = deque()
         self._queued_bytes = 0
+        #: Batched mode: an end-of-turn flush is already scheduled.
+        self._flush_scheduled = False
+        #: The drain loop has written frames it has not dequeued yet
+        #: (it is awaiting ``drain()``); writing through now would
+        #: put them on the wire twice.
+        self._drain_inflight = False
         self._gate_closed = False
         self._tx_idle_callbacks: List[Callable[[], None]] = []
         self._wakeup = asyncio.Event()
@@ -312,11 +339,14 @@ class RingTransport:
         self.tx_stalls = 0
         #: High-water mark of the outbound queue depth, in bytes.
         self.queued_bytes_hwm = 0
-        #: Fast-path counters: drain cycles (one write + one drain each,
-        #: counted in both modes), batch frames sent, frames that rode
-        #: inside them, AckBatches that shared a flush with data instead
-        #: of paying their own syscall, and batch frames received.
+        #: Fast-path counters: flushes (one socket write each, counted
+        #: in both modes), how many of them ``send()`` made mid-burst
+        #: (the rest left at turn end or from the drain loop), batch
+        #: frames sent, frames that rode inside them, AckBatches that
+        #: shared a flush with data instead of paying their own
+        #: syscall, and batch frames received.
         self.flushes = 0
+        self.flushes_eager = 0
         self.batches_sent = 0
         self.batched_frames = 0
         self.acks_ridden = 0
@@ -328,6 +358,7 @@ class RingTransport:
     async def start(self) -> None:
         """Bind the listening socket and start connecting outbound."""
         host, port = self.listen_addr
+        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_inbound, host, port
         )
@@ -393,8 +424,9 @@ class RingTransport:
         """Earliest loop time the next frame to ``dst`` may hit the wire."""
         if self._shaper is None:
             return 0.0
-        loop = asyncio.get_event_loop()
-        return self._shaper.plan(dst, nbytes, loop.time(), channel=channel)
+        return self._shaper.plan(
+            dst, nbytes, self._loop.time(), channel=channel
+        )
 
     async def _pace(
         self, dst: ProcessId, release: float, aborted: Callable[[], bool]
@@ -409,7 +441,7 @@ class RingTransport:
         """
         if self._shaper is None:
             return True
-        loop = asyncio.get_event_loop()
+        loop = self._loop
         while not (self._closing or aborted()):
             delay = release - loop.time()
             if delay > 0:
@@ -458,11 +490,7 @@ class RingTransport:
         self._queued_bytes = 0
         self._failure = None
         self._connected.clear()
-        if self._gate_closed:
-            self._gate_closed = False
-            loop = asyncio.get_event_loop()
-            for callback in list(self._tx_idle_callbacks):
-                loop.call_soon(callback)
+        self._reopen_gate()
         if self._writer is not None:
             self._writer.close()
         self._wakeup.set()
@@ -494,12 +522,7 @@ class RingTransport:
             )
         frame = self._encoder.encode_frame(message)
         release = self._plan_release(dst, len(frame), "ring")
-        self._outbound.append((
-            frame,
-            release,
-            isinstance(message, AckBatch),
-            asyncio.get_event_loop().time(),
-        ))
+        self._outbound.append((frame, release, isinstance(message, AckBatch)))
         self._queued_bytes += len(frame)
         if self._queued_bytes > self.queued_bytes_hwm:
             self.queued_bytes_hwm = self._queued_bytes
@@ -511,7 +534,59 @@ class RingTransport:
                     self.node_id, self._queued_bytes,
                 )
             self._gate_closed = True
-        self._wakeup.set()
+        if self.batching is None:
+            self._wakeup.set()
+            return
+        if (
+            len(self._outbound) >= EAGER_FLUSH_FRAMES
+            and self._write_through(eager=True)
+        ):
+            # Pipelined: the successor starts on this slice of the
+            # burst while the caller is still producing the rest.
+            return
+        if not self._flush_scheduled:
+            # Turn-bounded: whatever else this event-loop turn queues
+            # leaves together with this frame when the turn ends.
+            self._flush_scheduled = True
+            self._loop.call_soon(self._flush_turn)
+
+    def _flush_turn(self) -> None:
+        """End-of-turn flush of everything the turn queued (batched)."""
+        self._flush_scheduled = False
+        if self._outbound and not self._write_through():
+            self._wakeup.set()  # not writable right now: the drain loop's job
+
+    def _write_through(self, eager: bool = False) -> bool:
+        """Write the queue to the socket without awaiting (batched).
+
+        Only while nothing can make the write wait or misorder it: the
+        successor is connected and greeted, no shaper schedules release
+        times, the drain loop is not between a write and its dequeue,
+        and the socket took every earlier byte (an empty write buffer —
+        so the kernel, not an unbounded user-space buffer, holds what
+        was written, and backpressure still reaches ``tx_ready``).
+        Returns ``False`` with the unwritten frames still queued
+        otherwise; the drain loop ships them once it can.
+        """
+        hangup = self._hangup
+        if (
+            hangup is None
+            or hangup.done()
+            or self._shaper is not None
+            or self._drain_inflight
+        ):
+            return False
+        writer = self._writer
+        transport = writer.transport
+        while self._outbound:
+            if transport.is_closing() or transport.get_write_buffer_size():
+                return False
+            count, wire, is_ack = self._write_batch(writer)
+            self._pop_flushed(count)
+            self._note_flush(count, wire, is_ack)
+            if eager:
+                self.flushes_eager += 1
+        return True
 
     async def _outbound_loop(self) -> None:
         retries = 0
@@ -581,8 +656,7 @@ class RingTransport:
         # or retarget resends them instead of feeding a dead kernel
         # buffer.
         eof = asyncio.ensure_future(reader.read(1))
-        batching = self.batching
-        loop = asyncio.get_event_loop()
+        self._hangup = eof
         try:
             while not self._closing and self._epoch == epoch:
                 while self._outbound and self._epoch == epoch:
@@ -593,13 +667,13 @@ class RingTransport:
                     # reconnect instead of silently losing it
                     # (duplicates are cheaper than a stuck ring, and
                     # FSR suppresses re-delivered sequence numbers).
-                    frame, release, _, t_enq = self._outbound[0]
+                    frame, release, _ = self._outbound[0]
                     if not await self._pace(
                         self.successor_id, release,
                         lambda: self._epoch != epoch or eof.done(),
                     ):
                         return  # retargeted, peer gone, or closing
-                    if batching is None:
+                    if self.batching is None:
                         # Unbatched build: one frame per write, one
                         # drain per frame — byte- and syscall-identical
                         # to the pre-fastpath transport (the parity
@@ -611,26 +685,19 @@ class RingTransport:
                         self._pop_flushed(1)
                         self._note_flush(1, len(frame))
                         continue
-                    if not await self._hold_for_batch(
-                        batching, t_enq, epoch, eof, loop
-                    ):
-                        return
-                    frames, is_ack = self._collect_batch(batching, loop)
-                    if len(frames) == 1:
-                        # A lone releasable message ships as a plain
-                        # frame: byte-identical to the unbatched wire,
-                        # no holding cost once max_delay_s expired.
-                        writer.write(frames[0])
-                        wire = len(frames[0])
-                    else:
-                        parts = batch_frame_parts(frames)
-                        writer.writelines(parts)
-                        wire = sum(len(p) for p in parts)
-                    await writer.drain()
+                    # Batched: what ``send()`` could not write through
+                    # (backlog after a reconnect, shaped release times,
+                    # a socket that stopped taking bytes).
+                    count, wire, is_ack = self._write_batch(writer)
+                    self._drain_inflight = True
+                    try:
+                        await writer.drain()
+                    finally:
+                        self._drain_inflight = False
                     if self._epoch != epoch:
                         return  # retargeted mid-drain; queue was reset
-                    self._pop_flushed(len(frames))
-                    self._note_flush(len(frames), wire, is_ack)
+                    self._pop_flushed(count)
+                    self._note_flush(count, wire, is_ack)
                 self._wakeup.clear()
                 if self._outbound:
                     continue
@@ -644,61 +711,26 @@ class RingTransport:
                 if eof.done():
                     return
         finally:
+            self._hangup = None
             eof.cancel()
 
-    async def _hold_for_batch(
-        self,
-        batching: BatchingConfig,
-        head_t_enq: float,
-        epoch: int,
-        eof: "asyncio.Future",
-        loop: asyncio.AbstractEventLoop,
-    ) -> bool:
-        """Hold the flush briefly so more frames can join the batch.
-
-        Mirrors the simulator's pack rule: flush when the byte or
-        message threshold is reached, or once the *head* frame has
-        waited ``max_delay_s`` since enqueue — the bound on added
-        latency.  Returns ``False`` if the connection/epoch died while
-        holding.
-        """
-        while (
-            not self._closing
-            and self._epoch == epoch
-            and not eof.done()
-            and len(self._outbound) < batching.max_batch_messages
-            and self._queued_bytes < batching.max_batch_bytes
-        ):
-            remaining = head_t_enq + batching.max_delay_s - loop.time()
-            if remaining <= 0:
-                break
-            self._wakeup.clear()
-            waiter = asyncio.ensure_future(self._wakeup.wait())
-            try:
-                await asyncio.wait(
-                    {eof, waiter},
-                    timeout=remaining,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-            finally:
-                waiter.cancel()
-        return not (self._closing or self._epoch != epoch or eof.done())
-
-    def _collect_batch(
-        self, batching: BatchingConfig, loop: asyncio.AbstractEventLoop
-    ) -> Tuple[List[bytes], List[bool]]:
-        """Frames (and their is-ack flags) joining this flush.
+    def _write_batch(
+        self, writer: asyncio.StreamWriter
+    ) -> Tuple[int, int, List[bool]]:
+        """Write the next flush's frames; they stay queued.
 
         Takes the longest queue prefix that fits ``max_batch_messages``/
         ``max_batch_bytes`` (always at least the head frame) and whose
         shaped release times have passed — coalescing an unreleased
         frame would let a batch overtake the shaper's schedule.
+        Returns the frame count, the wire bytes and the is-ack flags.
         """
-        now = loop.time() if self._shaper is not None else 0.0
+        batching = self.batching
+        now = self._loop.time() if self._shaper is not None else 0.0
         frames: List[bytes] = []
         is_ack: List[bool] = []
         total = 0
-        for frame, release, ack, _ in self._outbound:
+        for frame, release, ack in self._outbound:
             if frames:
                 if len(frames) >= batching.max_batch_messages:
                     break
@@ -714,23 +746,40 @@ class RingTransport:
             frames.append(frame)
             is_ack.append(ack)
             total += len(frame)
-        return frames, is_ack
+        if len(frames) == 1:
+            # A lone releasable message ships as a plain frame:
+            # byte-identical to the unbatched wire.
+            writer.write(frames[0])
+            return 1, total, is_ack
+        parts = batch_frame_parts(frames)
+        writer.writelines(parts)
+        return len(frames), len(parts[0]) + total, is_ack
 
     def _pop_flushed(self, count: int) -> None:
-        """Dequeue ``count`` drained frames and reopen the TX gate."""
+        """Dequeue ``count`` written frames and reopen the TX gate."""
         for _ in range(count):
-            frame = self._outbound.pop(0)[0]
+            frame = self._outbound.popleft()[0]
             self._queued_bytes -= len(frame)
-            self.frames_sent += 1
+        self.frames_sent += count
+        self._reopen_gate()
+
+    def _reopen_gate(self) -> None:
+        """Tell the protocol a closed TX gate has reopened.
+
+        The callbacks run from the event loop, never from here: a flush
+        inside ``send()`` is inside the protocol's own ``on_message``,
+        and ``retarget()`` inside its view install; the pump must run
+        after the caller has finished, not reentrantly.
+        """
         if self._gate_closed and self.tx_ready:
             self._gate_closed = False
             for callback in list(self._tx_idle_callbacks):
-                callback()
+                self._loop.call_soon(callback)
 
     def _note_flush(
         self, count: int, wire_bytes: int, is_ack: Optional[List[bool]] = None
     ) -> None:
-        """Account one write+drain cycle in counters and telemetry."""
+        """Account one flush (one socket write) in counters and telemetry."""
         self.flushes += 1
         self.bytes_sent += wire_bytes
         if count > 1:

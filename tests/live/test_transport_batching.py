@@ -2,8 +2,11 @@
 
 Real loopback sockets throughout.  The load-bearing claims:
 
-* with batching enabled, frames queued together leave in one batch
-  frame (one write + one drain) and arrive in FIFO order;
+* with batching enabled, a burst sent in one event-loop turn leaves in
+  FIFO order as one batch frame per ``EAGER_FLUSH_FRAMES`` sends —
+  written from inside ``send()`` — plus one for the remainder when the
+  turn ends; no timer is involved and ``max_delay_s`` is not consulted;
+* with a shaper attached nothing is written ahead of its release time;
 * pending ``AckBatch``es ride the same flush as data frames
   (``acks_ridden``) instead of paying their own syscall;
 * with batching *disabled* the byte stream is exactly the unbatched
@@ -16,6 +19,7 @@ Real loopback sockets throughout.  The load-bearing claims:
 
 import asyncio
 import socket
+import time
 
 import pytest
 
@@ -25,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.live.codec import Hello, encode_frame
 from repro.live.node import LiveNodeConfig
 from repro.live.runner import LiveClusterSpec
-from repro.live.transport import RingTransport
+from repro.live.transport import EAGER_FLUSH_FRAMES, RingTransport
 from repro.types import MessageId
 
 
@@ -61,34 +65,95 @@ def _pair(port_a, port_b, received, batching):
     return a, b
 
 
-def test_batched_queue_coalesces_into_batch_frames():
+def test_burst_leaves_as_eager_slices_then_the_rest_at_turn_end():
     async def main():
         received = []
-        a, b = _pair(
-            _free_port(), _free_port(), received,
-            BatchingConfig(max_delay_s=0.02),
+        a, b = _pair(_free_port(), _free_port(), received, BatchingConfig())
+        await a.start()
+        await b.start()
+        assert await a.wait_outbound_connected(5.0)
+
+        remainder = 3
+        messages = [
+            _sample_message(seq)
+            for seq in range(2 * EAGER_FLUSH_FRAMES + remainder)
+        ]
+        for message in messages:
+            a.send(1, message)  # one loop turn, no await in between
+        # Pipelined: send() itself wrote each full slice.
+        assert a.flushes_eager == a.flushes == 2
+        assert a.frames_sent == 2 * EAGER_FLUSH_FRAMES
+        assert len(a._outbound) == remainder
+        # Turn-bounded: the remainder leaves when this turn ends.
+        await asyncio.sleep(0)
+        assert a.flushes == 3 and a.flushes_eager == 2
+        assert a.frames_sent == len(messages)
+        assert a.queued_bytes == 0
+
+        for _ in range(200):
+            if len(received) >= len(messages):
+                break
+            await asyncio.sleep(0.01)
+        assert [entry[1] for entry in received] == messages  # FIFO
+        assert all(entry[0] == 0 for entry in received)
+        assert b.frames_received == len(messages)
+        assert a.batches_sent == b.batches_received == 3
+        assert a.batched_frames == len(messages)
+        await a.close()
+        await b.close()
+
+    asyncio.run(main())
+
+
+class _FixedDelayShaper:
+    """Stands in for ``NetShaper``: every frame is due ``delay_s`` after
+    it was queued, no link is ever blocked."""
+
+    def __init__(self, delay_s):
+        self.delay_s = delay_s
+
+    def plan(self, dst, nbytes, now, channel="ring"):
+        return now + self.delay_s
+
+    def is_blocked(self, dst):
+        return False
+
+
+def test_shaped_frames_are_never_written_ahead_of_their_release():
+    async def main():
+        delay_s = 0.15
+        arrivals = []
+        port_a, port_b = _free_port(), _free_port()
+        a = RingTransport(
+            0, ("127.0.0.1", port_a), 1, ("127.0.0.1", port_b),
+            lambda src, msg: None,
+            batching=BatchingConfig(),
+            shaper=_FixedDelayShaper(delay_s),
+        )
+        b = RingTransport(
+            1, ("127.0.0.1", port_b), 0, ("127.0.0.1", port_a),
+            lambda src, msg: arrivals.append((time.monotonic(), msg)),
         )
         await a.start()
         await b.start()
         assert await a.wait_outbound_connected(5.0)
 
-        messages = [_sample_message(seq) for seq in range(10)]
+        messages = [
+            _sample_message(seq) for seq in range(2 * EAGER_FLUSH_FRAMES)
+        ]
+        queued_at = time.monotonic()
         for message in messages:
-            a.send(1, message)  # same loop tick: all queued together
-        for _ in range(200):
-            if len(received) >= len(messages):
+            a.send(1, message)
+        await asyncio.sleep(0)  # past the end-of-turn flush as well
+        assert a.flushes == a.flushes_eager == a.frames_sent == 0
+
+        for _ in range(300):
+            if len(arrivals) >= len(messages):
                 break
             await asyncio.sleep(0.01)
-
-        assert [entry[1] for entry in received] == messages  # FIFO
-        assert all(entry[0] == 0 for entry in received)
-        assert a.frames_sent == len(messages)
-        assert b.frames_received == len(messages)
-        # The whole burst left in fewer syscalls than frames.
-        assert a.flushes < a.frames_sent
-        assert a.batches_sent >= 1
-        assert a.batched_frames >= 2
-        assert b.batches_received == a.batches_sent
+        assert [msg for _, msg in arrivals] == messages
+        assert min(at for at, _ in arrivals) - queued_at >= delay_s
+        assert a.flushes_eager == 0  # the drain loop paced all of it
         await a.close()
         await b.close()
 
@@ -98,10 +163,7 @@ def test_batched_queue_coalesces_into_batch_frames():
 def test_ack_batch_rides_with_data_frames():
     async def main():
         received = []
-        a, b = _pair(
-            _free_port(), _free_port(), received,
-            BatchingConfig(max_delay_s=0.02),
-        )
+        a, b = _pair(_free_port(), _free_port(), received, BatchingConfig())
         await a.start()
         await b.start()
         assert await a.wait_outbound_connected(5.0)
@@ -112,7 +174,7 @@ def test_ack_batch_rides_with_data_frames():
             view_id=0, watermark=3,
         )
         a.send(1, data)
-        a.send(1, acks)
+        a.send(1, acks)  # same turn: one end-of-turn flush carries both
         for _ in range(200):
             if len(received) >= 2:
                 break
@@ -180,17 +242,35 @@ def test_disabled_batching_is_byte_identical_on_the_wire():
     assert wire == expected
 
 
-def test_lone_message_under_batching_ships_plain_frame():
-    message = _sample_message(1)
-    wire = _raw_wire_bytes(
-        lambda port: RingTransport(
+def test_lone_message_ships_at_once_as_a_plain_frame_whatever_the_delay():
+    """``max_delay_s`` is the simulator's dial: with ten seconds of it
+    configured, a lone frame still reaches the wire in the same turn."""
+
+    async def main():
+        port = _free_port()
+        chunks, stop = [], asyncio.Event()
+        server = await _capture_stream(port, chunks, stop)
+        transport = RingTransport(
             0, ("127.0.0.1", _free_port()), 1, ("127.0.0.1", port),
             lambda src, msg: None,
-            batching=BatchingConfig(max_delay_s=0.005),
-        ),
-        [message],
-    )
-    assert wire == encode_frame(Hello(node_id=0)) + encode_frame(message)
+            batching=BatchingConfig(max_delay_s=10),
+        )
+        await transport.start()
+        assert await transport.wait_outbound_connected(5.0)
+        message = _sample_message(1)
+        expected = encode_frame(Hello(node_id=0)) + encode_frame(message)
+        sent_at = time.monotonic()
+        transport.send(1, message)
+        while len(b"".join(chunks)) < len(expected):
+            assert time.monotonic() - sent_at < 1.0
+            await asyncio.sleep(0.005)
+        assert b"".join(chunks) == expected
+        assert transport.batches_sent == 0
+        await transport.close()
+        server.close()
+        await server.wait_closed()
+
+    asyncio.run(main())
 
 
 def test_control_peer_coalesces_queued_frames():
