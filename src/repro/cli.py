@@ -524,10 +524,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
         frames = sum(s["frames_sent"] for s in node_stats)
         rows.append(["tx flushes (syscalls)", flushes])
         rows.append([
-            "written mid-burst (eager)",
-            sum(s["flushes_eager"] for s in node_stats),
-        ])
-        rows.append([
             "frames per flush", f"{frames / flushes:.1f}" if flushes else "-"
         ])
         rows.append([
@@ -894,8 +890,8 @@ def _add_batch_flags(sub: argparse.ArgumentParser) -> None:
     path (DESIGN.md §5g).  Setting any one enables batching with the
     others at their defaults; nonpositive values are rejected with the
     same ``ConfigurationError`` on both paths.  ``--batch-delay`` is
-    the simulator's dial: the live transport flushes per event-loop
-    turn and has no timer to set.
+    the simulator's dial: the live transport flushes when the
+    event-loop turn ends and has no timer to set.
     """
     sub.add_argument("--batch-bytes", type=int, default=None,
                      help="flush a batch at this many payload bytes "

@@ -164,20 +164,24 @@ class LiveNodeConfig:
     #: ``None`` leaves logging unconfigured (silent).
     log_level: Optional[str] = None
     #: Transport fast path (DESIGN.md §5g): batch caps for frame
-    #: coalescing on the ring hop.  All three ``None`` disables batching
-    #: — the transport stays byte-identical to the unbatched wire.  Any
-    #: subset set fills the rest from :class:`BatchingConfig` defaults.
-    #: ``batch_delay_s`` only counts as "set": the transport has no
-    #: flush timer (the delay is the simulator's dial).
+    #: coalescing on the ring hop.  Both caps ``None`` disables batching
+    #: — the transport stays byte-identical to the unbatched wire.
+    #: Either one set fills the other from :class:`BatchingConfig`
+    #: defaults.  ``batch_delay_s`` is the simulator's dial: validated
+    #: like there, but the transport has no flush timer to give it to,
+    #: so on its own it switches nothing on.
     batch_bytes: Optional[int] = None
     batch_messages: Optional[int] = None
     batch_delay_s: Optional[float] = None
 
     def batch_config(self) -> Optional[BatchingConfig]:
         """Transport batch caps, or ``None`` when batching is off."""
-        return batching_config_from_flags(
+        config = batching_config_from_flags(
             self.batch_bytes, self.batch_messages, self.batch_delay_s
         )
+        if self.batch_bytes is None and self.batch_messages is None:
+            return None
+        return config
 
     def __post_init__(self) -> None:
         # Surfaces nonpositive batch thresholds as ConfigurationError
@@ -891,9 +895,6 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             transport.control_frames_received
         )
         counters["transport_flushes"] = sum(t.flushes for t in transports)
-        counters["transport_flushes_eager"] = sum(
-            t.flushes_eager for t in transports
-        )
         counters["transport_batches_sent"] = sum(
             t.batches_sent for t in transports
         )
@@ -1135,7 +1136,6 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             "control_frames_sent": transport.control_frames_sent,
             "control_frames_received": transport.control_frames_received,
             "flushes": sum(t.flushes for t in transports),
-            "flushes_eager": sum(t.flushes_eager for t in transports),
             "batches_sent": sum(t.batches_sent for t in transports),
             "batched_frames": sum(t.batched_frames for t in transports),
             "acks_ridden": sum(t.acks_ridden for t in transports),

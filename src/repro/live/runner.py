@@ -100,12 +100,12 @@ class LiveClusterSpec:
     spans: bool = False
     #: Python logging level for the node processes ("INFO", "DEBUG", ...).
     log_level: Optional[str] = None
-    #: Transport fast-path batch caps (DESIGN.md §5g); all three
-    #: ``None`` ships one frame per syscall, byte-identical to the
-    #: unbatched wire.  Validation matches the sim's ``BatchingConfig``.
-    #: ``batch_delay_s`` is the sim's dial: it is validated and, like
-    #: the other two, switches batching on, but the live transport
-    #: flushes per event-loop turn and never reads it.
+    #: Transport fast-path batch caps (DESIGN.md §5g); both ``None``
+    #: ships one frame per syscall, byte-identical to the unbatched
+    #: wire.  Validation matches the sim's ``BatchingConfig``.
+    #: ``batch_delay_s`` is the sim's dial: it is validated, but the
+    #: live transport flushes when the event-loop turn ends and never
+    #: reads it (kept because callers still pass it).
     batch_bytes: Optional[int] = None
     batch_messages: Optional[int] = None
     batch_delay_s: Optional[float] = None

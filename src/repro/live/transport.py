@@ -23,17 +23,16 @@ FIFO channel the paper assumes; what this module adds is:
   transport keeps one lazily dialled, infinitely retried connection per
   control peer, mirroring the simulator's ``LayerDemux`` with
   layer-tagged :class:`~repro.live.codec.ControlFrame` envelopes;
-* an optional fast path (``batching=BatchingConfig(...)``): every
-  flush coalesces the releasable queued frames into one batch frame —
-  a single ``writelines`` — riding pending ``AckBatch``es on the same
-  syscall as data frames instead of paying a standalone send for each.
-  Two rules and no timer decide when (DESIGN.md §5g): the first
-  ``send()`` of an event-loop turn schedules one flush for the end of
-  that turn, and a burst that reaches :data:`EAGER_FLUSH_FRAMES` queued
-  frames is written from inside ``send()`` so the successor starts on
-  it while this node is still producing the rest.  With batching unset
-  the transport is byte- and syscall-identical to the unbatched build:
-  one frame per write, one ``drain()`` per frame.
+* an optional fast path (``batching=BatchingConfig(...)``): each drain
+  cycle coalesces every releasable queued frame into one batch frame —
+  a single ``writelines`` and a single ``drain()`` per flush — riding
+  pending ``AckBatch``es on the same syscall as data frames instead of
+  paying a standalone send for each (DESIGN.md §5g).  No timer holds a
+  flush back: the drain task runs once the event-loop turn that queued
+  the frames has ended, so a flush carries what that turn produced and
+  an idle ring never waits.  With batching unset the transport is byte-
+  and syscall-identical to the unbatched build: one frame per write,
+  one ``drain()`` per frame.
 """
 
 from __future__ import annotations
@@ -79,17 +78,6 @@ RECONNECT_BASE_S = 0.05
 RECONNECT_CAP_S = 2.0
 #: Poll period while the shaper holds a link fully blocked (partition).
 BLOCK_POLL_S = 0.02
-#: Batched mode: queued frames at which ``send()`` writes the queue to
-#: the socket itself instead of leaving it to the end-of-turn flush.
-#: A node handles a whole inbound batch in one event-loop turn; without
-#: this a burst that does not fragment by itself crosses the ring as
-#: one convoy and only one node works at a time.  Picked from a
-#: measured sweep of 4/8/16/32 on ``ring_small_sat`` (EXPERIMENTS.md
-#: "Ring convoy"): 4 spends the gain on receiver wake-ups, 8/16/32 tie
-#: on throughput, 16 is the largest that still fires on every burst
-#: and keeps every node over half busy.  A constant, not a setting: a
-#: deployment has nothing to choose here.
-EAGER_FLUSH_FRAMES = 16
 
 
 def _set_nodelay(writer: asyncio.StreamWriter) -> None:
@@ -293,24 +281,15 @@ class RingTransport:
         )
 
         self._server: Optional[asyncio.AbstractServer] = None
-        #: Set by :meth:`start`; ``send()`` is only legal after it.
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        #: Resolves when the successor hangs up; ``None`` unless the
-        #: drain loop is serving a greeted connection.
-        self._hangup: Optional["asyncio.Future[bytes]"] = None
         #: Queued (frame, earliest-release loop time, is-ack) tuples.
         self._outbound: Deque[Tuple[bytes, float, bool]] = deque()
         self._queued_bytes = 0
-        #: Batched mode: an end-of-turn flush is already scheduled.
-        self._flush_scheduled = False
-        #: The drain loop has written frames it has not dequeued yet
-        #: (it is awaiting ``drain()``); writing through now would
-        #: put them on the wire twice.
-        self._drain_inflight = False
         self._gate_closed = False
         self._tx_idle_callbacks: List[Callable[[], None]] = []
-        self._wakeup = asyncio.Event()
+        #: What the drain loop sleeps on while the queue is empty
+        #: (:meth:`_wake_drain`); ``None`` while it is busy or dialling.
+        self._drain_waiter: Optional["asyncio.Future[None]"] = None
         self._dial_wakeup = asyncio.Event()
         self._connected = asyncio.Event()
         self._inbound_hello = asyncio.Event()
@@ -339,14 +318,11 @@ class RingTransport:
         self.tx_stalls = 0
         #: High-water mark of the outbound queue depth, in bytes.
         self.queued_bytes_hwm = 0
-        #: Fast-path counters: flushes (one socket write each, counted
-        #: in both modes), how many of them ``send()`` made mid-burst
-        #: (the rest left at turn end or from the drain loop), batch
-        #: frames sent, frames that rode inside them, AckBatches that
-        #: shared a flush with data instead of paying their own
-        #: syscall, and batch frames received.
+        #: Fast-path counters: drain cycles (one write + one drain each,
+        #: counted in both modes), batch frames sent, frames that rode
+        #: inside them, AckBatches that shared a flush with data instead
+        #: of paying their own syscall, and batch frames received.
         self.flushes = 0
-        self.flushes_eager = 0
         self.batches_sent = 0
         self.batched_frames = 0
         self.acks_ridden = 0
@@ -358,7 +334,6 @@ class RingTransport:
     async def start(self) -> None:
         """Bind the listening socket and start connecting outbound."""
         host, port = self.listen_addr
-        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_inbound, host, port
         )
@@ -366,7 +341,7 @@ class RingTransport:
 
     async def close(self) -> None:
         self._closing = True
-        self._wakeup.set()
+        self._wake_drain()
         self._dial_wakeup.set()
         if self._server is not None:
             self._server.close()
@@ -424,9 +399,8 @@ class RingTransport:
         """Earliest loop time the next frame to ``dst`` may hit the wire."""
         if self._shaper is None:
             return 0.0
-        return self._shaper.plan(
-            dst, nbytes, self._loop.time(), channel=channel
-        )
+        loop = asyncio.get_event_loop()
+        return self._shaper.plan(dst, nbytes, loop.time(), channel=channel)
 
     async def _pace(
         self, dst: ProcessId, release: float, aborted: Callable[[], bool]
@@ -441,7 +415,7 @@ class RingTransport:
         """
         if self._shaper is None:
             return True
-        loop = self._loop
+        loop = asyncio.get_event_loop()
         while not (self._closing or aborted()):
             delay = release - loop.time()
             if delay > 0:
@@ -490,10 +464,14 @@ class RingTransport:
         self._queued_bytes = 0
         self._failure = None
         self._connected.clear()
-        self._reopen_gate()
+        if self._gate_closed:
+            self._gate_closed = False
+            loop = asyncio.get_event_loop()
+            for callback in list(self._tx_idle_callbacks):
+                loop.call_soon(callback)
         if self._writer is not None:
             self._writer.close()
-        self._wakeup.set()
+        self._wake_drain()
         self._dial_wakeup.set()
 
     # ------------------------------------------------------------------
@@ -534,59 +512,13 @@ class RingTransport:
                     self.node_id, self._queued_bytes,
                 )
             self._gate_closed = True
-        if self.batching is None:
-            self._wakeup.set()
-            return
-        if (
-            len(self._outbound) >= EAGER_FLUSH_FRAMES
-            and self._write_through(eager=True)
-        ):
-            # Pipelined: the successor starts on this slice of the
-            # burst while the caller is still producing the rest.
-            return
-        if not self._flush_scheduled:
-            # Turn-bounded: whatever else this event-loop turn queues
-            # leaves together with this frame when the turn ends.
-            self._flush_scheduled = True
-            self._loop.call_soon(self._flush_turn)
+        self._wake_drain()
 
-    def _flush_turn(self) -> None:
-        """End-of-turn flush of everything the turn queued (batched)."""
-        self._flush_scheduled = False
-        if self._outbound and not self._write_through():
-            self._wakeup.set()  # not writable right now: the drain loop's job
-
-    def _write_through(self, eager: bool = False) -> bool:
-        """Write the queue to the socket without awaiting (batched).
-
-        Only while nothing can make the write wait or misorder it: the
-        successor is connected and greeted, no shaper schedules release
-        times, the drain loop is not between a write and its dequeue,
-        and the socket took every earlier byte (an empty write buffer —
-        so the kernel, not an unbounded user-space buffer, holds what
-        was written, and backpressure still reaches ``tx_ready``).
-        Returns ``False`` with the unwritten frames still queued
-        otherwise; the drain loop ships them once it can.
-        """
-        hangup = self._hangup
-        if (
-            hangup is None
-            or hangup.done()
-            or self._shaper is not None
-            or self._drain_inflight
-        ):
-            return False
-        writer = self._writer
-        transport = writer.transport
-        while self._outbound:
-            if transport.is_closing() or transport.get_write_buffer_size():
-                return False
-            count, wire, is_ack = self._write_batch(writer)
-            self._pop_flushed(count)
-            self._note_flush(count, wire, is_ack)
-            if eager:
-                self.flushes_eager += 1
-        return True
+    def _wake_drain(self, _eof: Optional[asyncio.Future] = None) -> None:
+        """Wake the drain loop: frames queued, peer gone, retarget, close."""
+        waiter = self._drain_waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     async def _outbound_loop(self) -> None:
         retries = 0
@@ -656,7 +588,9 @@ class RingTransport:
         # or retarget resends them instead of feeding a dead kernel
         # buffer.
         eof = asyncio.ensure_future(reader.read(1))
-        self._hangup = eof
+        eof.add_done_callback(self._wake_drain)
+        batching = self.batching
+        loop = asyncio.get_event_loop()
         try:
             while not self._closing and self._epoch == epoch:
                 while self._outbound and self._epoch == epoch:
@@ -673,7 +607,7 @@ class RingTransport:
                         lambda: self._epoch != epoch or eof.done(),
                     ):
                         return  # retargeted, peer gone, or closing
-                    if self.batching is None:
+                    if batching is None:
                         # Unbatched build: one frame per write, one
                         # drain per frame — byte- and syscall-identical
                         # to the pre-fastpath transport (the parity
@@ -685,48 +619,53 @@ class RingTransport:
                         self._pop_flushed(1)
                         self._note_flush(1, len(frame))
                         continue
-                    # Batched: what ``send()`` could not write through
-                    # (backlog after a reconnect, shaped release times,
-                    # a socket that stopped taking bytes).
-                    count, wire, is_ack = self._write_batch(writer)
-                    self._drain_inflight = True
-                    try:
-                        await writer.drain()
-                    finally:
-                        self._drain_inflight = False
+                    # Batched: everything the turn(s) before this task
+                    # step queued leaves in one write; nothing is held
+                    # back for more to join (DESIGN.md §5g).
+                    frames, is_ack = self._collect_batch(batching, loop)
+                    if len(frames) == 1:
+                        # A lone releasable message ships as a plain
+                        # frame: byte-identical to the unbatched wire.
+                        writer.write(frames[0])
+                        wire = len(frames[0])
+                    else:
+                        parts = batch_frame_parts(frames)
+                        writer.writelines(parts)
+                        wire = sum(len(p) for p in parts)
+                    await writer.drain()
                     if self._epoch != epoch:
                         return  # retargeted mid-drain; queue was reset
-                    self._pop_flushed(count)
-                    self._note_flush(count, wire, is_ack)
-                self._wakeup.clear()
-                if self._outbound:
-                    continue
-                waiter = asyncio.ensure_future(self._wakeup.wait())
-                try:
-                    await asyncio.wait(
-                        {eof, waiter}, return_when=asyncio.FIRST_COMPLETED
-                    )
-                finally:
-                    waiter.cancel()
-                if eof.done():
+                    self._pop_flushed(len(frames))
+                    self._note_flush(len(frames), wire, is_ack)
+                if eof.done() or self._epoch != epoch:
                     return
+                # Sleep on a bare future, not an Event: resolving it
+                # queues this task's next step directly, so the flush
+                # runs as soon as the event-loop turn that queued the
+                # frames has ended and carries what that turn produced
+                # — a wake-up that takes further loop iterations lets
+                # later turns' frames pile onto the batch (DESIGN.md
+                # §5g).  Nothing awaits between the checks above and
+                # this sleep, so no wake-up is lost.
+                self._drain_waiter = loop.create_future()
+                try:
+                    await self._drain_waiter
+                finally:
+                    self._drain_waiter = None
         finally:
-            self._hangup = None
             eof.cancel()
 
-    def _write_batch(
-        self, writer: asyncio.StreamWriter
-    ) -> Tuple[int, int, List[bool]]:
-        """Write the next flush's frames; they stay queued.
+    def _collect_batch(
+        self, batching: BatchingConfig, loop: asyncio.AbstractEventLoop
+    ) -> Tuple[List[bytes], List[bool]]:
+        """Frames (and their is-ack flags) joining this flush.
 
         Takes the longest queue prefix that fits ``max_batch_messages``/
         ``max_batch_bytes`` (always at least the head frame) and whose
         shaped release times have passed — coalescing an unreleased
         frame would let a batch overtake the shaper's schedule.
-        Returns the frame count, the wire bytes and the is-ack flags.
         """
-        batching = self.batching
-        now = self._loop.time() if self._shaper is not None else 0.0
+        now = loop.time() if self._shaper is not None else 0.0
         frames: List[bytes] = []
         is_ack: List[bool] = []
         total = 0
@@ -746,40 +685,23 @@ class RingTransport:
             frames.append(frame)
             is_ack.append(ack)
             total += len(frame)
-        if len(frames) == 1:
-            # A lone releasable message ships as a plain frame:
-            # byte-identical to the unbatched wire.
-            writer.write(frames[0])
-            return 1, total, is_ack
-        parts = batch_frame_parts(frames)
-        writer.writelines(parts)
-        return len(frames), len(parts[0]) + total, is_ack
+        return frames, is_ack
 
     def _pop_flushed(self, count: int) -> None:
-        """Dequeue ``count`` written frames and reopen the TX gate."""
+        """Dequeue ``count`` drained frames and reopen the TX gate."""
         for _ in range(count):
             frame = self._outbound.popleft()[0]
             self._queued_bytes -= len(frame)
-        self.frames_sent += count
-        self._reopen_gate()
-
-    def _reopen_gate(self) -> None:
-        """Tell the protocol a closed TX gate has reopened.
-
-        The callbacks run from the event loop, never from here: a flush
-        inside ``send()`` is inside the protocol's own ``on_message``,
-        and ``retarget()`` inside its view install; the pump must run
-        after the caller has finished, not reentrantly.
-        """
+            self.frames_sent += 1
         if self._gate_closed and self.tx_ready:
             self._gate_closed = False
             for callback in list(self._tx_idle_callbacks):
-                self._loop.call_soon(callback)
+                callback()
 
     def _note_flush(
         self, count: int, wire_bytes: int, is_ack: Optional[List[bool]] = None
     ) -> None:
-        """Account one flush (one socket write) in counters and telemetry."""
+        """Account one write+drain cycle in counters and telemetry."""
         self.flushes += 1
         self.bytes_sent += wire_bytes
         if count > 1:

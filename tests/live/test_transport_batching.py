@@ -2,10 +2,10 @@
 
 Real loopback sockets throughout.  The load-bearing claims:
 
-* with batching enabled, a burst sent in one event-loop turn leaves in
-  FIFO order as one batch frame per ``EAGER_FLUSH_FRAMES`` sends —
-  written from inside ``send()`` — plus one for the remainder when the
-  turn ends; no timer is involved and ``max_delay_s`` is not consulted;
+* with batching enabled, what one event-loop turn queued leaves when
+  that turn ends, as one batch frame per ``max_batch_messages`` and in
+  FIFO order; sends of two turns are not merged; no timer is involved
+  and ``max_delay_s`` is not consulted;
 * with a shaper attached nothing is written ahead of its release time;
 * pending ``AckBatch``es ride the same flush as data frames
   (``acks_ridden``) instead of paying their own syscall;
@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.live.codec import Hello, encode_frame
 from repro.live.node import LiveNodeConfig
 from repro.live.runner import LiveClusterSpec
-from repro.live.transport import EAGER_FLUSH_FRAMES, RingTransport
+from repro.live.transport import RingTransport
 from repro.types import MessageId
 
 
@@ -65,40 +65,44 @@ def _pair(port_a, port_b, received, batching):
     return a, b
 
 
-def test_burst_leaves_as_eager_slices_then_the_rest_at_turn_end():
+def test_one_turn_of_sends_leaves_when_the_turn_ends():
     async def main():
         received = []
-        a, b = _pair(_free_port(), _free_port(), received, BatchingConfig())
+        cap = 4
+        a, b = _pair(
+            _free_port(), _free_port(), received,
+            BatchingConfig(max_batch_messages=cap),
+        )
         await a.start()
         await b.start()
         assert await a.wait_outbound_connected(5.0)
 
-        remainder = 3
-        messages = [
-            _sample_message(seq)
-            for seq in range(2 * EAGER_FLUSH_FRAMES + remainder)
-        ]
+        messages = [_sample_message(seq) for seq in range(2 * cap + 3)]
         for message in messages:
             a.send(1, message)  # one loop turn, no await in between
-        # Pipelined: send() itself wrote each full slice.
-        assert a.flushes_eager == a.flushes == 2
-        assert a.frames_sent == 2 * EAGER_FLUSH_FRAMES
-        assert len(a._outbound) == remainder
-        # Turn-bounded: the remainder leaves when this turn ends.
-        await asyncio.sleep(0)
-        assert a.flushes == 3 and a.flushes_eager == 2
+        assert a.flushes == 0  # send() only queues
+        await asyncio.sleep(0)  # the turn ends
+        assert a.flushes == 3  # ceil(11 / 4), nothing left waiting
         assert a.frames_sent == len(messages)
         assert a.queued_bytes == 0
 
+        # A later turn's sends are a flush of their own, not held back
+        # to join anything.
+        late = [_sample_message(seq) for seq in range(100, 102)]
+        for message in late:
+            a.send(1, message)
+        await asyncio.sleep(0)
+        assert a.flushes == 4
+
         for _ in range(200):
-            if len(received) >= len(messages):
+            if len(received) >= len(messages) + len(late):
                 break
             await asyncio.sleep(0.01)
-        assert [entry[1] for entry in received] == messages  # FIFO
+        assert [entry[1] for entry in received] == messages + late  # FIFO
         assert all(entry[0] == 0 for entry in received)
-        assert b.frames_received == len(messages)
-        assert a.batches_sent == b.batches_received == 3
-        assert a.batched_frames == len(messages)
+        assert b.frames_received == len(messages) + len(late)
+        assert a.batches_sent == b.batches_received == 4
+        assert a.batched_frames == len(messages) + len(late)
         await a.close()
         await b.close()
 
@@ -138,14 +142,12 @@ def test_shaped_frames_are_never_written_ahead_of_their_release():
         await b.start()
         assert await a.wait_outbound_connected(5.0)
 
-        messages = [
-            _sample_message(seq) for seq in range(2 * EAGER_FLUSH_FRAMES)
-        ]
+        messages = [_sample_message(seq) for seq in range(10)]
         queued_at = time.monotonic()
         for message in messages:
             a.send(1, message)
-        await asyncio.sleep(0)  # past the end-of-turn flush as well
-        assert a.flushes == a.flushes_eager == a.frames_sent == 0
+        await asyncio.sleep(0)  # the turn ends; the release time has not come
+        assert a.flushes == a.frames_sent == 0
 
         for _ in range(300):
             if len(arrivals) >= len(messages):
@@ -153,7 +155,6 @@ def test_shaped_frames_are_never_written_ahead_of_their_release():
             await asyncio.sleep(0.01)
         assert [msg for _, msg in arrivals] == messages
         assert min(at for at, _ in arrivals) - queued_at >= delay_s
-        assert a.flushes_eager == 0  # the drain loop paced all of it
         await a.close()
         await b.close()
 
@@ -174,7 +175,7 @@ def test_ack_batch_rides_with_data_frames():
             view_id=0, watermark=3,
         )
         a.send(1, data)
-        a.send(1, acks)  # same turn: one end-of-turn flush carries both
+        a.send(1, acks)  # same turn: one flush carries both
         for _ in range(200):
             if len(received) >= 2:
                 break
@@ -244,7 +245,7 @@ def test_disabled_batching_is_byte_identical_on_the_wire():
 
 def test_lone_message_ships_at_once_as_a_plain_frame_whatever_the_delay():
     """``max_delay_s`` is the simulator's dial: with ten seconds of it
-    configured, a lone frame still reaches the wire in the same turn."""
+    configured, a lone frame still reaches the wire straight away."""
 
     async def main():
         port = _free_port()
@@ -320,6 +321,13 @@ def test_node_config_batch_serde_round_trip():
         max_batch_messages=BatchingConfig().max_batch_messages,
         max_delay_s=0.001,
     )
+    # The delay is the simulator's dial: alone it switches nothing on.
+    assert LiveNodeConfig(
+        node_id=0,
+        members=[0, 1],
+        addresses={0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)},
+        batch_delay_s=0.001,
+    ).batch_config() is None
     # All-None means batching off, surviving serde too.
     plain = LiveNodeConfig(
         node_id=0,

@@ -4,10 +4,8 @@ These pin the transport-level half of live view changes: a successor
 dying mid-stream must not lose queued frames (they redeliver exactly
 once when it returns), ``retarget`` must re-point the ring hop and
 reopen the TX gate, and the control-plane mesh must carry membership
-traffic to arbitrary peers.  The batched transport writes from inside
-``send()`` mid-burst (DESIGN.md §5g), so the same guarantees are pinned
-with the fault landing between two such writes, and the TX-gate reopen
-must not re-enter the caller.
+traffic to arbitrary peers.  The first two hold with the fast path on
+as well: a batch is dequeued only once it is drained.
 """
 
 import asyncio
@@ -18,7 +16,7 @@ import pytest
 from repro.core.batching import BatchingConfig
 from repro.core.fsr.messages import FwdData
 from repro.errors import NetworkError
-from repro.live.transport import EAGER_FLUSH_FRAMES, RingTransport
+from repro.live.transport import RingTransport
 from repro.types import MessageId
 
 
@@ -49,7 +47,13 @@ async def _drain_until(predicate, timeout=5.0):
     return predicate()
 
 
-def test_mid_stream_kill_requeues_then_redelivers_exactly_once():
+BATCHING = pytest.mark.parametrize(
+    "batching", [None, BatchingConfig()], ids=["unbatched", "batched"]
+)
+
+
+@BATCHING
+def test_mid_stream_kill_requeues_then_redelivers_exactly_once(batching):
     """Frames queued while the successor is down arrive exactly once
     after it restarts on the same port, and backpressure reopens."""
 
@@ -62,6 +66,7 @@ def test_mid_stream_kill_requeues_then_redelivers_exactly_once():
             reconnect_base_s=0.02,
             max_outbound_bytes=200,
             max_retries=None,
+            batching=batching,
         )
         b = RingTransport(
             1, ("127.0.0.1", port_b), 0, ("127.0.0.1", port_a),
@@ -111,7 +116,8 @@ def test_mid_stream_kill_requeues_then_redelivers_exactly_once():
     asyncio.run(main())
 
 
-def test_retarget_repoints_ring_and_reopens_gate():
+@BATCHING
+def test_retarget_repoints_ring_and_reopens_gate(batching):
     async def main():
         port_a, port_b, port_c = _free_port(), _free_port(), _free_port()
         at_c = []
@@ -121,6 +127,7 @@ def test_retarget_repoints_ring_and_reopens_gate():
             reconnect_base_s=0.02,
             max_outbound_bytes=100,
             max_retries=None,
+            batching=batching,
         )
         c = RingTransport(
             2, ("127.0.0.1", port_c), 0, ("127.0.0.1", port_a),
@@ -157,155 +164,6 @@ def test_retarget_repoints_ring_and_reopens_gate():
         assert a.retargets == 1
         await a.close()
         await c.close()
-
-    asyncio.run(main())
-
-
-def test_successor_killed_between_eager_flushes_loses_and_reorders_nothing():
-    """One burst, the successor dying after its first eager slice: the
-    slice arrived once, the rest waits queued and redelivers in order
-    to the restarted successor."""
-
-    async def main():
-        port_a, port_b = _free_port(), _free_port()
-        before, after = [], []
-        a = RingTransport(
-            0, ("127.0.0.1", port_a), 1, ("127.0.0.1", port_b),
-            lambda src, msg: None,
-            reconnect_base_s=0.02,
-            max_retries=None,
-            batching=BatchingConfig(),
-        )
-        b = RingTransport(
-            1, ("127.0.0.1", port_b), 0, ("127.0.0.1", port_a),
-            lambda src, msg: before.append(msg),
-        )
-        await a.start()
-        await b.start()
-        assert await a.wait_outbound_connected(5.0)
-
-        burst = [_message(seq) for seq in range(2 * EAGER_FLUSH_FRAMES + 2)]
-        for message in burst[:EAGER_FLUSH_FRAMES]:
-            a.send(1, message)
-        assert a.flushes_eager == 1  # first slice is on the socket
-        assert await _drain_until(lambda: len(before) == EAGER_FLUSH_FRAMES)
-        await b.close()
-        assert await _drain_until(lambda: not a._connected.is_set())
-
-        for message in burst[EAGER_FLUSH_FRAMES:]:
-            a.send(1, message)  # would be an eager flush and a turn-end one
-        await asyncio.sleep(0)
-        assert a.flushes == 1  # nothing went into the dead socket
-        assert len(a._outbound) == EAGER_FLUSH_FRAMES + 2
-
-        b2 = RingTransport(
-            1, ("127.0.0.1", port_b), 0, ("127.0.0.1", port_a),
-            lambda src, msg: after.append(msg),
-        )
-        await b2.start()
-        assert await _drain_until(
-            lambda: len(after) == EAGER_FLUSH_FRAMES + 2
-        )
-        assert before + after == burst
-        assert a.queued_bytes == 0
-        await a.close()
-        await b2.close()
-
-    asyncio.run(main())
-
-
-def test_retarget_between_eager_flushes_drops_only_the_stale_epoch():
-    """A view install in the middle of a burst: what was already
-    written reached the old successor, what was still queued carries
-    the superseded view and is dropped, and the rest of the turn's
-    sends reach the new successor in order."""
-
-    async def main():
-        port_a, port_b, port_c = _free_port(), _free_port(), _free_port()
-        at_b, at_c = [], []
-        a = RingTransport(
-            0, ("127.0.0.1", port_a), 1, ("127.0.0.1", port_b),
-            lambda src, msg: None,
-            reconnect_base_s=0.02,
-            max_retries=None,
-            batching=BatchingConfig(),
-        )
-        b = RingTransport(
-            1, ("127.0.0.1", port_b), 0, ("127.0.0.1", port_a),
-            lambda src, msg: at_b.append(msg),
-        )
-        c = RingTransport(
-            2, ("127.0.0.1", port_c), 0, ("127.0.0.1", port_a),
-            lambda src, msg: at_c.append(msg),
-        )
-        for transport in (a, b, c):
-            await transport.start()
-        assert await a.wait_outbound_connected(5.0)
-
-        written = [_message(seq) for seq in range(EAGER_FLUSH_FRAMES)]
-        stale = [_message(seq) for seq in range(100, 103)]
-        fresh = [
-            _message(seq) for seq in range(200, 200 + EAGER_FLUSH_FRAMES + 1)
-        ]
-        for message in written + stale:
-            a.send(1, message)
-        assert a.flushes_eager == 1 and len(a._outbound) == len(stale)
-        a.retarget(2, ("127.0.0.1", port_c))
-        assert a.queued_bytes == 0
-        for message in fresh:
-            a.send(2, message)  # same turn; the old socket is closing
-        assert a.flushes == 1
-
-        assert await _drain_until(lambda: len(at_c) == len(fresh))
-        assert at_c == fresh
-        assert await _drain_until(lambda: len(at_b) == len(written))
-        await asyncio.sleep(0.05)
-        assert at_b == written  # the stale tail went nowhere
-        for transport in (a, b, c):
-            await transport.close()
-
-    asyncio.run(main())
-
-
-def test_gate_reopened_by_a_flush_inside_send_does_not_reenter_the_caller():
-    """``FSRProcess.on_tx_ready`` must not run from inside
-    ``FSRProcess.on_message``: the eager flush reopens the gate from
-    inside ``send()``, the callbacks wait for the event loop."""
-
-    async def main():
-        received = []
-        port_a, port_b = _free_port(), _free_port()
-        a = RingTransport(
-            0, ("127.0.0.1", port_a), 1, ("127.0.0.1", port_b),
-            lambda src, msg: None,
-            max_outbound_bytes=1,  # every queued frame closes the gate
-            batching=BatchingConfig(),
-        )
-        b = RingTransport(
-            1, ("127.0.0.1", port_b), 0, ("127.0.0.1", port_a),
-            lambda src, msg: received.append(msg),
-        )
-        await a.start()
-        await b.start()
-        assert await a.wait_outbound_connected(5.0)
-
-        sending = False
-        calls = []
-        a.on_tx_idle(lambda: calls.append(sending))
-        sending = True
-        for seq in range(EAGER_FLUSH_FRAMES):
-            a.send(1, _message(seq))
-        sending = False
-        assert a.flushes_eager == 1 and a.tx_stalls == 1
-        assert a.tx_ready  # the flush inside the last send() reopened it
-        assert calls == []  # ... without calling back into the sender
-        await asyncio.sleep(0)
-        assert calls == [False]
-        assert await _drain_until(
-            lambda: len(received) == EAGER_FLUSH_FRAMES
-        )
-        await a.close()
-        await b.close()
 
     asyncio.run(main())
 
