@@ -288,8 +288,11 @@ class RingTransport:
         self._gate_closed = False
         self._tx_idle_callbacks: List[Callable[[], None]] = []
         #: What the drain loop sleeps on while the queue is empty
-        #: (:meth:`_wake_drain`); ``None`` while it is busy or dialling.
+        #: (:meth:`_wake_drain`): the batched loop on the bare future
+        #: (``None`` while it is busy or dialling), the unbatched loop
+        #: on the event.
         self._drain_waiter: Optional["asyncio.Future[None]"] = None
+        self._wakeup = asyncio.Event()
         self._dial_wakeup = asyncio.Event()
         self._connected = asyncio.Event()
         self._inbound_hello = asyncio.Event()
@@ -516,6 +519,7 @@ class RingTransport:
 
     def _wake_drain(self, _eof: Optional[asyncio.Future] = None) -> None:
         """Wake the drain loop: frames queued, peer gone, retarget, close."""
+        self._wakeup.set()
         waiter = self._drain_waiter
         if waiter is not None and not waiter.done():
             waiter.set_result(None)
@@ -588,8 +592,9 @@ class RingTransport:
         # or retarget resends them instead of feeding a dead kernel
         # buffer.
         eof = asyncio.ensure_future(reader.read(1))
-        eof.add_done_callback(self._wake_drain)
         batching = self.batching
+        if batching is not None:
+            eof.add_done_callback(self._wake_drain)
         loop = asyncio.get_event_loop()
         try:
             while not self._closing and self._epoch == epoch:
@@ -637,16 +642,37 @@ class RingTransport:
                         return  # retargeted mid-drain; queue was reset
                     self._pop_flushed(len(frames))
                     self._note_flush(len(frames), wire, is_ack)
+                if batching is None:
+                    # Unbatched build: woken through the event -> a
+                    # waiter task -> ``asyncio.wait``, three loop
+                    # iterations from ``send()`` to the write.  The
+                    # one-iteration wake-up below is not shared with
+                    # this path: the serve tier runs unbatched, and
+                    # with it ``serve_sat`` runs spread 1.75x as wide
+                    # (DESIGN.md §5g).
+                    self._wakeup.clear()
+                    if self._outbound:
+                        continue
+                    waiter = asyncio.ensure_future(self._wakeup.wait())
+                    try:
+                        await asyncio.wait(
+                            {eof, waiter}, return_when=asyncio.FIRST_COMPLETED
+                        )
+                    finally:
+                        waiter.cancel()
+                    if eof.done():
+                        return
+                    continue
                 if eof.done() or self._epoch != epoch:
                     return
-                # Sleep on a bare future, not an Event: resolving it
-                # queues this task's next step directly, so the flush
-                # runs as soon as the event-loop turn that queued the
-                # frames has ended and carries what that turn produced
-                # — a wake-up that takes further loop iterations lets
-                # later turns' frames pile onto the batch (DESIGN.md
-                # §5g).  Nothing awaits between the checks above and
-                # this sleep, so no wake-up is lost.
+                # Batched: sleep on a bare future, not an Event.
+                # Resolving it queues this task's next step directly,
+                # so the flush runs as soon as the event-loop turn that
+                # queued the frames has ended and carries what that
+                # turn produced — a wake-up that takes further loop
+                # iterations lets later turns' frames pile onto the
+                # batch (DESIGN.md §5g).  Nothing awaits between the
+                # checks above and this sleep, so no wake-up is lost.
                 self._drain_waiter = loop.create_future()
                 try:
                     await self._drain_waiter

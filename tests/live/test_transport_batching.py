@@ -11,7 +11,8 @@ Real loopback sockets throughout.  The load-bearing claims:
   (``acks_ridden``) instead of paying their own syscall;
 * with batching *disabled* the byte stream is exactly the unbatched
   wire: ``Hello`` frame followed by each message's plain frame — the
-  parity that keeps sim/live throughput comparable;
+  parity that keeps sim/live throughput comparable — and its drain task
+  is woken the way it was before there was a batched path;
 * a lone message under batching still ships as a plain frame;
 * the control peer coalesces queued frames per wakeup;
 * config validation and serde match the sim path.
@@ -241,6 +242,32 @@ def test_disabled_batching_is_byte_identical_on_the_wire():
         encode_frame(message) for message in messages
     )
     assert wire == expected
+
+
+def test_disabled_batching_keeps_its_own_wake_up():
+    """The turn-end wake-up belongs to the batched path.  Unbatched, the
+    drain task is still woken through event -> waiter task -> ``wait``
+    (three loop iterations), so workloads that do not batch run the
+    schedule they always ran."""
+
+    async def main():
+        received = []
+        a, b = _pair(_free_port(), _free_port(), received, None)
+        await a.start()
+        await b.start()
+        assert await a.wait_outbound_connected(5.0)
+        await asyncio.sleep(0.05)  # the drain task is asleep on an empty queue
+
+        a.send(1, _sample_message(1))
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        assert a.flushes == 0  # the batched path would have written by now
+        await asyncio.sleep(0)
+        assert a.flushes == 1
+        await a.close()
+        await b.close()
+
+    asyncio.run(main())
 
 
 def test_lone_message_ships_at_once_as_a_plain_frame_whatever_the_delay():
