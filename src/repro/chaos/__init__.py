@@ -11,7 +11,8 @@ the steady state.  This package searches that fault space:
   degradations (plus an opt-in mode that violates the perfect-FD
   assumption to document what breaks);
 * :mod:`repro.chaos.campaign` — drives N seeded runs through the
-  cluster harness and judges each with the full invariant oracle;
+  cluster harness and judges each with the full invariant oracle; its
+  loop and its :class:`CampaignReport` serve the live campaign too;
 * :mod:`repro.chaos.live` — drives the *same* seeded schedules against
   a real localhost cluster (one OS process per node, asyncio TCP),
   delivering crashes as genuine ``SIGKILL``\\ s and judging the merged
@@ -43,7 +44,6 @@ from repro.chaos.campaign import (
 )
 from repro.chaos.live import (
     LIVE_SCENARIOS,
-    LiveCampaignReport,
     LiveChaosConfig,
     LiveSeedOutcome,
     run_live_campaign,
@@ -68,7 +68,6 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "LIVE_SCENARIOS",
-    "LiveCampaignReport",
     "LiveChaosConfig",
     "LiveSeedOutcome",
     "run_live_campaign",

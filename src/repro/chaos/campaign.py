@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.oracle import Verdict, judge_run
 from repro.chaos.schedules import (
@@ -360,25 +361,36 @@ class SeedOutcome:
             out["minimal_reproducer"] = self.minimal.to_dict()
         return out
 
+    def tallies(self) -> Dict[str, int]:
+        """Per-seed counts the report sums per scenario (none here)."""
+        return {}
+
 
 @dataclass
 class CampaignReport:
-    """Everything a finished campaign leaves behind."""
+    """Everything a finished campaign leaves behind — simulated or live.
 
-    config: CampaignConfig
-    outcomes: List[SeedOutcome] = field(default_factory=list)
+    ``outcomes`` are :class:`SeedOutcome`\\ s or
+    :class:`~repro.chaos.live.LiveSeedOutcome`\\ s; the report reads
+    only what both have (``scenario``, ``verdict``, ``failed``,
+    ``outage_ms``, ``tallies()``, ``to_dict()``).
+    """
 
-    # ------------------------------------------------------------------
+    config: Any
+    #: The ``bench`` name of :meth:`bench_record`.
+    bench: str = "chaos_campaign"
+    outcomes: List[Any] = field(default_factory=list)
+
     @property
     def ok(self) -> bool:
         return not self.failures
 
     @property
-    def failures(self) -> List[SeedOutcome]:
+    def failures(self) -> List[Any]:
         return [o for o in self.outcomes if o.failed]
 
     @property
-    def unsound_outcomes(self) -> List[SeedOutcome]:
+    def unsound_outcomes(self) -> List[Any]:
         return [o for o in self.outcomes if o.verdict.expected_unsound]
 
     def mean_outage_ms(self) -> Optional[float]:
@@ -388,7 +400,8 @@ class CampaignReport:
         return sum(outages) / len(outages)
 
     def scenario_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-scenario seeds/failures/mean-outage rollup."""
+        """Per-scenario seeds / failures / tallies / outage rollup (the
+        recovery numbers the benchmark record reports per scenario)."""
         rollup: Dict[str, Dict[str, object]] = {}
         for outcome in self.outcomes:
             row = rollup.setdefault(
@@ -397,6 +410,8 @@ class CampaignReport:
             row["seeds"] += 1
             if outcome.failed:
                 row["failures"] += 1
+            for name, count in outcome.tallies().items():
+                row[name] = row.get(name, 0) + count
             if outcome.outage_ms is not None:
                 row["outages"].append(outcome.outage_ms)
         for row in rollup.values():
@@ -404,99 +419,109 @@ class CampaignReport:
             row["mean_outage_ms"] = (
                 round(sum(outages) / len(outages), 3) if outages else None
             )
+            row["max_outage_ms"] = (
+                round(max(outages), 3) if outages else None
+            )
         return rollup
 
-    # ------------------------------------------------------------------
     def fingerprint(self) -> List[Tuple[int, str, bool, float]]:
-        """Wall-clock-free digest for determinism assertions."""
+        """Wall-clock-free digest for determinism assertions (simulated
+        campaigns only: a live outcome has no ``sim_duration_s``)."""
         return [
             (o.seed, o.scenario, o.verdict.ok, round(o.sim_duration_s, 9))
             for o in self.outcomes
         ]
 
-    def to_dict(self) -> Dict[str, object]:
+    def _summary(self) -> Dict[str, object]:
+        totals: Counter = Counter()
+        for outcome in self.outcomes:
+            totals.update(outcome.tallies())  # keeps a zero tally's key
+        mean = self.mean_outage_ms()
         return {
-            "config": {
-                "seeds": self.config.seeds,
-                "base_seed": self.config.base_seed,
-                "scenarios": list(self.config.scenarios),
-                "n": self.config.n,
-                "t": self.config.t,
-                "protocol": self.config.protocol,
-                "shards": self.config.shards,
-                "per_sender": self.config.per_sender,
-                "message_bytes": self.config.message_bytes,
-            },
-            "ok": self.ok,
             "seeds_run": len(self.outcomes),
             "failures": len(self.failures),
             "unsound_runs": len(self.unsound_outcomes),
-            "mean_recovery_outage_ms": (
-                None
-                if self.mean_outage_ms() is None
-                else round(self.mean_outage_ms(), 3)
-            ),
+            **totals,
+            "mean_recovery_outage_ms": None if mean is None else round(mean, 3),
             "scenarios": self.scenario_summary(),
+        }
+
+    def bench_record(self) -> Dict[str, object]:
+        """The ``--bench`` payload: the campaign without its outcomes."""
+        return {"bench": self.bench, **self._summary()}
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "config": asdict(self.config),
+            "ok": self.ok,
+            **self._summary(),
             "outcomes": [o.to_dict() for o in self.outcomes],
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
-
-    def bench_record(self) -> Dict[str, object]:
-        """The ``BENCH_chaos.json`` payload for the perf trajectory."""
-        return {
-            "bench": "chaos_campaign",
-            "seeds_run": len(self.outcomes),
-            "failures": len(self.failures),
-            "unsound_runs": len(self.unsound_outcomes),
-            "mean_recovery_outage_ms": (
-                None
-                if self.mean_outage_ms() is None
-                else round(self.mean_outage_ms(), 3)
-            ),
-            "scenarios": {
-                name: {"seeds": row["seeds"], "failures": row["failures"]}
-                for name, row in self.scenario_summary().items()
-            },
-        }
+        _write_json(path, self.to_dict())
 
     def write_bench(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.bench_record(), handle, indent=2)
-            handle.write("\n")
+        _write_json(path, self.bench_record())
 
 
-ProgressCallback = Callable[[SeedOutcome], None]
+def _write_json(path, payload: Dict[str, object]) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
+def run_seeds(
+    config: Any,
+    run_seed: Callable[[FaultSchedule], Any],
+    bench: str,
+    progress: Optional[Callable[[Any], None]] = None,
+) -> CampaignReport:
+    """The campaign loop, simulated or live: seed → scenario → schedule
+    → ``run_seed(schedule)`` → report.
+
+    Scenarios go round-robin over the seeds and a schedule derives from
+    ``(scenario, seed)`` alone, so a failing live seed can be replayed
+    on the simulator with the same schedule.  ``progress`` is invoked
+    once per finished seed (the CLI uses it for live output).
+    """
+    ctx = config.schedule_context()
+    report = CampaignReport(config=config, bench=bench)
+    for index in range(config.seeds):
+        scenario = config.scenarios[index % len(config.scenarios)]
+        schedule = generate_schedule(scenario, config.base_seed + index, ctx)
+        outcome = run_seed(schedule)
+        report.outcomes.append(outcome)
+        if progress is not None:
+            progress(outcome)
+    return report
+
+
+def config_from(cls, config, overrides):
+    """A prebuilt config object, or ``cls(**overrides)`` — not both."""
+    if config is not None and overrides:
+        raise ConfigurationError("pass either a config object or overrides, not both")
+    return config if config is not None else cls(**overrides)
 
 
 def run_campaign(
     config: Optional[CampaignConfig] = None,
-    progress: Optional[ProgressCallback] = None,
+    progress: Optional[Callable[[SeedOutcome], None]] = None,
     **overrides,
 ) -> CampaignReport:
     """Run a full chaos campaign and return its report.
 
     Either pass a prebuilt :class:`CampaignConfig` or keyword overrides
-    for one (``run_campaign(seeds=200, t=2)``).  ``progress`` is invoked
-    once per finished seed (the CLI uses it for live output).
+    for one (``run_campaign(seeds=200, t=2)``).
     """
-    if config is not None and overrides:
-        raise ConfigurationError("pass either a config object or overrides, not both")
-    cfg = config if config is not None else CampaignConfig(**overrides)
-    ctx = cfg.schedule_context()
-    report = CampaignReport(config=cfg)
-    for index in range(cfg.seeds):
-        scenario = cfg.scenarios[index % len(cfg.scenarios)]
-        seed = cfg.base_seed + index
-        schedule = generate_schedule(scenario, seed, ctx)
+    cfg = config_from(CampaignConfig, config, overrides)
+
+    def run_seed(schedule: FaultSchedule) -> SeedOutcome:
         started = _time.perf_counter()
         verdict, result = run_schedule(schedule, cfg)
         outcome = SeedOutcome(
-            seed=seed,
-            scenario=scenario,
+            seed=schedule.seed,
+            scenario=schedule.scenario,
             schedule=schedule,
             verdict=verdict,
             sim_duration_s=result.duration_s,
@@ -509,7 +534,6 @@ def run_campaign(
                 lambda candidate: not run_schedule(candidate, cfg)[0].ok,
                 budget=cfg.shrink_budget,
             )
-        report.outcomes.append(outcome)
-        if progress is not None:
-            progress(outcome)
-    return report
+        return outcome
+
+    return run_seeds(cfg, run_seed, "chaos_campaign", progress)

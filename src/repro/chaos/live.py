@@ -43,29 +43,23 @@ crash times.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.chaos.campaign import (
+    CampaignReport,
+    config_from,
+    recovery_outage_ms,
+    run_seeds,
+)
 from repro.chaos.oracle import Verdict, Violation, judge_run
-from repro.chaos.schedules import (
-    FaultEvent,
-    FaultSchedule,
-    ScheduleContext,
-    generate_schedule,
-)
+from repro.chaos.schedules import FaultEvent, FaultSchedule, ScheduleContext
 from repro.errors import ConfigurationError, NetworkError
-from repro.live.runner import (
-    LiveCluster,
-    LiveClusterSpec,
-    load_journal_record,
-    merge_node_records,
-)
+from repro.live.runner import LiveCluster, LiveClusterSpec, merge_node_records
 from repro.obs.analyze import recovery_outage_from_spans
-from repro.obs.journal import Timeline, merge_span_journals
+from repro.obs.journal import Timeline
 from repro.types import ProcessId
 
 #: Scenarios portable to the live runtime: crash scenarios directly,
@@ -82,8 +76,6 @@ LIVE_SCENARIOS: Tuple[str, ...] = (
 #: Scenarios whose schedules carry link-level events the shaper enforces.
 _NETEM_SCENARIOS = ("degraded_network", "hostile_network")
 
-#: How often the start-barrier poller re-reads journals.
-_START_POLL_S = 0.02
 #: How often the parent-side quiescence monitor samples journals.
 _QUIESCE_POLL_S = 0.05
 #: Extra wait past the last kill before quiescence may be declared:
@@ -91,8 +83,6 @@ _QUIESCE_POLL_S = 0.05
 #: the final view change (whose recovery propagates the last stability
 #: watermark to laggards) always runs before nodes are stopped.
 _DETECTION_SLACK_S = 0.6
-#: How long terminated survivors get to write their records.
-_SHUTDOWN_GRACE_S = 15.0
 
 
 @dataclass(frozen=True)
@@ -241,48 +231,10 @@ class LiveChaosConfig:
 # Single-schedule execution
 # ----------------------------------------------------------------------
 
-def _await_starts(
-    cluster: LiveCluster, timeout_s: float
-) -> Dict[ProcessId, float]:
-    """Wait until every node's journal reports its start barrier.
-
-    The ``start`` journal line doubles as the ready signal: it is the
-    first flushed line after the node passes the connectivity barrier
-    and begins the workload, so fault times measured from it line up
-    with the schedule generators' traffic window.
-    """
-    deadline = time.monotonic() + timeout_s
-    starts: Dict[ProcessId, float] = {}
-    while len(starts) < len(cluster.members):
-        for pid, proc in cluster.procs.items():
-            if pid not in starts and proc.poll() is not None:
-                raise NetworkError(
-                    f"node {pid} exited {proc.returncode} before its "
-                    "start barrier"
-                )
-        for pid, path in cluster.journal_paths.items():
-            if pid in starts:
-                continue
-            record = load_journal_record(pid, path)
-            if record is not None:
-                starts[pid] = record["start_time"]
-        if len(starts) == len(cluster.members):
-            break
-        if time.monotonic() > deadline:
-            missing = sorted(set(cluster.members) - set(starts))
-            raise NetworkError(
-                f"nodes {missing} never reached the start barrier within "
-                f"{timeout_s:.0f}s"
-            )
-        time.sleep(_START_POLL_S)
-    return starts
-
-
 def _await_quiescence(
     cluster: LiveCluster,
     cfg: LiveChaosConfig,
     base: float,
-    kills: Dict[ProcessId, float],
     netem_end_s: float = 0.0,
 ) -> bool:
     """Block until the surviving cluster looks done; True on timeout.
@@ -299,6 +251,7 @@ def _await_quiescence(
     detection_s = (
         cfg.heartbeat_timeout_s + cfg.heartbeat_interval_s + _DETECTION_SLACK_S
     )
+    kills = cluster.killed
     ready_at = base + cfg.duration_s
     if kills:
         ready_at = max(ready_at, max(kills.values()) + detection_s)
@@ -359,6 +312,13 @@ class LiveSeedOutcome:
             return True
         return not self.verdict.ok and not self.verdict.expected_unsound
 
+    def tallies(self) -> Dict[str, int]:
+        """Per-seed counts the report sums per scenario and overall."""
+        return {
+            "kills": len(self.killed),
+            "false_suspicions": len(self.false_suspicions),
+        }
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "seed": self.seed,
@@ -393,13 +353,12 @@ def run_live_schedule(
 
     run_error: Optional[str] = None
     parent_timeout = False
-    kills: Dict[ProcessId, float] = {}
     records: Dict[ProcessId, Dict[str, object]] = {}
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-live-") as workdir:
-        cluster = LiveCluster(spec, workdir, journals=True)
+    timeline: Optional[Timeline] = None
+    with LiveCluster.launch(spec, journals=True) as cluster:
         try:
-            starts = _await_starts(
-                cluster, spec.connect_timeout_s + spec.settle_s + 15.0
+            starts = cluster.await_started(
+                spec.connect_timeout_s + spec.settle_s + 15.0
             )
             base = max(starts.values())
             for event in crashes:
@@ -407,32 +366,18 @@ def run_live_schedule(
                 if delay > 0:
                     time.sleep(delay)
                 cluster.kill(event.process)
-                kills[event.process] = time.monotonic()
             parent_timeout = _await_quiescence(
-                cluster, cfg, base, kills, netem_end_s=netem_end_s
+                cluster, cfg, base, netem_end_s=netem_end_s
             )
-            cluster.terminate(skip=set(kills))
-            cluster.wait(_SHUTDOWN_GRACE_S, skip=set(kills))
-            cluster.raise_on_failures(skip=set(kills))
-            records = cluster.collect(skip=set(kills))
+            # Killed nodes' flushed journals stand in for their records;
+            # span journals (all nodes, killed included) merge on the
+            # same rebase origin the record merger uses.
+            records = cluster.stop()
+            timeline = cluster.timeline(records)
         except NetworkError as error:
             run_error = f"{type(error).__name__}: {error}"
-        finally:
-            cluster.shutdown()
-        # Killed nodes answer from beyond the grave: their flushed
-        # journals are read *inside* the tempdir context.
-        for pid, kill_time in kills.items():
-            journal = load_journal_record(pid, cluster.journal_paths[pid])
-            if journal is not None:
-                journal["end_time"] = kill_time
-                records[pid] = journal
-        # Span journals (all nodes, killed included) merge on the same
-        # rebase origin the record merger uses.
-        timeline: Optional[Timeline] = None
-        if records:
-            t0 = min(record["start_time"] for record in records.values())
-            timeline = merge_span_journals(cluster.span_paths, t0=t0)
 
+    kills = cluster.killed
     survivors = sorted(set(cluster.members) - set(kills))
     crashed_times = dict(kills)
     excluded: List[ProcessId] = []
@@ -477,7 +422,7 @@ def run_live_schedule(
             expected_unsound=schedule.fd_unsound,
         )
         killed_rebased = {
-            pid: max(0.0, at - t0) for pid, at in kills.items()
+            pid: max(0.0, result.crashed[pid]) for pid in kills
         }
         # Outage is measured against the *executed* kills at their
         # actual (rebased) times, not the planned instants — read off
@@ -503,8 +448,6 @@ def run_live_schedule(
                     for pid, at in sorted(killed_rebased.items())
                 ),
             )
-            from repro.chaos.campaign import recovery_outage_ms
-
             outage_ms = recovery_outage_ms(result, executed)
     else:
         verdict = Verdict(
@@ -532,142 +475,21 @@ def run_live_schedule(
     )
 
 
-# ----------------------------------------------------------------------
-# Campaign loop + report
-# ----------------------------------------------------------------------
-
-@dataclass
-class LiveCampaignReport:
-    """Everything a finished live campaign leaves behind."""
-
-    config: LiveChaosConfig
-    outcomes: List[LiveSeedOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def failures(self) -> List[LiveSeedOutcome]:
-        return [o for o in self.outcomes if o.failed]
-
-    def mean_outage_ms(self) -> Optional[float]:
-        outages = [o.outage_ms for o in self.outcomes if o.outage_ms is not None]
-        if not outages:
-            return None
-        return sum(outages) / len(outages)
-
-    def scenario_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-scenario seeds/failures/outage rollup (the recovery
-        numbers the benchmark record reports per scenario)."""
-        rollup: Dict[str, Dict[str, object]] = {}
-        for outcome in self.outcomes:
-            row = rollup.setdefault(
-                outcome.scenario,
-                {
-                    "seeds": 0, "failures": 0, "kills": 0,
-                    "false_suspicions": 0, "outages": [],
-                },
-            )
-            row["seeds"] += 1
-            row["kills"] += len(outcome.killed)
-            row["false_suspicions"] += len(outcome.false_suspicions)
-            if outcome.failed:
-                row["failures"] += 1
-            if outcome.outage_ms is not None:
-                row["outages"].append(outcome.outage_ms)
-        for row in rollup.values():
-            outages = row.pop("outages")
-            row["mean_outage_ms"] = (
-                round(sum(outages) / len(outages), 3) if outages else None
-            )
-            row["max_outage_ms"] = (
-                round(max(outages), 3) if outages else None
-            )
-        return rollup
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "config": {
-                "seeds": self.config.seeds,
-                "base_seed": self.config.base_seed,
-                "scenarios": list(self.config.scenarios),
-                "n": self.config.n,
-                "t": self.config.t,
-                "senders": self.config.senders,
-                "message_bytes": self.config.message_bytes,
-                "duration_s": self.config.duration_s,
-                "heartbeat_timeout_s": self.config.heartbeat_timeout_s,
-                "detector_mode": self.config.detector_mode,
-            },
-            "ok": self.ok,
-            "seeds_run": len(self.outcomes),
-            "failures": len(self.failures),
-            "mean_recovery_outage_ms": (
-                None
-                if self.mean_outage_ms() is None
-                else round(self.mean_outage_ms(), 3)
-            ),
-            "scenarios": self.scenario_summary(),
-            "outcomes": [o.to_dict() for o in self.outcomes],
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
-
-    def bench_record(self) -> Dict[str, object]:
-        """The ``BENCH_chaos_live.json`` payload."""
-        return {
-            "bench": "chaos_live_campaign",
-            "seeds_run": len(self.outcomes),
-            "failures": len(self.failures),
-            "false_suspicions": sum(
-                len(o.false_suspicions) for o in self.outcomes
-            ),
-            "mean_recovery_outage_ms": (
-                None
-                if self.mean_outage_ms() is None
-                else round(self.mean_outage_ms(), 3)
-            ),
-            "scenarios": self.scenario_summary(),
-        }
-
-    def write_bench(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.bench_record(), handle, indent=2)
-            handle.write("\n")
-
-
-LiveProgressCallback = Callable[[LiveSeedOutcome], None]
-
-
 def run_live_campaign(
     config: Optional[LiveChaosConfig] = None,
-    progress: Optional[LiveProgressCallback] = None,
+    progress: Optional[Callable[[LiveSeedOutcome], None]] = None,
     **overrides,
-) -> LiveCampaignReport:
+) -> CampaignReport:
     """Run a live chaos campaign and return its report.
 
-    Seed-to-schedule mapping is identical to the simulator campaign
-    (round-robin over scenarios, schedules derived from
-    ``(scenario, seed)``), so a failing live seed can be replayed on
-    the simulator with the same schedule for comparison.
+    The loop, the seed-to-schedule mapping and the report are the
+    simulator campaign's (:func:`repro.chaos.campaign.run_seeds`); only
+    the per-seed runner differs.
     """
-    if config is not None and overrides:
-        raise ConfigurationError(
-            "pass either a config object or overrides, not both"
-        )
-    cfg = config if config is not None else LiveChaosConfig(**overrides)
-    ctx = cfg.schedule_context()
-    report = LiveCampaignReport(config=cfg)
-    for index in range(cfg.seeds):
-        scenario = cfg.scenarios[index % len(cfg.scenarios)]
-        seed = cfg.base_seed + index
-        schedule = generate_schedule(scenario, seed, ctx)
-        outcome = run_live_schedule(schedule, cfg)
-        report.outcomes.append(outcome)
-        if progress is not None:
-            progress(outcome)
-    return report
+    cfg = config_from(LiveChaosConfig, config, overrides)
+    return run_seeds(
+        cfg,
+        lambda schedule: run_live_schedule(schedule, cfg),
+        "chaos_live_campaign",
+        progress,
+    )

@@ -301,52 +301,77 @@ def _cmd_chaos_live(args: argparse.Namespace) -> int:
     report = run_live_campaign(
         config, progress=progress if args.verbose else None
     )
+    return _report_campaign(
+        args, report, "Live chaos campaign", "live campaign",
+        "BENCH_chaos_live.json",
+    )
 
-    rows = []
-    for name, row in sorted(report.scenario_summary().items()):
-        mean = row["mean_outage_ms"]
-        worst = row["max_outage_ms"]
-        rows.append([
-            name,
-            row["seeds"],
-            row["failures"],
-            row["kills"],
-            row["false_suspicions"],
-            "-" if mean is None else f"{mean:.1f}",
-            "-" if worst is None else f"{worst:.1f}",
-        ])
+
+def _report_campaign(
+    args: argparse.Namespace, report, title: str, label: str,
+    default_bench: str,
+) -> int:
+    """The tail both ``repro chaos`` flavours share: per-scenario
+    table, every failing seed with its reproducer, the report/bench
+    files, the verdict line and the exit code."""
+    summary = report.scenario_summary()
+    # Whatever the outcomes tally (kills, false suspicions; nothing on
+    # the simulator) sits between the fixed columns.
+    fixed = ("seeds", "failures", "mean_outage_ms", "max_outage_ms")
+    tallies = [
+        name for name in next(iter(summary.values()), {}) if name not in fixed
+    ]
+
+    def ms(value) -> str:
+        return "-" if value is None else f"{value:.1f}"
+
     print(format_table(
-        ["scenario", "seeds", "failures", "kills", "false susp.",
-         "mean outage (ms)", "max outage (ms)"],
-        rows,
+        ["scenario", "seeds", "failures"]
+        + [name.replace("_", " ") for name in tallies]
+        + ["mean outage (ms)", "max outage (ms)"],
+        [
+            [name, row["seeds"], row["failures"]]
+            + [row[tally] for tally in tallies]
+            + [ms(row["mean_outage_ms"]), ms(row["max_outage_ms"])]
+            for name, row in sorted(summary.items())
+        ],
         title=(
-            f"Live chaos campaign: {len(report.outcomes)} seeds, "
-            f"n={config.n}, t={config.t}, base seed {config.base_seed}"
+            f"{title}: {len(report.outcomes)} seeds, n={report.config.n}, "
+            f"t={report.config.t}, base seed {report.config.base_seed}"
         ),
     ))
 
+    for outcome in report.unsound_outcomes:
+        if not outcome.verdict.ok:
+            print(
+                f"\n[unsound, documented] seed {outcome.seed} "
+                f"({outcome.scenario}): {outcome.verdict.summary()}"
+            )
     for outcome in report.failures:
         print(f"\nFAIL seed {outcome.seed} ({outcome.scenario}):")
         print(f"  {outcome.verdict.summary()}")
-        if outcome.false_suspicions:
+        if getattr(outcome, "false_suspicions", None):
             print(
                 f"  false suspicions: nodes {outcome.false_suspicions} "
                 "evicted with no kill and no partition excuse"
             )
-        print("  schedule (replayable live or on the simulator):")
-        for line in outcome.schedule.reproducer().splitlines():
+        # Simulated failures come shrunk; a live schedule replays as is
+        # (live or on the simulator).
+        minimal = getattr(outcome, "minimal", None)
+        print(f"  {'minimal reproducer' if minimal else 'schedule'}:")
+        for line in (minimal or outcome.schedule).reproducer().splitlines():
             print(f"    {line}")
 
     if args.report:
         report.write_json(args.report)
         print(f"\nfull report written to {args.report}")
-    bench = args.bench if args.bench is not None else "BENCH_chaos_live.json"
+    bench = args.bench if args.bench is not None else default_bench
     if bench:
         report.write_bench(bench)
         print(f"bench record written to {bench}")
 
     verdict = "GREEN" if report.ok else "RED"
-    print(f"\nlive campaign {verdict}: {len(report.failures)} failing seed(s)")
+    print(f"\n{label} {verdict}: {len(report.failures)} failing seed(s)")
     return 0 if report.ok else 1
 
 
@@ -421,50 +446,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
 
     report = run_campaign(config, progress=progress if args.verbose else None)
-
-    rows = []
-    for name, row in sorted(report.scenario_summary().items()):
-        outage = row["mean_outage_ms"]
-        rows.append([
-            name,
-            row["seeds"],
-            row["failures"],
-            "-" if outage is None else f"{outage:.1f}",
-        ])
-    print(format_table(
-        ["scenario", "seeds", "failures", "mean outage (ms)"], rows,
-        title=(
-            f"Chaos campaign: {len(report.outcomes)} seeds, "
-            f"n={config.n}, t={config.t}, base seed {config.base_seed}"
-        ),
-    ))
-
-    for outcome in report.unsound_outcomes:
-        if not outcome.verdict.ok:
-            print(
-                f"\n[unsound, documented] seed {outcome.seed} "
-                f"({outcome.scenario}): {outcome.verdict.summary()}"
-            )
-    for outcome in report.failures:
-        print(f"\nFAIL seed {outcome.seed} ({outcome.scenario}):")
-        print(f"  {outcome.verdict.summary()}")
-        reproducer = outcome.minimal or outcome.schedule
-        label = "minimal reproducer" if outcome.minimal else "schedule"
-        print(f"  {label}:")
-        for line in reproducer.reproducer().splitlines():
-            print(f"    {line}")
-
-    if args.report:
-        report.write_json(args.report)
-        print(f"\nfull report written to {args.report}")
-    bench = args.bench if args.bench is not None else "BENCH_chaos.json"
-    if bench:
-        report.write_bench(bench)
-        print(f"bench record written to {bench}")
-
-    verdict = "GREEN" if report.ok else "RED"
-    print(f"\ncampaign {verdict}: {len(report.failures)} failing seed(s)")
-    return 0 if report.ok else 1
+    return _report_campaign(
+        args, report, "Chaos campaign", "campaign", "BENCH_chaos.json"
+    )
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
@@ -694,64 +678,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _ms(value) -> str:
     return "-" if value is None else f"{value * 1e3:.1f}"
-
-
-def _cmd_serve_load(args: argparse.Namespace) -> int:
-    # Client-side entrypoint: open-loop load against a *running* serve
-    # cluster (its nodes print their serve addresses at start).
-    import asyncio as _asyncio
-    import logging as _logging
-
-    from repro.serve.loadgen import LoadConfig, run_load
-
-    if args.log_level:
-        _logging.basicConfig(
-            level=getattr(_logging, args.log_level.upper(), _logging.INFO),
-            format="%(asctime)s %(levelname)s %(name)s %(message)s",
-        )
-    addresses = []
-    for spec in args.address:
-        host, _, port = spec.rpartition(":")
-        try:
-            addresses.append((host or "127.0.0.1", int(port)))
-        except ValueError:
-            print(f"bad address {spec!r} (want host:port)", file=sys.stderr)
-            return 2
-    try:
-        config = LoadConfig(
-            rate_rps=args.rate,
-            sessions=args.sessions,
-            duration_s=args.duration,
-            read_fraction=args.read_fraction,
-            keys=args.keys,
-            zipf_s=args.zipf,
-            value_bytes=args.value_bytes,
-            retry_timeout_s=args.retry_timeout,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"invalid load config: {exc}", file=sys.stderr)
-        return 2
-    stats = _asyncio.run(run_load(addresses, config))
-    summary = stats.to_dict()
-    print(format_table(
-        ["metric", "value"],
-        [
-            ["offered", summary["offered"]],
-            ["completed", summary["completed"]],
-            ["retries", summary["retries"]],
-            ["reconnects", summary["reconnects"]],
-            ["cached responses", summary["cached_responses"]],
-            ["local reads", summary["local_reads"]],
-            ["errors", summary["errors"]],
-            ["timeouts", summary["timeouts"]],
-            ["mean latency (ms)", _ms(summary["latency_mean_s"])],
-            ["p50 latency (ms)", _ms(summary["latency_p50_s"])],
-            ["p99 latency (ms)", _ms(summary["latency_p99_s"])],
-        ],
-        title=f"open-loop load: {args.rate:.0f} rps over {args.sessions} sessions",
-    ))
-    return 0 if summary["timeouts"] == 0 else 1
 
 
 def _cmd_live_node(args: argparse.Namespace) -> int:
@@ -1085,28 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="save the mid-load Prometheus scrape here "
                             "(needs --metrics-port)")
     serve.set_defaults(func=_cmd_serve)
-
-    serve_load = sub.add_parser(
-        "serve-load",
-        help="open-loop session load against an already-running serve "
-             "cluster",
-    )
-    serve_load.add_argument("address", nargs="+", metavar="HOST:PORT",
-                            help="serve addresses to fan sessions over")
-    serve_load.add_argument("--rate", type=float, default=200.0,
-                            help="total offered load, requests/second")
-    serve_load.add_argument("--duration", type=float, default=5.0)
-    serve_load.add_argument("--sessions", type=int, default=20)
-    serve_load.add_argument("--read-fraction", type=float, default=0.5)
-    serve_load.add_argument("--keys", type=int, default=100)
-    serve_load.add_argument("--zipf", type=float, default=1.1)
-    serve_load.add_argument("--value-bytes", type=int, default=64)
-    serve_load.add_argument("--retry-timeout", type=float, default=1.0)
-    serve_load.add_argument("--seed", type=int, default=0)
-    serve_load.add_argument("--log-level", default=None, metavar="LEVEL",
-                            help="client-side logging level (INFO, DEBUG, "
-                                 "...); surfaces failover/retry decisions")
-    serve_load.set_defaults(func=_cmd_serve_load)
 
     obs = sub.add_parser(
         "obs", help="analyze a merged span timeline (latency stages, links)"

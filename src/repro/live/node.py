@@ -41,7 +41,7 @@ import json
 import logging
 import random
 import signal
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
 
 from repro.core.api import BroadcastListener
@@ -74,6 +74,26 @@ from repro.vsc.membership import FlushState, GroupMembership
 _POLL_S = 0.05
 #: How often a span-journalling node snapshots telemetry to its file.
 _TELEMETRY_SNAPSHOT_S = 1.0
+#: :class:`RingTransport` counters a node reports summed over its rings:
+#: ``record["stats"][name]`` and the telemetry counter
+#: ``transport_<name>`` (the names ``repro.obs.analyze`` reads) are the
+#: same numbers.  (Only ring 0 carries the control plane, so the sum of
+#: the two control counters is ring 0's.)
+_TRANSPORT_COUNTERS = (
+    "frames_sent",
+    "frames_received",
+    "bytes_sent",
+    "bytes_received",
+    "reconnects",
+    "retargets",
+    "control_frames_sent",
+    "control_frames_received",
+    "flushes",
+    "batches_sent",
+    "batched_frames",
+    "acks_ridden",
+    "batches_received",
+)
 
 
 @dataclass
@@ -167,21 +187,16 @@ class LiveNodeConfig:
     #: coalescing on the ring hop.  Both caps ``None`` disables batching
     #: — the transport stays byte-identical to the unbatched wire.
     #: Either one set fills the other from :class:`BatchingConfig`
-    #: defaults.  ``batch_delay_s`` is the simulator's dial: validated
-    #: like there, but the transport has no flush timer to give it to,
-    #: so on its own it switches nothing on.
+    #: defaults.  (The simulator's third dial, the flush delay, has no
+    #: live counterpart: the transport has no flush timer.)
     batch_bytes: Optional[int] = None
     batch_messages: Optional[int] = None
-    batch_delay_s: Optional[float] = None
 
     def batch_config(self) -> Optional[BatchingConfig]:
         """Transport batch caps, or ``None`` when batching is off."""
-        config = batching_config_from_flags(
-            self.batch_bytes, self.batch_messages, self.batch_delay_s
+        return batching_config_from_flags(
+            self.batch_bytes, self.batch_messages, None
         )
-        if self.batch_bytes is None and self.batch_messages is None:
-            return None
-        return config
 
     def __post_init__(self) -> None:
         # Surfaces nonpositive batch thresholds as ConfigurationError
@@ -237,117 +252,40 @@ class LiveNodeConfig:
         return [self.addresses]
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "node_id": self.node_id,
-            "members": list(self.members),
-            "addresses": {
-                str(pid): [host, port]
-                for pid, (host, port) in self.addresses.items()
-            },
-            "t": self.t,
-            "shards": self.shards,
-            "ring_addresses": [
-                {
-                    str(pid): [host, port]
-                    for pid, (host, port) in addrs.items()
-                }
-                for addrs in self.ring_addresses
-            ],
-            "senders": list(self.senders),
-            "message_bytes": self.message_bytes,
-            "duration_s": self.duration_s,
-            "window": self.window,
-            "settle_s": self.settle_s,
-            "quiet_s": self.quiet_s,
-            "max_run_s": self.max_run_s,
-            "connect_timeout_s": self.connect_timeout_s,
-            "view_changes": self.view_changes,
-            "heartbeat_interval_s": self.heartbeat_interval_s,
-            "heartbeat_timeout_s": self.heartbeat_timeout_s,
-            "detector_mode": self.detector_mode,
-            "netem_events": list(self.netem_events),
-            "netem_scenario": self.netem_scenario,
-            "netem_seed": self.netem_seed,
-            "run_seed": self.run_seed,
-            "require_quorum": self.require_quorum,
-            "messages_per_sender": self.messages_per_sender,
-            "serve_addr": (
-                [self.serve_addr[0], self.serve_addr[1]]
-                if self.serve_addr is not None
-                else None
-            ),
-            "lease_s": self.lease_s,
-            "journal_path": self.journal_path,
-            "span_path": self.span_path,
-            "trace_requests": self.trace_requests,
-            "metrics_addr": (
-                [self.metrics_addr[0], self.metrics_addr[1]]
-                if self.metrics_addr is not None
-                else None
-            ),
-            "profile_path": self.profile_path,
-            "log_level": self.log_level,
-            "batch_bytes": self.batch_bytes,
-            "batch_messages": self.batch_messages,
-            "batch_delay_s": self.batch_delay_s,
-        }
+        """Every declared field, by name (JSON-able)."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "LiveNodeConfig":
-        return cls(
-            node_id=data["node_id"],
-            members=list(data["members"]),
-            addresses={
-                int(pid): (entry[0], entry[1])
-                for pid, entry in data["addresses"].items()
-            },
-            t=data["t"],
-            shards=data.get("shards", 1),
-            ring_addresses=[
-                {
-                    int(pid): (entry[0], entry[1])
-                    for pid, entry in addrs.items()
-                }
-                for addrs in data.get("ring_addresses", [])
-            ],
-            senders=list(data["senders"]),
-            message_bytes=data["message_bytes"],
-            duration_s=data["duration_s"],
-            window=data["window"],
-            settle_s=data["settle_s"],
-            quiet_s=data["quiet_s"],
-            max_run_s=data["max_run_s"],
-            connect_timeout_s=data["connect_timeout_s"],
-            view_changes=data.get("view_changes", False),
-            heartbeat_interval_s=data.get("heartbeat_interval_s", 0.1),
-            heartbeat_timeout_s=data.get("heartbeat_timeout_s", 1.0),
-            detector_mode=data.get("detector_mode", "heartbeat"),
-            netem_events=list(data.get("netem_events", [])),
-            netem_scenario=data.get("netem_scenario", ""),
-            netem_seed=data.get("netem_seed", 0),
-            run_seed=data.get("run_seed", 0),
-            require_quorum=data.get("require_quorum", False),
-            messages_per_sender=data.get("messages_per_sender"),
-            serve_addr=(
-                (data["serve_addr"][0], data["serve_addr"][1])
-                if data.get("serve_addr") is not None
-                else None
-            ),
-            lease_s=data.get("lease_s", 0.8),
-            journal_path=data.get("journal_path"),
-            span_path=data.get("span_path"),
-            trace_requests=data.get("trace_requests", False),
-            metrics_addr=(
-                (data["metrics_addr"][0], data["metrics_addr"][1])
-                if data.get("metrics_addr") is not None
-                else None
-            ),
-            profile_path=data.get("profile_path"),
-            log_level=data.get("log_level"),
-            batch_bytes=data.get("batch_bytes"),
-            batch_messages=data.get("batch_messages"),
-            batch_delay_s=data.get("batch_delay_s"),
-        )
+        """Inverse of :meth:`to_dict`, also after a JSON round trip.
+
+        Absent keys take the field defaults declared above; a key that
+        names no field is a :class:`ConfigurationError` (a launcher and
+        a node that disagree about the config must not run).
+        """
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(
+                f"unknown LiveNodeConfig key(s): {', '.join(unknown)}"
+            )
+        values = dict(data)
+        # JSON stringifies int keys and turns tuples into lists; the
+        # address maps and the two optional (host, port) pairs are the
+        # only fields that carry either.
+        if "addresses" in values:
+            values["addresses"] = _address_map(values["addresses"])
+        if "ring_addresses" in values:
+            values["ring_addresses"] = [
+                _address_map(addrs) for addrs in values["ring_addresses"]
+            ]
+        for name in ("serve_addr", "metrics_addr"):
+            if values.get(name) is not None:
+                values[name] = tuple(values[name])
+        return cls(**values)
+
+
+def _address_map(raw: Dict[Any, Any]) -> Dict[ProcessId, Tuple[str, int]]:
+    return {int(pid): (host, port) for pid, (host, port) in raw.items()}
 
 
 class StaticDetector(FailureDetector):
@@ -535,6 +473,42 @@ class _Journal:
             self._fh = None
 
 
+def read_journal(path: str) -> List[Dict[str, Any]]:
+    """Every intact line of a :class:`_Journal` file, in write order.
+
+    A torn final line — possible when the node was SIGKILLed mid-write
+    — is dropped; every *flushed* line before it is intact.  A missing
+    file reads as empty.
+    """
+    events: List[Dict[str, Any]] = []
+    try:
+        with open(path) as fh:
+            for line in fh:
+                try:
+                    events.append(json.loads(line))
+                except ValueError:
+                    break  # torn tail line
+    except OSError:
+        pass
+    return events
+
+
+def delivery_entry(delivery: Delivery) -> Dict[str, Any]:
+    """One protocol delivery as the node record and the journal carry it
+    (the journal line adds ``"type": "delivery"`` in front)."""
+    entry = {
+        "origin": delivery.message_id.origin,
+        "local_seq": delivery.message_id.local_seq,
+        "sequence": delivery.sequence,
+        "time": delivery.time,
+        "size_bytes": delivery.size_bytes,
+    }
+    if delivery.ring is not None:
+        entry["ring"] = delivery.ring
+        entry["slot"] = delivery.slot
+    return entry
+
+
 def _configure_logging(config: LiveNodeConfig) -> logging.Logger:
     """Per-node logger; ``log_level`` configures the root handler.
 
@@ -554,7 +528,7 @@ def _configure_logging(config: LiveNodeConfig) -> logging.Logger:
 class _NodeRun:
     """Mutable state of one node's workload while the loop runs."""
 
-    deliveries: List[Delivery] = field(default_factory=list)
+    deliveries: List[Dict[str, Any]] = field(default_factory=list)
     app_deliveries: List[Dict[str, Any]] = field(default_factory=list)
     broadcasts: List[Dict[str, Any]] = field(default_factory=list)
     sent: List[MessageId] = field(default_factory=list)
@@ -754,6 +728,11 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         client = _RewiringClient(process, rewire)
         membership.set_client(client)
 
+    def current_view() -> View:
+        if isinstance(client, _RewiringClient) and client.current_view is not None:
+            return client.current_view
+        return membership.view
+
     run = _NodeRun()
     deadline = [float("inf")]
 
@@ -797,19 +776,9 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             loop.call_soon(refill)
 
     def on_protocol_deliver(delivery: Delivery) -> None:
-        run.deliveries.append(delivery)
-        entry = {
-            "type": "delivery",
-            "origin": delivery.message_id.origin,
-            "local_seq": delivery.message_id.local_seq,
-            "sequence": delivery.sequence,
-            "time": delivery.time,
-            "size_bytes": delivery.size_bytes,
-        }
-        if delivery.ring is not None:
-            entry["ring"] = delivery.ring
-            entry["slot"] = delivery.slot
-        journal.write(entry)
+        entry = delivery_entry(delivery)
+        run.deliveries.append(entry)
+        journal.write({"type": "delivery", **entry})
 
     if serve_server is not None:
         def app_deliver(
@@ -858,65 +827,32 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         list(members),
     )
 
-    def telemetry_snapshot() -> Dict[str, Any]:
-        """Registry snapshot merged with the transport's live counters.
+    def transport_counters() -> Dict[str, int]:
+        return {
+            name: sum(getattr(t, name) for t in transports)
+            for name in _TRANSPORT_COUNTERS
+        }
 
-        Counter/gauge names match what ``repro.obs.analyze`` reads
-        (``transport_bytes_sent``, ``transport_tx_stalls``,
-        ``transport_queued_bytes``).
-        """
+    def telemetry_snapshot() -> Dict[str, Any]:
+        """Registry snapshot merged with the transport's live counters."""
         if cpu is not None:
             cpu.publish(telemetry)
         snap = telemetry.snapshot()
         counters = snap["counters"]
-        counters["transport_frames_sent"] = sum(
-            t.frames_sent for t in transports
-        )
-        counters["transport_frames_received"] = sum(
-            t.frames_received for t in transports
-        )
-        counters["transport_bytes_sent"] = sum(
-            t.bytes_sent for t in transports
-        )
-        counters["transport_bytes_received"] = sum(
-            t.bytes_received for t in transports
-        )
-        counters["transport_reconnects"] = sum(
-            t.reconnects for t in transports
-        )
-        counters["transport_retargets"] = sum(
-            t.retargets for t in transports
-        )
+        for name, value in transport_counters().items():
+            counters[f"transport_{name}"] = value
         counters["transport_tx_stalls"] = sum(
             t.tx_stalls for t in transports
-        )
-        counters["transport_control_frames_sent"] = transport.control_frames_sent
-        counters["transport_control_frames_received"] = (
-            transport.control_frames_received
-        )
-        counters["transport_flushes"] = sum(t.flushes for t in transports)
-        counters["transport_batches_sent"] = sum(
-            t.batches_sent for t in transports
-        )
-        counters["transport_batched_frames"] = sum(
-            t.batched_frames for t in transports
-        )
-        counters["transport_acks_ridden"] = sum(
-            t.acks_ridden for t in transports
-        )
-        counters["transport_batches_received"] = sum(
-            t.batches_received for t in transports
         )
         # Bytes per syscall: the fast path's whole point — how many
         # wire bytes each write+drain cycle amortised.
         flushes = counters["transport_flushes"]
+        bytes_per_flush = (
+            counters["transport_bytes_sent"] / flushes if flushes else 0.0
+        )
         snap["gauges"]["transport_bytes_per_flush"] = {
-            "value": (
-                counters["transport_bytes_sent"] / flushes if flushes else 0.0
-            ),
-            "high_water": (
-                counters["transport_bytes_sent"] / flushes if flushes else 0.0
-            ),
+            "value": bytes_per_flush,
+            "high_water": bytes_per_flush,
         }
         snap["gauges"]["transport_queued_bytes"] = {
             "value": float(sum(t.queued_bytes for t in transports)),
@@ -965,12 +901,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         from repro.obs.httpexport import MetricsServer
 
         def health() -> Dict[str, Any]:
-            view = membership.view
-            if (
-                isinstance(client, _RewiringClient)
-                and client.current_view is not None
-            ):
-                view = client.current_view
+            view = current_view()
             info: Dict[str, Any] = {
                 "node": me,
                 "view_id": view.view_id,
@@ -1092,9 +1023,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         len(run.app_deliveries), transport.reconnects, transport.tx_stalls,
     )
 
-    final_view = membership.view
-    if isinstance(client, _RewiringClient) and client.current_view is not None:
-        final_view = client.current_view
+    final_view = current_view()
     record = {
         "schema": "repro.live_node/1",
         "node_id": me,
@@ -1105,21 +1034,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             "view_id": final_view.view_id,
             "members": list(final_view.members),
         },
-        "deliveries": [
-            {
-                "origin": d.message_id.origin,
-                "local_seq": d.message_id.local_seq,
-                "sequence": d.sequence,
-                "time": d.time,
-                "size_bytes": d.size_bytes,
-                **(
-                    {"ring": d.ring, "slot": d.slot}
-                    if d.ring is not None
-                    else {}
-                ),
-            }
-            for d in run.deliveries
-        ],
+        "deliveries": run.deliveries,
         "app_deliveries": run.app_deliveries,
         "broadcasts": run.broadcasts,
         "sent": [
@@ -1127,19 +1042,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             for mid in run.sent
         ],
         "stats": {
-            "frames_sent": sum(t.frames_sent for t in transports),
-            "frames_received": sum(t.frames_received for t in transports),
-            "bytes_sent": sum(t.bytes_sent for t in transports),
-            "bytes_received": sum(t.bytes_received for t in transports),
-            "reconnects": sum(t.reconnects for t in transports),
-            "retargets": sum(t.retargets for t in transports),
-            "control_frames_sent": transport.control_frames_sent,
-            "control_frames_received": transport.control_frames_received,
-            "flushes": sum(t.flushes for t in transports),
-            "batches_sent": sum(t.batches_sent for t in transports),
-            "batched_frames": sum(t.batched_frames for t in transports),
-            "acks_ridden": sum(t.acks_ridden for t in transports),
-            "batches_received": sum(t.batches_received for t in transports),
+            **transport_counters(),
             "broadcasts": process.stats_broadcasts,
             "deliveries": process.stats_deliveries,
             "acks_piggybacked": process.stats_acks_piggybacked,

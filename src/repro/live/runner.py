@@ -21,6 +21,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -28,16 +29,17 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.checker.order import check_all
 from repro.cluster.config import ClusterConfig
 from repro.cluster.results import AppDelivery, ExperimentResult
 from repro.core.api import DeliveryLog
+from repro.core.batching import batching_config_from_flags
 from repro.core.fsr.config import FSRConfig
 from repro.errors import ConfigurationError, NetworkError
-from repro.live.node import LiveNodeConfig
+from repro.live.node import LiveNodeConfig, read_journal
 from repro.metrics.collector import ExperimentMetrics, collect_metrics
 from repro.obs.analyze import (
     StageBreakdown,
@@ -52,6 +54,10 @@ from repro.workloads.driver import WorkloadOutcome
 
 #: Extra wall-clock slack past a node's own hard cap before we kill it.
 _KILL_SLACK_S = 30.0
+#: How often the start-barrier poller re-reads journals.
+_START_POLL_S = 0.02
+#: How long terminated survivors get to write their records.
+_SHUTDOWN_GRACE_S = 15.0
 #: Simulated comparison runs cap messages per sender to stay quick.
 _SIM_MESSAGES_CAP = 30
 
@@ -104,8 +110,8 @@ class LiveClusterSpec:
     #: ships one frame per syscall, byte-identical to the unbatched
     #: wire.  Validation matches the sim's ``BatchingConfig``.
     #: ``batch_delay_s`` is the sim's dial: it is validated, but the
-    #: live transport flushes when the event-loop turn ends and never
-    #: reads it (kept because callers still pass it).
+    #: live transport flushes when the event-loop turn ends, so it
+    #: stops at the launcher (kept because callers still pass it).
     batch_bytes: Optional[int] = None
     batch_messages: Optional[int] = None
     batch_delay_s: Optional[float] = None
@@ -154,8 +160,6 @@ class LiveClusterSpec:
             raise ConfigurationError("shards must be at least 1")
         # Shared BatchConfig validation with the sim path: nonpositive
         # thresholds raise ConfigurationError here, not at node startup.
-        from repro.core.batching import batching_config_from_flags
-
         batching_config_from_flags(
             self.batch_bytes, self.batch_messages, self.batch_delay_s
         )
@@ -215,14 +219,43 @@ def _node_env() -> Dict[str, str]:
     return env
 
 
+#: Spec fields the launcher consumes itself (cluster shape, port and
+#: path allocation, what to do with the records).  Every *other* spec
+#: field is forwarded to every node under the same name, so a field
+#: added to the spec alone fails the first launch (and a test) instead
+#: of silently stopping here.
+LAUNCHER_ONLY_FIELDS = frozenset({
+    "processes", "host", "sim_compare", "spans", "serve", "metrics",
+    "metrics_base_port", "profile_dir", "batch_delay_s",
+})
+
+
+def forwarded_fields(spec: LiveClusterSpec) -> Dict[str, Any]:
+    """The node-config keyword arguments the spec supplies by name.
+
+    ``senders`` is the one shared name that means something else (a
+    count here, the sender ids there), so it is translated.
+    """
+    shared = {
+        f.name: getattr(spec, f.name)
+        for f in fields(spec)
+        if f.name not in LAUNCHER_ONLY_FIELDS
+    }
+    shared["senders"] = list(spec.sender_ids)
+    return shared
+
+
 class LiveCluster:
-    """A spawned localhost cluster plus the bookkeeping to reap it.
+    """One cluster session: launch, start barrier, inject, stop, records.
 
     Spawns one ``python -m repro live-node`` subprocess per member and
-    guarantees — via :meth:`shutdown`, which callers must run in a
-    ``finally`` block — that every child is killed *and waited on*, so
-    neither a node that failed to bind its port nor a crashed launcher
-    leaves orphaned siblings or zombies behind.
+    guarantees — via :meth:`shutdown`, which :meth:`launch` runs in a
+    ``finally`` block (direct constructors must do the same) — that
+    every child is killed *and waited on*, so neither a node that
+    failed to bind its port nor a crashed launcher leaves orphaned
+    siblings or zombies behind.  A driver supplies only what is its
+    own: the load, the faults (:meth:`kill`), its drain predicate and
+    its battery over the records :meth:`stop` returns.
     """
 
     def __init__(
@@ -234,45 +267,30 @@ class LiveCluster:
     ) -> None:
         self.spec = spec
         self.members = list(range(spec.processes))
-        serve_extra = spec.processes if spec.serve else 0
-        metrics_extra = (
-            spec.processes
-            if spec.metrics and not spec.metrics_base_port
-            else 0
-        )
-        ports = _free_ports(
-            spec.host, spec.processes * spec.shards + serve_extra + metrics_extra
-        )
-        #: Client-facing session server address per node (serve runs).
-        self.serve_addresses: Dict[ProcessId, Tuple[str, int]] = (
-            {
-                pid: (spec.host, ports[spec.processes * spec.shards + pid])
-                for pid in self.members
-            }
-            if spec.serve
-            else {}
-        )
-        #: Live ``/metrics`` + ``/healthz`` address per node.
-        self.metrics_addresses: Dict[ProcessId, Tuple[str, int]] = {}
-        if spec.metrics:
-            self.metrics_addresses = {
-                pid: (
-                    spec.host,
-                    spec.metrics_base_port + pid
-                    if spec.metrics_base_port
-                    else ports[spec.processes * spec.shards + serve_extra + pid],
-                )
-                for pid in self.members
-            }
+        #: ``CLOCK_MONOTONIC`` stamp of every SIGKILL :meth:`kill`
+        #: delivered — the nodes' own time axis.
+        self.killed: Dict[ProcessId, float] = {}
+        ephemeral_metrics = spec.metrics and not spec.metrics_base_port
+        blocks = spec.shards + int(spec.serve) + int(ephemeral_metrics)
+        ports = iter(_free_ports(spec.host, spec.processes * blocks))
+
+        def block() -> Dict[ProcessId, Tuple[str, int]]:
+            return {pid: (spec.host, next(ports)) for pid in self.members}
+
         # One port per (node, ring); ring 0 is the canonical address map
         # (and the control plane), extra rings are pure data planes.
-        self.ring_addresses = [
-            {
-                pid: (spec.host, ports[ring * spec.processes + pid])
+        self.ring_addresses = [block() for _ in range(spec.shards)]
+        #: Client-facing session server address per node (serve runs).
+        self.serve_addresses = block() if spec.serve else {}
+        #: Live ``/metrics`` + ``/healthz`` address per node.
+        self.metrics_addresses: Dict[ProcessId, Tuple[str, int]] = {}
+        if ephemeral_metrics:
+            self.metrics_addresses = block()
+        elif spec.metrics:
+            self.metrics_addresses = {
+                pid: (spec.host, spec.metrics_base_port + pid)
                 for pid in self.members
             }
-            for ring in range(spec.shards)
-        ]
         self.addresses = self.ring_addresses[0]
         self.out_paths: Dict[ProcessId, str] = {}
         self.journal_paths: Dict[ProcessId, str] = {}
@@ -281,73 +299,43 @@ class LiveCluster:
         if spec.profile_dir is not None:
             os.makedirs(spec.profile_dir, exist_ok=True)
         env = _node_env()
+        shared = forwarded_fields(spec)
         try:
             for pid in self.members:
-                journal_path = (
-                    os.path.join(workdir, f"node{pid}.journal.jsonl")
-                    if journals
-                    else None
-                )
-                span_path = (
-                    os.path.join(workdir, f"node{pid}.spans.jsonl")
-                    if spec.spans
-                    else None
-                )
-                profile_path = (
-                    os.path.join(
-                        spec.profile_dir, f"node{pid}.collapsed.txt"
+                if journals:
+                    self.journal_paths[pid] = os.path.join(
+                        workdir, f"node{pid}.journal.jsonl"
                     )
-                    if spec.profile_dir is not None
-                    else None
-                )
+                if spec.spans:
+                    self.span_paths[pid] = os.path.join(
+                        workdir, f"node{pid}.spans.jsonl"
+                    )
                 config = LiveNodeConfig(
                     node_id=pid,
                     members=self.members,
                     addresses=self.addresses,
-                    t=spec.t,
-                    shards=spec.shards,
                     ring_addresses=(
                         self.ring_addresses if spec.shards > 1 else []
                     ),
-                    senders=list(spec.sender_ids),
-                    message_bytes=spec.message_bytes,
-                    duration_s=spec.duration_s,
-                    window=spec.window,
-                    settle_s=spec.settle_s,
-                    quiet_s=spec.quiet_s,
-                    max_run_s=spec.max_run_s,
-                    connect_timeout_s=spec.connect_timeout_s,
-                    view_changes=spec.view_changes,
-                    heartbeat_interval_s=spec.heartbeat_interval_s,
-                    heartbeat_timeout_s=spec.heartbeat_timeout_s,
-                    detector_mode=spec.detector_mode,
-                    netem_events=list(spec.netem_events),
-                    netem_scenario=spec.netem_scenario,
-                    netem_seed=spec.netem_seed,
-                    run_seed=spec.run_seed,
-                    require_quorum=spec.require_quorum,
-                    messages_per_sender=spec.messages_per_sender,
                     serve_addr=self.serve_addresses.get(pid),
-                    lease_s=spec.lease_s,
-                    journal_path=journal_path,
-                    span_path=span_path,
-                    trace_requests=spec.trace_requests,
+                    journal_path=self.journal_paths.get(pid),
+                    span_path=self.span_paths.get(pid),
                     metrics_addr=self.metrics_addresses.get(pid),
-                    profile_path=profile_path,
-                    log_level=spec.log_level,
-                    batch_bytes=spec.batch_bytes,
-                    batch_messages=spec.batch_messages,
-                    batch_delay_s=spec.batch_delay_s,
+                    profile_path=(
+                        os.path.join(
+                            spec.profile_dir, f"node{pid}.collapsed.txt"
+                        )
+                        if spec.profile_dir is not None
+                        else None
+                    ),
+                    **shared,
                 )
                 config_path = os.path.join(workdir, f"node{pid}.json")
-                out_path = os.path.join(workdir, f"node{pid}.out.json")
+                self.out_paths[pid] = os.path.join(
+                    workdir, f"node{pid}.out.json"
+                )
                 with open(config_path, "w") as fh:
                     json.dump(config.to_dict(), fh)
-                self.out_paths[pid] = out_path
-                if journal_path is not None:
-                    self.journal_paths[pid] = journal_path
-                if span_path is not None:
-                    self.span_paths[pid] = span_path
                 self.procs[pid] = subprocess.Popen(
                     [
                         sys.executable,
@@ -357,7 +345,7 @@ class LiveCluster:
                         "--config",
                         config_path,
                         "--out",
-                        out_path,
+                        self.out_paths[pid],
                     ],
                     env=env,
                     stdout=subprocess.PIPE,
@@ -369,13 +357,70 @@ class LiveCluster:
             self.shutdown()
             raise
 
+    @classmethod
+    @contextlib.contextmanager
+    def launch(
+        cls, spec: LiveClusterSpec, *, journals: bool = False
+    ) -> Iterator["LiveCluster"]:
+        """Spawn the cluster in a tempdir of its own; reap it on exit.
+
+        Configs, records, journals and span journals live in that
+        tempdir: read what you need (:meth:`stop`, :meth:`timeline`)
+        before leaving the ``with`` block.
+        """
+        with tempfile.TemporaryDirectory(prefix="repro-live-") as workdir:
+            cluster = cls(spec, workdir, journals=journals)
+            try:
+                yield cluster
+            finally:
+                cluster.shutdown()
+
+    def await_started(self, timeout_s: float) -> Dict[ProcessId, float]:
+        """Block until every node passed its start barrier; returns each
+        node's start stamp.  Needs ``journals=True``.
+
+        The ``start`` journal line doubles as the ready signal: it is
+        flushed once the node is past the connectivity barrier, has
+        started the protocol and (serve runs) listens for clients, so
+        fault times measured from it line up with the traffic window.
+        A node that exits first fails the wait at once, with its stderr.
+        """
+        deadline = time.monotonic() + timeout_s
+        starts: Dict[ProcessId, float] = {}
+        while True:
+            for pid, path in self.journal_paths.items():
+                if pid in starts:
+                    continue
+                record = load_journal_record(pid, path)
+                if record is not None:
+                    starts[pid] = record["start_time"]
+                elif self.procs[pid].poll() is not None:
+                    self.raise_on_failures()
+                    raise NetworkError(
+                        f"node {pid} exited 0 before its start barrier"
+                    )
+            if len(starts) == len(self.members):
+                return starts
+            if time.monotonic() > deadline:
+                missing = sorted(set(self.members) - set(starts))
+                raise NetworkError(
+                    f"nodes {missing} never reached the start barrier "
+                    f"within {timeout_s:.0f}s"
+                )
+            time.sleep(_START_POLL_S)
+
     def kill(self, pid: ProcessId) -> bool:
-        """SIGKILL one node; True if it was still running."""
+        """SIGKILL one node; True if it was still running.
+
+        The stamp in :attr:`killed` is taken once the process is
+        reaped: nothing the node did happened after it.
+        """
         proc = self.procs[pid]
         if proc.poll() is not None:
             return False
         proc.kill()
         proc.wait()
+        self.killed[pid] = time.monotonic()
         return True
 
     def terminate(self, skip: Optional[set] = None) -> None:
@@ -448,6 +493,45 @@ class LiveCluster:
                 records[pid] = json.load(fh)
         return records
 
+    def stop(
+        self, grace_s: float = _SHUTDOWN_GRACE_S
+    ) -> Dict[ProcessId, Dict[str, Any]]:
+        """SIGTERM the survivors, wait, and return every node's record.
+
+        Killed nodes answer from beyond the grave: their record is the
+        partial one their crash journal holds (when the cluster was
+        launched with journals and the node got past its barrier),
+        with ``end_time`` = the kill stamp.
+        """
+        skip = set(self.killed)
+        # A node that already died is reported alone: SIGTERM ahead of
+        # the start barrier kills its siblings with no record either.
+        self.raise_on_failures(skip=skip)
+        self.terminate(skip=skip)
+        self.wait(grace_s, skip=skip, fail_fast=False)
+        self.raise_on_failures(skip=skip)
+        records = self.collect(skip=skip)
+        for pid, kill_time in self.killed.items():
+            if pid not in self.journal_paths:
+                continue
+            partial = load_journal_record(pid, self.journal_paths[pid])
+            if partial is not None:
+                partial["end_time"] = kill_time
+                records[pid] = partial
+        return records
+
+    def timeline(
+        self, records: Dict[ProcessId, Dict[str, Any]]
+    ) -> Optional[Timeline]:
+        """Merge the span journals (``spec.spans`` runs; else ``None``),
+        rebased to :func:`run_origin` — the *same* origin
+        :func:`merge_node_records` uses, so span timestamps line up
+        exactly with the merged :class:`ExperimentResult` and the stage
+        breakdown can be cross-checked against the metrics collector."""
+        if not self.span_paths:
+            return None
+        return merge_span_journals(self.span_paths, t0=run_origin(records))
+
     def shutdown(self) -> None:
         """Kill and *reap* every child still alive. Idempotent."""
         for proc in self.procs.values():
@@ -460,38 +544,22 @@ class LiveCluster:
                 pass
 
 
-def merge_span_timeline(
-    cluster: LiveCluster, records: Dict[ProcessId, Dict[str, Any]]
-) -> Optional[Timeline]:
-    """Merge the cluster's span journals, rebased to the records' origin.
+def run_origin(records: Dict[ProcessId, Dict[str, Any]]) -> float:
+    """The rebase origin of a run: the earliest node start.
 
-    The rebase origin is the earliest node ``start_time`` — the *same*
-    origin :func:`merge_node_records` uses — so span timestamps line up
-    exactly with the merged :class:`ExperimentResult` and the stage
-    breakdown can be cross-checked against the metrics collector.
+    The monotonic clock is system-wide, so one subtraction puts every
+    node's (and the launcher's, and a client's) stamps on one axis.
     """
-    if not cluster.span_paths:
-        return None
-    t0 = min(record["start_time"] for record in records.values())
-    return merge_span_journals(cluster.span_paths, t0=t0)
+    return min(record["start_time"] for record in records.values())
 
 
-def launch_live_cluster(
-    spec: LiveClusterSpec,
-) -> Tuple[Dict[ProcessId, Dict[str, Any]], Optional[Timeline]]:
-    """Run the multi-process cluster; returns per-node records and the
-    merged span timeline (``None`` unless ``spec.spans``)."""
-    deadline_s = spec.connect_timeout_s + spec.max_run_s + _KILL_SLACK_S
-    with tempfile.TemporaryDirectory(prefix="repro-live-") as workdir:
-        cluster = LiveCluster(spec, workdir)
-        try:
-            cluster.wait(deadline_s)
-            cluster.raise_on_failures()
-            records = cluster.collect()
-            # Span journals live in the tempdir — merge before it goes.
-            return records, merge_span_timeline(cluster, records)
-        finally:
-            cluster.shutdown()
+#: Journal line type -> the node-record list it is an entry of.
+_JOURNAL_LISTS = {
+    "broadcast": "broadcasts",
+    "delivery": "deliveries",
+    "app_delivery": "app_deliveries",
+    "view": "views",
+}
 
 
 def load_journal_record(
@@ -500,81 +568,30 @@ def load_journal_record(
     """Rebuild a partial node record from a crash-surviving journal.
 
     Returns ``None`` when the node never reached its start barrier (no
-    ``start`` line).  A torn final line — possible when the node was
-    SIGKILLed mid-write — is silently dropped; every *flushed* line
-    before it is intact.
+    ``start`` line).  Journal lines are the record's entries with a
+    ``type`` in front (``repro.live.node``), so they are filed, not
+    re-shaped.
     """
-    events: List[Dict[str, Any]] = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                try:
-                    events.append(json.loads(line))
-                except ValueError:
-                    break  # torn tail line
-    except OSError:
-        return None
+    events = read_journal(path)
     start = next((e for e in events if e.get("type") == "start"), None)
     if start is None:
         return None
-    last_time = max(
-        (e["time"] for e in events if "time" in e), default=start["time"]
-    )
     record: Dict[str, Any] = {
         "schema": "repro.live_node_journal/1",
         "node_id": pid,
         "start_time": start["time"],
-        "end_time": last_time,
+        "end_time": max(e["time"] for e in events if "time" in e),
         "timed_out": False,
-        "deliveries": [],
-        "app_deliveries": [],
-        "broadcasts": [],
         "sent": [],
-        "views": [],
+        **{key: [] for key in _JOURNAL_LISTS.values()},
     }
     for event in events:
-        kind = event.get("type")
+        kind = event.pop("type", None)
+        if kind in _JOURNAL_LISTS:
+            record[_JOURNAL_LISTS[kind]].append(event)
         if kind == "broadcast":
-            record["broadcasts"].append(
-                {
-                    "origin": event["origin"],
-                    "local_seq": event["local_seq"],
-                    "size_bytes": event["size_bytes"],
-                    "submit_time": event["submit_time"],
-                }
-            )
             record["sent"].append(
                 {"origin": event["origin"], "local_seq": event["local_seq"]}
-            )
-        elif kind == "delivery":
-            entry = {
-                "origin": event["origin"],
-                "local_seq": event["local_seq"],
-                "sequence": event["sequence"],
-                "time": event["time"],
-                "size_bytes": event["size_bytes"],
-            }
-            if "ring" in event:
-                entry["ring"] = event["ring"]
-                entry["slot"] = event["slot"]
-            record["deliveries"].append(entry)
-        elif kind == "app_delivery":
-            record["app_deliveries"].append(
-                {
-                    "origin": event["origin"],
-                    "msg_origin": event["msg_origin"],
-                    "local_seq": event["local_seq"],
-                    "size_bytes": event["size_bytes"],
-                    "time": event["time"],
-                }
-            )
-        elif kind == "view":
-            record["views"].append(
-                {
-                    "view_id": event["view_id"],
-                    "members": event["members"],
-                    "time": event["time"],
-                }
             )
     return record
 
@@ -594,7 +611,7 @@ def merge_node_records(
     simulator crashes (no liveness obligations, logs still checked
     for order/integrity prefix consistency).
     """
-    t0 = min(record["start_time"] for record in records.values())
+    t0 = run_origin(records)
 
     delivery_logs: Dict[ProcessId, DeliveryLog] = {}
     app_deliveries: Dict[ProcessId, List[AppDelivery]] = {}
@@ -719,7 +736,12 @@ def simulate_comparison(
 
 def run_live_cluster(spec: LiveClusterSpec) -> LiveRunResult:
     """Launch, merge, verify, and measure one live loopback run."""
-    records, timeline = launch_live_cluster(spec)
+    with LiveCluster.launch(spec) as cluster:
+        # Static nodes stop themselves at quiescence; a node dying at
+        # startup ends the wait at once and stop() reports it.
+        cluster.wait(spec.connect_timeout_s + spec.max_run_s + _KILL_SLACK_S)
+        records = cluster.stop()
+        timeline = cluster.timeline(records)
     result, outcome = merge_node_records(spec, records)
     order_error = check_live_order(result)
     metrics = collect_metrics(outcome)
@@ -776,19 +798,7 @@ def bench_payload(
     )
     payload: Dict[str, Any] = {
         "schema": "repro.bench_live/1",
-        "config": {
-            "processes": spec.processes,
-            "senders": spec.senders,
-            "t": spec.t,
-            "shards": spec.shards,
-            "message_bytes": spec.message_bytes,
-            "duration_s": spec.duration_s,
-            "window": spec.window,
-            "host": spec.host,
-            "batch_bytes": spec.batch_bytes,
-            "batch_messages": spec.batch_messages,
-            "batch_delay_s": spec.batch_delay_s,
-        },
+        "config": asdict(spec),
         "order_check": {
             "ok": live.order_ok,
             "error": live.order_error,

@@ -24,18 +24,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import NetworkError
-from repro.live.runner import LiveCluster, LiveClusterSpec, load_journal_record
-from repro.obs.journal import (
-    Timeline,
-    merge_span_journals,
-    rebase_request,
-)
+from repro.live.node import read_journal
+from repro.live.runner import LiveCluster, LiveClusterSpec, run_origin
+from repro.obs.journal import Timeline, rebase_request
 from repro.obs.reqtrace import (
     RequestBreakdown,
     crosscheck_request_latency,
@@ -45,10 +40,8 @@ from repro.obs.reqtrace import (
 from repro.serve.loadgen import LoadConfig, LoadStats, run_load
 from repro.types import ProcessId
 
-#: Slack past detection + view change before declaring an outage stuck.
+#: How long the nodes get to reach their start barrier.
 _START_TIMEOUT_S = 30.0
-#: How long terminated survivors get to write their records.
-_SHUTDOWN_GRACE_S = 15.0
 #: How long survivors get to finish applying acked writes before
 #: SIGTERM (see :func:`_await_drain`); generous vs the ~ms it takes.
 _DRAIN_TIMEOUT_S = 5.0
@@ -179,24 +172,9 @@ class ServePoint:
 
 
 def load_applied_log(path: str) -> List[Dict[str, Any]]:
-    """Extract the session ``apply`` entries from a node journal.
-
-    Tolerates a torn final line, like
-    :func:`~repro.live.runner.load_journal_record`.
-    """
-    applied: List[Dict[str, Any]] = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    break  # torn tail line
-                if event.get("type") == "apply":
-                    applied.append(event)
-    except OSError:
-        return []
-    return applied
+    """Extract the session ``apply`` entries from a node journal
+    (torn-tail tolerant; a missing journal reads as empty)."""
+    return [e for e in read_journal(path) if e.get("type") == "apply"]
 
 
 def verify_serve_run(
@@ -323,45 +301,17 @@ def _scrape_parity(
     ok = True
     for pid, text in scrapes.items():
         record = records.get(pid)
-        if record is None:
-            continue
+        if record is None or "telemetry" not in record:
+            continue  # a killed node's journal-derived record has none
         post = render_prometheus({pid: record["telemetry"]})
         if not prometheus_metric_names(text) <= prometheus_metric_names(post):
             ok = False
     return ok
 
 
-def _await_starts(cluster: LiveCluster, timeout_s: float) -> None:
-    """Block until every node's journal reports its start barrier."""
-    deadline = time.monotonic() + timeout_s
-    started: set = set()
-    while len(started) < len(cluster.members):
-        for pid, proc in cluster.procs.items():
-            if pid not in started and proc.poll() is not None:
-                raise NetworkError(
-                    f"serve node {pid} exited {proc.returncode} before its "
-                    "start barrier"
-                )
-        for pid, path in cluster.journal_paths.items():
-            if pid in started:
-                continue
-            if load_journal_record(pid, path) is not None:
-                started.add(pid)
-        if len(started) == len(cluster.members):
-            return
-        if time.monotonic() > deadline:
-            missing = sorted(set(cluster.members) - started)
-            raise NetworkError(
-                f"serve nodes {missing} never reached the start barrier "
-                f"within {timeout_s:.0f}s"
-            )
-        time.sleep(0.05)
-
-
 def _await_drain(
     cluster: LiveCluster,
     acked_writes: List[Tuple[str, int, str, Any]],
-    killed: Optional[ProcessId],
     timeout_s: float,
 ) -> None:
     """Block until every survivor's journal holds every acked write.
@@ -376,7 +326,7 @@ def _await_drain(
     we proceed and let the battery report what's genuinely missing.
     """
     acked = {(client, seq) for client, seq, _op, _args in acked_writes}
-    survivors = [pid for pid in cluster.members if pid != killed]
+    survivors = [pid for pid in cluster.members if pid not in cluster.killed]
     deadline = time.monotonic() + timeout_s
     last_counts: Optional[List[int]] = None
     settled_since = time.monotonic()
@@ -411,161 +361,139 @@ def run_serve_point(
     spec: ServeSpec, rate_rps: float, kill_leader: bool = False
 ) -> ServePoint:
     """Launch a serve cluster, drive one load point, verify, tear down."""
-    live_spec = spec.live_spec()
-    with tempfile.TemporaryDirectory(prefix="repro-serve-") as workdir:
-        cluster = LiveCluster(live_spec, workdir, journals=True)
-        killed: Optional[ProcessId] = None
-        kill_time: Optional[float] = None
-        try:
-            _await_starts(cluster, _START_TIMEOUT_S)
-            addresses = [
-                cluster.serve_addresses[pid] for pid in cluster.members
-            ]
-            load_config = LoadConfig(
-                rate_rps=rate_rps,
-                sessions=spec.sessions,
-                duration_s=spec.duration_s,
-                read_fraction=spec.read_fraction,
-                keys=spec.keys,
-                zipf_s=spec.zipf_s,
-                value_bytes=spec.value_bytes,
-                retry_timeout_s=spec.retry_timeout_s,
-                seed=spec.seed,
-                trace=spec.trace_requests,
-            )
-            scrapes: Dict[ProcessId, str] = {}
+    load_config = LoadConfig(
+        rate_rps=rate_rps,
+        sessions=spec.sessions,
+        duration_s=spec.duration_s,
+        read_fraction=spec.read_fraction,
+        keys=spec.keys,
+        zipf_s=spec.zipf_s,
+        value_bytes=spec.value_bytes,
+        retry_timeout_s=spec.retry_timeout_s,
+        seed=spec.seed,
+        trace=spec.trace_requests,
+    )
+    scrapes: Dict[ProcessId, str] = {}
+    with LiveCluster.launch(spec.live_spec(), journals=True) as cluster:
+        cluster.await_started(_START_TIMEOUT_S)
+        addresses = [cluster.serve_addresses[pid] for pid in cluster.members]
 
-            async def drive() -> LoadStats:
-                nonlocal killed, kill_time
-                loop = asyncio.get_running_loop()
-                kill_handle = None
-                scrape_task: Optional[asyncio.Task] = None
-                if cluster.metrics_addresses:
-                    from repro.obs.httpexport import fetch_metrics
+        async def drive() -> LoadStats:
+            loop = asyncio.get_running_loop()
+            kill_handle = None
+            scrape_task: Optional[asyncio.Task] = None
+            if cluster.metrics_addresses:
+                from repro.obs.httpexport import fetch_metrics
 
-                    async def scrape_mid_load() -> None:
-                        # Half the load window: under load by design,
-                        # and past the kill fraction so a kill-point
-                        # scrape hits the post-failover survivors.
-                        await asyncio.sleep(spec.duration_s * 0.5)
-                        for pid, addr in cluster.metrics_addresses.items():
-                            if pid == killed:
-                                continue
-                            try:
-                                scrapes[pid] = await fetch_metrics(*addr)
-                            except (OSError, asyncio.TimeoutError):
-                                pass
-
-                    scrape_task = asyncio.ensure_future(scrape_mid_load())
-                if kill_leader:
-                    # Ring position 0 leads the bootstrap view; it holds
-                    # the lease when the SIGKILL lands mid-load.
-                    victim = cluster.members[0]
-
-                    def do_kill() -> None:
-                        nonlocal killed, kill_time
-                        if cluster.kill(victim):
-                            killed = victim
-                            kill_time = loop.time()
-
-                    kill_handle = loop.call_later(
-                        spec.duration_s * _KILL_AT_FRACTION, do_kill
-                    )
-                try:
-                    return await run_load(addresses, load_config)
-                finally:
-                    if kill_handle is not None:
-                        kill_handle.cancel()
-                    if scrape_task is not None:
+                async def scrape_mid_load() -> None:
+                    # Half the load window: under load by design,
+                    # and past the kill fraction so a kill-point
+                    # scrape hits the post-failover survivors.
+                    await asyncio.sleep(spec.duration_s * 0.5)
+                    for pid, addr in cluster.metrics_addresses.items():
+                        if pid in cluster.killed:
+                            continue
                         try:
-                            await asyncio.wait_for(scrape_task, 10.0)
-                        except (asyncio.TimeoutError, OSError):
+                            scrapes[pid] = await fetch_metrics(*addr)
+                        except (OSError, asyncio.TimeoutError):
                             pass
 
-            stats = asyncio.run(drive())
-            skip = {killed} if killed is not None else set()
-            _await_drain(cluster, stats.acked_writes, killed, _DRAIN_TIMEOUT_S)
-            cluster.terminate(skip=skip)
-            cluster.wait(_SHUTDOWN_GRACE_S, skip=skip, fail_fast=False)
-            cluster.raise_on_failures(skip=skip)
-            records = cluster.collect(skip=skip)
-            applied_by_node = {
-                pid: load_applied_log(path)
-                for pid, path in cluster.journal_paths.items()
-            }
-            survivors = [pid for pid in cluster.members if pid != killed]
-            snapshot_hashes = {
-                pid: record["serve"]["snapshot_hash"]
-                for pid, record in records.items()
-                if "serve" in record
-            }
-            violations = verify_serve_run(
-                stats, applied_by_node, survivors, killed, snapshot_hashes
-            )
-            outage_s: Optional[float] = None
-            if kill_time is not None:
-                if any(t >= kill_time for t in stats.ack_times):
-                    outage_s = client_outage(
-                        stats.ack_times,
-                        kill_time,
-                        window_s=spec.heartbeat_timeout_s
-                        + spec.retry_timeout_s
-                        + 2.0,
-                    )
-                else:
-                    violations.append(
-                        "no acknowledged request after the leader kill "
-                        "(service never recovered)"
-                    )
-            timeline: Optional[Timeline] = None
-            request_bd: Optional[RequestBreakdown] = None
-            if cluster.span_paths:
-                t0 = min(record["start_time"] for record in records.values())
-                timeline = merge_span_journals(cluster.span_paths, t0=t0)
-                # Client stamps come off the same system-wide
-                # CLOCK_MONOTONIC as the node journals, so one rebase
-                # puts them on the merged timeline's axis.
-                timeline.requests.extend(
-                    rebase_request(event, t0)
-                    for event in stats.request_events
+                scrape_task = asyncio.ensure_future(scrape_mid_load())
+            if kill_leader:
+                # Ring position 0 leads the bootstrap view; it holds
+                # the lease when the SIGKILL lands mid-load.
+                kill_handle = loop.call_later(
+                    spec.duration_s * _KILL_AT_FRACTION,
+                    cluster.kill,
+                    cluster.members[0],
                 )
-                timeline.requests.sort(key=request_sort_key)
-            if timeline is not None and timeline.requests:
-                request_bd = request_breakdown(timeline.requests)
-                if stats.latencies and killed is None:
-                    # §4.3.1-style hard gate: the traced end-to-end mean
-                    # must agree with the load generator's measured mean
-                    # within 5% — stage sums that don't add up to what
-                    # clients observed are a tracing bug, not a finding.
-                    crosscheck_request_latency(
-                        request_bd,
-                        sum(stats.latencies) / len(stats.latencies),
-                    )
-            scrape_parity = _scrape_parity(scrapes, records)
-            if scrape_parity is False:
-                violations.append(
-                    "live /metrics counter names diverge from the "
-                    "post-mortem telemetry snapshot"
-                )
-            return ServePoint(
-                rate_rps=rate_rps,
-                stats=stats,
-                killed=killed,
-                kill_time=kill_time,
-                outage_s=outage_s,
-                violations=violations,
-                node_serve_stats={
-                    pid: record["serve"]
-                    for pid, record in records.items()
-                    if "serve" in record
-                },
-                request_breakdown=request_bd,
-                timeline=timeline,
-                live_scrapes=scrapes,
-                scrape_parity_ok=scrape_parity,
+            try:
+                return await run_load(addresses, load_config)
+            finally:
+                if kill_handle is not None:
+                    kill_handle.cancel()
+                if scrape_task is not None:
+                    try:
+                        await asyncio.wait_for(scrape_task, 10.0)
+                    except (asyncio.TimeoutError, OSError):
+                        pass
+
+        stats = asyncio.run(drive())
+        _await_drain(cluster, stats.acked_writes, _DRAIN_TIMEOUT_S)
+        records = cluster.stop()
+        applied_by_node = {
+            pid: load_applied_log(path)
+            for pid, path in cluster.journal_paths.items()
+        }
+        timeline = cluster.timeline(records)
+
+    killed = next(iter(cluster.killed), None)
+    kill_time = cluster.killed.get(killed)
+    survivors = [pid for pid in cluster.members if pid != killed]
+    serve_stats = {
+        pid: record["serve"]
+        for pid, record in records.items()
+        if "serve" in record
+    }
+    violations = verify_serve_run(
+        stats,
+        applied_by_node,
+        survivors,
+        killed,
+        {pid: serve["snapshot_hash"] for pid, serve in serve_stats.items()},
+    )
+    outage_s: Optional[float] = None
+    if kill_time is not None:
+        if any(t >= kill_time for t in stats.ack_times):
+            outage_s = client_outage(
+                stats.ack_times,
+                kill_time,
+                window_s=spec.heartbeat_timeout_s + spec.retry_timeout_s + 2.0,
             )
-        finally:
-            cluster.shutdown()
+        else:
+            violations.append(
+                "no acknowledged request after the leader kill "
+                "(service never recovered)"
+            )
+    request_bd: Optional[RequestBreakdown] = None
+    if timeline is not None:
+        # Client stamps come off the same system-wide CLOCK_MONOTONIC
+        # as the node journals, so one rebase puts them on the merged
+        # timeline's axis.
+        t0 = run_origin(records)
+        timeline.requests.extend(
+            rebase_request(event, t0) for event in stats.request_events
+        )
+        timeline.requests.sort(key=request_sort_key)
+    if timeline is not None and timeline.requests:
+        request_bd = request_breakdown(timeline.requests)
+        if stats.latencies and killed is None:
+            # §4.3.1-style hard gate: the traced end-to-end mean must
+            # agree with the load generator's measured mean within 5% —
+            # stage sums that don't add up to what clients observed are
+            # a tracing bug, not a finding.
+            crosscheck_request_latency(
+                request_bd, sum(stats.latencies) / len(stats.latencies)
+            )
+    scrape_parity = _scrape_parity(scrapes, records)
+    if scrape_parity is False:
+        violations.append(
+            "live /metrics counter names diverge from the "
+            "post-mortem telemetry snapshot"
+        )
+    return ServePoint(
+        rate_rps=rate_rps,
+        stats=stats,
+        killed=killed,
+        kill_time=kill_time,
+        outage_s=outage_s,
+        violations=violations,
+        node_serve_stats=serve_stats,
+        request_breakdown=request_bd,
+        timeline=timeline,
+        live_scrapes=scrapes,
+        scrape_parity_ok=scrape_parity,
+    )
 
 
 def run_serve_benchmark(
@@ -610,22 +538,7 @@ def run_serve_benchmark(
                 fh.write("\n".join(sections))
     payload: Dict[str, Any] = {
         "schema": "repro.bench_serve/1",
-        "config": {
-            "processes": spec.processes,
-            "t": spec.t,
-            "lease_s": spec.lease_s,
-            "heartbeat_timeout_s": spec.heartbeat_timeout_s,
-            "sessions": spec.sessions,
-            "duration_s": spec.duration_s,
-            "read_fraction": spec.read_fraction,
-            "keys": spec.keys,
-            "zipf_s": spec.zipf_s,
-            "value_bytes": spec.value_bytes,
-            "retry_timeout_s": spec.retry_timeout_s,
-            "seed": spec.seed,
-            "trace_requests": spec.trace_requests,
-            "metrics_port": spec.metrics_port,
-        },
+        "config": asdict(spec),
         "curve": [point.to_dict() for point in points],
         "kill_point": kill_point.to_dict() if kill_point is not None else None,
         "invariants_ok": all(not point.violations for point in all_points),

@@ -2,18 +2,14 @@
 
 The full campaign (``python -m repro chaos --seeds 50``) is the
 acceptance gate; this marker-tagged slice keeps a representative bite
-of it in the default test run and refreshes ``BENCH_chaos.json`` so the
-perf trajectory always reflects the current tree.
+of it in the default test run.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.chaos import CampaignConfig, run_campaign
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SMOKE_CONFIG = CampaignConfig(seeds=5, base_seed=0)
 
@@ -34,7 +30,7 @@ def test_mini_campaign_is_green_and_deterministic():
 
 
 @pytest.mark.chaos_smoke
-def test_mini_campaign_emits_bench_record():
+def test_mini_campaign_emits_bench_record(tmp_path):
     report = run_campaign(SMOKE_CONFIG)
     record = report.bench_record()
     assert record["bench"] == "chaos_campaign"
@@ -42,7 +38,7 @@ def test_mini_campaign_emits_bench_record():
     assert record["failures"] == 0
     assert record["mean_recovery_outage_ms"] > 0
 
-    bench_path = REPO_ROOT / "BENCH_chaos.json"
+    bench_path = tmp_path / "BENCH_chaos.json"
     report.write_bench(bench_path)
     on_disk = json.loads(bench_path.read_text())
     assert on_disk == json.loads(json.dumps(record))

@@ -43,6 +43,10 @@ def test_live_loopback_total_order():
     # Every node processed real traffic.
     for record in live.node_records.values():
         assert record["stats"]["frames_received"] > 0
+        # Batching is off by default, and off really is the plain
+        # one-frame-per-write wire.
+        assert record["stats"]["flushes"] == record["stats"]["frames_sent"]
+        assert record["stats"]["batches_received"] == 0
     # The sender actually completed messages through the real ring.
     assert live.metrics.messages_completed >= 1
     # Identical total order is also directly checkable on the merged

@@ -74,7 +74,7 @@ def test_startup_bind_failure_fails_fast_and_reaps_all(monkeypatch):
 
 
 @pytest.mark.live_smoke
-def test_launch_live_cluster_surfaces_startup_failure(monkeypatch):
+def test_run_live_cluster_surfaces_startup_failure(monkeypatch):
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))
     blocker.listen(1)
@@ -91,7 +91,7 @@ def test_launch_live_cluster_surfaces_startup_failure(monkeypatch):
     started = time.monotonic()
     try:
         with pytest.raises(NetworkError):
-            runner.launch_live_cluster(_spec())
+            runner.run_live_cluster(_spec())
         assert time.monotonic() - started < _spec().connect_timeout_s
     finally:
         blocker.close()

@@ -29,7 +29,7 @@ from repro.core.fsr.messages import AckBatch, AckMsg, FwdData
 from repro.errors import ConfigurationError
 from repro.live.codec import Hello, encode_frame
 from repro.live.node import LiveNodeConfig
-from repro.live.runner import LiveClusterSpec
+from repro.live.runner import LiveClusterSpec, forwarded_fields
 from repro.live.transport import RingTransport
 from repro.types import MessageId
 
@@ -335,25 +335,26 @@ def test_control_peer_coalesces_queued_frames():
 
 
 def test_node_config_batch_serde_round_trip():
+    addresses = {0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)}
     config = LiveNodeConfig(
         node_id=0,
         members=[0, 1],
-        addresses={0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)},
+        addresses=addresses,
         batch_bytes=4096,
-        batch_delay_s=0.001,
     )
     restored = LiveNodeConfig.from_dict(config.to_dict())
     assert restored.batch_config() == BatchingConfig(
         max_batch_bytes=4096,
         max_batch_messages=BatchingConfig().max_batch_messages,
-        max_delay_s=0.001,
     )
-    # The delay is the simulator's dial: alone it switches nothing on.
+    # The delay is the simulator's dial: a spec that sets it alone is
+    # valid, and the node configs it launches have batching off.
+    delay_only = LiveClusterSpec(processes=2, batch_delay_s=0.001)
     assert LiveNodeConfig(
         node_id=0,
         members=[0, 1],
-        addresses={0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)},
-        batch_delay_s=0.001,
+        addresses=addresses,
+        **forwarded_fields(delay_only),
     ).batch_config() is None
     # All-None means batching off, surviving serde too.
     plain = LiveNodeConfig(

@@ -11,8 +11,6 @@ Three layers, all marked ``live_smoke``:
 """
 
 import asyncio
-import contextlib
-import tempfile
 
 import pytest
 
@@ -21,7 +19,6 @@ from repro.serve.loadgen import LoadStats
 from repro.serve.runner import (
     ServeSpec,
     _await_drain,
-    _await_starts,
     load_applied_log,
     run_serve_benchmark,
     run_serve_point,
@@ -37,32 +34,20 @@ from repro.live.runner import LiveCluster
 pytestmark = pytest.mark.live_smoke
 
 _START_TIMEOUT_S = 30.0
-_SHUTDOWN_GRACE_S = 15.0
 
 
-@contextlib.contextmanager
-def serve_cluster(processes=3, **overrides):
-    spec = ServeSpec(processes=processes, **overrides).live_spec()
-    with tempfile.TemporaryDirectory(prefix="repro-serve-test-") as workdir:
-        cluster = LiveCluster(spec, workdir, journals=True)
-        try:
-            _await_starts(cluster, _START_TIMEOUT_S)
-            yield cluster
-        finally:
-            cluster.shutdown()
+def serve_cluster(**overrides):
+    """A 3-node serve cluster session (``with`` it, then await its start)."""
+    spec = ServeSpec(processes=3, **overrides).live_spec()
+    return LiveCluster.launch(spec, journals=True)
 
 
-def _finish(cluster):
-    """Terminate, reap, and return (records, applied-per-node)."""
-    cluster.terminate()
-    cluster.wait(_SHUTDOWN_GRACE_S, fail_fast=False)
-    cluster.raise_on_failures()
-    records = cluster.collect()
-    applied = {
+def _applied(cluster):
+    """What each node's journal says it applied, in order."""
+    return {
         pid: [(e["client"], e["seq"], e["op"]) for e in load_applied_log(path)]
         for pid, path in cluster.journal_paths.items()
     }
-    return records, applied
 
 
 def test_live_conformance_matches_sim():
@@ -71,6 +56,7 @@ def test_live_conformance_matches_sim():
     assert sim.applied[0] == expected  # the sim half, pinned again here
 
     with serve_cluster() as cluster:
+        cluster.await_started(_START_TIMEOUT_S)
         address = cluster.serve_addresses[cluster.members[0]]
 
         async def replay():
@@ -105,7 +91,7 @@ def test_live_conformance_matches_sim():
                     await client.close()
 
         asyncio.run(replay())
-        records, applied = _finish(cluster)
+        records, applied = cluster.stop(), _applied(cluster)
 
     for node_id, node_applied in applied.items():
         assert node_applied == expected, f"node {node_id} diverged from sim"
@@ -115,6 +101,7 @@ def test_live_conformance_matches_sim():
 
 def test_session_dedup_and_failover_reads_live():
     with serve_cluster() as cluster:
+        cluster.await_started(_START_TIMEOUT_S)
         addresses = [cluster.serve_addresses[pid] for pid in cluster.members]
 
         async def scenario():
@@ -134,7 +121,8 @@ def test_session_dedup_and_failover_reads_live():
                 await client.close()
 
         asyncio.run(scenario())
-        records, applied = _finish(cluster)
+        cluster.stop()
+        applied = _applied(cluster)
 
     # One application of seq 1 everywhere, despite the duplicate.
     for node_applied in applied.values():
@@ -173,6 +161,7 @@ def test_leader_kill_with_batches_in_flight_preserves_exactly_once():
     outstanding, load_s, kill_at_s = 32, 3.0, 1.0
     stats = LoadStats()
     with serve_cluster(heartbeat_timeout_s=1.0) as cluster:
+        cluster.await_started(_START_TIMEOUT_S)
         addresses = [cluster.serve_addresses[pid] for pid in cluster.members]
         victim = cluster.members[0]
 
@@ -220,12 +209,8 @@ def test_leader_kill_with_batches_in_flight_preserves_exactly_once():
 
         asyncio.run(drive())
         assert cluster.procs[victim].poll() is not None, "leader never killed"
-        _await_drain(cluster, stats.acked_writes, victim, 5.0)
-        skip = {victim}
-        cluster.terminate(skip=skip)
-        cluster.wait(_SHUTDOWN_GRACE_S, skip=skip, fail_fast=False)
-        cluster.raise_on_failures(skip=skip)
-        records = cluster.collect(skip=skip)
+        _await_drain(cluster, stats.acked_writes, 5.0)
+        records = cluster.stop()
         applied_by_node = {
             pid: load_applied_log(path)
             for pid, path in cluster.journal_paths.items()
@@ -236,7 +221,7 @@ def test_leader_kill_with_batches_in_flight_preserves_exactly_once():
     survivors = [pid for pid in cluster.members if pid != victim]
     violations = verify_serve_run(
         stats, applied_by_node, survivors, victim,
-        {pid: record["serve"]["snapshot_hash"] for pid, record in records.items()},
+        {pid: records[pid]["serve"]["snapshot_hash"] for pid in survivors},
     )
     assert violations == [], violations
     assert len(stats.acked_writes) > 2 * outstanding, "load never ran"
@@ -247,8 +232,8 @@ def test_leader_kill_with_batches_in_flight_preserves_exactly_once():
     # broadcasts, and a survivor packed its own after failover.
     assert len(applied_by_node[victim]) > 2 * victim_deliveries
     assert any(
-        record["serve"]["batch_commands"].get("max", 0) >= 2
-        for record in records.values()
+        records[pid]["serve"]["batch_commands"].get("max", 0) >= 2
+        for pid in survivors
     )
 
 
