@@ -19,7 +19,7 @@ import json
 import time as _time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.oracle import Verdict, judge_run
 from repro.chaos.schedules import (
@@ -37,6 +37,7 @@ from repro.cluster.results import ExperimentResult
 from repro.core.fsr.config import FSRConfig
 from repro.errors import CheckFailure, ConfigurationError, SimulationError
 from repro.net.params import NetworkParams
+from repro.obs.analyze import worst_gap_ms
 from repro.protocols.multiring.config import MultiRingConfig
 
 
@@ -300,28 +301,21 @@ def run_schedule(
 
 
 def recovery_outage_ms(
-    result: ExperimentResult, schedule: FaultSchedule
+    result: ExperimentResult, crash_times: Sequence[float]
 ) -> Optional[float]:
-    """Worst survivor delivery gap straddling any executed crash, in ms.
+    """Worst survivor delivery gap straddling any of ``crash_times``
+    (the instants of the crashes that actually executed), in ms.
 
-    ``None`` when the schedule crashed nobody (or no survivor delivered
-    on both sides of a crash instant).
+    ``None`` when nobody crashed (or no survivor delivered on both
+    sides of a crash instant).
     """
-    crash_times = [
-        e.time for e in schedule.crashes() if e.process in result.crashed
-    ]
-    if not crash_times:
-        return None
-    worst: Optional[float] = None
-    for process in sorted(result.correct_processes()):
-        times = sorted(d.time for d in result.delivery_logs[process].deliveries)
-        for crash_at in crash_times:
-            before = [t for t in times if t <= crash_at]
-            after = [t for t in times if t > crash_at]
-            if before and after:
-                gap_ms = (min(after) - max(before)) * 1e3
-                worst = gap_ms if worst is None else max(worst, gap_ms)
-    return worst
+    return worst_gap_ms(
+        (
+            [d.time for d in result.delivery_logs[process].deliveries]
+            for process in result.correct_processes()
+        ),
+        crash_times,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +520,9 @@ def run_campaign(
             verdict=verdict,
             sim_duration_s=result.duration_s,
             wall_s=_time.perf_counter() - started,
-            outage_ms=recovery_outage_ms(result, schedule),
+            outage_ms=recovery_outage_ms(result, [
+                e.time for e in schedule.crashes() if e.process in result.crashed
+            ]),
         )
         if outcome.failed and cfg.shrink_failures:
             outcome.minimal = shrink_schedule(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.campaign import (
@@ -55,7 +55,7 @@ from repro.chaos.campaign import (
     run_seeds,
 )
 from repro.chaos.oracle import Verdict, Violation, judge_run
-from repro.chaos.schedules import FaultEvent, FaultSchedule, ScheduleContext
+from repro.chaos.schedules import FaultSchedule, ScheduleContext
 from repro.errors import ConfigurationError, NetworkError
 from repro.live.runner import LiveCluster, LiveClusterSpec, merge_node_records
 from repro.obs.analyze import recovery_outage_from_spans
@@ -429,26 +429,13 @@ def run_live_schedule(
         # the span timeline, the same lifecycle record every other
         # report uses.  The delivery-log path stays as a fallback for
         # runs whose span journals were lost.
+        crash_times = sorted(killed_rebased.values())
         if timeline is not None and timeline.events:
             outage_ms = recovery_outage_from_spans(
-                timeline,
-                crash_times=sorted(killed_rebased.values()),
-                survivors=sorted(result.correct_processes()),
+                timeline, crash_times, survivors=result.correct_processes()
             )
         else:
-            executed = replace(
-                schedule,
-                events=tuple(
-                    FaultEvent(
-                        "crash",
-                        round(at, 4),
-                        process=pid,
-                        note="executed",
-                    )
-                    for pid, at in sorted(killed_rebased.items())
-                ),
-            )
-            outage_ms = recovery_outage_ms(result, executed)
+            outage_ms = recovery_outage_ms(result, crash_times)
     else:
         verdict = Verdict(
             ok=False,

@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 from repro.cluster.results import ExperimentResult
 from repro.errors import CheckFailure
-from repro.metrics.stats import jain_index
+from repro.stats import jain_index
 from repro.types import ProcessId, SimTime
 
 

@@ -747,15 +747,14 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if requests_bd is not None:
         print()
         print(requests_bd.render_table())
-    if rings:
-        for ring, ring_bd in sorted(
-            ring_breakdowns(timeline).items()
-        ):
-            print()
-            print(f"ring {ring}:")
-            print(ring_bd.render_table())
+    per_ring = sorted(ring_breakdowns(timeline).items())
+    for ring, ring_bd in per_ring:
+        print()
+        print(f"ring {ring}:")
+        print(ring_bd.render_table())
+    links = link_utilization(timeline)
     print()
-    print(render_link_table(link_utilization(timeline)))
+    print(render_link_table(links))
     if args.prom:
         with open(args.prom, "w") as fh:
             fh.write(prometheus_snapshot(timeline, breakdown, requests_bd))
@@ -773,15 +772,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                     ),
                     "spans_dropped": timeline.dropped,
                     "ring_stage_breakdowns": {
-                        str(ring): ring_bd.to_dict()
-                        for ring, ring_bd in sorted(
-                            ring_breakdowns(timeline).items()
-                        )
+                        str(ring): ring_bd.to_dict() for ring, ring_bd in per_ring
                     },
-                    "links": [
-                        link.to_dict()
-                        for link in link_utilization(timeline)
-                    ],
+                    "links": [link.to_dict() for link in links],
                 },
                 fh,
                 indent=2,

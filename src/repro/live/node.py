@@ -37,12 +37,11 @@ integrity/uniformity checks meaningful for crashed senders.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import random
 import signal
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.api import BroadcastListener
 from repro.core.batching import BatchingConfig, batching_config_from_flags
@@ -58,7 +57,7 @@ from repro.failure.detector import (
 from repro.live.scheduler import AsyncioScheduler
 from repro.live.transport import RingTransport
 from repro.net.channel import MAX_RETRIES
-from repro.obs.journal import SpanJournal
+from repro.obs.journal import JsonlWriter, SpanJournal
 from repro.obs.profile import (
     CpuAccountant,
     EventLoopLagSampler,
@@ -450,49 +449,6 @@ class _RewiringClient:
         self._process.on_view_commit(view)
 
 
-class _Journal:
-    """Append-and-flush JSONL event log that survives SIGKILL.
-
-    ``flush()`` hands the line to the OS on every event; page cache
-    contents survive the process, so a killed node's journal is intact
-    up to (at worst) one torn final line, which readers tolerate.
-    """
-
-    def __init__(self, path: Optional[str]) -> None:
-        self._fh: Optional[TextIO] = open(path, "w") if path else None
-
-    def write(self, entry: Dict[str, Any]) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(entry) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
-def read_journal(path: str) -> List[Dict[str, Any]]:
-    """Every intact line of a :class:`_Journal` file, in write order.
-
-    A torn final line — possible when the node was SIGKILLed mid-write
-    — is dropped; every *flushed* line before it is intact.  A missing
-    file reads as empty.
-    """
-    events: List[Dict[str, Any]] = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                try:
-                    events.append(json.loads(line))
-                except ValueError:
-                    break  # torn tail line
-    except OSError:
-        pass
-    return events
-
-
 def delivery_entry(delivery: Delivery) -> Dict[str, Any]:
     """One protocol delivery as the node record and the journal carry it
     (the journal line adds ``"type": "delivery"`` in front)."""
@@ -542,7 +498,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     members = tuple(config.members)
     position = members.index(me)
     successor = members[(position + 1) % len(members)]
-    journal = _Journal(config.journal_path)
+    journal = JsonlWriter(config.journal_path)
     logger = _configure_logging(config)
     telemetry = Telemetry()
     # capacity=0: sinks (the span journal) still fire, but nothing
@@ -870,9 +826,9 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     span_journal: Optional[SpanJournal] = None
     if config.span_path is not None:
         span_journal = SpanJournal(config.span_path, me, start_time=sched.now)
-        spans.add_sink(span_journal.sink())
+        spans.add_sink(span_journal.write_event)
         if config.trace_requests:
-            reqlog.add_sink(span_journal.request_sink())
+            reqlog.add_sink(span_journal.write_event)
     if shaper is not None:
         # Armed at protocol start so the schedule's event times share
         # the same origin as the workload deadline (and the sim's).

@@ -39,7 +39,7 @@ from repro.core.api import DeliveryLog
 from repro.core.batching import batching_config_from_flags
 from repro.core.fsr.config import FSRConfig
 from repro.errors import ConfigurationError, NetworkError
-from repro.live.node import LiveNodeConfig, read_journal
+from repro.live.node import LiveNodeConfig
 from repro.metrics.collector import ExperimentMetrics, collect_metrics
 from repro.obs.analyze import (
     StageBreakdown,
@@ -47,14 +47,14 @@ from repro.obs.analyze import (
     ring_breakdowns,
     stage_breakdown,
 )
-from repro.obs.journal import Timeline, merge_span_journals
+from repro.obs.journal import JsonlReader, Timeline, merge_span_journals
 from repro.types import BroadcastRecord, Delivery, MessageId, ProcessId
 from repro.workloads.patterns import KToNPattern
 from repro.workloads.driver import WorkloadOutcome
 
 #: Extra wall-clock slack past a node's own hard cap before we kill it.
 _KILL_SLACK_S = 30.0
-#: How often the start-barrier poller re-reads journals.
+#: How often the start-barrier poller looks at the journals.
 _START_POLL_S = 0.02
 #: How long terminated survivors get to write their records.
 _SHUTDOWN_GRACE_S = 15.0
@@ -386,14 +386,17 @@ class LiveCluster:
         A node that exits first fails the wait at once, with its stderr.
         """
         deadline = time.monotonic() + timeout_s
+        readers = {
+            pid: JsonlReader(path) for pid, path in self.journal_paths.items()
+        }
         starts: Dict[ProcessId, float] = {}
         while True:
-            for pid, path in self.journal_paths.items():
+            for pid, reader in readers.items():
                 if pid in starts:
                     continue
-                record = load_journal_record(pid, path)
-                if record is not None:
-                    starts[pid] = record["start_time"]
+                start = _start_line(reader.poll())
+                if start is not None:
+                    starts[pid] = start["time"]
                 elif self.procs[pid].poll() is not None:
                     self.raise_on_failures()
                     raise NetworkError(
@@ -562,6 +565,11 @@ _JOURNAL_LISTS = {
 }
 
 
+def _start_line(events: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """The journal's ``start`` line (the start barrier), if among ``events``."""
+    return next((e for e in events if e.get("type") == "start"), None)
+
+
 def load_journal_record(
     pid: ProcessId, path: str
 ) -> Optional[Dict[str, Any]]:
@@ -572,8 +580,8 @@ def load_journal_record(
     ``type`` in front (``repro.live.node``), so they are filed, not
     re-shaped.
     """
-    events = read_journal(path)
-    start = next((e for e in events if e.get("type") == "start"), None)
+    events = JsonlReader(path).poll()
+    start = _start_line(events)
     if start is None:
         return None
     record: Dict[str, Any] = {

@@ -1,6 +1,6 @@
 """Metrics: throughput, latency, fairness, and report formatting."""
 
-from repro.metrics.stats import jain_index, mean, percentile, stddev
+from repro.stats import jain_index, mean, percentile, stddev
 from repro.metrics.collector import (
     ExperimentMetrics,
     collect_metrics,

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 
 from repro.cluster.results import ExperimentResult
 from repro.errors import ConfigurationError
-from repro.metrics.stats import jain_index, mean, percentile
+from repro.stats import jain_index, mean, percentile
 from repro.types import MessageId, ProcessId, SimTime
 from repro.workloads.driver import WorkloadOutcome
 

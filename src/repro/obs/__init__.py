@@ -10,109 +10,88 @@ backpressure stalls, heartbeat RTTs, view-install durations).
 Everything is off by default and free when disabled; see DESIGN.md
 §"Observability" and ``python -m repro obs``.
 
-Only :mod:`repro.obs.span` is imported eagerly: the protocol core
-imports it, so the package init must not pull in the analysis side
-(whose stats helpers live next to the metrics collector, which imports
-the cluster, which imports the protocol core).  The remaining names
-resolve lazily on first attribute access.
+The protocol core imports this package, so nothing here may import
+above ``repro.errors`` / ``repro.types`` / ``repro.stats``
+(``tests/cluster/test_public_api.py`` imports every module first into
+a clean interpreter state to keep it so).
 """
 
-from typing import TYPE_CHECKING
-
+from repro.obs.analyze import (
+    LinkUtilization,
+    StageBreakdown,
+    crosscheck_latency,
+    link_utilization,
+    prometheus_snapshot,
+    recovery_outage_from_spans,
+    render_link_table,
+    stage_breakdown,
+)
+from repro.obs.event import Event, EventLog
+from repro.obs.httpexport import (
+    MetricsServer,
+    fetch_metrics,
+    http_get,
+    prometheus_metric_names,
+)
+from repro.obs.journal import (
+    JsonlReader,
+    JsonlWriter,
+    SpanJournal,
+    Timeline,
+    load_span_journal,
+    merge_span_journals,
+    timeline_from_spanlog,
+)
+from repro.obs.profile import CpuAccountant, EventLoopLagSampler, SamplingProfiler
+from repro.obs.reqtrace import (
+    RequestBreakdown,
+    RequestEvent,
+    RequestLog,
+    crosscheck_request_latency,
+    request_breakdown,
+)
 from repro.obs.span import KIND_RANK, SPAN_KINDS, SpanEvent, SpanLog
-
-if TYPE_CHECKING:  # pragma: no cover - typing-time only
-    from repro.obs.analyze import (  # noqa: F401
-        LinkUtilization,
-        StageBreakdown,
-        StageStats,
-        crosscheck_latency,
-        link_utilization,
-        prometheus_snapshot,
-        recovery_outage_from_spans,
-        render_link_table,
-        stage_breakdown,
-    )
-    from repro.obs.httpexport import (  # noqa: F401
-        MetricsServer,
-        fetch_metrics,
-        http_get,
-        prometheus_metric_names,
-    )
-    from repro.obs.journal import (  # noqa: F401
-        SpanJournal,
-        Timeline,
-        load_span_journal,
-        merge_span_journals,
-        timeline_from_spanlog,
-    )
-    from repro.obs.profile import (  # noqa: F401
-        CpuAccountant,
-        EventLoopLagSampler,
-        SamplingProfiler,
-    )
-    from repro.obs.reqtrace import (  # noqa: F401
-        RequestBreakdown,
-        RequestEvent,
-        RequestLog,
-        crosscheck_request_latency,
-        request_breakdown,
-    )
-    from repro.obs.telemetry import (  # noqa: F401
-        Counter,
-        Gauge,
-        Histogram,
-        Telemetry,
-        render_prometheus,
-    )
-
-_LAZY = {
-    "LinkUtilization": "repro.obs.analyze",
-    "StageBreakdown": "repro.obs.analyze",
-    "StageStats": "repro.obs.analyze",
-    "crosscheck_latency": "repro.obs.analyze",
-    "link_utilization": "repro.obs.analyze",
-    "prometheus_snapshot": "repro.obs.analyze",
-    "recovery_outage_from_spans": "repro.obs.analyze",
-    "render_link_table": "repro.obs.analyze",
-    "stage_breakdown": "repro.obs.analyze",
-    "MetricsServer": "repro.obs.httpexport",
-    "fetch_metrics": "repro.obs.httpexport",
-    "http_get": "repro.obs.httpexport",
-    "prometheus_metric_names": "repro.obs.httpexport",
-    "CpuAccountant": "repro.obs.profile",
-    "EventLoopLagSampler": "repro.obs.profile",
-    "SamplingProfiler": "repro.obs.profile",
-    "RequestBreakdown": "repro.obs.reqtrace",
-    "RequestEvent": "repro.obs.reqtrace",
-    "RequestLog": "repro.obs.reqtrace",
-    "crosscheck_request_latency": "repro.obs.reqtrace",
-    "request_breakdown": "repro.obs.reqtrace",
-    "SpanJournal": "repro.obs.journal",
-    "Timeline": "repro.obs.journal",
-    "load_span_journal": "repro.obs.journal",
-    "merge_span_journals": "repro.obs.journal",
-    "timeline_from_spanlog": "repro.obs.journal",
-    "Counter": "repro.obs.telemetry",
-    "Gauge": "repro.obs.telemetry",
-    "Histogram": "repro.obs.telemetry",
-    "Telemetry": "repro.obs.telemetry",
-    "render_prometheus": "repro.obs.telemetry",
-}
+from repro.obs.stages import StageStats
+from repro.obs.telemetry import Counter, Gauge, Histogram, Telemetry, render_prometheus
 
 __all__ = [
     "KIND_RANK",
     "SPAN_KINDS",
+    "Event",
+    "EventLog",
     "SpanEvent",
     "SpanLog",
-    *sorted(_LAZY),
+    "RequestEvent",
+    "RequestLog",
+    "JsonlReader",
+    "JsonlWriter",
+    "SpanJournal",
+    "Timeline",
+    "load_span_journal",
+    "merge_span_journals",
+    "timeline_from_spanlog",
+    "StageStats",
+    "StageBreakdown",
+    "RequestBreakdown",
+    "stage_breakdown",
+    "request_breakdown",
+    "crosscheck_latency",
+    "crosscheck_request_latency",
+    "LinkUtilization",
+    "link_utilization",
+    "render_link_table",
+    "prometheus_snapshot",
+    "recovery_outage_from_spans",
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "Telemetry",
+    "render_prometheus",
+    "MetricsServer",
+    "fetch_metrics",
+    "http_get",
+    "prometheus_metric_names",
+    "CpuAccountant",
+    "EventLoopLagSampler",
+    "SamplingProfiler",
 ]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

@@ -13,25 +13,42 @@ decomposition from a merged span timeline:
   (stable/ack propagation plus hold-back release).
 
 The three components sum to the end-to-end latency *by construction*
-(each boundary is one span event), so the breakdown and the metrics
-collector cannot tell different stories — and a cross-check against
+(each boundary is one span event; :mod:`repro.obs.stages` does the
+telescoping), so the breakdown and the metrics collector cannot tell
+different stories — and a cross-check against
 ``ExperimentResult.broadcasts`` submission timestamps enforces that the
 two reports share one submission-time source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CheckFailure
-from repro.metrics.stats import mean, percentile
 from repro.obs.journal import Timeline
+from repro.obs.reqtrace import RequestBreakdown
+from repro.obs.stages import (
+    Breakdown,
+    StageStats,
+    StageTable,
+    crosscheck,
+    first_stamps,
+    is_complete,
+    telescope,
+)
 from repro.obs.telemetry import render_prometheus
 from repro.types import BroadcastRecord, MessageId
 
+#: The message stage table (§4.3.1's decomposition, measured).
+MESSAGE_STAGE_TABLE: StageTable = (
+    ("hop", "broadcast", "sequenced"),
+    ("sequencing", "sequenced", "stable"),
+    ("stability", "stable", "delivered"),
+)
+
 #: Stage names in lifecycle order.
-STAGES = ("hop", "sequencing", "stability")
+STAGES = tuple(stage for stage, _, _ in MESSAGE_STAGE_TABLE)
 
 #: Allowed drift between a ``broadcast`` span and the authoritative
 #: submission timestamp in ``ExperimentResult.broadcasts``.  Both are
@@ -41,36 +58,8 @@ STAGES = ("hop", "sequencing", "stability")
 SUBMIT_DRIFT_TOLERANCE_S = 0.010
 
 
-@dataclass(frozen=True)
-class StageStats:
-    """Distribution summary of one latency stage across messages."""
-
-    mean_s: float
-    p50_s: float
-    p99_s: float
-    #: This stage's share of mean end-to-end latency (0..1).
-    share: float
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "mean_s": self.mean_s,
-            "p50_s": self.p50_s,
-            "p99_s": self.p99_s,
-            "share": self.share,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "StageStats":
-        return cls(
-            mean_s=data["mean_s"],
-            p50_s=data["p50_s"],
-            p99_s=data["p99_s"],
-            share=data["share"],
-        )
-
-
 @dataclass
-class StageBreakdown:
+class StageBreakdown(Breakdown):
     """Latency-stage decomposition of a run."""
 
     messages: int
@@ -80,74 +69,31 @@ class StageBreakdown:
     stages: Dict[str, StageStats]
     end_to_end: StageStats
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "messages": self.messages,
-            "skipped": self.skipped,
-            "stages": {name: s.to_dict() for name, s in self.stages.items()},
-            "end_to_end": self.end_to_end.to_dict(),
-        }
+    def _totals(self) -> List[Tuple[str, StageStats, str]]:
+        return [("end-to-end", self.end_to_end, "100.0%")]
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "StageBreakdown":
-        return cls(
-            messages=data["messages"],
-            skipped=data["skipped"],
-            stages={
-                name: StageStats.from_dict(s)
-                for name, s in data["stages"].items()
-            },
-            end_to_end=StageStats.from_dict(data["end_to_end"]),
-        )
-
-    def render_table(self) -> str:
-        header = f"{'stage':<12} {'mean ms':>9} {'p50 ms':>9} {'p99 ms':>9} {'share':>7}"
-        lines = [header, "-" * len(header)]
-        for name in STAGES:
-            s = self.stages[name]
-            lines.append(
-                f"{name:<12} {s.mean_s * 1e3:>9.2f} {s.p50_s * 1e3:>9.2f} "
-                f"{s.p99_s * 1e3:>9.2f} {s.share * 100:>6.1f}%"
-            )
-        e = self.end_to_end
-        lines.append("-" * len(header))
-        lines.append(
-            f"{'end-to-end':<12} {e.mean_s * 1e3:>9.2f} {e.p50_s * 1e3:>9.2f} "
-            f"{e.p99_s * 1e3:>9.2f} {'100.0%':>7}"
-        )
-        lines.append(f"({self.messages} messages, {self.skipped} incomplete)")
-        return "\n".join(lines)
-
-
-def _stats(samples: Sequence[float], mean_e2e: float) -> StageStats:
-    return StageStats(
-        mean_s=mean(samples),
-        p50_s=percentile(samples, 50.0),
-        p99_s=percentile(samples, 99.0),
-        share=(mean(samples) / mean_e2e) if mean_e2e > 0 else 0.0,
-    )
+    def _footer(self) -> str:
+        return f"({self.messages} messages, {self.skipped} incomplete)"
 
 
 def stage_breakdown(
     timeline: Timeline,
     broadcasts: Optional[Iterable[BroadcastRecord]] = None,
-    completions: Optional[Dict[MessageId, float]] = None,
-    submit_tolerance_s: float = SUBMIT_DRIFT_TOLERANCE_S,
     strict_submissions: bool = True,
 ) -> StageBreakdown:
     """Decompose per-message latency into hop/sequencing/stability.
 
-    ``broadcasts`` (when the caller has an ``ExperimentResult``) is the
-    authoritative submission-time source — the same one
+    A message completes at its *last* ``delivered`` span; every other
+    boundary is the first span of its kind.  ``broadcasts`` (when the
+    caller has an ``ExperimentResult``) is the authoritative
+    submission-time source — the same one
     :func:`repro.metrics.collector.collect_metrics` uses.  Each
     message's ``broadcast`` span is cross-checked against it and a
     :class:`~repro.errors.CheckFailure` raised on drift beyond
-    ``submit_tolerance_s``, so the stage breakdown and the latency
-    report cannot silently diverge.  ``completions`` likewise overrides
-    the last ``delivered`` span (pass
-    ``result.completion_times()`` to score only correct processes).
-    Standalone timeline analysis (``python -m repro obs`` on a file)
-    passes neither and trusts the spans.
+    :data:`SUBMIT_DRIFT_TOLERANCE_S`, so the stage breakdown and the
+    latency report cannot silently diverge.  Standalone timeline
+    analysis (``python -m repro obs`` on a file) passes none and
+    trusts the spans.
 
     ``strict_submissions=False`` skips (instead of failing on) traced
     messages absent from ``broadcasts`` — multi-ring runs inject noop
@@ -160,36 +106,19 @@ def stage_breakdown(
             record.message_id: record.submit_time for record in broadcasts
         }
 
-    hop: List[float] = []
-    sequencing: List[float] = []
-    stability: List[float] = []
-    end_to_end: List[float] = []
+    lifecycles: List[Dict[str, float]] = []
     skipped = 0
-
     for message_id, events in timeline.by_message().items():
-        first: Dict[str, float] = {}
-        last_delivered: Optional[float] = None
-        for event in events:
-            if event.kind == "delivered":
-                if last_delivered is None or event.time > last_delivered:
-                    last_delivered = event.time
-            elif event.kind not in first:
-                first[event.kind] = event.time
-
-        completion = last_delivered
-        if completions is not None:
-            completion = completions.get(message_id, completion)
-        if (
-            "broadcast" not in first
-            or "sequenced" not in first
-            or "stable" not in first
-            or completion is None
-        ):
+        stamps = first_stamps(events)
+        delivered = [e.time for e in events if e.kind == "delivered"]
+        if delivered:
+            stamps["delivered"] = max(delivered)
+        if not is_complete(MESSAGE_STAGE_TABLE, stamps):
             skipped += 1
             continue
 
-        submit = first["broadcast"]
         if submit_times is not None:
+            submit = stamps["broadcast"]
             authoritative = submit_times.get(message_id)
             if authoritative is None:
                 if not strict_submissions:
@@ -201,40 +130,30 @@ def stage_breakdown(
                     "breakdown and the metrics report disagree on what "
                     "was submitted"
                 )
-            if abs(authoritative - submit) > submit_tolerance_s:
+            if abs(authoritative - submit) > SUBMIT_DRIFT_TOLERANCE_S:
                 raise CheckFailure(
                     f"{message_id}: broadcast span at {submit:.6f} but "
                     f"recorded submission at {authoritative:.6f} "
                     f"(drift {abs(authoritative - submit) * 1e3:.2f} ms > "
-                    f"{submit_tolerance_s * 1e3:.1f} ms): submission "
+                    f"{SUBMIT_DRIFT_TOLERANCE_S * 1e3:.1f} ms): submission "
                     "timestamps no longer share one source"
                 )
-            submit = authoritative
+            stamps["broadcast"] = authoritative
+        lifecycles.append(stamps)
 
-        # Boundaries are shared span events, so the three components
-        # sum to the end-to-end value exactly.
-        hop.append(first["sequenced"] - submit)
-        sequencing.append(first["stable"] - first["sequenced"])
-        stability.append(completion - first["stable"])
-        end_to_end.append(completion - submit)
-
-    if not end_to_end:
+    if not lifecycles:
         raise CheckFailure(
             "no message in the timeline completed a full lifecycle "
             "(broadcast/sequenced/stable/delivered); was the run traced "
             "with spans enabled?"
         )
 
-    mean_e2e = mean(end_to_end)
+    stages, end_to_end = telescope(MESSAGE_STAGE_TABLE, lifecycles)
     return StageBreakdown(
-        messages=len(end_to_end),
+        messages=len(lifecycles),
         skipped=skipped,
-        stages={
-            "hop": _stats(hop, mean_e2e),
-            "sequencing": _stats(sequencing, mean_e2e),
-            "stability": _stats(stability, mean_e2e),
-        },
-        end_to_end=_stats(end_to_end, mean_e2e),
+        stages=stages,
+        end_to_end=end_to_end,
     )
 
 
@@ -265,27 +184,16 @@ def ring_breakdowns(
     return out
 
 
-def crosscheck_latency(
-    breakdown: StageBreakdown,
-    mean_latency_s: float,
-    rel_tolerance: float = 0.05,
-) -> None:
-    """Assert the stage sum matches the metrics collector's latency.
-
-    The acceptance bar for the observability layer: hop + sequencing +
-    stability must explain the measured end-to-end number, not merely
-    co-exist with it.
-    """
-    stage_sum = sum(breakdown.stages[name].mean_s for name in STAGES)
-    reference = max(mean_latency_s, 1e-9)
-    drift = abs(stage_sum - mean_latency_s) / reference
-    if drift > rel_tolerance:
-        raise CheckFailure(
-            f"stage breakdown sums to {stage_sum * 1e3:.2f} ms but the "
-            f"metrics collector measured {mean_latency_s * 1e3:.2f} ms "
-            f"end-to-end ({drift * 100:.1f}% apart > "
-            f"{rel_tolerance * 100:.0f}%)"
-        )
+def crosscheck_latency(breakdown: StageBreakdown, mean_latency_s: float) -> None:
+    """Assert the stage sum matches the metrics collector's latency:
+    hop + sequencing + stability must explain the measured end-to-end
+    number (:func:`repro.obs.stages.crosscheck`)."""
+    crosscheck(
+        sum(stats.mean_s for stats in breakdown.stages.values()),
+        mean_latency_s,
+        "stage breakdown sums to",
+        "the metrics collector measured an end-to-end of",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -304,14 +212,7 @@ class LinkUtilization:
     queue_hwm_bytes: float
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "node": self.node,
-            "successor": self.successor,
-            "bytes_sent": self.bytes_sent,
-            "mbps": self.mbps,
-            "tx_stalls": self.tx_stalls,
-            "queue_hwm_bytes": self.queue_hwm_bytes,
-        }
+        return asdict(self)
 
 
 def link_utilization(timeline: Timeline) -> List[LinkUtilization]:
@@ -364,43 +265,61 @@ def render_link_table(links: List[LinkUtilization]) -> str:
     return "\n".join(lines)
 
 
+def _stage_gauges(
+    prefix: str, breakdown: Breakdown, end_to_end: StageStats
+) -> Dict[str, float]:
+    gauges: Dict[str, float] = {}
+    for name, stats in breakdown.stages.items():
+        gauges[f"{prefix}_stage_{name}_mean_seconds"] = stats.mean_s
+        gauges[f"{prefix}_stage_{name}_share"] = stats.share
+    gauges[f"{prefix}_end_to_end_mean_seconds"] = end_to_end.mean_s
+    gauges[f"{prefix}_end_to_end_p99_seconds"] = end_to_end.p99_s
+    return gauges
+
+
 def prometheus_snapshot(
     timeline: Timeline,
     breakdown: Optional[StageBreakdown] = None,
-    requests: Optional[Any] = None,
+    requests: Optional[RequestBreakdown] = None,
 ) -> str:
     """Prometheus text exposition: per-node telemetry + stage gauges.
 
-    ``requests`` (a :class:`~repro.obs.reqtrace.RequestBreakdown`)
-    adds the serve-layer request-stage gauges; ``spans_dropped``
-    surfaces capacity-capped span loss so a truncated trace can never
-    read as a complete one.
+    ``requests`` adds the serve-layer request-stage gauges (end-to-end
+    over every serve path, the population clients see);
+    ``spans_dropped`` surfaces capacity-capped span loss so a truncated
+    trace can never read as a complete one.
     """
     extra: Dict[str, float] = {"spans_dropped": float(timeline.dropped)}
     if breakdown is not None:
-        for name in STAGES:
-            extra[f"latency_stage_{name}_mean_seconds"] = (
-                breakdown.stages[name].mean_s
-            )
-            extra[f"latency_stage_{name}_share"] = breakdown.stages[name].share
-        extra["latency_end_to_end_mean_seconds"] = breakdown.end_to_end.mean_s
-        extra["latency_end_to_end_p99_seconds"] = breakdown.end_to_end.p99_s
+        extra.update(_stage_gauges("latency", breakdown, breakdown.end_to_end))
     if requests is not None:
-        from repro.obs.reqtrace import REQUEST_STAGES
-
-        for name in REQUEST_STAGES:
-            extra[f"request_stage_{name}_mean_seconds"] = (
-                requests.stages[name].mean_s
-            )
-            extra[f"request_stage_{name}_share"] = requests.stages[name].share
-        extra["request_end_to_end_mean_seconds"] = requests.overall.mean_s
-        extra["request_end_to_end_p99_seconds"] = requests.overall.p99_s
+        extra.update(_stage_gauges("request", requests, requests.overall))
     return render_prometheus(timeline.telemetry, extra=extra)
 
 
 # ----------------------------------------------------------------------
-# Recovery outage from spans (chaos-live's measurement path)
+# Recovery outage (chaos campaigns' measurement path)
 # ----------------------------------------------------------------------
+
+def worst_gap_ms(
+    series: Iterable[Sequence[float]], crash_times: Sequence[float]
+) -> Optional[float]:
+    """Worst gap, in ms, any one series shows across any crash instant:
+    from its last stamp at or before the crash to its first one after.
+
+    ``None`` when nobody crashed or no series has stamps on both sides
+    of a crash.
+    """
+    worst: Optional[float] = None
+    for times in series:
+        for crash_at in crash_times:
+            before = [t for t in times if t <= crash_at]
+            after = [t for t in times if t > crash_at]
+            if before and after:
+                gap_ms = (min(after) - max(before)) * 1e3
+                worst = gap_ms if worst is None else max(worst, gap_ms)
+    return worst
+
 
 def recovery_outage_from_spans(
     timeline: Timeline,
@@ -413,22 +332,10 @@ def recovery_outage_from_spans(
     :func:`repro.chaos.campaign.recovery_outage_ms`: instead of
     ad-hoc per-scenario timing over delivery logs, the outage is read
     off the same lifecycle timeline every other report uses, so outage
-    stats and traces cannot disagree.  ``None`` when nobody crashed or
-    no survivor delivered on both sides of a crash instant.
+    stats and traces cannot disagree.
     """
-    if not crash_times:
-        return None
-    per_node: Dict[int, List[float]] = {}
+    per_node: Dict[int, List[float]] = {node: [] for node in survivors}
     for event in timeline.events:
-        if event.kind == "delivered":
-            per_node.setdefault(event.node, []).append(event.time)
-    worst: Optional[float] = None
-    for node in sorted(survivors):
-        times = sorted(per_node.get(node, []))
-        for crash_at in crash_times:
-            before = [t for t in times if t <= crash_at]
-            after = [t for t in times if t > crash_at]
-            if before and after:
-                gap_ms = (min(after) - max(before)) * 1e3
-                worst = gap_ms if worst is None else max(worst, gap_ms)
-    return worst
+        if event.kind == "delivered" and event.node in per_node:
+            per_node[event.node].append(event.time)
+    return worst_gap_ms(per_node.values(), crash_times)

@@ -23,6 +23,8 @@ import asyncio
 import json
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
+from repro.obs.telemetry import render_prometheus
+
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Cap on an inbound request head; scrape requests are tiny.
@@ -77,8 +79,6 @@ class MetricsServer:
             return
         try:
             if path == "/metrics":
-                from repro.obs.telemetry import render_prometheus
-
                 body = render_prometheus({self.node: self._snapshot_fn()})
                 await self._respond(writer, 200, PROMETHEUS_CONTENT_TYPE, body)
             elif path == "/healthz":

@@ -1,11 +1,14 @@
-"""Span journals and the cross-node timeline merger.
+"""JSONL journals and the cross-node timeline merger.
 
-Live nodes append every span event (and periodic telemetry snapshots)
-to a per-node JSONL file, flushed line by line — the same
-crash-surviving discipline as the chaos event journal, so a SIGKILLed
-node's spans survive up to at worst one torn final line.  The merger
-joins per-node files into one :class:`Timeline`: all events rebased to
-a common origin and sorted, ready for ``python -m repro obs``.
+Live nodes append every broadcast/delivery (the node journal) and every
+span, request event and periodic telemetry snapshot (the span journal)
+to per-node JSONL files, flushed line by line, so a SIGKILLed node's
+log survives up to at worst one torn final line.  This module holds the
+one writer (:class:`JsonlWriter`) and the one torn-tail-tolerant,
+incremental reader (:class:`JsonlReader`) every journal goes through,
+and the merger that joins per-node span journals into one
+:class:`Timeline`: all events rebased to a common origin and sorted,
+ready for ``python -m repro obs``.
 
 The monotonic clock live nodes stamp spans with is system-wide on
 Linux, so cross-process timestamps are directly comparable after a
@@ -17,57 +20,36 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, List, Optional, TextIO, Type, TypeVar
 
+from repro.obs.event import Event
 from repro.obs.reqtrace import RequestEvent, request_sort_key
-from repro.obs.span import SpanEvent, SpanLog, lifecycle_sort_key
+from repro.obs.span import SpanEvent, SpanLog, distinct_messages, lifecycle_sort_key
 from repro.types import MessageId
 
 SPAN_JOURNAL_SCHEMA = "repro.span_journal/1"
 TIMELINE_SCHEMA = "repro.timeline/1"
 
+E = TypeVar("E", bound=Event)
 
-class SpanJournal:
-    """Append-and-flush JSONL writer for one node's spans + telemetry.
 
-    The first line is a ``span_meta`` header naming the node; a journal
-    without it never reached the point of emitting spans and loaders
-    reject it (mirrors the chaos journal's start-barrier rule).
+class JsonlWriter:
+    """Append-and-flush JSONL file that survives SIGKILL.
+
+    ``flush()`` hands the line to the OS on every entry; page cache
+    contents survive the process, so a killed writer's file is intact
+    up to (at worst) one torn final line, which :class:`JsonlReader`
+    tolerates.  ``path=None`` writes nothing.
     """
 
-    def __init__(self, path: Optional[str], node: int, start_time: float = 0.0) -> None:
+    def __init__(self, path: Optional[str]) -> None:
         self._fh: Optional[TextIO] = open(path, "w") if path else None
-        self.node = node
-        if self._fh is not None:
-            self._write({
-                "type": "span_meta",
-                "schema": SPAN_JOURNAL_SCHEMA,
-                "node": node,
-                "start_time": start_time,
-            })
 
-    def _write(self, entry: Dict[str, Any]) -> None:
+    def write(self, entry: Dict[str, Any]) -> None:
         if self._fh is None:
             return
         self._fh.write(json.dumps(entry) + "\n")
         self._fh.flush()
-
-    def write_span(self, event: SpanEvent) -> None:
-        self._write(event.to_dict())
-
-    def write_request(self, event: RequestEvent) -> None:
-        self._write(event.to_dict())
-
-    def write_telemetry(self, time: float, snapshot: Dict[str, Any]) -> None:
-        self._write({"type": "telemetry", "time": time, "snapshot": snapshot})
-
-    def sink(self) -> Any:
-        """A callable suitable for :meth:`SpanLog.add_sink`."""
-        return self.write_span
-
-    def request_sink(self) -> Any:
-        """A callable suitable for :meth:`RequestLog.add_sink`."""
-        return self.write_request
 
     def close(self) -> None:
         if self._fh is not None:
@@ -75,45 +57,92 @@ class SpanJournal:
             self._fh = None
 
 
+class JsonlReader:
+    """Incremental reader of a (possibly still growing) JSONL file.
+
+    :meth:`poll` returns the complete lines appended since the last
+    call, parsed; reading a whole file is one ``poll()``.  An
+    unterminated final line — a write in progress, or torn by a SIGKILL
+    — is left for a later poll, and a missing file reads as empty.  A
+    *terminated* line that is not a JSON object ends the readable
+    prefix for good: nothing after corruption is trusted.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._offset = 0
+
+    def poll(self) -> List[Dict[str, Any]]:
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(self._offset)
+                chunk = fh.read()
+        except OSError:
+            return []
+        entries: List[Dict[str, Any]] = []
+        end = chunk.rfind(b"\n")
+        if end < 0:
+            return entries
+        for line in chunk[:end].split(b"\n"):
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                break
+            if not isinstance(entry, dict):
+                break
+            entries.append(entry)
+            self._offset += len(line) + 1
+        return entries
+
+
+class SpanJournal(JsonlWriter):
+    """One node's span / request-event / telemetry journal.
+
+    The first line is a ``span_meta`` header naming the node; a journal
+    without it never reached the point of emitting spans and loaders
+    reject it (mirrors the node journal's start-barrier rule).
+    """
+
+    def __init__(self, path: Optional[str], node: int, start_time: float = 0.0) -> None:
+        super().__init__(path)
+        self.write({
+            "type": "span_meta",
+            "schema": SPAN_JOURNAL_SCHEMA,
+            "node": node,
+            "start_time": start_time,
+        })
+
+    def write_event(self, event: Event) -> None:
+        """The sink for :meth:`SpanLog.add_sink` / :meth:`RequestLog.add_sink`."""
+        self.write(event.to_dict())
+
+    def write_telemetry(self, time: float, snapshot: Dict[str, Any]) -> None:
+        self.write({"type": "telemetry", "time": time, "snapshot": snapshot})
+
+
+def _events_of(entries: List[Dict[str, Any]], cls: Type[E]) -> List[E]:
+    return [cls.from_dict(e) for e in entries if e.get("type") == cls.TYPE]
+
+
 def load_span_journal(path: str) -> Optional[Dict[str, Any]]:
     """Load one per-node span journal; torn-tail tolerant.
 
     Returns ``None`` for a missing file or one with no ``span_meta``
     header (the node never started emitting).  Otherwise returns
-    ``{"node", "start_time", "events", "telemetry"}`` where ``events``
-    is a list of :class:`SpanEvent` and ``telemetry`` the list of
-    snapshot entries in write order.
+    ``{"node", "start_time", "events", "requests", "telemetry"}`` where
+    ``events``/``requests`` are :class:`SpanEvent`/:class:`RequestEvent`
+    lists and ``telemetry`` the snapshot entries, all in write order.
     """
-    entries: List[Dict[str, Any]] = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                try:
-                    entries.append(json.loads(line))
-                except ValueError:
-                    break  # torn tail line from a SIGKILL mid-write
-    except OSError:
-        return None
+    entries = JsonlReader(path).poll()
     meta = next((e for e in entries if e.get("type") == "span_meta"), None)
     if meta is None:
         return None
-    events = [
-        SpanEvent.from_dict(entry)
-        for entry in entries
-        if entry.get("type") == "span"
-    ]
-    requests = [
-        RequestEvent.from_dict(entry)
-        for entry in entries
-        if entry.get("type") == "req"
-    ]
-    telemetry = [entry for entry in entries if entry.get("type") == "telemetry"]
     return {
         "node": meta["node"],
         "start_time": meta.get("start_time", 0.0),
-        "events": events,
-        "requests": requests,
-        "telemetry": telemetry,
+        "events": _events_of(entries, SpanEvent),
+        "requests": _events_of(entries, RequestEvent),
+        "telemetry": [e for e in entries if e.get("type") == "telemetry"],
     }
 
 
@@ -136,10 +165,7 @@ class Timeline:
     dropped: int = 0
 
     def messages(self) -> List[MessageId]:
-        seen: Dict[MessageId, None] = {}
-        for event in self.events:
-            seen.setdefault(event.message_id, None)
-        return list(seen)
+        return distinct_messages(self.events)
 
     def lifecycle(self, message: MessageId) -> List[SpanEvent]:
         return sorted(
@@ -183,92 +209,52 @@ class Timeline:
     # Persistence (the merged-timeline artifact ``repro obs`` consumes)
     # ------------------------------------------------------------------
     def write_jsonl(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(json.dumps({
+        entries = [
+            {
                 "type": "timeline_meta",
                 "schema": TIMELINE_SCHEMA,
                 "duration_s": self.duration_s,
                 "nodes": self.nodes(),
                 "dropped": self.dropped,
-            }) + "\n")
-            for node in sorted(self.telemetry):
-                fh.write(json.dumps({
-                    "type": "telemetry",
-                    "node": node,
-                    "snapshot": self.telemetry[node],
-                }) + "\n")
-            for event in self.events:
-                fh.write(json.dumps(event.to_dict()) + "\n")
-            for request in self.requests:
-                fh.write(json.dumps(request.to_dict()) + "\n")
+            },
+            *(
+                {"type": "telemetry", "node": node, "snapshot": self.telemetry[node]}
+                for node in sorted(self.telemetry)
+            ),
+            *(event.to_dict() for event in self.events),
+            *(request.to_dict() for request in self.requests),
+        ]
+        # Written once, after the run: no per-line flush (nothing here
+        # has to survive a crash of the writer).
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(entry) + "\n" for entry in entries)
 
     @classmethod
     def load_jsonl(cls, path: str) -> "Timeline":
-        events: List[SpanEvent] = []
-        requests: List[RequestEvent] = []
-        telemetry: Dict[int, Dict[str, Any]] = {}
-        duration = 0.0
-        dropped = 0
-        with open(path) as fh:
-            for line in fh:
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    break  # tolerate a torn tail here too
-                kind = entry.get("type")
-                if kind == "timeline_meta":
-                    duration = float(entry.get("duration_s", 0.0))
-                    dropped = int(entry.get("dropped", 0))
-                elif kind == "telemetry":
-                    telemetry[int(entry["node"])] = entry["snapshot"]
-                elif kind == "span":
-                    events.append(SpanEvent.from_dict(entry))
-                elif kind == "req":
-                    requests.append(RequestEvent.from_dict(entry))
-        events.sort(key=lifecycle_sort_key)
-        requests.sort(key=request_sort_key)
+        entries = JsonlReader(path).poll()
+        meta = next((e for e in entries if e.get("type") == "timeline_meta"), {})
+        events = sorted(_events_of(entries, SpanEvent), key=lifecycle_sort_key)
+        duration = float(meta.get("duration_s", 0.0))
         if events and not duration:
             duration = events[-1].time - min(e.time for e in events)
         return cls(
-            events=events, telemetry=telemetry, duration_s=duration,
-            requests=requests, dropped=dropped,
+            events=events,
+            telemetry={
+                int(e["node"]): e["snapshot"]
+                for e in entries if e.get("type") == "telemetry"
+            },
+            duration_s=duration,
+            requests=sorted(_events_of(entries, RequestEvent), key=request_sort_key),
+            dropped=int(meta.get("dropped", 0)),
         )
 
 
-def _rebase(event: SpanEvent, t0: float) -> SpanEvent:
-    if t0 == 0.0:
-        return event
-    return SpanEvent(
-        time=event.time - t0,
-        node=event.node,
-        kind=event.kind,
-        origin=event.origin,
-        local_seq=event.local_seq,
-        sequence=event.sequence,
-        hop=event.hop,
-        ring=event.ring,
-    )
-
-
 def rebase_request(event: RequestEvent, t0: float) -> RequestEvent:
-    """Shift one request event onto the merged timeline's origin.
-
-    Public (unlike the span ``_rebase``) because the serve runner must
-    rebase *client-side* events it collected in the launcher process —
-    the monotonic clock is system-wide on Linux, so subtracting the
-    same ``t0`` as the node journals puts them on one axis.
-    """
-    if t0 == 0.0:
-        return event
-    return RequestEvent(
-        time=event.time - t0,
-        node=event.node,
-        kind=event.kind,
-        client=event.client,
-        seq=event.seq,
-        origin=event.origin,
-        local_seq=event.local_seq,
-    )
+    """``event.rebased(t0)`` — the name ``bench/`` rebases the client
+    events it collected in the launcher process under (the monotonic
+    clock is system-wide on Linux, so the node journals' ``t0`` puts
+    them on one axis)."""
+    return event.rebased(t0)
 
 
 def merge_span_journals(
@@ -295,10 +281,8 @@ def merge_span_journals(
     requests: List[RequestEvent] = []
     telemetry: Dict[int, Dict[str, Any]] = {}
     for node, journal in loaded.items():
-        events.extend(_rebase(event, t0) for event in journal["events"])
-        requests.extend(
-            rebase_request(event, t0) for event in journal.get("requests", [])
-        )
+        events.extend(event.rebased(t0) for event in journal["events"])
+        requests.extend(event.rebased(t0) for event in journal["requests"])
         if journal["telemetry"]:
             telemetry[node] = journal["telemetry"][-1]["snapshot"]
     events.sort(key=lifecycle_sort_key)
@@ -314,15 +298,13 @@ def merge_span_journals(
 
 
 def timeline_from_spanlog(
-    spans: SpanLog,
-    duration_s: Optional[float] = None,
-    telemetry: Optional[Dict[int, Dict[str, Any]]] = None,
+    spans: SpanLog, telemetry: Optional[Dict[int, Dict[str, Any]]] = None
 ) -> Timeline:
     """Wrap an in-memory (simulated) span log as a timeline."""
     events = sorted(spans.records(), key=lifecycle_sort_key)
-    if duration_s is None:
-        duration_s = max((e.time for e in events), default=0.0)
     return Timeline(
-        events=events, telemetry=dict(telemetry or {}), duration_s=duration_s,
+        events=events,
+        telemetry=dict(telemetry or {}),
+        duration_s=max((e.time for e in events), default=0.0),
         dropped=spans.dropped,
     )

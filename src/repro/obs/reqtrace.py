@@ -22,7 +22,8 @@ re-sent pending requests after rotating servers).
 
 :func:`request_breakdown` decomposes client-observed latency into
 queue/replication/apply/respond stages — the serve-layer analogue of
-the paper's §4.3.1 hop/sequencing/stability breakdown — and
+the paper's §4.3.1 hop/sequencing/stability breakdown, driven by the
+same stage-table machinery (:mod:`repro.obs.stages`) — and
 :func:`crosscheck_request_latency` hard-gates the traced end-to-end
 mean against the load generator's independently measured latencies,
 the same 5% bar as :func:`repro.obs.analyze.crosscheck_latency`.
@@ -31,9 +32,21 @@ the same 5% bar as :func:`repro.obs.analyze.crosscheck_latency`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CheckFailure
+from repro.obs.event import Event, EventLog
+from repro.obs.stages import (
+    Breakdown,
+    StageStats,
+    StageTable,
+    crosscheck,
+    first_stamps,
+    is_complete,
+    summarize,
+    telescope,
+)
+from repro.stats import mean
 from repro.types import MessageId
 
 #: Stage events in causal order.  ``send``/``acked`` are client-side;
@@ -53,15 +66,31 @@ REQUEST_KIND_RANK: Dict[str, int] = {
     kind: rank for rank, kind in enumerate(REQUEST_KINDS)
 }
 
+#: The request stage table, ordered-path requests only:
+#:
+#: * **queue** — client ``send`` until the envelope is ``proposed``
+#:   (wire transit plus the server's dispatch/enqueue work);
+#: * **replication** — ``proposed`` until the total order delivers it
+#:   back (``ordered``): the full broadcast lifecycle;
+#: * **apply** — ``ordered`` until the session machine ``applied`` it
+#:   (decode + dedup + inner-machine CPU);
+#: * **respond** — ``applied`` until the client saw the ack.
+REQUEST_STAGE_TABLE: StageTable = (
+    ("queue", "send", "proposed"),
+    ("replication", "proposed", "ordered"),
+    ("apply", "ordered", "applied"),
+    ("respond", "applied", "acked"),
+)
+
 #: Stage names of the request breakdown, in lifecycle order.
-REQUEST_STAGES = ("queue", "replication", "apply", "respond")
+REQUEST_STAGES = tuple(stage for stage, _, _ in REQUEST_STAGE_TABLE)
 
 #: Node id stamped on client-side events (clients are not ring nodes).
 CLIENT_NODE = -1
 
 
 @dataclass(frozen=True)
-class RequestEvent:
+class RequestEvent(Event):
     """One lifecycle event (or marker) for one client request.
 
     Keyed by ``(client, seq)`` — the same identity the exactly-once
@@ -69,6 +98,8 @@ class RequestEvent:
     onto one request.  ``origin``/``local_seq`` are set on ``proposed``
     events only: the join key onto message-lifecycle spans.
     """
+
+    TYPE = "req"
 
     time: float
     node: int
@@ -83,39 +114,6 @@ class RequestEvent:
         if self.origin is None or self.local_seq is None:
             return None
         return MessageId(origin=self.origin, local_seq=self.local_seq)
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "type": "req",
-            "time": self.time,
-            "node": self.node,
-            "kind": self.kind,
-            "client": self.client,
-            "seq": self.seq,
-        }
-        if self.origin is not None:
-            out["origin"] = self.origin
-        if self.local_seq is not None:
-            out["local_seq"] = self.local_seq
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RequestEvent":
-        return cls(
-            time=float(data["time"]),  # type: ignore[arg-type]
-            node=int(data["node"]),  # type: ignore[arg-type]
-            kind=str(data["kind"]),
-            client=str(data["client"]),
-            seq=int(data["seq"]),  # type: ignore[arg-type]
-            origin=(
-                int(data["origin"]) if data.get("origin") is not None  # type: ignore[arg-type]
-                else None
-            ),
-            local_seq=(
-                int(data["local_seq"]) if data.get("local_seq") is not None  # type: ignore[arg-type]
-                else None
-            ),
-        )
 
     def __str__(self) -> str:
         join = ""
@@ -136,58 +134,11 @@ def request_sort_key(event: RequestEvent) -> tuple:
     )
 
 
-class RequestLog:
-    """Append-only request-event log; same discipline as ``SpanLog``.
+class RequestLog(EventLog[RequestEvent]):
+    """Request-event log; ``emit(time, node, kind, client, seq,
+    origin=, local_seq=)``."""
 
-    Disabled by default — one attribute check per emission site, no
-    allocation.  Sinks (a live node's span journal) see every record as
-    it is emitted; an event that reaches neither the in-memory store
-    (capacity full) nor any sink counts as dropped.
-    """
-
-    def __init__(self, enabled: bool = False, capacity: Optional[int] = None) -> None:
-        self.enabled = enabled
-        self._records: List[RequestEvent] = []
-        self._capacity = capacity
-        self._dropped = 0
-        self._sinks: List[Callable[[RequestEvent], None]] = []
-
-    def emit(
-        self,
-        time: float,
-        node: int,
-        kind: str,
-        client: str,
-        seq: int,
-        origin: Optional[int] = None,
-        local_seq: Optional[int] = None,
-    ) -> None:
-        """Record one request event if request tracing is enabled."""
-        if not self.enabled:
-            return
-        event = RequestEvent(
-            time=time, node=node, kind=kind, client=client, seq=seq,
-            origin=origin, local_seq=local_seq,
-        )
-        if self._capacity is None or len(self._records) < self._capacity:
-            self._records.append(event)
-        elif not self._sinks:
-            self._dropped += 1
-        for sink in self._sinks:
-            sink(event)
-
-    def add_sink(self, sink: Callable[[RequestEvent], None]) -> None:
-        self._sinks.append(sink)
-
-    def records(self) -> List[RequestEvent]:
-        return list(self._records)
-
-    @property
-    def dropped(self) -> int:
-        return self._dropped
-
-    def __len__(self) -> int:
-        return len(self._records)
+    record_type = RequestEvent
 
 
 def requests_by_key(
@@ -203,96 +154,47 @@ def requests_by_key(
 
 
 @dataclass
-class RequestBreakdown:
+class RequestBreakdown(Breakdown):
     """Client-observed latency decomposed into serve-layer stages.
 
-    The four stages cover *ordered-path* requests (the ones that rode
-    the total order) and sum to their end-to-end latency exactly —
-    every boundary is one shared event timestamp:
-
-    * **queue** — client ``send`` until the envelope is ``proposed``
-      (wire transit plus the server's dispatch/enqueue work);
-    * **replication** — ``proposed`` until the total order delivers it
-      back (``ordered``): the full broadcast lifecycle;
-    * **apply** — ``ordered`` until the session machine ``applied`` it
-      (decode + dedup + inner-machine CPU);
-    * **respond** — ``applied`` until the client saw the ack.
-
-    ``overall`` summarises end-to-end latency over *all* traced
-    requests (local reads and cached answers included), which is the
-    population the load generator measures — the cross-check target.
+    The stages (:data:`REQUEST_STAGE_TABLE`) cover *ordered-path*
+    requests — the ones that rode the total order — and sum to their
+    end-to-end latency exactly.  ``overall`` summarises end-to-end
+    latency over *all* traced requests (local reads and cached answers
+    included), which is the population the load generator measures —
+    the cross-check target.
     """
+
+    _STATS_FIELDS = ("end_to_end", "overall")
 
     #: Ordered-path requests with a complete stage lifecycle.
     requests: int
     #: Traced requests skipped for an incomplete lifecycle.
     skipped: int
-    stages: Dict[str, "Any"]
-    #: End-to-end stats over the ordered-path requests above.
-    end_to_end: "Any"
-    #: End-to-end stats over all traced requests (every serve path).
-    overall: "Any"
     #: All requests with both ``send`` and ``acked`` stamps.
     total: int
+    stages: Dict[str, StageStats]
+    #: End-to-end stats over the ordered-path requests above.
+    end_to_end: StageStats
+    #: End-to-end stats over all traced requests (every serve path).
+    overall: StageStats
     #: Serve-path / failover marker counts.
     markers: Dict[str, int]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "skipped": self.skipped,
-            "total": self.total,
-            "stages": {name: s.to_dict() for name, s in self.stages.items()},
-            "end_to_end": self.end_to_end.to_dict(),
-            "overall": self.overall.to_dict(),
-            "markers": dict(self.markers),
-        }
+    def _totals(self) -> List[Tuple[str, StageStats, str]]:
+        return [
+            ("ordered e2e", self.end_to_end, "100.0%"),
+            ("all paths", self.overall, ""),
+        ]
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RequestBreakdown":
-        from repro.obs.analyze import StageStats
-
-        return cls(
-            requests=data["requests"],
-            skipped=data["skipped"],
-            total=data["total"],
-            stages={
-                name: StageStats.from_dict(s)
-                for name, s in data["stages"].items()
-            },
-            end_to_end=StageStats.from_dict(data["end_to_end"]),
-            overall=StageStats.from_dict(data["overall"]),
-            markers=dict(data["markers"]),
-        )
-
-    def render_table(self) -> str:
-        header = f"{'stage':<12} {'mean ms':>9} {'p50 ms':>9} {'p99 ms':>9} {'share':>7}"
-        lines = [header, "-" * len(header)]
-        for name in REQUEST_STAGES:
-            s = self.stages[name]
-            lines.append(
-                f"{name:<12} {s.mean_s * 1e3:>9.2f} {s.p50_s * 1e3:>9.2f} "
-                f"{s.p99_s * 1e3:>9.2f} {s.share * 100:>6.1f}%"
-            )
-        e = self.end_to_end
-        lines.append("-" * len(header))
-        lines.append(
-            f"{'ordered e2e':<12} {e.mean_s * 1e3:>9.2f} {e.p50_s * 1e3:>9.2f} "
-            f"{e.p99_s * 1e3:>9.2f} {'100.0%':>7}"
-        )
-        o = self.overall
-        lines.append(
-            f"{'all paths':<12} {o.mean_s * 1e3:>9.2f} {o.p50_s * 1e3:>9.2f} "
-            f"{o.p99_s * 1e3:>9.2f} {'':>7}"
-        )
+    def _footer(self) -> str:
         marks = ", ".join(
             f"{name}={self.markers.get(name, 0)}" for name in REQUEST_MARKERS
         )
-        lines.append(
+        return (
             f"({self.requests} ordered of {self.total} traced requests, "
             f"{self.skipped} incomplete; {marks})"
         )
-        return "\n".join(lines)
 
 
 def request_breakdown(events: Iterable[RequestEvent]) -> RequestBreakdown:
@@ -305,94 +207,65 @@ def request_breakdown(events: Iterable[RequestEvent]) -> RequestBreakdown:
     ordered-path requests additionally need ``proposed``/``ordered``/
     ``applied`` to contribute stage samples.
     """
-    from repro.metrics.stats import mean
-    from repro.obs.analyze import _stats
-
-    queue: List[float] = []
-    replication: List[float] = []
-    apply: List[float] = []
-    respond: List[float] = []
-    ordered_e2e: List[float] = []
+    ordered: List[Dict[str, float]] = []
     all_e2e: List[float] = []
     skipped = 0
     markers: Dict[str, int] = {name: 0 for name in REQUEST_MARKERS}
 
-    for _key, group in requests_by_key(events).items():
-        first: Dict[str, float] = {}
+    for group in requests_by_key(events).values():
         for event in group:
             if event.kind in markers:
                 markers[event.kind] += 1
-            elif event.kind not in first:
-                first[event.kind] = event.time
-        if "send" not in first or "acked" not in first:
+        stamps = first_stamps(group)
+        if "send" not in stamps or "acked" not in stamps:
             skipped += 1
             continue
-        all_e2e.append(first["acked"] - first["send"])
-        if not all(k in first for k in ("proposed", "ordered", "applied")):
+        all_e2e.append(stamps["acked"] - stamps["send"])
+        if not is_complete(REQUEST_STAGE_TABLE, stamps):
             continue  # local/cached path: no ordered stages to decompose
-        if first["acked"] < first["applied"]:
+        if stamps["acked"] < stamps["applied"]:
             # The ack raced ahead of the ordered application: a failover
             # duplicate rode the total order after a cached/local answer
             # had already satisfied the client.  The client-observed
             # latency (counted above) was not produced by these stages,
             # so crediting them would yield negative respond times.
             continue
-        # Boundaries are shared event timestamps, so the four components
-        # sum to the ordered end-to-end value exactly.
-        queue.append(first["proposed"] - first["send"])
-        replication.append(first["ordered"] - first["proposed"])
-        apply.append(first["applied"] - first["ordered"])
-        respond.append(first["acked"] - first["applied"])
-        ordered_e2e.append(first["acked"] - first["send"])
+        ordered.append(stamps)
 
     if not all_e2e:
         raise CheckFailure(
             "no traced request completed a send/acked round trip; was the "
             "run traced with --trace-requests?"
         )
-    if not ordered_e2e:
+    if not ordered:
         raise CheckFailure(
             "no traced request took the ordered path (proposed/ordered/"
             "applied); nothing to decompose into stages"
         )
 
-    mean_e2e = mean(ordered_e2e)
+    stages, end_to_end = telescope(REQUEST_STAGE_TABLE, ordered)
     return RequestBreakdown(
-        requests=len(ordered_e2e),
+        requests=len(ordered),
         skipped=skipped,
         total=len(all_e2e),
-        stages={
-            "queue": _stats(queue, mean_e2e),
-            "replication": _stats(replication, mean_e2e),
-            "apply": _stats(apply, mean_e2e),
-            "respond": _stats(respond, mean_e2e),
-        },
-        end_to_end=_stats(ordered_e2e, mean_e2e),
-        overall=_stats(all_e2e, mean(all_e2e)),
+        stages=stages,
+        end_to_end=end_to_end,
+        overall=summarize(all_e2e, mean(all_e2e)),
         markers=markers,
     )
 
 
 def crosscheck_request_latency(
-    breakdown: RequestBreakdown,
-    mean_latency_s: float,
-    rel_tolerance: float = 0.05,
+    breakdown: RequestBreakdown, mean_latency_s: float
 ) -> None:
     """Assert traced latency matches the load generator's measurement.
 
-    The serve-layer acceptance bar: the request-stage breakdown (whose
-    stages sum to the traced end-to-end by construction) must explain
-    the latency the load generator measured through its own
-    timestamps, not merely co-exist with it.  Both populations are
-    "every completed request", so their means must agree within
-    ``rel_tolerance``.
+    Both populations are "every completed request" — the traced
+    ``overall`` mean and the generator's own timestamps — so their
+    means must agree (:func:`repro.obs.stages.crosscheck`).
     """
-    traced = breakdown.overall.mean_s
-    reference = max(mean_latency_s, 1e-9)
-    drift = abs(traced - mean_latency_s) / reference
-    if drift > rel_tolerance:
-        raise CheckFailure(
-            f"request traces give {traced * 1e3:.2f} ms mean end-to-end "
-            f"but the load generator measured {mean_latency_s * 1e3:.2f} ms "
-            f"({drift * 100:.1f}% apart > {rel_tolerance * 100:.0f}%)"
-        )
+    crosscheck(
+        breakdown.overall.mean_s, mean_latency_s,
+        "request traces give a mean end-to-end of",
+        "the load generator measured",
+    )

@@ -11,18 +11,17 @@ times.  Timestamps come from whatever ``Clock`` the emitting runtime
 uses — ``Simulator.now`` in simulation, ``loop.time()`` (CLOCK_MONOTONIC)
 on live nodes — through one code path.
 
-Like :class:`repro.sim.trace.TraceLog`, a disabled :class:`SpanLog`
-costs one attribute check per emission site and allocates nothing, so
-benchmark throughput is unaffected.  Call sites guard with
-``if spans.enabled:`` *before* building arguments; ``emit`` re-checks
-so direct calls stay safe.
+Emission follows the shared :class:`~repro.obs.event.EventLog`
+discipline: call sites guard with ``if spans.enabled:`` *before*
+building arguments, so a disabled log costs one attribute check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
+from repro.obs.event import Event, EventLog
 from repro.types import MessageId
 
 #: Lifecycle stages in causal order.  ``fwd_hop`` may repeat (one per
@@ -37,12 +36,10 @@ KIND_RANK: Dict[str, int] = {kind: rank for rank, kind in enumerate(SPAN_KINDS)}
 
 
 @dataclass(frozen=True)
-class SpanEvent:
-    """One lifecycle event for one message on one node.
+class SpanEvent(Event):
+    """One lifecycle event for one message on one node."""
 
-    Kept flat (no nested detail dict) so it serialises to a single
-    JSONL object and costs one allocation per event.
-    """
+    TYPE = "span"
 
     time: float
     node: int
@@ -57,39 +54,6 @@ class SpanEvent:
     @property
     def message_id(self) -> MessageId:
         return MessageId(origin=self.origin, local_seq=self.local_seq)
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "type": "span",
-            "time": self.time,
-            "node": self.node,
-            "kind": self.kind,
-            "origin": self.origin,
-            "local_seq": self.local_seq,
-        }
-        if self.sequence is not None:
-            out["sequence"] = self.sequence
-        if self.hop is not None:
-            out["hop"] = self.hop
-        if self.ring is not None:
-            out["ring"] = self.ring
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SpanEvent":
-        return cls(
-            time=float(data["time"]),  # type: ignore[arg-type]
-            node=int(data["node"]),  # type: ignore[arg-type]
-            kind=str(data["kind"]),
-            origin=int(data["origin"]),  # type: ignore[arg-type]
-            local_seq=int(data["local_seq"]),  # type: ignore[arg-type]
-            sequence=(
-                int(data["sequence"]) if data.get("sequence") is not None  # type: ignore[arg-type]
-                else None
-            ),
-            hop=int(data["hop"]) if data.get("hop") is not None else None,  # type: ignore[arg-type]
-            ring=int(data["ring"]) if data.get("ring") is not None else None,  # type: ignore[arg-type]
-        )
 
     def __str__(self) -> str:
         extra = ""
@@ -110,113 +74,26 @@ def lifecycle_sort_key(event: SpanEvent) -> tuple:
     return (event.time, KIND_RANK.get(event.kind, len(SPAN_KINDS)), event.node)
 
 
-class SpanLog:
-    """Append-only per-message lifecycle log with cheap filtering.
+def distinct_messages(events: Iterable[SpanEvent]) -> List[MessageId]:
+    """Distinct message ids, in first-appearance order."""
+    seen: Dict[MessageId, None] = {}
+    for event in events:
+        seen.setdefault(event.message_id, None)
+    return list(seen)
 
-    Mirrors :class:`~repro.sim.trace.TraceLog`'s discipline: disabled by
-    default, and a disabled log costs one attribute check per emission
-    site.  Sinks (e.g. a live node's JSONL journal) see every record as
-    it is emitted.
-    """
 
-    def __init__(self, enabled: bool = False, capacity: Optional[int] = None) -> None:
-        self.enabled = enabled
-        self._records: List[SpanEvent] = []
-        self._capacity = capacity
-        self._dropped = 0
-        self._sinks: List[Callable[[SpanEvent], None]] = []
+class SpanLog(EventLog[SpanEvent]):
+    """Per-message lifecycle log; ``emit(time, node, kind, origin,
+    local_seq, sequence=, hop=, ring=)``."""
 
-    def emit(
-        self,
-        time: float,
-        node: int,
-        kind: str,
-        origin: int,
-        local_seq: int,
-        sequence: Optional[int] = None,
-        hop: Optional[int] = None,
-        ring: Optional[int] = None,
-    ) -> None:
-        """Record one lifecycle event if span logging is enabled."""
-        if not self.enabled:
-            return
-        event = SpanEvent(
-            time=time, node=node, kind=kind, origin=origin,
-            local_seq=local_seq, sequence=sequence, hop=hop, ring=ring,
-        )
-        if self._capacity is None or len(self._records) < self._capacity:
-            self._records.append(event)
-        elif not self._sinks:
-            # Only count a drop when the event reaches *no* destination:
-            # live nodes run capacity=0 with a journal sink, which is
-            # streaming, not dropping.
-            self._dropped += 1
-        for sink in self._sinks:
-            sink(event)
-
-    def add_sink(self, sink: Callable[[SpanEvent], None]) -> None:
-        """Stream every future event to ``sink`` (e.g. a journal writer)."""
-        self._sinks.append(sink)
-
-    # ------------------------------------------------------------------
-    # Querying
-    # ------------------------------------------------------------------
-    def records(
-        self,
-        kind: Optional[str] = None,
-        message: Optional[MessageId] = None,
-        node: Optional[int] = None,
-    ) -> List[SpanEvent]:
-        """Return events, optionally filtered by kind/message/node."""
-        return list(self._iter(kind, message, node))
-
-    def count(
-        self,
-        kind: Optional[str] = None,
-        message: Optional[MessageId] = None,
-        node: Optional[int] = None,
-    ) -> int:
-        return sum(1 for _ in self._iter(kind, message, node))
+    record_type = SpanEvent
 
     def lifecycle(self, message: MessageId) -> List[SpanEvent]:
         """All events for one message, in causal lifecycle order."""
-        return sorted(self._iter(None, message, None), key=lifecycle_sort_key)
+        return sorted(
+            self.records(origin=message.origin, local_seq=message.local_seq),
+            key=lifecycle_sort_key,
+        )
 
     def messages(self) -> List[MessageId]:
-        """Distinct message ids, in first-appearance order."""
-        seen: Dict[MessageId, None] = {}
-        for event in self._records:
-            seen.setdefault(event.message_id, None)
-        return list(seen)
-
-    @property
-    def dropped(self) -> int:
-        return self._dropped
-
-    def _iter(
-        self,
-        kind: Optional[str],
-        message: Optional[MessageId],
-        node: Optional[int],
-    ) -> Iterator[SpanEvent]:
-        for event in self._records:
-            if kind is not None and event.kind != kind:
-                continue
-            if message is not None and (
-                event.origin != message.origin
-                or event.local_seq != message.local_seq
-            ):
-                continue
-            if node is not None and event.node != node:
-                continue
-            yield event
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def dump(self, limit: int = 200) -> str:
-        tail = self._records[-limit:]
-        lines = [str(event) for event in tail]
-        if len(self._records) > limit:
-            lines.insert(0, f"... ({len(self._records) - limit} earlier events elided)")
-        return "\n".join(lines)
+        return distinct_messages(self._records)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.stats import mean, percentile
+
 
 class Counter:
     """Monotonic event count."""
@@ -49,7 +51,7 @@ class Histogram:
 
     Keeps raw samples — live runs are short and bounded, so memory is
     not a concern, and raw samples let the analyzer compute any
-    percentile exactly via :func:`repro.metrics.stats.percentile`.
+    percentile exactly via :func:`repro.stats.percentile`.
     """
 
     __slots__ = ("samples",)
@@ -65,11 +67,6 @@ class Histogram:
         return len(self.samples)
 
     def summary(self) -> Dict[str, float]:
-        # Imported here, not at module level: the stats helpers live in
-        # the metrics package, which imports the cluster, which imports
-        # the protocol core — and the core imports ``repro.obs``.
-        from repro.metrics.stats import mean, percentile
-
         if not self.samples:
             return {"count": 0}
         return {

@@ -28,15 +28,16 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.live.node import read_journal
 from repro.live.runner import LiveCluster, LiveClusterSpec, run_origin
-from repro.obs.journal import Timeline, rebase_request
+from repro.obs.httpexport import fetch_metrics, prometheus_metric_names
+from repro.obs.journal import JsonlReader, Timeline
 from repro.obs.reqtrace import (
     RequestBreakdown,
     crosscheck_request_latency,
     request_breakdown,
     request_sort_key,
 )
+from repro.obs.telemetry import render_prometheus
 from repro.serve.loadgen import LoadConfig, LoadStats, run_load
 from repro.types import ProcessId
 
@@ -174,7 +175,7 @@ class ServePoint:
 def load_applied_log(path: str) -> List[Dict[str, Any]]:
     """Extract the session ``apply`` entries from a node journal
     (torn-tail tolerant; a missing journal reads as empty)."""
-    return [e for e in read_journal(path) if e.get("type") == "apply"]
+    return [e for e in JsonlReader(path).poll() if e.get("type") == "apply"]
 
 
 def verify_serve_run(
@@ -295,9 +296,6 @@ def _scrape_parity(
     """
     if not scrapes:
         return None
-    from repro.obs.httpexport import prometheus_metric_names
-    from repro.obs.telemetry import render_prometheus
-
     ok = True
     for pid, text in scrapes.items():
         record = records.get(pid)
@@ -328,16 +326,19 @@ def _await_drain(
     acked = {(client, seq) for client, seq, _op, _args in acked_writes}
     survivors = [pid for pid in cluster.members if pid not in cluster.killed]
     deadline = time.monotonic() + timeout_s
+    # One incremental reader per survivor: each journal line is parsed
+    # once however long the drain takes.
+    readers = [JsonlReader(cluster.journal_paths[pid]) for pid in survivors]
+    applied_sets: List[set] = [set() for _ in survivors]
     last_counts: Optional[List[int]] = None
     settled_since = time.monotonic()
     while time.monotonic() < deadline:
-        applied_sets = [
-            {
+        for reader, applied in zip(readers, applied_sets):
+            applied.update(
                 (entry["client"], entry["seq"])
-                for entry in load_applied_log(cluster.journal_paths[pid])
-            }
-            for pid in survivors
-        ]
+                for entry in reader.poll()
+                if entry.get("type") == "apply"
+            )
         counts = [len(s) for s in applied_sets]
         if counts != last_counts:
             last_counts = counts
@@ -383,8 +384,6 @@ def run_serve_point(
             kill_handle = None
             scrape_task: Optional[asyncio.Task] = None
             if cluster.metrics_addresses:
-                from repro.obs.httpexport import fetch_metrics
-
                 async def scrape_mid_load() -> None:
                     # Half the load window: under load by design,
                     # and past the kill fraction so a kill-point
@@ -462,7 +461,7 @@ def run_serve_point(
         # timeline's axis.
         t0 = run_origin(records)
         timeline.requests.extend(
-            rebase_request(event, t0) for event in stats.request_events
+            event.rebased(t0) for event in stats.request_events
         )
         timeline.requests.sort(key=request_sort_key)
     if timeline is not None and timeline.requests:

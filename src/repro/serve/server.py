@@ -98,8 +98,7 @@ class SessionServer:
         self.sched = sched
         self.telemetry = telemetry or Telemetry()
         self._journal = journal
-        # `is None`, not `or`: an enabled RequestLog with capacity=0 (the
-        # live-node journal-sink shape) is falsy via __len__.
+        # `is None`, not `or`: the caller's log is used whatever it holds.
         self.reqlog = reqlog if reqlog is not None else RequestLog(enabled=False)
         #: MessageId -> [(client, seq)] of the traced requests riding
         #: that in-flight broadcast, so the node's delivery hook can

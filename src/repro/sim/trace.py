@@ -6,14 +6,17 @@ Traces are the debugging backbone of the library: every subsystem emits
 tests dump them to explain the shrunk counterexample.
 
 Tracing is off by default (a disabled log costs one attribute check per
-emit) so benchmark throughput is unaffected.
+emit) so benchmark throughput is unaffected; the emission discipline is
+:class:`repro.obs.event.EventLog`'s, shared with the span and request
+logs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
+from repro.obs.event import EventLog
 from repro.types import SimTime
 
 
@@ -31,8 +34,8 @@ class TraceRecord:
         return f"[{self.time:.6f}] {self.source} {self.kind} {fields}"
 
 
-class TraceLog:
-    """An append-only in-memory trace with cheap filtering.
+class TraceLog(EventLog[TraceRecord]):
+    """The simulator's in-memory debugging trace.
 
     Example::
 
@@ -41,41 +44,22 @@ class TraceLog:
         assert trace.count(kind="send") == 1
     """
 
-    def __init__(self, enabled: bool = False, capacity: Optional[int] = None) -> None:
-        self.enabled = enabled
-        self._records: List[TraceRecord] = []
-        self._capacity = capacity
-        self._dropped = 0
-        self._sinks: List[Callable[[TraceRecord], None]] = []
+    record_type = TraceRecord
 
     def emit(self, time: SimTime, source: str, kind: str, **detail: object) -> None:
         """Record one event if tracing is enabled."""
-        if not self.enabled:
-            return
-        record = TraceRecord(time=time, source=source, kind=kind, detail=detail)
-        if self._capacity is not None and len(self._records) >= self._capacity:
-            self._dropped += 1
-        else:
-            self._records.append(record)
-        for sink in self._sinks:
-            sink(record)
+        if self.enabled:
+            super().emit(time, source, kind, detail)
 
-    def add_sink(self, sink: Callable[[TraceRecord], None]) -> None:
-        """Stream every future record to ``sink`` (e.g. ``print``)."""
-        self._sinks.append(sink)
-
-    # ------------------------------------------------------------------
-    # Querying
-    # ------------------------------------------------------------------
     def records(
         self, source: Optional[str] = None, kind: Optional[str] = None
     ) -> List[TraceRecord]:
         """Return records, optionally filtered by source and/or kind."""
-        return list(self._iter(source, kind))
+        return super().records(source=source, kind=kind)
 
     def count(self, source: Optional[str] = None, kind: Optional[str] = None) -> int:
         """Count records matching the filters."""
-        return sum(1 for _ in self._iter(source, kind))
+        return super().count(source=source, kind=kind)
 
     def last(
         self, source: Optional[str] = None, kind: Optional[str] = None
@@ -83,27 +67,3 @@ class TraceLog:
         """Return the most recent matching record, or ``None``."""
         matches = self.records(source, kind)
         return matches[-1] if matches else None
-
-    @property
-    def dropped(self) -> int:
-        """Number of records dropped because the capacity was reached."""
-        return self._dropped
-
-    def _iter(self, source: Optional[str], kind: Optional[str]) -> Iterator[TraceRecord]:
-        for record in self._records:
-            if source is not None and record.source != source:
-                continue
-            if kind is not None and record.kind != kind:
-                continue
-            yield record
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def dump(self, limit: int = 200) -> str:
-        """Render the last ``limit`` records as text (for test failures)."""
-        tail = self._records[-limit:]
-        lines = [str(record) for record in tail]
-        if len(self._records) > limit:
-            lines.insert(0, f"... ({len(self._records) - limit} earlier records elided)")
-        return "\n".join(lines)

@@ -2,6 +2,12 @@
 
 Kept deliberately simple (no numpy import on the library's hot path);
 benchmarks that want fancier analysis can use scipy on the raw data.
+
+Lives at the package root and imports nothing above ``repro.errors``:
+both :mod:`repro.obs` (which the protocol core imports) and
+:mod:`repro.metrics` (which imports the cluster, hence the core) use
+these, so any home inside either would close an import cycle.
+``repro.metrics`` re-exports the names.
 """
 
 from __future__ import annotations

@@ -34,9 +34,9 @@ def test_merged_two_ring_timeline_keeps_ring_tags(tmp_path):
     for node, start in ((0, 10.0), (1, 10.5)):
         path = str(tmp_path / f"node{node}.spans.jsonl")
         journal = SpanJournal(path, node=node, start_time=start)
-        journal.write_span(_event(start + 0.001, node, "broadcast", node, 1,
+        journal.write_event(_event(start + 0.001, node, "broadcast", node, 1,
                                   ring=node % 2))
-        journal.write_span(_event(start + 0.002, node, "delivered", node, 1,
+        journal.write_event(_event(start + 0.002, node, "delivered", node, 1,
                                   ring=node % 2, sequence=node + 1))
         journal.close()
         paths[node] = path

@@ -30,8 +30,8 @@ def _event(time, node, kind, origin=0, local_seq=1, **kw):
 def test_journal_round_trips_spans_and_telemetry(tmp_path):
     path = str(tmp_path / "node1.spans.jsonl")
     journal = SpanJournal(path, node=1, start_time=10.0)
-    journal.write_span(_event(10.1, 1, "broadcast"))
-    journal.write_span(_event(10.2, 1, "sequenced", sequence=1))
+    journal.write_event(_event(10.1, 1, "broadcast"))
+    journal.write_event(_event(10.2, 1, "sequenced", sequence=1))
     journal.write_telemetry(11.0, {"counters": {"transport_bytes_sent": 7}})
     journal.close()
 
@@ -49,8 +49,8 @@ def test_journal_round_trips_spans_and_telemetry(tmp_path):
 def test_journal_tolerates_torn_tail_from_sigkill(tmp_path):
     path = str(tmp_path / "node2.spans.jsonl")
     journal = SpanJournal(path, node=2, start_time=5.0)
-    journal.write_span(_event(5.1, 2, "broadcast"))
-    journal.write_span(_event(5.2, 2, "delivered", sequence=1))
+    journal.write_event(_event(5.1, 2, "broadcast"))
+    journal.write_event(_event(5.2, 2, "delivered", sequence=1))
     journal.close()
     # Simulate a SIGKILL mid-write: a final line cut short, no newline.
     with open(path, "a") as fh:
@@ -79,7 +79,7 @@ def test_merger_rebases_onto_common_origin_and_sorts(tmp_path):
         path = str(tmp_path / f"node{node}.spans.jsonl")
         journal = SpanJournal(path, node=node, start_time=start)
         kind = "broadcast" if node == 0 else "delivered"
-        journal.write_span(_event(100.0 + node * 0.25, node, kind))
+        journal.write_event(_event(100.0 + node * 0.25, node, kind))
         journal.write_telemetry(
             101.0, {"counters": {"transport_bytes_sent": node}}
         )
@@ -125,7 +125,7 @@ def test_journal_streams_request_events_via_request_sink(tmp_path):
     path = str(tmp_path / "node4.spans.jsonl")
     journal = SpanJournal(path, node=4, start_time=0.0)
     reqlog = RequestLog(enabled=True, capacity=0)  # live-node shape
-    reqlog.add_sink(journal.request_sink())
+    reqlog.add_sink(journal.write_event)
     reqlog.emit(1.0, CLIENT_NODE, "send", "c1", 1)
     reqlog.emit(1.1, 4, "proposed", "c1", 1, origin=4, local_seq=9)
     journal.close()
@@ -180,8 +180,8 @@ def test_merger_rebases_request_events_with_the_spans(tmp_path):
 
     path = str(tmp_path / "node0.spans.jsonl")
     journal = SpanJournal(path, node=0, start_time=50.0)
-    journal.write_span(_event(50.2, 0, "broadcast"))
-    journal.write_request(RequestEvent(50.1, 0, "recv", "c1", 1))
+    journal.write_event(_event(50.2, 0, "broadcast"))
+    journal.write_event(RequestEvent(50.1, 0, "recv", "c1", 1))
     journal.close()
 
     timeline = merge_span_journals({0: path}, t0=50.0)

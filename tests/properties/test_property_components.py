@@ -9,7 +9,7 @@ from repro.core.fsr.holdback import HoldbackEntry, HoldbackQueue
 from repro.core.fsr.messages import FwdData
 from repro.core.fsr.ring import Ring
 from repro.core.fsr.segmentation import Reassembler, split_payload
-from repro.metrics.stats import jain_index, mean, percentile
+from repro.metrics import jain_index, mean, percentile
 from repro.types import MessageId
 
 

@@ -22,14 +22,6 @@ def test_emit_and_filter():
     assert last is not None and last.source == "fsr"
 
 
-def test_capacity_drops_and_counts():
-    trace = TraceLog(enabled=True, capacity=2)
-    for i in range(5):
-        trace.emit(float(i), "s", "k", i=i)
-    assert len(trace) == 2
-    assert trace.dropped == 3
-
-
 def test_sink_receives_records():
     trace = TraceLog(enabled=True)
     seen = []
