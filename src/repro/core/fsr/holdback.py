@@ -12,12 +12,18 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ProtocolError
-from repro.types import MessageId, SequenceNumber
+from repro.types import SLOTS, MessageId, SequenceNumber
 
 
-@dataclass
+@dataclass(**SLOTS)
 class HoldbackEntry:
-    """One message ready for delivery, waiting for its turn."""
+    """One message ready for delivery, waiting for its turn.
+
+    The queue reads only ``sequence`` and ``message_id``, so any record
+    carrying them can be held as is: :class:`FSRProcess` marks its
+    retained :class:`~repro.core.fsr.recovery.RetainedMessage` records
+    deliverable directly instead of copying them into entries.
+    """
 
     sequence: SequenceNumber
     message_id: MessageId
@@ -41,19 +47,15 @@ class HoldbackQueue:
         first_sequence: SequenceNumber = 1,
     ) -> None:
         self._on_deliver = on_deliver
-        self._next_sequence = first_sequence
+        #: Highest sequence released so far (read-only for callers).
+        self.last_delivered: SequenceNumber = first_sequence - 1
         self._held: Dict[SequenceNumber, HoldbackEntry] = {}
         self._delivered_count = 0
 
     @property
     def next_sequence(self) -> SequenceNumber:
         """The sequence number the queue will release next."""
-        return self._next_sequence
-
-    @property
-    def last_delivered(self) -> SequenceNumber:
-        """Highest sequence released so far (``next_sequence - 1``)."""
-        return self._next_sequence - 1
+        return self.last_delivered + 1
 
     @property
     def delivered_count(self) -> int:
@@ -76,7 +78,7 @@ class HoldbackQueue:
         protocol bug and raise :class:`~repro.errors.ProtocolError`.
         """
         seq = entry.sequence
-        if seq < self._next_sequence:
+        if seq <= self.last_delivered:
             return 0  # already delivered: duplicate from recovery
         existing = self._held.get(seq)
         if existing is not None:
@@ -87,13 +89,17 @@ class HoldbackQueue:
                 )
             return 0
         self._held[seq] = entry
+        return self._release()
+
+    def _release(self) -> int:
+        """Deliver the contiguous prefix of held entries; returns how many."""
         released = 0
-        while self._next_sequence in self._held:
-            ready = self._held.pop(self._next_sequence)
-            self._next_sequence += 1
+        # Queue state is re-read each turn: a delivery upcall may re-enter.
+        while self.last_delivered + 1 in self._held:
+            self.last_delivered += 1
             self._delivered_count += 1
             released += 1
-            self._on_deliver(ready)
+            self._on_deliver(self._held.pop(self.last_delivered))
         return released
 
     def clear_held(self) -> int:
@@ -114,15 +120,11 @@ class HoldbackQueue:
         Entries the cursor skips over are discarded — recovery has
         already delivered or re-issued them.
         """
-        if next_sequence < self._next_sequence:
+        if next_sequence <= self.last_delivered:
             raise ProtocolError(
-                f"cannot rewind hold-back queue from {self._next_sequence} "
+                f"cannot rewind hold-back queue from {self.next_sequence} "
                 f"to {next_sequence}"
             )
-        self._next_sequence = next_sequence
+        self.last_delivered = next_sequence - 1
         self._held = {s: e for s, e in self._held.items() if s >= next_sequence}
-        while self._next_sequence in self._held:
-            ready = self._held.pop(self._next_sequence)
-            self._next_sequence += 1
-            self._delivered_count += 1
-            self._on_deliver(ready)
+        self._release()

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.types import MessageId, ProcessId, SequenceNumber, ViewId
+from repro.types import SLOTS, MessageId, ProcessId, SequenceNumber, ViewId
 
 #: Header bytes: msg id (12) + origin (4) + view (4) + watermark (8) + kind/flags (4).
 DATA_HEADER_BYTES = 32
@@ -38,7 +38,7 @@ ACK_BYTES = 24
 ACK_BATCH_HEADER_BYTES = 16
 
 
-@dataclass
+@dataclass(**SLOTS)
 class AckMsg:
     """Acknowledgment for one sequenced message (piggy-backable)."""
 
@@ -52,7 +52,7 @@ class AckMsg:
         return ACK_BYTES
 
 
-@dataclass
+@dataclass(**SLOTS)
 class FwdData:
     """Un-sequenced payload travelling toward the leader."""
 
@@ -78,7 +78,7 @@ class FwdData:
         )
 
 
-@dataclass
+@dataclass(**SLOTS)
 class SeqData:
     """Sequenced payload circulating from the leader onward."""
 
@@ -104,7 +104,7 @@ class SeqData:
         )
 
 
-@dataclass
+@dataclass(**SLOTS)
 class AckBatch:
     """Standalone carrier for acks when there is no data to ride on."""
 

@@ -32,12 +32,13 @@ delivering it everywhere.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.api import BroadcastListener, TotalOrderBroadcast
 from repro.core.fsr.config import FSRConfig
 from repro.core.fsr.fairness import FairSendScheduler
-from repro.core.fsr.holdback import HoldbackEntry, HoldbackQueue
+from repro.core.fsr.holdback import HoldbackQueue
 from repro.core.fsr.messages import (
     AckBatch,
     AckMsg,
@@ -64,6 +65,7 @@ from repro.types import (
     Scheduler,
     SequenceNumber,
     View,
+    ViewId,
 )
 from repro.vsc.membership import FlushState, GroupMembership
 
@@ -119,6 +121,19 @@ class FSRProcess(TotalOrderBroadcast):
 
         self._view: Optional[View] = None
         self._ring: Optional[Ring] = None
+        # Geometry of ``_ring`` as this process sees it, computed once
+        # per view by ``on_view`` (the only place ``_ring`` is assigned)
+        # so the per-message path reads attributes instead of asking
+        # the ring for positions and successors on every hop.
+        self._view_id: ViewId = -1  # no view installed yet
+        self._n = 0
+        self._t = 0
+        self._position = 0
+        self._successor: ProcessId = self.me
+        self._is_leader = False
+        #: The successor is the last backup ``p_t``: a stable ack has
+        #: covered the whole ring and is consumed here (see _queue_ack).
+        self._successor_is_pt = False
         self._started = False
         self._stopped = False
         self._blocked = False
@@ -229,31 +244,15 @@ class FSRProcess(TotalOrderBroadcast):
             self.spans.emit(
                 self.sim.now, self.me, "broadcast", app_id.origin, app_id.local_seq
             )
-        segments = split_payload(app_id, payload, size_bytes, self.config.segment_size)
-        for segment in segments:
+        for segment in split_payload(
+            app_id, payload, size_bytes, self.config.segment_size
+        ):
             seg_id = app_id if segment.count == 1 else self._next_message_id()
-            seg_meta = (
-                None
-                if segment.count == 1
-                else (app_id, segment.index, segment.count)
-            )
-            stored = Segment(
-                app_message_id=app_id,
-                index=segment.index,
-                count=segment.count,
-                payload=segment.payload,
-                size_bytes=segment.size_bytes,
-            )
-            self._pending_own[seg_id] = stored
-            self._submit_after_cpu(seg_id, stored, seg_meta)
+            self._pending_own[seg_id] = segment
+            self._submit_after_cpu(seg_id, segment)
         return app_id
 
-    def _submit_after_cpu(
-        self,
-        seg_id: MessageId,
-        stored: Segment,
-        seg_meta: Optional[Tuple[MessageId, int, int]],
-    ) -> None:
+    def _submit_after_cpu(self, seg_id: MessageId, segment: Segment) -> None:
         """Charge origin-side marshalling CPU, then inject the segment.
 
         The charge is what every other node pays to process the message
@@ -261,26 +260,28 @@ class FSRProcess(TotalOrderBroadcast):
         2-process ring would exceed the per-node middleware capacity the
         paper's flat ~79 Mb/s reflects.
         """
-        view_at_submit = self._view.view_id if self._view is not None else -1
-
-        def inject() -> None:
-            self._marshal_jobs.pop(seg_id, None)
-            if self._stopped or self._blocked:
-                return  # the view-change re-broadcast path covers it
-            current = self._view.view_id if self._view is not None else -1
-            if current != view_at_submit:
-                return  # superseded; re-broadcast already handled it
-            if seg_id in self._delivered_ids or seg_id not in self._pending_own:
-                return
-            self._inject_own(seg_id, stored, seg_meta)
-            self._pump()
-
         if self._cpu_submit is None:
-            inject()
+            self._inject_submitted(seg_id, segment, self._view_id)
         else:
-            handle = self._cpu_submit(stored.size_bytes, inject)
+            handle = self._cpu_submit(
+                segment.size_bytes,
+                partial(self._inject_submitted, seg_id, segment, self._view_id),
+            )
             if handle is not None:
                 self._marshal_jobs[seg_id] = handle
+
+    def _inject_submitted(
+        self, seg_id: MessageId, segment: Segment, view_at_submit: ViewId
+    ) -> None:
+        self._marshal_jobs.pop(seg_id, None)
+        if self._stopped or self._blocked:
+            return  # the view-change re-broadcast path covers it
+        if self._view_id != view_at_submit:
+            return  # superseded; re-broadcast already handled it
+        if seg_id in self._delivered_ids or seg_id not in self._pending_own:
+            return
+        self._inject_own(seg_id, segment)
+        self._pump()
 
     def _next_message_id(self) -> MessageId:
         if self._id_factory is not None:
@@ -312,10 +313,7 @@ class FSRProcess(TotalOrderBroadcast):
         copies are redundant and would multiply the state-exchange
         cost by ``n``.
         """
-        was_holder = (
-            self._ring is not None
-            and self._ring.position_of(self.me) <= self._ring.t
-        )
+        was_holder = self._ring is not None and self._position <= self._t
         # Uncommitted recovery records must ship regardless of ring
         # position: after a coordinator crash mid-install this process
         # may be the only survivor retaining them, and the next merge's
@@ -349,12 +347,20 @@ class FSRProcess(TotalOrderBroadcast):
     def on_view(self, view: View, state: Optional[FlushState]) -> None:
         """Install a view; reconcile and resume (paper §4.2.1)."""
         self._view = view
-        self._ring = Ring.from_view(view, self.config.t)
-        self.trace.emit(
-            self.sim.now, "fsr", "view",
-            me=self.me, view_id=view.view_id, members=view.members,
-            position=self._ring.position_of(self.me),
-        )
+        ring = self._ring = Ring.from_view(view, self.config.t)
+        self._view_id = view.view_id
+        self._n = ring.n
+        self._t = ring.t
+        self._position = ring.position_of(self.me)
+        self._successor = ring.successor(self.me)
+        self._is_leader = self.me == ring.leader
+        self._successor_is_pt = self._successor == ring.last_backup
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now, "fsr", "view",
+                me=self.me, view_id=view.view_id, members=view.members,
+                position=self._position,
+            )
 
         if state is not None:
             self._apply_recovery(state.payload)
@@ -391,7 +397,7 @@ class FSRProcess(TotalOrderBroadcast):
         # here was a real uniformity bug: a coordinator that installed,
         # delivered, and crashed before any other member received its
         # install took the only copies of those messages with it.)
-        pending: List[HoldbackEntry] = []
+        pending: List[RetainedMessage] = []
         for seq in range(self._holdback.last_delivered + 1, merged.next_sequence):
             record = merged.records.get(seq)
             if record is None:
@@ -399,20 +405,15 @@ class FSRProcess(TotalOrderBroadcast):
                     f"recovery gap at sequence {seq} (merge promised "
                     f"contiguity up to {merged.next_sequence})"
                 )
+            # The merge checked ``record.sequence == seq``: the record
+            # is its own hold-back entry.
             records[seq] = record
-            pending.append(
-                HoldbackEntry(
-                    sequence=seq,
-                    message_id=record.message_id,
-                    payload=record.payload,
-                    payload_size=record.payload_size,
-                )
-            )
+            pending.append(record)
         self._records = records
         self._seq_of = {r.message_id: s for s, r in records.items()}
         self._known_payloads.clear()
         self._recovery_pending = pending
-        self._recovery_view = self._view.view_id if self._view is not None else None
+        self._recovery_view = self._view_id
         self._recovery_floor = merged.next_sequence - 1
         self._next_seq = merged.next_sequence
         # The stability watermark does NOT jump here: the merge is
@@ -438,10 +439,11 @@ class FSRProcess(TotalOrderBroadcast):
         if self._stopped or self._recovery_view != view.view_id:
             return
         pending, self._recovery_pending = self._recovery_pending, []
-        self.trace.emit(
-            self.sim.now, "fsr", "recovery_commit",
-            me=self.me, view_id=view.view_id, released=len(pending),
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now, "fsr", "recovery_commit",
+                me=self.me, view_id=view.view_id, released=len(pending),
+            )
         for entry in pending:
             self._holdback.mark_deliverable(entry)
         if self._recovery_floor > self._watermark:
@@ -451,33 +453,27 @@ class FSRProcess(TotalOrderBroadcast):
 
     def _rebroadcast_pending(self) -> None:
         """Re-inject own messages that did not survive the old view."""
-        assert self._ring is not None
         for seg_id, segment in list(self._pending_own.items()):
             if seg_id in self._seq_of:
                 # Sequenced and retained by the merge: it delivers at
                 # the view commit; re-injecting would duplicate it.
                 continue
-            seg_meta = (
-                None
-                if segment.count == 1
-                else (segment.app_message_id, segment.index, segment.count)
-            )
-            self.trace.emit(
-                self.sim.now, "fsr", "rebroadcast", me=self.me, msg=str(seg_id)
-            )
-            self._inject_own(seg_id, segment, seg_meta)
+            if self.trace.enabled:
+                self.trace.emit(
+                    self.sim.now, "fsr", "rebroadcast", me=self.me, msg=str(seg_id)
+                )
+            self._inject_own(seg_id, segment)
 
     def _drain_future_buffer(self) -> None:
-        assert self._view is not None
         ready = [
             (view_id, src, message)
             for view_id, src, message in self._future_buffer
-            if view_id == self._view.view_id
+            if view_id == self._view_id
         ]
         self._future_buffer = [
             (view_id, src, message)
             for view_id, src, message in self._future_buffer
-            if view_id > self._view.view_id
+            if view_id > self._view_id
         ]
         for _view_id, src, message in ready:
             self.on_message(src, message)
@@ -490,22 +486,25 @@ class FSRProcess(TotalOrderBroadcast):
         if self._stopped:
             return
         view_id = getattr(message, "view_id", None)
-        current = self._view.view_id if self._view is not None else -1
         if view_id is None:
             raise ProtocolError(f"non-FSR message on FSR port: {message!r}")
-        if view_id > current:
-            self._future_buffer.append((view_id, src, message))
-            return
-        if view_id < current:
-            return  # stale traffic from a superseded view
+        if view_id != self._view_id:
+            if view_id > self._view_id:
+                self._future_buffer.append((view_id, src, message))
+            return  # else: stale traffic from a superseded view
         if self._blocked:
             # A flush snapshot has been taken: evidence processed now
             # would create deliveries the view-change merge cannot see,
             # breaking uniform total order.  Treat the message as lost
             # in the membership change; recovery re-issues what matters.
             return
+        if self._ring is None:
+            raise ProtocolError(f"process {self.me} has no installed view yet")
 
-        self._observe_watermark(getattr(message, "watermark", -1))
+        watermark = getattr(message, "watermark", -1)
+        if watermark > self._watermark:
+            self._watermark = watermark
+            self._maybe_gc()
         if isinstance(message, AckBatch):
             for ack in message.acks:
                 self._handle_ack(ack)
@@ -522,35 +521,46 @@ class FSRProcess(TotalOrderBroadcast):
         self._pump()
 
     # ------------------------------------------------------------------
+    # Per-hop copies below are built positionally, in field order:
+    #   FwdData(message_id, origin, payload, payload_size, view_id,
+    #           watermark, piggybacked, segment)
+    #   SeqData(message_id, origin, payload, payload_size, sequence,
+    #           stable, view_id, watermark, piggybacked, segment)
+    #   AckMsg(message_id, sequence, stable, view_id)
+    #   RetainedMessage(message_id, origin, sequence, payload,
+    #                   payload_size, segment)
+    # ------------------------------------------------------------------
     def _handle_fwd(self, msg: FwdData) -> None:
-        ring = self._require_ring()
-        self._known_payloads[msg.message_id] = (
+        message_id = msg.message_id
+        if message_id in self._delivered_ids:
+            # The transport resends queued frames after a reconnect.  A
+            # copy that arrives once the message was delivered (and, at
+            # the leader, garbage-collected out of ``_seq_of``) must not
+            # be sequenced a second time, nor its payload re-learned.
+            return
+        self._known_payloads[message_id] = (
             msg.origin, msg.payload, msg.payload_size, msg.segment
         )
-        if self.me == ring.leader:
+        if self._is_leader:
             if self._blocked:
                 # Sequencing while blocked would create sequence numbers
                 # invisible to the flush already under way; the origin
                 # re-broadcasts after the view change instead.
                 return
             self._sequence(
-                msg.message_id, msg.origin, msg.payload, msg.payload_size, msg.segment
+                message_id, msg.origin, msg.payload, msg.payload_size, msg.segment
             )
         else:
             if self.spans.enabled:
-                app = msg.segment[0] if msg.segment is not None else msg.message_id
+                app = msg.segment[0] if msg.segment is not None else message_id
                 self.spans.emit(
                     self.sim.now, self.me, "fwd_hop", app.origin, app.local_seq,
-                    hop=ring.position_of(self.me),
+                    hop=self._position,
                 )
             self._scheduler.enqueue_forward(
                 FwdData(
-                    message_id=msg.message_id,
-                    origin=msg.origin,
-                    payload=msg.payload,
-                    payload_size=msg.payload_size,
-                    view_id=msg.view_id,
-                    segment=msg.segment,
+                    message_id, msg.origin, msg.payload, msg.payload_size,
+                    msg.view_id, -1, [], msg.segment,
                 )
             )
 
@@ -563,26 +573,21 @@ class FSRProcess(TotalOrderBroadcast):
         segment: Optional[Tuple[MessageId, int, int]],
     ) -> None:
         """Leader only: assign the next sequence number and emit."""
-        ring = self._require_ring()
         if message_id in self._seq_of:
             return  # duplicate (can only happen through recovery races)
         sequence = self._next_seq
-        self._next_seq += 1
-        record = RetainedMessage(
-            message_id=message_id,
-            origin=origin,
-            sequence=sequence,
-            payload=payload,
-            payload_size=payload_size,
-            segment=segment,
+        self._next_seq = sequence + 1
+        self._records[sequence] = RetainedMessage(
+            message_id, origin, sequence, payload, payload_size, segment
         )
-        self._records[sequence] = record
         self._seq_of[message_id] = sequence
-        stable_at_birth = ring.t == 0
-        self.trace.emit(
-            self.sim.now, "fsr", "sequence",
-            me=self.me, msg=str(message_id), seq=sequence, stable=stable_at_birth,
-        )
+        stable_at_birth = self._t == 0
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now, "fsr", "sequence",
+                me=self.me, msg=str(message_id), seq=sequence,
+                stable=stable_at_birth,
+            )
         if self.spans.enabled:
             app = segment[0] if segment is not None else message_id
             self.spans.emit(
@@ -597,31 +602,17 @@ class FSRProcess(TotalOrderBroadcast):
                 )
         if stable_at_birth:
             self._mark_deliverable(sequence)
-        if ring.n == 1:
+        if self._n == 1:
             self._advance_consumed(sequence)
             return
-        successor = ring.successor(self.me)
-        if successor == origin:
+        if self._successor == origin:
             # The origin is the leader's direct successor: the payload
             # has nowhere left to go, convert straight into an ack.
-            self._queue_ack(
-                AckMsg(
-                    message_id=message_id,
-                    sequence=sequence,
-                    stable=stable_at_birth,
-                    view_id=self._view_id(),
-                )
-            )
+            self._queue_ack(message_id, sequence, stable_at_birth, self._view_id)
             return
         out = SeqData(
-            message_id=message_id,
-            origin=origin,
-            payload=payload,
-            payload_size=payload_size,
-            sequence=sequence,
-            stable=stable_at_birth,
-            view_id=self._view_id(),
-            segment=segment,
+            message_id, origin, payload, payload_size, sequence,
+            stable_at_birth, self._view_id, -1, [], segment,
         )
         if origin == self.me:
             self._scheduler.enqueue_own(out)
@@ -629,81 +620,57 @@ class FSRProcess(TotalOrderBroadcast):
             self._scheduler.enqueue_forward(out)
 
     def _handle_seq(self, msg: SeqData) -> None:
-        ring = self._require_ring()
+        sequence = msg.sequence
         self._learn_sequenced(
             msg.message_id, msg.origin, msg.payload, msg.payload_size,
-            msg.sequence, msg.segment,
+            sequence, msg.segment,
         )
-        my_pos = ring.position_of(self.me)
-        stabilising = (not msg.stable) and my_pos == ring.t
+        stabilising = (not msg.stable) and self._position == self._t
         if self.spans.enabled:
             app = msg.segment[0] if msg.segment is not None else msg.message_id
-            if 0 < my_pos <= ring.t and not msg.stable:
+            if 0 < self._position <= self._t and not msg.stable:
                 # A backup just retained its copy (via _learn_sequenced).
                 self.spans.emit(
                     self.sim.now, self.me, "stored", app.origin, app.local_seq,
-                    sequence=msg.sequence, hop=my_pos,
+                    sequence=sequence, hop=self._position,
                 )
             if stabilising:
                 # Transited the last backup p_t: now survives any t crashes.
                 self.spans.emit(
                     self.sim.now, self.me, "stable", app.origin, app.local_seq,
-                    sequence=msg.sequence,
+                    sequence=sequence,
                 )
         out_stable = msg.stable or stabilising
         if out_stable:
-            self._mark_deliverable(msg.sequence)
+            self._mark_deliverable(sequence)
 
-        successor = ring.successor(self.me)
-        if successor == msg.origin:
+        if self._successor == msg.origin:
             # Payload has completed its circle: emit the ack phase.
-            self._queue_ack(
-                AckMsg(
-                    message_id=msg.message_id,
-                    sequence=msg.sequence,
-                    stable=out_stable,
-                    view_id=self._view_id(),
-                )
-            )
+            self._queue_ack(msg.message_id, sequence, out_stable, self._view_id)
             return
         self._scheduler.enqueue_forward(
             SeqData(
-                message_id=msg.message_id,
-                origin=msg.origin,
-                payload=msg.payload,
-                payload_size=msg.payload_size,
-                sequence=msg.sequence,
-                stable=out_stable,
-                view_id=msg.view_id,
-                segment=msg.segment,
+                msg.message_id, msg.origin, msg.payload, msg.payload_size,
+                sequence, out_stable, msg.view_id, -1, [], msg.segment,
             )
         )
 
     def _handle_ack(self, ack: AckMsg) -> None:
-        ring = self._require_ring()
+        sequence = ack.sequence
         self._learn_from_ack(ack)
-        my_pos = ring.position_of(self.me)
-        stabilising = (not ack.stable) and my_pos == ring.t
-        if self.spans.enabled and stabilising:
-            record = self._records.get(ack.sequence)
+        stabilising = (not ack.stable) and self._position == self._t
+        if stabilising and self.spans.enabled:
+            record = self._records.get(sequence)
             seg = record.segment if record is not None else None
             app = seg[0] if seg is not None else ack.message_id
             self.spans.emit(
                 self.sim.now, self.me, "stable", app.origin, app.local_seq,
-                sequence=ack.sequence,
+                sequence=sequence,
             )
         out_stable = ack.stable or stabilising
         if out_stable:
-            self._mark_deliverable(ack.sequence)
-
-        self._queue_ack(
-            AckMsg(
-                message_id=ack.message_id,
-                sequence=ack.sequence,
-                stable=out_stable,
-                view_id=ack.view_id,
-            )
-        )
+            self._mark_deliverable(sequence)
+        self._queue_ack(ack.message_id, sequence, out_stable, ack.view_id)
 
     def _learn_sequenced(
         self,
@@ -719,15 +686,14 @@ class FSRProcess(TotalOrderBroadcast):
             raise ProtocolError(
                 f"{message_id} sequenced twice: {known} and {sequence}"
             )
+        if sequence <= self._gc_cursor:
+            # A resent copy of a collected message: the cursor never
+            # returns to it, so anything stored now would stay forever.
+            return
         self._seq_of[message_id] = sequence
-        if sequence not in self._records and sequence > self._gc_cursor:
+        if sequence not in self._records:
             self._records[sequence] = RetainedMessage(
-                message_id=message_id,
-                origin=origin,
-                sequence=sequence,
-                payload=payload,
-                payload_size=payload_size,
-                segment=segment,
+                message_id, origin, sequence, payload, payload_size, segment
             )
 
     def _learn_from_ack(self, ack: AckMsg) -> None:
@@ -737,19 +703,13 @@ class FSRProcess(TotalOrderBroadcast):
             return
         known = self._known_payloads.get(ack.message_id)
         if known is None:
-            if ack.message_id in self._pending_own:
-                segment = self._pending_own[ack.message_id]
-                seg_meta = (
-                    None
-                    if segment.count == 1
-                    else (segment.app_message_id, segment.index, segment.count)
-                )
-                known = (self.me, segment.payload, segment.size_bytes, seg_meta)
-            else:
+            own = self._pending_own.get(ack.message_id)
+            if own is None:
                 raise ProtocolError(
                     f"process {self.me} received ack for {ack.message_id} "
                     "without ever seeing its payload"
                 )
+            known = (self.me, own.payload, own.size_bytes, _segment_meta(own))
         origin, payload, payload_size, segment = known
         self._learn_sequenced(
             ack.message_id, origin, payload, payload_size, ack.sequence, segment
@@ -768,77 +728,55 @@ class FSRProcess(TotalOrderBroadcast):
                     "but no record retained"
                 )
             return
-        self._holdback.mark_deliverable(
-            HoldbackEntry(
-                sequence=sequence,
-                message_id=record.message_id,
-                payload=record.payload,
-                payload_size=record.payload_size,
-            )
-        )
+        # The retained record is the hold-back entry.
+        self._holdback.mark_deliverable(record)
 
-    def _on_holdback_release(self, entry: HoldbackEntry) -> None:
-        record = self._records.get(entry.sequence)
-        segment_meta = record.segment if record is not None else None
-        origin = record.origin if record is not None else entry.message_id.origin
-        if entry.message_id in self._delivered_ids:
-            raise ProtocolError(f"{entry.message_id} delivered twice at {self.me}")
-        self._delivered_ids.add(entry.message_id)
-        self._pending_own.pop(entry.message_id, None)
+    def _on_holdback_release(self, entry: RetainedMessage) -> None:
+        message_id = entry.message_id
+        if message_id in self._delivered_ids:
+            raise ProtocolError(f"{message_id} delivered twice at {self.me}")
+        self._delivered_ids.add(message_id)
+        self._pending_own.pop(message_id, None)
         self.stats_deliveries += 1
-        self.trace.emit(
-            self.sim.now, "fsr", "deliver",
-            me=self.me, msg=str(entry.message_id), seq=entry.sequence,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now, "fsr", "deliver",
+                me=self.me, msg=str(message_id), seq=entry.sequence,
+            )
         if self._protocol_deliver_cb is not None:
             self._protocol_deliver_cb(
                 Delivery(
-                    process=self.me,
-                    message_id=entry.message_id,
-                    sequence=entry.sequence,
-                    time=self.sim.now,
-                    size_bytes=entry.payload_size,
+                    self.me, message_id, entry.sequence, self.sim.now,
+                    entry.payload_size,
                 )
             )
-        # Application-level delivery via reassembly.
-        if segment_meta is None:
-            app_segment = Segment(
-                app_message_id=entry.message_id,
-                index=0,
-                count=1,
-                payload=entry.payload,
-                size_bytes=entry.payload_size,
-            )
+        # Application-level delivery: an unsegmented message is complete
+        # as it stands, a segment goes through reassembly.
+        if entry.segment is None:
+            app_id, payload, size = message_id, entry.payload, entry.payload_size
         else:
-            app_id, index, count = segment_meta
-            app_segment = Segment(
-                app_message_id=app_id,
-                index=index,
-                count=count,
-                payload=entry.payload,
-                size_bytes=entry.payload_size,
+            app_id, index, count = entry.segment
+            completed = self._reassembler.on_segment(
+                Segment(app_id, index, count, entry.payload, entry.payload_size)
             )
-        completed = self._reassembler.on_segment(app_segment)
-        if completed is not None:
-            if self.spans.enabled:
-                app = app_segment.app_message_id
-                self.spans.emit(
-                    self.sim.now, self.me, "delivered", app.origin, app.local_seq,
-                    sequence=entry.sequence,
-                )
+            if completed is None:
+                self._maybe_gc()
+                return
             payload, size = completed
-            self._listener.deliver(origin, app_segment.app_message_id, payload, size)
+        if self.spans.enabled:
+            self.spans.emit(
+                self.sim.now, self.me, "delivered",
+                app_id.origin, app_id.local_seq, sequence=entry.sequence,
+            )
+        self._listener.deliver(entry.origin, app_id, payload, size)
         self._maybe_gc()
 
     # ==================================================================
     # Stability watermark + garbage collection
     # ==================================================================
-    def _observe_watermark(self, watermark: SequenceNumber) -> None:
-        if watermark > self._watermark:
-            self._watermark = watermark
-            self._maybe_gc()
-
     def _advance_consumed(self, sequence: SequenceNumber) -> None:
+        if sequence <= self._consumed_prefix:
+            return  # resent ack: already counted, must not pile up
         self._consumed_acks.add(sequence)
         while self._consumed_prefix + 1 in self._consumed_acks:
             self._consumed_prefix += 1
@@ -859,35 +797,29 @@ class FSRProcess(TotalOrderBroadcast):
     # ==================================================================
     # Outbound traffic
     # ==================================================================
-    def _inject_own(
-        self,
-        seg_id: MessageId,
-        segment: Segment,
-        seg_meta: Optional[Tuple[MessageId, int, int]],
-    ) -> None:
-        ring = self._require_ring()
-        if ring.n == 1:
-            self._sequence(
-                seg_id, self.me, segment.payload, segment.size_bytes, seg_meta
-            )
-            return
-        if self.me == ring.leader:
+    def _inject_own(self, seg_id: MessageId, segment: Segment) -> None:
+        if self._ring is None:
+            raise ProtocolError(f"process {self.me} has no installed view yet")
+        seg_meta = _segment_meta(segment)
+        if self._is_leader:  # which the only member of a ring of one is
             self._sequence(
                 seg_id, self.me, segment.payload, segment.size_bytes, seg_meta
             )
             return
         self._scheduler.enqueue_own(
             FwdData(
-                message_id=seg_id,
-                origin=self.me,
-                payload=segment.payload,
-                payload_size=segment.size_bytes,
-                view_id=self._view_id(),
-                segment=seg_meta,
+                seg_id, self.me, segment.payload, segment.size_bytes,
+                self._view_id, -1, [], seg_meta,
             )
         )
 
-    def _queue_ack(self, ack: AckMsg) -> None:
+    def _queue_ack(
+        self,
+        message_id: MessageId,
+        sequence: SequenceNumber,
+        stable: bool,
+        view_id: ViewId,
+    ) -> None:
         """Queue an ack for the successor — or consume it.
 
         A stable ack whose next hop would be ``p_t`` has covered the
@@ -897,58 +829,51 @@ class FSRProcess(TotalOrderBroadcast):
         receipt) also covers acks *created* at the consumer position,
         e.g. the leader's own broadcasts with ``t = 0``.
         """
-        ring = self._require_ring()
-        if ack.stable and ring.position_of(ring.successor(self.me)) == ring.t:
-            self._advance_consumed(ack.sequence)
+        if stable and self._successor_is_pt:
+            self._advance_consumed(sequence)
             return
-        self._ack_queue.append(ack)
+        self._ack_queue.append(AckMsg(message_id, sequence, stable, view_id))
 
     def _pump(self) -> None:
         """Push traffic to the successor while the TX path is ready."""
         if self._stopped or self._blocked or self._ring is None:
             return
-        ring = self._ring
-        if ring.n == 1:
-            self._ack_queue.clear()
+        ack_queue = self._ack_queue
+        if self._n == 1:
+            ack_queue.clear()
             return
-        successor = ring.successor(self.me)
+        successor = self._successor
+        piggyback = self.config.piggyback_acks
         while self._tx_gate():
-            if not self.config.piggyback_acks and self._ack_queue:
+            if not piggyback and ack_queue:
                 # Ablation mode (§4.2.2 disabled): the naive policy sends
                 # every ack immediately as its own message, ahead of data.
-                ack = self._ack_queue.popleft()
+                ack = ack_queue.popleft()
                 self.stats_acks_standalone += 1
                 self.port.send(
-                    successor,
-                    AckBatch(
-                        acks=[ack], view_id=self._view_id(),
-                        watermark=self._watermark,
-                    ),
+                    successor, AckBatch([ack], self._view_id, self._watermark)
                 )
                 continue
             message = self._scheduler.pop_next()
             if message is not None:
                 message.watermark = self._watermark
-                if self.config.piggyback_acks and self._ack_queue:
-                    count = min(len(self._ack_queue), self.config.max_piggybacked_acks)
+                if piggyback and ack_queue:
+                    count = min(len(ack_queue), self.config.max_piggybacked_acks)
                     message.piggybacked = [
-                        self._ack_queue.popleft() for _ in range(count)
+                        ack_queue.popleft() for _ in range(count)
                     ]
-                    self.stats_acks_piggybacked += len(message.piggybacked)
+                    self.stats_acks_piggybacked += count
                 self.port.send(successor, message)
                 continue
-            if self._ack_queue:
+            if ack_queue:
                 # Idle ring: ship pending acks right away so a lone
                 # broadcast is not delayed waiting for a carrier
                 # (paper §4.2.2's low-load latency case).
-                acks = list(self._ack_queue)
-                self._ack_queue.clear()
+                acks = list(ack_queue)
+                ack_queue.clear()
                 self.stats_acks_standalone += len(acks)
                 self.port.send(
-                    successor,
-                    AckBatch(
-                        acks=acks, view_id=self._view_id(), watermark=self._watermark
-                    ),
+                    successor, AckBatch(acks, self._view_id, self._watermark)
                 )
                 continue
             break
@@ -956,19 +881,6 @@ class FSRProcess(TotalOrderBroadcast):
     def on_tx_ready(self) -> None:
         """NIC TX idle notification from the harness."""
         self._pump()
-
-    # ==================================================================
-    # Helpers
-    # ==================================================================
-    def _require_ring(self) -> Ring:
-        if self._ring is None:
-            raise ProtocolError(f"process {self.me} has no installed view yet")
-        return self._ring
-
-    def _view_id(self) -> int:
-        if self._view is None:
-            raise ProtocolError(f"process {self.me} has no installed view yet")
-        return self._view.view_id
 
     # -- introspection for tests ---------------------------------------
     @property
@@ -990,3 +902,11 @@ class FSRProcess(TotalOrderBroadcast):
     @property
     def view(self) -> Optional[View]:
         return self._view
+
+
+def _segment_meta(segment: Segment) -> Optional[Tuple[MessageId, int, int]]:
+    """Wire form of a segment's place in its application message, or
+    ``None`` for a whole message."""
+    if segment.count == 1:
+        return None
+    return (segment.app_message_id, segment.index, segment.count)

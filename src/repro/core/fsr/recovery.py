@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
-from repro.types import MessageId, ProcessId, SequenceNumber
+from repro.types import SLOTS, MessageId, ProcessId, SequenceNumber
 
 #: Wire accounting: bytes per retained record beyond its payload.
 RECORD_OVERHEAD_BYTES = 32
@@ -45,7 +45,7 @@ RECORD_OVERHEAD_BYTES = 32
 STATE_HEADER_BYTES = 24
 
 
-@dataclass
+@dataclass(**SLOTS)
 class RetainedMessage:
     """One sequenced message retained for recovery."""
 

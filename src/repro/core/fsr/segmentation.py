@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.types import MessageId, ProcessId
+from repro.types import SLOTS, MessageId, ProcessId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTS)
 class Segment:
     """One uniform-size piece of an application payload."""
 

@@ -490,57 +490,117 @@ class FrameEncoder:
         return bytes(memoryview(buf)[:offset])
 
 
-class _Reader:
-    """Cursor over a frame body; every read is bounds-checked.
-
-    Accepts ``bytes`` or a ``memoryview`` (batch entries are decoded
-    from zero-copy slices of the received batch body).
-    """
-
-    def __init__(self, body: Union[bytes, memoryview]) -> None:
-        self.body = body
-        self.offset = 0
-
-    def unpack(self, fmt: struct.Struct) -> Tuple:
-        end = self.offset + fmt.size
-        if end > len(self.body):
-            raise CodecError(
-                f"truncated frame: needed {fmt.size} bytes at offset "
-                f"{self.offset}, body has {len(self.body)}"
-            )
-        values = fmt.unpack_from(self.body, self.offset)
-        self.offset = end
-        return values
-
-    def rest(self) -> bytes:
-        # The one copy per payload: straight from the receive buffer
-        # (or the batch body's memoryview slice) into its final object.
-        out = self.body[self.offset:]
-        self.offset = len(self.body)
-        return out if isinstance(out, bytes) else bytes(out)
-
-    def done(self) -> None:
-        if self.offset != len(self.body):
-            raise CodecError(
-                f"{len(self.body) - self.offset} trailing bytes after frame"
-            )
+def _truncated(what: str, needed: int, total: int) -> CodecError:
+    return CodecError(
+        f"truncated frame: {what} needs {needed} bytes, body has {total}"
+    )
 
 
-def _decode_acks(reader: _Reader, count: int, view_id: int) -> List[AckMsg]:
-    acks = []
-    for _ in range(count):
-        origin, local_seq, sequence, flags = reader.unpack(_ACK)
+def _require_exact(what: str, needed: int, total: int) -> None:
+    """A body whose length its header fixes is neither cut short nor
+    followed by anything."""
+    if total < needed:
+        raise _truncated(what, needed, total)
+    if total > needed:
+        raise CodecError(f"{total - needed} trailing bytes after frame")
+
+
+def _ack_records(
+    body: Union[bytes, memoryview], offset: int, count: int, view_id: int
+) -> List[AckMsg]:
+    """The ``count`` ack records at ``body[offset:]``; the caller has
+    checked that the body holds them."""
+    acks: List[AckMsg] = []
+    for origin, local_seq, sequence, flags in _ACK.iter_unpack(
+        body[offset:offset + ACK_BYTES * count]
+    ):
         if flags & ~FLAG_STABLE:
             raise CodecError(f"unknown ack flags {flags:#x}")
         acks.append(
             AckMsg(
-                message_id=MessageId(origin, local_seq),
-                sequence=sequence,
-                stable=bool(flags & FLAG_STABLE),
-                view_id=view_id,
+                MessageId(origin, local_seq), sequence, flags == FLAG_STABLE,
+                view_id,
             )
         )
     return acks
+
+
+def _decode_ack_batch(body: Union[bytes, memoryview]) -> AckBatch:
+    total = len(body)
+    if total < ACK_BATCH_HEADER_BYTES:
+        raise _truncated("ack-batch header", ACK_BATCH_HEADER_BYTES, total)
+    _, flags, n_acks, view_id, watermark = _ACK_BATCH_HEADER.unpack_from(body, 0)
+    if flags != 0:
+        raise CodecError(f"unknown ack-batch flags {flags:#x}")
+    _require_exact(
+        "ack batch", ACK_BATCH_HEADER_BYTES + ACK_BYTES * n_acks, total
+    )
+    return AckBatch(
+        _ack_records(body, ACK_BATCH_HEADER_BYTES, n_acks, view_id),
+        view_id,
+        watermark,
+    )
+
+
+def _decode_data(
+    body: Union[bytes, memoryview], kind: int
+) -> Union[FwdData, SeqData]:
+    """Decode a ``FwdData``/``SeqData`` body at explicit offsets.
+
+    One bound check covers everything before the payload: the header
+    says how long that part is, and the payload is whatever follows.
+    """
+    total = len(body)
+    if total < DATA_HEADER_BYTES:
+        raise _truncated("data header", DATA_HEADER_BYTES, total)
+    (
+        _,
+        flags,
+        n_acks,
+        mid_origin,
+        mid_local_seq,
+        origin,
+        view_id,
+        watermark,
+    ) = _DATA_HEADER.unpack_from(body, 0)
+    if flags & ~FLAG_SEGMENT:
+        raise CodecError(f"unknown data-header flags {flags:#x}")
+    is_seq = kind == KIND_SEQ_DATA
+    has_segment = flags == FLAG_SEGMENT
+    acks_at = (
+        DATA_HEADER_BYTES
+        + (SEQ_EXTRA_BYTES if is_seq else 0)
+        + (_SEGMENT_BYTES if has_segment else 0)
+    )
+    payload_at = acks_at + ACK_BYTES * n_acks
+    if payload_at > total:
+        raise _truncated(f"header and {n_acks} ack records", payload_at, total)
+    segment = None
+    if has_segment:
+        app_local_seq, index, count = _SEGMENT.unpack_from(
+            body, acks_at - _SEGMENT_BYTES
+        )
+        segment = (MessageId(origin, app_local_seq), index, count)
+    acks = _ack_records(body, acks_at, n_acks, view_id) if n_acks else []
+    # The one copy per payload: straight from the receive buffer (or the
+    # batch body's memoryview slice) into its final object.
+    payload = body[payload_at:]
+    if not isinstance(payload, bytes):
+        payload = bytes(payload)
+    message_id = MessageId(mid_origin, mid_local_seq)
+    # Positional, in field order (see repro.core.fsr.messages).
+    if not is_seq:
+        return FwdData(
+            message_id, origin, payload, len(payload), view_id, watermark,
+            acks, segment,
+        )
+    sequence, stable_byte = _SEQ_EXTRA.unpack_from(body, DATA_HEADER_BYTES)
+    if stable_byte > 1:
+        raise CodecError(f"non-boolean stable byte {stable_byte:#x}")
+    return SeqData(
+        message_id, origin, payload, len(payload), sequence, stable_byte == 1,
+        view_id, watermark, acks, segment,
+    )
 
 
 def decode_batch_entries(
@@ -603,13 +663,18 @@ def decode_message(body: Union[bytes, memoryview]) -> WireMessage:
         raise CodecError("empty frame body")
     kind = body[0]
 
+    if kind == KIND_FWD_DATA or kind == KIND_SEQ_DATA:
+        return _decode_data(body, kind)
+
+    if kind == KIND_ACK_BATCH:
+        return _decode_ack_batch(body)
+
     if kind == KIND_BATCH:
         return FrameBatch(messages=decode_batch_entries(body))
 
     if kind == KIND_HELLO:
-        reader = _Reader(body)
-        _, channel, node_id = reader.unpack(_HELLO)
-        reader.done()
+        _require_exact("hello", _HELLO.size, len(body))
+        _, channel, node_id = _HELLO.unpack_from(body, 0)
         if channel not in (CHANNEL_RING, CHANNEL_CONTROL):
             raise CodecError(f"unknown hello channel {channel}")
         return Hello(node_id=node_id, channel=channel)
@@ -630,55 +695,6 @@ def decode_message(body: Union[bytes, memoryview]) -> WireMessage:
             )
         layer, inner = payload
         return ControlFrame(layer=layer, inner=inner)
-
-    if kind == KIND_ACK_BATCH:
-        reader = _Reader(body)
-        _, flags, n_acks, view_id, watermark = reader.unpack(_ACK_BATCH_HEADER)
-        if flags != 0:
-            raise CodecError(f"unknown ack-batch flags {flags:#x}")
-        acks = _decode_acks(reader, n_acks, view_id)
-        reader.done()
-        return AckBatch(acks=acks, view_id=view_id, watermark=watermark)
-
-    if kind in (KIND_FWD_DATA, KIND_SEQ_DATA):
-        reader = _Reader(body)
-        (
-            _,
-            flags,
-            n_acks,
-            mid_origin,
-            mid_local_seq,
-            origin,
-            view_id,
-            watermark,
-        ) = reader.unpack(_DATA_HEADER)
-        if flags & ~FLAG_SEGMENT:
-            raise CodecError(f"unknown data-header flags {flags:#x}")
-        sequence = stable = None
-        if kind == KIND_SEQ_DATA:
-            sequence, stable_byte = reader.unpack(_SEQ_EXTRA)
-            if stable_byte > 1:
-                raise CodecError(f"non-boolean stable byte {stable_byte:#x}")
-            stable = bool(stable_byte)
-        segment = None
-        if flags & FLAG_SEGMENT:
-            app_local_seq, index, count = reader.unpack(_SEGMENT)
-            segment = (MessageId(origin, app_local_seq), index, count)
-        acks = _decode_acks(reader, n_acks, view_id)
-        payload = reader.rest()
-        common = dict(
-            message_id=MessageId(mid_origin, mid_local_seq),
-            origin=origin,
-            payload=payload,
-            payload_size=len(payload),
-            view_id=view_id,
-            watermark=watermark,
-            piggybacked=acks,
-            segment=segment,
-        )
-        if kind == KIND_SEQ_DATA:
-            return SeqData(sequence=sequence, stable=stable, **common)
-        return FwdData(**common)
 
     raise CodecError(f"unknown frame kind {kind:#x}")
 

@@ -711,7 +711,8 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
                 "submit_time": sched.now,
             }
             run.broadcasts.append(record)
-            journal.write({"type": "broadcast", **record})
+            if journal.enabled:
+                journal.write({"type": "broadcast", **record})
 
     def on_app_deliver(
         origin: ProcessId, message_id: MessageId, payload: Any, size: int
@@ -724,7 +725,8 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             "time": sched.now,
         }
         run.app_deliveries.append(record)
-        journal.write({"type": "app_delivery", **record})
+        if journal.enabled:
+            journal.write({"type": "app_delivery", **record})
         if origin == me and run.outstanding > 0:
             run.outstanding -= 1
             # Refill from a fresh loop iteration, not reentrantly from
@@ -734,7 +736,8 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     def on_protocol_deliver(delivery: Delivery) -> None:
         entry = delivery_entry(delivery)
         run.deliveries.append(entry)
-        journal.write({"type": "delivery", **entry})
+        if journal.enabled:
+            journal.write({"type": "delivery", **entry})
 
     if serve_server is not None:
         def app_deliver(

@@ -605,7 +605,8 @@ class RingTransport:
                     # drained, so a connection drop resends it after
                     # reconnect instead of silently losing it
                     # (duplicates are cheaper than a stuck ring, and
-                    # FSR suppresses re-delivered sequence numbers).
+                    # FSR suppresses re-delivered sequence numbers and
+                    # un-sequenced copies of delivered message ids).
                     frame, release, _ = self._outbound[0]
                     if not await self._pace(
                         self.successor_id, release,

@@ -45,6 +45,12 @@ class JsonlWriter:
     def __init__(self, path: Optional[str]) -> None:
         self._fh: Optional[TextIO] = open(path, "w") if path else None
 
+    @property
+    def enabled(self) -> bool:
+        """False when ``write`` discards: per-message callers test this
+        before they build an entry."""
+        return self._fh is not None
+
     def write(self, entry: Dict[str, Any]) -> None:
         if self._fh is None:
             return

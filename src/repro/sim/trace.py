@@ -5,10 +5,12 @@ Traces are the debugging backbone of the library: every subsystem emits
 :class:`TraceLog`.  Tests assert on traces, and failed property-based
 tests dump them to explain the shrunk counterexample.
 
-Tracing is off by default (a disabled log costs one attribute check per
-emit) so benchmark throughput is unaffected; the emission discipline is
+Tracing is off by default, and the emission discipline is
 :class:`repro.obs.event.EventLog`'s, shared with the span and request
-logs.
+logs: a site on a per-message path (every one in ``core/fsr``) tests
+``trace.enabled`` *before* it reads the clock or formats an id, so a
+disabled log costs that one attribute check per emit.  An unguarded
+``emit`` is still safe — it re-checks — but has paid for its arguments.
 """
 
 from __future__ import annotations

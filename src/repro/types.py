@@ -7,8 +7,14 @@ avoids import cycles between subsystems.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Protocol, Tuple
+
+#: ``@dataclass(**SLOTS)`` for the records allocated per message hop: no
+#: instance ``__dict__`` where the interpreter can generate ``__slots__``
+#: (3.10+); on 3.9 the same classes stay dict-backed.
+SLOTS: Dict[str, bool] = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 #: Identifier of a process (a ring position in the initial view).
 ProcessId = int
@@ -63,14 +69,16 @@ class Scheduler(Clock, Protocol):
         ...  # pragma: no cover - protocol definition
 
 
-@dataclass(frozen=True, order=True)
-class MessageId:
+class MessageId(NamedTuple):
     """Globally unique identifier of one TO-broadcast message.
 
     A message is identified by its origin process and a per-origin
     counter.  The identifier never changes, even when the message is
     re-broadcast during view-change recovery, which is what makes
     duplicate suppression after a crash possible.
+
+    A tuple rather than a frozen dataclass because the id keys every
+    per-message table of the protocol: it is hashed and compared in C.
     """
 
     origin: ProcessId
@@ -80,7 +88,7 @@ class MessageId:
         return f"m{self.origin}.{self.local_seq}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTS)
 class Delivery:
     """One TO-delivery event observed at one process.
 

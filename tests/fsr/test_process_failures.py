@@ -14,7 +14,9 @@ from repro.checker import (
     check_uniformity,
 )
 from repro.core.fsr import FSRConfig
+from repro.core.fsr.messages import AckBatch, FwdData, SeqData
 from tests.conftest import small_cluster
+from tests.fsr.nullring import NullRing
 
 
 def _run_with_crashes(n, t, crashes, plan, max_time_s=60.0):
@@ -191,3 +193,77 @@ def test_view_change_continues_sequences_monotonically():
         sequences = [d.sequence for d in log.deliveries]
         assert sequences == sorted(sequences)
         assert len(set(sequences)) == len(sequences)
+
+
+# ----------------------------------------------------------------------
+# Transport-level duplicates: RingTransport resends its queued frames
+# after a reconnect, so every frame may arrive a second time, arbitrarily
+# late.  Scripted on a null ring (no simulator: the DES never resends).
+# ----------------------------------------------------------------------
+def _state_sizes(ring):
+    return [
+        (
+            len(p._seq_of), len(p._known_payloads), len(p._consumed_acks),
+            p.retained_count,
+        )
+        for p in ring.processes
+    ]
+
+
+def test_late_duplicate_fwd_data_is_not_sequenced_again():
+    """A resent ``FwdData`` reaching the leader after its message was
+    delivered and garbage-collected used to get a second sequence number
+    and kill every process with "delivered twice"."""
+    ring = NullRing(n=3, t=1)
+    first = ring.broadcast(2)
+    (captured,) = [
+        frame for frame in ring.sent if isinstance(frame[2], FwdData)
+    ]
+    assert captured[0] == 0 and captured[2].message_id == first
+    for _ in range(5):  # the watermark passes the first message
+        ring.broadcast(2)
+    leader = ring.processes[0]
+    assert leader._gc_cursor >= 1 and first not in leader._seq_of
+    next_seq = leader._next_seq
+    delivered = {me: list(log) for me, log in ring.delivered.items()}
+    sizes = _state_sizes(ring)
+
+    ring.inject(*captured)
+    ring.run()  # must not raise ProtocolError
+
+    assert leader._next_seq == next_seq
+    assert ring.delivered == delivered
+    assert _state_sizes(ring) == sizes
+    # The ring still works, and the duplicate left no hole in the order.
+    ring.broadcast(1)
+    assert [len(log) for log in ring.delivered.values()] == [7, 7, 7]
+    assert len({tuple(log) for log in ring.delivered.values()}) == 1
+
+
+def test_replayed_collected_flush_leaves_state_bounded():
+    """Resent ``SeqData`` and acks for sequences every process already
+    collected must not be stored again: the GC cursor never returns to
+    them, so they would stay for the life of the process."""
+    ring = NullRing(n=3, t=1)
+    for sender in (0, 1, 2, 0, 1, 2):
+        ring.broadcast(sender)
+    flush = [
+        frame for frame in ring.sent if isinstance(frame[2], (SeqData, AckBatch))
+    ]
+    replayed = max(
+        ack.sequence
+        for frame in flush if isinstance(frame[2], AckBatch)
+        for ack in frame[2].acks
+    )
+    for sender in (0, 1, 2, 0, 1, 2):
+        ring.broadcast(sender)
+    assert all(p._gc_cursor >= replayed for p in ring.processes)
+    delivered = {me: list(log) for me, log in ring.delivered.items()}
+    sizes = _state_sizes(ring)
+
+    for frame in flush:
+        ring.inject(*frame)
+    ring.run()
+
+    assert _state_sizes(ring) == sizes
+    assert ring.delivered == delivered
