@@ -582,8 +582,9 @@ def _decode_data(
         )
         segment = (MessageId(origin, app_local_seq), index, count)
     acks = _ack_records(body, acks_at, n_acks, view_id) if n_acks else []
-    # The one copy per payload: straight from the receive buffer (or the
-    # batch body's memoryview slice) into its final object.
+    # The one copy per payload: ``body`` is a memoryview into the
+    # connection's receive buffer (or a batch entry's slice of it), which
+    # the next recv_into overwrites — this is what detaches the payload.
     payload = body[payload_at:]
     if not isinstance(payload, bytes):
         payload = bytes(payload)

@@ -92,6 +92,8 @@ _TRANSPORT_COUNTERS = (
     "batched_frames",
     "acks_ridden",
     "batches_received",
+    "rx_chunks",
+    "rx_compacted_bytes",
 )
 
 

@@ -15,6 +15,12 @@ FIFO channel the paper assumes; what this module adds is:
   ``max_retries=None``, the mode live view changes run in: there a dead
   successor is membership's problem, and :meth:`RingTransport.retarget`
   re-points the hop at the new successor once a view installs;
+* a callback receive path: each accepted connection, ring or control,
+  is an :class:`asyncio.BufferedProtocol` whose one buffer the kernel
+  fills in place; frames are sliced out as ``memoryview``s and handed
+  up synchronously, so the codec's payload copy is the only user-space
+  copy on the way in, and an upcall's exception fails the transport
+  (``failure``) instead of vanishing with the connection (§5g);
 * TX backpressure: ``tx_ready`` mirrors the simulated NIC's ``tx_idle``
   gate, so ``FSRProcess``'s fair-send pump throttles on a slow socket
   exactly like it throttles on a busy simulated NIC;
@@ -78,6 +84,8 @@ RECONNECT_BASE_S = 0.05
 RECONNECT_CAP_S = 2.0
 #: Poll period while the shaper holds a link fully blocked (partition).
 BLOCK_POLL_S = 0.02
+#: Receive buffer per inbound connection; only a larger frame grows it.
+RX_BUFFER_BYTES = 256 * 1024
 
 
 def _set_nodelay(writer: asyncio.StreamWriter) -> None:
@@ -96,18 +104,142 @@ def _set_nodelay(writer: asyncio.StreamWriter) -> None:
             pass
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read one length-prefixed frame body; ``None`` on clean EOF."""
-    try:
-        prefix = await reader.readexactly(LENGTH_PREFIX_BYTES)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    body_len = frame_length(prefix)
-    assert body_len is not None  # prefix is complete by construction
-    try:
-        return await reader.readexactly(body_len)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
+class _InboundConnection(asyncio.BufferedProtocol):
+    """RX path: one accepted connection, ring or control channel.
+
+    The kernel fills the free tail of one reusable buffer; complete
+    frame bodies are sliced out as ``memoryview``s, decoded and handed
+    up synchronously.  Nothing handed up aliases the buffer: the codec
+    copies each payload once and parses the rest into fresh objects.
+    """
+
+    def __init__(self, owner: "RingTransport") -> None:
+        self.owner = owner
+        self.transport: Optional[asyncio.BaseTransport] = None
+        #: ``(peer id, channel)`` once the Hello has arrived.
+        self.peer_key: Optional[Tuple[ProcessId, int]] = None
+        #: The unconsumed bytes are ``_view[_start:_end]``.
+        self._view = memoryview(bytearray(RX_BUFFER_BYTES))
+        self._start = self._end = 0
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # Only our own registration: after a reconnect the key belongs
+        # to the replacement, which close() must still find.
+        peers = self.owner._inbound_peers
+        if peers.get(self.peer_key) is self.transport:
+            del peers[self.peer_key]
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view[self._end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        owner = self.owner
+        owner.rx_chunks += 1
+        view = self._view
+        start = self._start
+        end = self._end + nbytes
+        upcalls = 0
+        try:
+            while True:
+                body_len = frame_length(view[start:end])
+                if body_len is None:
+                    need = LENGTH_PREFIX_BYTES
+                    break
+                need = LENGTH_PREFIX_BYTES + body_len
+                if start + need > end:
+                    break
+                upcalls += self._on_frame(
+                    view[start + LENGTH_PREFIX_BYTES:start + need]
+                )
+                start += need
+        except CodecError:
+            # Corrupt peer stream: drop the connection; the peer's
+            # transport reconnects and re-greets with a fresh stream.
+            self.transport.close()
+            return
+        except Exception as exc:
+            # An upcall failed and the frames behind it go with the
+            # connection: fail the transport (the node polls ``failure``
+            # and exits non-zero) rather than run on without them.
+            logger.exception("node %d: receive upcall failed", owner.node_id)
+            owner._failure = f"receive upcall failed: {exc!r}"
+            self.transport.close()
+            return
+        if owner._rx_frames_hist is not None:
+            owner._rx_frames_hist.observe(upcalls)
+        self._make_room(start, end, need)
+
+    def _make_room(self, start: int, end: int, need: int) -> None:
+        """Leave a free tail for the next ``recv_into``.
+
+        ``need`` is the size of the partial frame at ``start``: its tail
+        moves to the front only when it would not fit behind the
+        consumed frames, and the buffer doubles only once it is full of
+        bytes that really arrived (an announced length allocates
+        nothing), up to one maximal frame; after that frame it is
+        ``RX_BUFFER_BYTES`` again.
+        """
+        view = self._view
+        size = len(view)
+        pending = end - start
+        if not pending:
+            start = end = 0
+        if size > RX_BUFFER_BYTES and need <= RX_BUFFER_BYTES:
+            resized = RX_BUFFER_BYTES
+        elif pending == size:
+            resized = min(2 * size, LENGTH_PREFIX_BYTES + MAX_FRAME_BYTES)
+        elif start + need > size:
+            resized = size
+        else:
+            self._start, self._end = start, end
+            return
+        if resized != size:
+            self._view = memoryview(bytearray(resized))
+        self._view[:pending] = view[start:end]  # a memmove: may overlap
+        self.owner.rx_compacted_bytes += pending
+        self._start, self._end = 0, pending
+
+    def _on_frame(self, body: memoryview) -> int:
+        """Decode one frame body and hand it up; returns the upcalls made."""
+        owner = self.owner
+        message = decode_message(body)
+        if self.peer_key is None:
+            if not isinstance(message, Hello):
+                raise CodecError(
+                    f"expected Hello, got {type(message).__name__}"
+                )
+            self.peer_key = (message.node_id, message.channel)
+            owner._inbound_peers[self.peer_key] = self.transport
+            if message.channel == CHANNEL_RING:
+                owner._inbound_hello.set()
+            return 0
+        peer_id, channel = self.peer_key
+        is_control = isinstance(message, ControlFrame)
+        if is_control != (channel == CHANNEL_CONTROL) or isinstance(
+            message, Hello
+        ):
+            raise CodecError(
+                f"unexpected {type(message).__name__} on channel {channel}"
+            )
+        if is_control:
+            owner.control_frames_received += 1
+            if owner.on_control is not None:
+                owner.on_control(message.layer, peer_id, message.inner)
+            return 1
+        # A batch is one coalesced flush from the predecessor: deliver
+        # each ride-along in wire order.
+        batch = isinstance(message, FrameBatch)
+        messages = message.messages if batch else (message,)
+        if batch:
+            owner.batches_received += 1
+        owner.frames_received += len(messages)
+        owner.bytes_received += LENGTH_PREFIX_BYTES + len(body)
+        for inner in messages:
+            owner.on_message(peer_id, inner)
+        return len(messages)
 
 
 class _ControlPeer:
@@ -279,6 +411,11 @@ class RingTransport:
             telemetry.histogram("transport_flush_bytes")
             if telemetry is not None else None
         )
+        #: Frames handed up per receive wake-up (``buffer_updated``).
+        self._rx_frames_hist = (
+            telemetry.histogram("transport_rx_frames_per_chunk")
+            if telemetry is not None else None
+        )
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._writer: Optional[asyncio.StreamWriter] = None
@@ -296,8 +433,10 @@ class RingTransport:
         self._dial_wakeup = asyncio.Event()
         self._connected = asyncio.Event()
         self._inbound_hello = asyncio.Event()
-        #: Inbound writers keyed by (peer id, channel).
-        self._inbound_peers: Dict[Tuple[ProcessId, int], asyncio.StreamWriter] = {}
+        #: Inbound connections keyed by (peer id, channel).
+        self._inbound_peers: Dict[
+            Tuple[ProcessId, int], asyncio.BaseTransport
+        ] = {}
         #: Addresses control connections may dial (from the cluster config).
         self._peer_addrs: Dict[ProcessId, Tuple[str, int]] = dict(peers or {})
         self._control_peers: Dict[ProcessId, _ControlPeer] = {}
@@ -330,6 +469,9 @@ class RingTransport:
         self.batched_frames = 0
         self.acks_ridden = 0
         self.batches_received = 0
+        #: Receive wake-ups, and bytes moved to make room in a buffer.
+        self.rx_chunks = 0
+        self.rx_compacted_bytes = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -337,8 +479,8 @@ class RingTransport:
     async def start(self) -> None:
         """Bind the listening socket and start connecting outbound."""
         host, port = self.listen_addr
-        self._server = await asyncio.start_server(
-            self._handle_inbound, host, port
+        self._server = await asyncio.get_event_loop().create_server(
+            lambda: _InboundConnection(self), host, port
         )
         self._tasks.append(asyncio.ensure_future(self._outbound_loop()))
 
@@ -348,6 +490,9 @@ class RingTransport:
         self._dial_wakeup.set()
         if self._server is not None:
             self._server.close()
+            # First: from 3.12 on wait_closed() waits for these to drop.
+            for inbound in list(self._inbound_peers.values()):
+                inbound.close()
             await self._server.wait_closed()
         for peer in list(self._control_peers.values()):
             peer.close()
@@ -364,8 +509,6 @@ class RingTransport:
                 pass
         if self._writer is not None:
             self._writer.close()
-        for writer in list(self._inbound_peers.values()):
-            writer.close()
 
     @property
     def failure(self) -> Optional[str]:
@@ -782,60 +925,3 @@ class RingTransport:
         for pid in list(self._control_peers):
             if pid not in keep:
                 self._control_peers.pop(pid).close()
-
-    # ------------------------------------------------------------------
-    # RX path
-    # ------------------------------------------------------------------
-    async def _handle_inbound(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer_key: Optional[Tuple[ProcessId, int]] = None
-        try:
-            body = await read_frame(reader)
-            if body is None:
-                return
-            hello = decode_message(body)
-            if not isinstance(hello, Hello):
-                raise CodecError(
-                    f"expected Hello, got {type(hello).__name__}"
-                )
-            peer_id = hello.node_id
-            channel = hello.channel
-            peer_key = (peer_id, channel)
-            self._inbound_peers[peer_key] = writer
-            if channel == CHANNEL_RING:
-                self._inbound_hello.set()
-            while True:
-                body = await read_frame(reader)
-                if body is None:
-                    return
-                message = decode_message(body)
-                if channel == CHANNEL_CONTROL:
-                    if not isinstance(message, ControlFrame):
-                        raise CodecError(
-                            "expected ControlFrame on control channel, "
-                            f"got {type(message).__name__}"
-                        )
-                    self.control_frames_received += 1
-                    if self.on_control is not None:
-                        self.on_control(message.layer, peer_id, message.inner)
-                elif isinstance(message, FrameBatch):
-                    # One coalesced flush from the predecessor: unpack
-                    # and deliver each ride-along in wire order.
-                    self.batches_received += 1
-                    self.frames_received += len(message.messages)
-                    self.bytes_received += LENGTH_PREFIX_BYTES + len(body)
-                    for inner in message.messages:
-                        self.on_message(peer_id, inner)
-                else:
-                    self.frames_received += 1
-                    self.bytes_received += LENGTH_PREFIX_BYTES + len(body)
-                    self.on_message(peer_id, message)
-        except CodecError:
-            # Corrupt peer stream: drop the connection; the peer's
-            # transport reconnects and re-greets with a fresh stream.
-            pass
-        finally:
-            if peer_key is not None:
-                self._inbound_peers.pop(peer_key, None)
-            writer.close()
