@@ -212,7 +212,9 @@ def _cmd_rounds(args: argparse.Namespace) -> int:
         title=f"Round model: n={args.n}, k={args.k} saturating senders",
     ))
     formula = fsr_latency_formula(args.n, args.t, 1 % args.n)
-    print(f"\nFSR formula check: L(1) = 2n + t - 2 = {formula}")
+    effective_t = FSRConfig(t=args.t).effective_t(args.n)
+    clamped = "" if effective_t == args.t else f" (t = {effective_t}, clamped to n - 1)"
+    print(f"\nFSR formula check: L(1) = 2n + t - 2 = {formula}{clamped}")
     return 0
 
 

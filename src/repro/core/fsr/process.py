@@ -896,6 +896,11 @@ class FSRProcess(TotalOrderBroadcast):
         return len(self._records)
 
     @property
+    def pending_own(self) -> int:
+        """Own data messages queued for injection, not yet sent."""
+        return self._scheduler.pending_own
+
+    @property
     def ring(self) -> Optional[Ring]:
         return self._ring
 

@@ -23,6 +23,7 @@ from repro.failure.detector import (
     FailureDetector,
     HeartbeatFailureDetector,
     OracleFailureDetector,
+    StaticDetector,
     adaptive_floor_s,
 )
 from repro.failure.injector import CrashInjector
@@ -32,6 +33,7 @@ __all__ = [
     "FailureDetector",
     "HeartbeatFailureDetector",
     "OracleFailureDetector",
+    "StaticDetector",
     "CrashInjector",
     "adaptive_floor_s",
 ]

@@ -64,6 +64,13 @@ class FailureDetector(ABC):
             callback(pid)
 
 
+class StaticDetector(FailureDetector):
+    """Failure detector of a static membership: trusts everyone."""
+
+    def monitor(self, peers: Iterable[ProcessId]) -> None:  # noqa: D102
+        pass
+
+
 class OracleFailureDetector(FailureDetector):
     """Perfect detector fed by the crash injector.
 

@@ -19,7 +19,7 @@ Membership comes in two modes:
 
 * **static** (default): the detector never suspects anyone, the
   membership layer installs the bootstrap view and stays silent — its
-  control port is a :class:`_NullPort` that loudly rejects any use.
+  control port is a :class:`SilentPort` that loudly rejects any use.
 * **live view changes** (``view_changes=True``, used by the live chaos
   campaign): a real :class:`HeartbeatFailureDetector` runs on the
   asyncio scheduler over the transport's control plane, and
@@ -52,11 +52,13 @@ from repro.failure.detector import (
     AdaptiveFailureDetector,
     FailureDetector,
     HeartbeatFailureDetector,
+    StaticDetector,  # bench/layers.py imports it from this module
     adaptive_floor_s,
 )
 from repro.live.scheduler import AsyncioScheduler
 from repro.live.transport import RingTransport
 from repro.net.channel import MAX_RETRIES
+from repro.net.dispatch import SilentPort
 from repro.obs.journal import JsonlWriter, SpanJournal
 from repro.obs.profile import (
     CpuAccountant,
@@ -287,33 +289,6 @@ class LiveNodeConfig:
 
 def _address_map(raw: Dict[Any, Any]) -> Dict[ProcessId, Tuple[str, int]]:
     return {int(pid): (host, port) for pid, (host, port) in raw.items()}
-
-
-class StaticDetector(FailureDetector):
-    """Failure detector for static live membership: trusts everyone."""
-
-    def monitor(self, peers) -> None:  # noqa: D102 - interface method
-        pass
-
-
-class _NullPort:
-    """Port for layers that must stay silent in a static live run."""
-
-    def __init__(self, node_id: ProcessId) -> None:
-        self._node_id = node_id
-
-    @property
-    def node_id(self) -> ProcessId:
-        return self._node_id
-
-    def send(self, dst: ProcessId, message: Any, size_bytes=None) -> None:
-        raise NetworkError(
-            "static live membership never sends; enable view_changes for "
-            "live membership over TCP"
-        )
-
-    def on_receive(self, handler) -> None:
-        pass
 
 
 class LivePort:
@@ -593,7 +568,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         )
     else:
         fd_port = None
-        vsc_port = _NullPort(me)
+        vsc_port = SilentPort(me)
         detector = StaticDetector()
     membership = GroupMembership(
         sched,

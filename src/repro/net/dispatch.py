@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NetworkError
 from repro.net.channel import ChannelStack
 from repro.net.message import message_size
 from repro.types import ProcessId
@@ -52,6 +52,22 @@ class Port:
     def on_receive(self, handler: ReceiveHandler) -> None:
         """Register this layer's delivery upcall."""
         self._demux.register(self.layer, handler)
+
+
+class SilentPort:
+    """Port of a layer with nobody to talk to (static membership)."""
+
+    def __init__(self, node_id: ProcessId) -> None:
+        self.node_id = node_id
+
+    def send(self, dst: ProcessId, message: Any, size_bytes: Optional[int] = None) -> None:
+        raise NetworkError(
+            "static membership never sends (a live node runs membership "
+            "over TCP only with view_changes enabled)"
+        )
+
+    def on_receive(self, handler: ReceiveHandler) -> None:
+        pass
 
 
 class LayerDemux:

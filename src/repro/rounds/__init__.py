@@ -13,11 +13,13 @@ Throughput is measured in *completed TO-broadcasts per round* (a
 broadcast completes when every process has delivered it), and a
 protocol is throughput-efficient when this is ``>= 1``.
 
-This package implements the model (:class:`RoundEngine`) plus compact
-round automata for FSR and the four baseline classes the paper surveys,
-so Section 4.3's claims — ``L(i) = 2n + t - i - 1``, throughput 1
-regardless of ``n``, ``t`` and the sender pattern — and Section 2's
-per-class deficiencies are all checked mechanically.
+This package implements the model (:class:`RoundEngine`), a host that
+runs the real :class:`~repro.core.fsr.process.FSRProcess` under it
+(:class:`FSRRoundProcess`) and compact pattern automata for the five
+baseline classes the paper surveys, so Section 4.3's claims —
+``L(i) = 2n + t - i - 1``, throughput 1 regardless of ``n``, ``t`` and
+the sender pattern — are checked on the automaton the simulator and the
+sockets run, and Section 2's per-class deficiencies mechanically.
 """
 
 from repro.rounds.engine import RoundEngine, RoundMessage, RoundProcess

@@ -9,14 +9,11 @@ the message-complexity tax the paper attributes to this class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
-from repro.rounds.engine import RoundProcess
+from repro.rounds.engine import ClosedLoopProcess, DeliverCb, RoundMsgId
 from repro.types import ProcessId
-
-RoundMsgId = Tuple[ProcessId, int]
-DeliverCb = Callable[[ProcessId, RoundMsgId, int, int], None]
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,7 @@ class _Decide:
     batch: Tuple[RoundMsgId, ...]
 
 
-class DestinationAgreementRoundProcess(RoundProcess):
+class DestinationAgreementRoundProcess(ClosedLoopProcess):
     """One process of the destination-agreement protocol."""
 
     def __init__(
@@ -53,16 +50,8 @@ class DestinationAgreementRoundProcess(RoundProcess):
         max_batch: int = 8,
         window: Optional[int] = None,
     ) -> None:
-        super().__init__(pid)
-        self.members = members
-        self.n = len(members)
-        self.supply = supply
-        self.deliver_cb = deliver_cb
+        super().__init__(pid, members, supply, deliver_cb, window)
         self.max_batch = max_batch
-        self.window = window
-
-        self._own_counter = 0
-        self._own_delivered = 0
         self._payloads: Set[RoundMsgId] = set()
         self._ordered: Set[RoundMsgId] = set()
         self._decisions: Dict[int, Tuple[RoundMsgId, ...]] = {}
@@ -72,7 +61,6 @@ class DestinationAgreementRoundProcess(RoundProcess):
         self._proposed: Tuple[RoundMsgId, ...] = ()
         self._outbox: List[object] = []  # control messages to send
         self._sequence = 0
-        self.delivered: List[RoundMsgId] = []
 
     def coordinator_of(self, instance: int) -> ProcessId:
         return self.members[(instance - 1) % self.n]
@@ -83,18 +71,11 @@ class DestinationAgreementRoundProcess(RoundProcess):
             dests, payload = self._outbox.pop(0)
             self.send(dests, payload)
             return
-        wants_own = self.supply is None or self.supply > 0
-        if wants_own and self.window is not None:
-            wants_own = self._own_counter - self._own_delivered < self.window
-        if wants_own:
-            self._own_counter += 1
-            if self.supply is not None:
-                self.supply -= 1
-            mid = (self.pid, self._own_counter)
+        if self.wants_own():
+            mid = self.next_own()
             self._payloads.add(mid)
-            others = [p for p in self.members if p != self.pid]
-            if others:
-                self.send(others, _Data(msg=mid))
+            if self.others:
+                self.send(self.others, _Data(msg=mid))
             self._maybe_propose()
 
     def receive(self, round_index: int, src: ProcessId, payload: object) -> None:
@@ -128,9 +109,10 @@ class DestinationAgreementRoundProcess(RoundProcess):
         self._proposing = instance
         self._proposed = tuple(pending)
         self._votes = {self.pid}
-        others = [p for p in self.members if p != self.pid]
-        if others:
-            self._outbox.append((others, _Propose(instance=instance, batch=self._proposed)))
+        if self.others:
+            self._outbox.append(
+                (self.others, _Propose(instance=instance, batch=self._proposed))
+            )
         else:
             self._decisions.setdefault(instance, self._proposed)
 
@@ -142,9 +124,8 @@ class DestinationAgreementRoundProcess(RoundProcess):
         self._proposing = None
         self._proposed = ()
         self._votes = set()
-        others = [p for p in self.members if p != self.pid]
-        if others:
-            self._outbox.append((others, _Decide(instance=instance, batch=batch)))
+        if self.others:
+            self._outbox.append((self.others, _Decide(instance=instance, batch=batch)))
         self._decisions.setdefault(instance, batch)
         self._flush(round_index)
 
@@ -160,9 +141,5 @@ class DestinationAgreementRoundProcess(RoundProcess):
                     continue
                 self._ordered.add(mid)
                 self._sequence += 1
-                self.delivered.append(mid)
-                if mid[0] == self.pid:
-                    self._own_delivered += 1
-                if self.deliver_cb is not None:
-                    self.deliver_cb(self.pid, mid, self._sequence, round_index)
+                self.record_delivery(mid, self._sequence, round_index)
             self._maybe_propose()

@@ -13,20 +13,18 @@ benchmark can sweep every class of Section 2 uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.rounds.agreement_round import DestinationAgreementRoundProcess
-from repro.rounds.engine import RoundEngine, RoundProcess
+from repro.rounds.engine import RoundEngine, RoundMsgId, RoundProcess
 from repro.rounds.fsr_round import FSRRoundProcess
 from repro.rounds.history_round import CommunicationHistoryRoundProcess
 from repro.rounds.moving_round import MovingSequencerRoundProcess
 from repro.rounds.privilege_round import PrivilegeRoundProcess
 from repro.rounds.sequencer_round import FixedSequencerRoundProcess
 from repro.types import ProcessId
-
-RoundMsgId = Tuple[ProcessId, int]
 
 #: Factory signature: (pid, members, supply, deliver_cb) -> RoundProcess.
 RoundFactory = Callable[..., RoundProcess]
@@ -89,15 +87,23 @@ class RoundRunResult:
 
 
 class _Observer:
+    """A broadcast completes in the round its ``n``-th *distinct* process
+    delivers it; a repeat would complete it a process early, so it is an
+    error, not a count."""
+
     def __init__(self, n: int) -> None:
         self.n = n
-        self.counts: Dict[RoundMsgId, int] = {}
+        self.deliverers: Dict[RoundMsgId, Set[ProcessId]] = {}
         self.completion: Dict[RoundMsgId, int] = {}
 
     def __call__(self, pid: ProcessId, mid: RoundMsgId, seq: int, rnd: int) -> None:
-        count = self.counts.get(mid, 0) + 1
-        self.counts[mid] = count
-        if count == self.n:
+        deliverers = self.deliverers.setdefault(mid, set())
+        if pid in deliverers:
+            raise SimulationError(
+                f"process {pid} delivered {mid} twice (round {rnd})"
+            )
+        deliverers.add(pid)
+        if len(deliverers) == self.n:
             self.completion[mid] = rnd
 
 

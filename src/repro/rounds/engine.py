@@ -21,10 +21,16 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.types import ProcessId
+
+#: Message identity in the round model: (origin, per-origin counter).
+RoundMsgId = Tuple[ProcessId, int]
+
+#: Delivery observer: (pid, message id, sequence, round index).
+DeliverCb = Callable[[ProcessId, RoundMsgId, int, int], None]
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,60 @@ class RoundProcess(ABC):
         if isinstance(destinations, int):
             destinations = [destinations]
         self._engine._submit(self.pid, list(destinations), payload)
+
+
+class ClosedLoopProcess(RoundProcess):
+    """A round automaton driven by the measurement drivers' sender.
+
+    ``supply`` is how many messages this process still wants to
+    TO-broadcast (``None`` = saturating sender) and ``window`` caps its
+    own broadcasts in flight, sent but not yet locally delivered
+    (``None`` = no cap).  A protocol asks :meth:`wants_own`, draws the
+    id of its next broadcast with :meth:`next_own`, and reports every
+    TO-delivery through :meth:`record_delivery`, which feeds
+    ``delivered`` and the drivers' ``deliver_cb``.
+    """
+
+    def __init__(
+        self,
+        pid: ProcessId,
+        members: Tuple[ProcessId, ...],
+        supply: Optional[int] = 0,
+        deliver_cb: Optional[DeliverCb] = None,
+        window: Optional[int] = None,
+    ) -> None:
+        super().__init__(pid)
+        self.members = members
+        self.n = len(members)
+        self.others = [p for p in members if p != pid]
+        self.supply = supply
+        self.deliver_cb = deliver_cb
+        self.window = window
+        self._own_counter = 0
+        self._own_delivered = 0
+        self.delivered: List[RoundMsgId] = []
+
+    def wants_own(self) -> bool:
+        if self.supply is not None and self.supply <= 0:
+            return False
+        return (
+            self.window is None
+            or self._own_counter - self._own_delivered < self.window
+        )
+
+    def next_own(self) -> RoundMsgId:
+        """Take one message from the supply; returns its id."""
+        self._own_counter += 1
+        if self.supply is not None:
+            self.supply -= 1
+        return (self.pid, self._own_counter)
+
+    def record_delivery(self, mid: RoundMsgId, seq: int, round_index: int) -> None:
+        self.delivered.append(mid)
+        if mid[0] == self.pid:
+            self._own_delivered += 1
+        if self.deliver_cb is not None:
+            self.deliver_cb(self.pid, mid, seq, round_index)
 
 
 class RoundEngine:

@@ -1,307 +1,110 @@
 """FSR in the round-based model (validates paper §4.3).
 
-A compact re-statement of the FSR automaton under round-model cost
-accounting: one send slot per round (to one destination — FSR only ever
-sends to its successor), one receive per round, acks ride for free on
-data messages and cost a slot only when sent standalone.
+The automaton is the real one: an :class:`FSRRoundProcess` hosts the
+:class:`~repro.core.fsr.process.FSRProcess` the simulator and the
+sockets run, over static membership, and *is* its network port, its TX
+gate and its clock.  The round model's cost accounting — one send slot
+per round, one receive per round — is all the host adds:
 
-The two §4.3 claims validated with this automaton (see
-``tests/rounds/test_fsr_round.py`` and the round-model benchmark):
+* the gate opens in :meth:`~FSRRoundProcess.begin_round` and shuts at
+  the round's first send, so the automaton's own pump decides what the
+  slot carries (a data message with the pending acks riding on it, or a
+  standalone ack batch when there is no carrier);
+* a frame is handed to ``on_message`` with the gate shut, so whatever it
+  queues waits for the next round;
+* the closed-loop sender offers at most one broadcast per round, and
+  only when the previous one has left the own queue — the fairness rule
+  then sees one pending own message, as the paper's Figure 5 draws it;
+* the clock stands still and refuses timers: the round index is the
+  only time there is.
 
-* single-broadcast latency is exactly ``L(i) = 2n + t - i - 1`` rounds
-  for a sender at position ``i >= 1`` (and ``n + t - 1`` for the
-  leader);
-* steady-state throughput is one completed TO-broadcast per round,
-  independent of ``n``, ``t``, and the number of senders ``k``.
+The two §4.3 claims validated on it (``tests/rounds/test_fsr_round.py``
+and the round-model benchmark): single-broadcast latency is exactly
+``L(i) = 2n + t - i - 1`` rounds (``n + t - 1`` for the leader), and
+steady-state throughput is one completed TO-broadcast per round,
+independent of ``n``, ``t`` and the number of senders ``k``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Optional, Tuple
 
-from repro.errors import ProtocolError
-from repro.rounds.engine import RoundProcess
-from repro.types import ProcessId
+from repro.core.fsr.config import FSRConfig
+from repro.core.fsr.process import FSRProcess
+from repro.core.fsr.ring import Ring
+from repro.errors import SimulationError
+from repro.failure.detector import StaticDetector
+from repro.net.dispatch import SilentPort
+from repro.rounds.engine import ClosedLoopProcess, DeliverCb
+from repro.types import Delivery, ProcessId
+from repro.vsc.membership import GroupMembership
 
 
 def fsr_latency_formula(n: int, t: int, position: int) -> int:
-    """Paper formula ``L(i) = 2n + t - i - 1`` (leader: ``n + t - 1``)."""
-    if n == 1:
-        return 0
-    if position == 0:
-        return n + t - 1
-    return 2 * n + t - position - 1
+    """Paper formula ``L(i) = 2n + t - i - 1`` (leader: ``n + t - 1``),
+    with ``t`` clamped to ``n - 1`` as every view clamps it."""
+    ring = Ring(members=tuple(range(n)), t=FSRConfig(t=t).effective_t(n))
+    return ring.latency_rounds(position)
 
 
-# Message identity in the round model: (origin, per-origin counter).
-RoundMsgId = Tuple[ProcessId, int]
+class FSRRoundProcess(ClosedLoopProcess):
+    """One :class:`FSRProcess` under the round model's send/receive slots."""
 
-
-@dataclass(frozen=True)
-class _RAck:
-    msg: RoundMsgId
-    seq: int
-    stable: bool
-
-
-@dataclass(frozen=True)
-class _RFwd:
-    msg: RoundMsgId
-    origin: ProcessId
-    acks: Tuple[_RAck, ...] = ()
-
-
-@dataclass(frozen=True)
-class _RSeq:
-    msg: RoundMsgId
-    origin: ProcessId
-    seq: int
-    stable: bool
-    acks: Tuple[_RAck, ...] = ()
-
-
-@dataclass(frozen=True)
-class _RAckOnly:
-    acks: Tuple[_RAck, ...]
-
-
-#: Delivery observer: (pid, message id, sequence, round index).
-DeliverCb = Callable[[ProcessId, RoundMsgId, int, int], None]
-
-
-class FSRRoundProcess(RoundProcess):
-    """One FSR process in the round model.
-
-    ``supply`` is the number of messages this process wants to
-    TO-broadcast (``None`` = saturating sender); the analysis driver
-    reads deliveries through ``deliver_cb``.
-    """
+    #: ``Scheduler.now``: the clock stands still.
+    now = 0.0
 
     def __init__(
         self,
         pid: ProcessId,
         members: Tuple[ProcessId, ...],
         t: int,
-        supply: int = 0,
+        supply: Optional[int] = 0,
         deliver_cb: Optional[DeliverCb] = None,
         fairness: bool = True,
         window: Optional[int] = None,
         piggyback: bool = True,
     ) -> None:
-        super().__init__(pid)
-        self.members = members
-        self.n = len(members)
-        self.t = min(t, self.n - 1)
-        self.position = members.index(pid)
-        self.supply = supply
-        self.deliver_cb = deliver_cb
-        self.fairness = fairness
-        #: §4.2.2 ablation: when False, acks never ride on data — each
-        #: pending ack burns a full send slot of its own.
-        self.piggyback = piggyback
-        #: Flow-control window: maximum own messages in flight (sent
-        #: but not yet locally delivered).  ``None`` disables it.
-        self.window = window
+        super().__init__(pid, members, supply, deliver_cb, window)
+        self.node_id = pid  # ``Port.node_id``
+        self._gate_open = False
+        self._round = 0
+        membership = GroupMembership(
+            self, SilentPort(pid), StaticDetector(), me=pid,
+            initial_members=tuple(members),
+        )
+        self.process = FSRProcess(
+            self, self, membership,
+            FSRConfig(t=t, fairness=fairness, piggyback_acks=piggyback),
+            tx_gate=lambda: self._gate_open,
+        )
+        self.process.on_protocol_deliver(self._on_deliver)
+        self.process.start()
 
-        self._own_counter = 0
-        self._own_delivered = 0
-        #: Data messages waiting to be forwarded (FIFO).
-        self._forward: Deque[object] = deque()
-        self._forward_list: Set[ProcessId] = set()
-        self._acks: List[_RAck] = []
-        self._next_seq = 1  # leader only
-        self._records: Dict[int, Tuple[RoundMsgId, ProcessId]] = {}
-        self._deliverable: Set[int] = set()
-        self._last_delivered = 0
-        self.delivered: List[RoundMsgId] = []
+    # -- Scheduler and Port, as the automaton sees them -------------------
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any):
+        raise SimulationError("the round model has no timers")
 
-    # ------------------------------------------------------------------
-    @property
-    def successor(self) -> ProcessId:
-        return self.members[(self.position + 1) % self.n]
+    def on_receive(self, handler: Callable[[ProcessId, Any], None]) -> None:
+        self._on_message = handler
 
-    def _position_of(self, pid: ProcessId) -> int:
-        return self.members.index(pid)
+    def send(self, dst: ProcessId, message: Any, size_bytes: Optional[int] = None) -> None:
+        """``Port.send``: spend the round's one send slot, shut the gate."""
+        self._gate_open = False
+        super().send(dst, message)
 
-    # ------------------------------------------------------------------
+    # -- RoundProcess -----------------------------------------------------
     def begin_round(self, round_index: int) -> None:
-        if self.n == 1:
-            self._drain_local_supply(round_index)
-            return
-        if not self.piggyback and self._acks:
-            # Naive policy: each ack is its own message — one full send
-            # slot — and goes out ahead of data (no batching either;
-            # batching is half of what §4.2.2's optimisation buys).
-            ack = self._acks.pop(0)
-            self.send(self.successor, _RAckOnly(acks=(ack,)))
-            return
-        message = self._pick_data_message(round_index)
-        if message is not None:
-            message = self._with_acks(message)
-            self.send(self.successor, message)
-        elif self._acks:
-            self.send(self.successor, _RAckOnly(acks=tuple(self._acks)))
-            self._acks = []
+        self._round = round_index
+        self._gate_open = True
+        if self.wants_own() and not self.process.pending_own:
+            self.next_own()
+            self.process.broadcast(None, size_bytes=0)
+        self.process.on_tx_ready()
+        self._gate_open = False
 
-    def _drain_local_supply(self, round_index: int) -> None:
-        """Degenerate single-process group: deliver immediately."""
-        while self.supply is None or self.supply > 0:
-            if self.supply is None and len(self.delivered) > 10_000:
-                break
-            self._own_counter += 1
-            if self.supply is not None:
-                self.supply -= 1
-            mid = (self.pid, self._own_counter)
-            seq = self._next_seq
-            self._next_seq += 1
-            self._deliver(mid, seq, round_index)
-            if self.supply is None:
-                break  # one per round is plenty for measurements
+    def receive(self, round_index: int, src: ProcessId, payload: Any) -> None:
+        self._round = round_index
+        self._on_message(src, payload)
 
-    def _wants_own(self) -> bool:
-        if self.supply is not None and self.supply <= 0:
-            return False
-        if self.window is not None:
-            outstanding = self._own_counter - self._own_delivered
-            if outstanding >= self.window:
-                return False
-        return True
-
-    def _pick_data_message(self, round_index: int) -> Optional[object]:
-        if not self._wants_own():
-            if self._forward:
-                message = self._forward.popleft()
-                self._forward_list.add(self._origin_of(message))
-                return message
-            return None
-        if self.fairness:
-            for index, message in enumerate(self._forward):
-                if self._origin_of(message) not in self._forward_list:
-                    del self._forward[index]
-                    self._forward_list.add(self._origin_of(message))
-                    return message
-        return self._make_own(round_index)
-
-    def _make_own(self, round_index: int) -> object:
-        self._own_counter += 1
-        if self.supply is not None:
-            self.supply -= 1
-        self._forward_list.clear()
-        mid = (self.pid, self._own_counter)
-        if self.position == 0:
-            seq = self._next_seq
-            self._next_seq += 1
-            self._records[seq] = (mid, self.pid)
-            stable = self.t == 0
-            if stable:
-                self._mark(seq)
-                self._flush(round_index)
-            return _RSeq(msg=mid, origin=self.pid, seq=seq, stable=stable)
-        return _RFwd(msg=mid, origin=self.pid)
-
-    def _origin_of(self, message: object) -> ProcessId:
-        return message.origin  # type: ignore[attr-defined]
-
-    def _with_acks(self, message: object) -> object:
-        if not self._acks:
-            return message
-        acks = tuple(self._acks)
-        self._acks = []
-        if isinstance(message, _RFwd):
-            return _RFwd(msg=message.msg, origin=message.origin, acks=acks)
-        if isinstance(message, _RSeq):
-            return _RSeq(
-                msg=message.msg, origin=message.origin, seq=message.seq,
-                stable=message.stable, acks=acks,
-            )
-        raise ProtocolError(f"cannot piggyback on {message!r}")
-
-    # ------------------------------------------------------------------
-    def receive(self, round_index: int, src: ProcessId, payload: object) -> None:
-        if isinstance(payload, _RAckOnly):
-            for ack in payload.acks:
-                self._handle_ack(ack, round_index)
-        elif isinstance(payload, _RFwd):
-            for ack in payload.acks:
-                self._handle_ack(ack, round_index)
-            self._handle_fwd(payload, round_index)
-        elif isinstance(payload, _RSeq):
-            for ack in payload.acks:
-                self._handle_ack(ack, round_index)
-            self._handle_seq(payload, round_index)
-        else:
-            raise ProtocolError(f"unexpected round payload {payload!r}")
-
-    def _queue_ack(self, ack: _RAck) -> None:
-        """Queue an ack — or consume it at the stability consumer."""
-        successor_pos = (self.position + 1) % self.n
-        if ack.stable and successor_pos == self.t:
-            return  # covered the ring; nothing left to inform
-        self._acks.append(ack)
-
-    def _handle_fwd(self, message: _RFwd, round_index: int) -> None:
-        if self.position == 0:
-            seq = self._next_seq
-            self._next_seq += 1
-            self._records[seq] = (message.msg, message.origin)
-            stable = self.t == 0
-            if stable:
-                self._mark(seq)
-                self._flush(round_index)
-            if self.successor == message.origin:
-                self._queue_ack(_RAck(msg=message.msg, seq=seq, stable=stable))
-            else:
-                self._forward.append(
-                    _RSeq(msg=message.msg, origin=message.origin, seq=seq, stable=stable)
-                )
-        else:
-            self._forward.append(_RFwd(msg=message.msg, origin=message.origin))
-
-    def _handle_seq(self, message: _RSeq, round_index: int) -> None:
-        self._records.setdefault(message.seq, (message.msg, message.origin))
-        stabilising = (not message.stable) and self.position == self.t
-        out_stable = message.stable or stabilising
-        if out_stable:
-            self._mark(message.seq)
-            self._flush(round_index)
-        if self.successor == message.origin:
-            self._queue_ack(
-                _RAck(msg=message.msg, seq=message.seq, stable=out_stable)
-            )
-        else:
-            self._forward.append(
-                _RSeq(
-                    msg=message.msg, origin=message.origin, seq=message.seq,
-                    stable=out_stable,
-                )
-            )
-
-    def _handle_ack(self, ack: _RAck, round_index: int) -> None:
-        self._records.setdefault(ack.seq, (ack.msg, ack.msg[0]))
-        stabilising = (not ack.stable) and self.position == self.t
-        out_stable = ack.stable or stabilising
-        if out_stable:
-            self._mark(ack.seq)
-            self._flush(round_index)
-        self._queue_ack(_RAck(msg=ack.msg, seq=ack.seq, stable=out_stable))
-
-    # ------------------------------------------------------------------
-    def _mark(self, seq: int) -> None:
-        self._deliverable.add(seq)
-
-    def _flush(self, round_index: int) -> None:
-        while self._last_delivered + 1 in self._deliverable:
-            seq = self._last_delivered + 1
-            self._deliverable.discard(seq)
-            self._last_delivered = seq
-            mid, _origin = self._records[seq]
-            self._deliver(mid, seq, round_index)
-
-    def _deliver(self, mid: RoundMsgId, seq: int, round_index: int) -> None:
-        self.delivered.append(mid)
-        if mid[0] == self.pid:
-            self._own_delivered += 1
-        if self.deliver_cb is not None:
-            self.deliver_cb(self.pid, mid, seq, round_index)
+    def _on_deliver(self, delivery: Delivery) -> None:
+        self.record_delivery(delivery.message_id, delivery.sequence, self._round)

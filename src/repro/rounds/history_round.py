@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.rounds.engine import RoundProcess
+from repro.rounds.engine import ClosedLoopProcess, DeliverCb, RoundMsgId
 from repro.types import ProcessId
-
-RoundMsgId = Tuple[ProcessId, int]
-DeliverCb = Callable[[ProcessId, RoundMsgId, int, int], None]
 
 
 @dataclass(frozen=True)
@@ -29,7 +26,7 @@ class _Stamped:
     timestamp: int
 
 
-class CommunicationHistoryRoundProcess(RoundProcess):
+class CommunicationHistoryRoundProcess(ClosedLoopProcess):
     """One process of the communication-history protocol."""
 
     def __init__(
@@ -40,20 +37,11 @@ class CommunicationHistoryRoundProcess(RoundProcess):
         deliver_cb: Optional[DeliverCb] = None,
         window: Optional[int] = None,
     ) -> None:
-        super().__init__(pid)
-        self.members = members
-        self.n = len(members)
-        self.supply = supply
-        self.deliver_cb = deliver_cb
-        self.window = window
-
-        self._own_counter = 0
-        self._own_delivered = 0
+        super().__init__(pid, members, supply, deliver_cb, window)
         self._clock = 0
         self._latest: Dict[ProcessId, int] = {p: 0 for p in members}
         self._pending: List[Tuple[int, ProcessId, RoundMsgId]] = []
         self._delivery_index = 0
-        self.delivered: List[RoundMsgId] = []
 
     # ------------------------------------------------------------------
     def begin_round(self, round_index: int) -> None:
@@ -64,18 +52,11 @@ class CommunicationHistoryRoundProcess(RoundProcess):
         self._clock += 1
         self._latest[self.pid] = self._clock
         mid: Optional[RoundMsgId] = None
-        wants_own = self.supply is None or self.supply > 0
-        if wants_own and self.window is not None:
-            wants_own = self._own_counter - self._own_delivered < self.window
-        if wants_own:
-            self._own_counter += 1
-            if self.supply is not None:
-                self.supply -= 1
-            mid = (self.pid, self._own_counter)
+        if self.wants_own():
+            mid = self.next_own()
             heapq.heappush(self._pending, (self._clock, self.pid, mid))
-        others = [p for p in self.members if p != self.pid]
-        if others:
-            self.send(others, _Stamped(msg=mid, timestamp=self._clock))
+        if self.others:
+            self.send(self.others, _Stamped(msg=mid, timestamp=self._clock))
         self._flush(round_index)
 
     def receive(self, round_index: int, src: ProcessId, payload: object) -> None:
@@ -97,8 +78,4 @@ class CommunicationHistoryRoundProcess(RoundProcess):
                 return
             heapq.heappop(self._pending)
             self._delivery_index += 1
-            self.delivered.append(mid)
-            if mid[0] == self.pid:
-                self._own_delivered += 1
-            if self.deliver_cb is not None:
-                self.deliver_cb(self.pid, mid, self._delivery_index, round_index)
+            self.record_delivery(mid, self._delivery_index, round_index)

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
-from repro.rounds.engine import RoundProcess
+from repro.rounds.engine import ClosedLoopProcess, DeliverCb, RoundMsgId
 from repro.types import ProcessId
-
-RoundMsgId = Tuple[ProcessId, int]
-DeliverCb = Callable[[ProcessId, RoundMsgId, int, int], None]
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,7 @@ class _Announce:
     aru: Tuple[Tuple[ProcessId, int], ...]
 
 
-class MovingSequencerRoundProcess(RoundProcess):
+class MovingSequencerRoundProcess(ClosedLoopProcess):
     """One process of the moving-sequencer protocol in the round model."""
 
     def __init__(
@@ -50,16 +47,8 @@ class MovingSequencerRoundProcess(RoundProcess):
         max_per_token: int = 1,
         window: Optional[int] = None,
     ) -> None:
-        super().__init__(pid)
-        self.members = members
-        self.n = len(members)
-        self.supply = supply
-        self.deliver_cb = deliver_cb
+        super().__init__(pid, members, supply, deliver_cb, window)
         self.max_per_token = max_per_token
-        self.window = window
-
-        self._own_counter = 0
-        self._own_delivered = 0
         self._have_token = pid == members[0]
         self._token_next_seq = 1
         self._token_aru: Dict[ProcessId, int] = {p: 0 for p in members}
@@ -70,30 +59,17 @@ class MovingSequencerRoundProcess(RoundProcess):
         self._my_contiguous = 0
         self._stable = 0
         self._last_delivered = 0
-        self.delivered: List[RoundMsgId] = []
 
     # ------------------------------------------------------------------
-    def _wants_own(self) -> bool:
-        if self.supply is not None and self.supply <= 0:
-            return False
-        if self.window is not None:
-            if self._own_counter - self._own_delivered >= self.window:
-                return False
-        return True
-
     def begin_round(self, round_index: int) -> None:
         if self._have_token and self._unsequenced:
             self._announce(round_index)
             return
-        if self._wants_own():
-            self._own_counter += 1
-            if self.supply is not None:
-                self.supply -= 1
-            mid = (self.pid, self._own_counter)
+        if self.wants_own():
+            mid = self.next_own()
             self._note_data(mid, round_index)
-            others = [p for p in self.members if p != self.pid]
-            if others:
-                self.send(others, _Data(msg=mid))
+            if self.others:
+                self.send(self.others, _Data(msg=mid))
 
     def _announce(self, round_index: int) -> None:
         assignments: List[Tuple[int, RoundMsgId]] = []
@@ -115,9 +91,8 @@ class MovingSequencerRoundProcess(RoundProcess):
         )
         self._have_token = next_holder == self.pid
         self._note_stability(round_index)
-        others = [p for p in self.members if p != self.pid]
-        if others:
-            self.send(others, announce)
+        if self.others:
+            self.send(self.others, announce)
 
     # ------------------------------------------------------------------
     def receive(self, round_index: int, src: ProcessId, payload: object) -> None:
@@ -177,9 +152,4 @@ class MovingSequencerRoundProcess(RoundProcess):
         ):
             seq = self._last_delivered + 1
             self._last_delivered = seq
-            mid = self._order[seq]
-            self.delivered.append(mid)
-            if mid[0] == self.pid:
-                self._own_delivered += 1
-            if self.deliver_cb is not None:
-                self.deliver_cb(self.pid, mid, seq, round_index)
+            self.record_delivery(self._order[seq], seq, round_index)

@@ -13,16 +13,12 @@ patterns the paper calls out (and fairness collapses instead if
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.rounds.engine import RoundProcess
+from repro.rounds.engine import ClosedLoopProcess, DeliverCb, RoundMsgId
 from repro.types import ProcessId
-
-RoundMsgId = Tuple[ProcessId, int]
-DeliverCb = Callable[[ProcessId, RoundMsgId, int, int], None]
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,7 @@ class _Token:
     aru: Tuple[Tuple[ProcessId, int], ...]
 
 
-class PrivilegeRoundProcess(RoundProcess):
+class PrivilegeRoundProcess(ClosedLoopProcess):
     """One process of the privilege protocol in the round model."""
 
     def __init__(
@@ -50,16 +46,8 @@ class PrivilegeRoundProcess(RoundProcess):
         max_per_token: int = 4,
         window: Optional[int] = None,
     ) -> None:
-        super().__init__(pid)
-        self.members = members
-        self.n = len(members)
-        self.supply = supply
-        self.deliver_cb = deliver_cb
+        super().__init__(pid, members, supply, deliver_cb, window)
         self.max_per_token = max_per_token
-        self.window = window
-
-        self._own_counter = 0
-        self._own_delivered = 0
         self._have_token = pid == members[0]
         self._sent_this_visit = 0
         self._token_next_seq = 1
@@ -68,34 +56,21 @@ class PrivilegeRoundProcess(RoundProcess):
         self._my_contiguous = 0
         self._stable = 0
         self._last_delivered = 0
-        self.delivered: List[RoundMsgId] = []
         self.token_pass_rounds = 0
 
     # ------------------------------------------------------------------
-    def _wants_own(self) -> bool:
-        if self.supply is not None and self.supply <= 0:
-            return False
-        if self.window is not None:
-            if self._own_counter - self._own_delivered >= self.window:
-                return False
-        return True
-
     def begin_round(self, round_index: int) -> None:
         if not self._have_token:
             return
-        if self._wants_own() and self._sent_this_visit < self.max_per_token:
-            self._own_counter += 1
-            if self.supply is not None:
-                self.supply -= 1
+        if self.wants_own() and self._sent_this_visit < self.max_per_token:
             self._sent_this_visit += 1
-            mid = (self.pid, self._own_counter)
+            mid = self.next_own()
             seq = self._token_next_seq
             self._token_next_seq += 1
             data = _Data(msg=mid, seq=seq, stable_up_to=self._stable)
             self._note_data(data, round_index)
-            others = [p for p in self.members if p != self.pid]
-            if others:
-                self.send(others, data)
+            if self.others:
+                self.send(self.others, data)
             return
         # Visit over (quota reached or nothing to send): pass the token.
         self._pass_token(round_index)
@@ -158,9 +133,4 @@ class PrivilegeRoundProcess(RoundProcess):
         ):
             seq = self._last_delivered + 1
             self._last_delivered = seq
-            mid = self._received[seq]
-            self.delivered.append(mid)
-            if mid[0] == self.pid:
-                self._own_delivered += 1
-            if self.deliver_cb is not None:
-                self.deliver_cb(self.pid, mid, seq, round_index)
+            self.record_delivery(self._received[seq], seq, round_index)

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.rounds.engine import RoundProcess
+from repro.rounds.engine import ClosedLoopProcess, DeliverCb, RoundMsgId
 from repro.types import ProcessId
-
-RoundMsgId = Tuple[ProcessId, int]
-DeliverCb = Callable[[ProcessId, RoundMsgId, int, int], None]
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class _StableNotice:
     stable_up_to: int
 
 
-class FixedSequencerRoundProcess(RoundProcess):
+class FixedSequencerRoundProcess(ClosedLoopProcess):
     """One process of the fixed-sequencer protocol in the round model."""
 
     def __init__(
@@ -59,16 +56,8 @@ class FixedSequencerRoundProcess(RoundProcess):
         deliver_cb: Optional[DeliverCb] = None,
         window: Optional[int] = None,
     ) -> None:
-        super().__init__(pid)
-        self.members = members
-        self.n = len(members)
+        super().__init__(pid, members, supply, deliver_cb, window)
         self.sequencer = members[0]
-        self.supply = supply
-        self.deliver_cb = deliver_cb
-        self.window = window
-
-        self._own_counter = 0
-        self._own_delivered = 0
         self._pending_acks: List[int] = []
         # Sequencer state.
         self._next_seq = 1
@@ -80,7 +69,6 @@ class FixedSequencerRoundProcess(RoundProcess):
         self._known: Dict[int, RoundMsgId] = {}
         self._known_stable = 0
         self._last_delivered = 0
-        self.delivered: List[RoundMsgId] = []
 
     # ------------------------------------------------------------------
     def begin_round(self, round_index: int) -> None:
@@ -89,42 +77,25 @@ class FixedSequencerRoundProcess(RoundProcess):
         else:
             self._sender_send(round_index)
 
-    def _wants_own(self) -> bool:
-        if self.supply is not None and self.supply <= 0:
-            return False
-        if self.window is not None:
-            if self._own_counter - self._own_delivered >= self.window:
-                return False
-        return True
-
     def _sequencer_send(self, round_index: int) -> None:
-        if self._wants_own():
+        if self.wants_own():
             # The sequencer's own broadcasts are sequenced locally.
-            self._own_counter += 1
-            if self.supply is not None:
-                self.supply -= 1
-            mid = (self.pid, self._own_counter)
-            self._sequence(mid, round_index)
-        others = [p for p in self.members if p != self.pid]
-        if not others:
+            self._sequence(self.next_own(), round_index)
+        if not self.others:
             return
         if self._bcast_queue:
             bcast = self._bcast_queue.popleft()
             self._announced_stable = max(self._announced_stable, bcast.stable_up_to)
-            self.send(others, bcast)
+            self.send(self.others, bcast)
         elif self._stable > self._announced_stable:
             self._announced_stable = self._stable
-            self.send(others, _StableNotice(stable_up_to=self._stable))
+            self.send(self.others, _StableNotice(stable_up_to=self._stable))
 
     def _sender_send(self, round_index: int) -> None:
-        if self._wants_own():
-            self._own_counter += 1
-            if self.supply is not None:
-                self.supply -= 1
-            mid = (self.pid, self._own_counter)
+        if self.wants_own():
             acks = tuple(self._pending_acks)
             self._pending_acks = []
-            self.send(self.sequencer, _Submit(msg=mid, acks=acks))
+            self.send(self.sequencer, _Submit(msg=self.next_own(), acks=acks))
         elif self._pending_acks:
             acks = tuple(self._pending_acks)
             self._pending_acks = []
@@ -181,9 +152,4 @@ class FixedSequencerRoundProcess(RoundProcess):
         ):
             seq = self._last_delivered + 1
             self._last_delivered = seq
-            mid = self._known[seq]
-            self.delivered.append(mid)
-            if mid[0] == self.pid:
-                self._own_delivered += 1
-            if self.deliver_cb is not None:
-                self.deliver_cb(self.pid, mid, seq, round_index)
+            self.record_delivery(self._known[seq], seq, round_index)

@@ -12,7 +12,8 @@ from typing import Any, Callable, Deque, Dict, List, Tuple
 from repro.core.api import BroadcastListener
 from repro.core.fsr import FSRConfig
 from repro.core.fsr.process import FSRProcess
-from repro.live.node import StaticDetector
+from repro.failure.detector import StaticDetector
+from repro.net.dispatch import SilentPort
 from repro.types import MessageId
 from repro.vsc.membership import GroupMembership
 
@@ -32,19 +33,6 @@ class CountingScheduler:
 
     def schedule(self, delay: float, callback: Callable, *args: Any):
         raise AssertionError("a static ring arms no timer")
-
-
-class SilentPort:
-    """Membership port of a static ring: nothing to say, nobody to hear."""
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-
-    def send(self, dst: int, message: Any, size_bytes=None) -> None:
-        raise AssertionError("static membership never sends")
-
-    def on_receive(self, handler) -> None:
-        pass
 
 
 class _FifoPort:

@@ -19,12 +19,13 @@ from repro.core.fsr.messages import AckBatch, AckMsg, FwdData, SeqData
 from repro.core.fsr.process import FSRProcess
 from repro.core.fsr.recovery import FSRFlushState, RetainedMessage
 from repro.core.fsr.segmentation import Segment
+from repro.failure.detector import StaticDetector
 from repro.live.codec import ControlFrame, decode_message, encode_message
-from repro.live.node import StaticDetector
+from repro.net.dispatch import SilentPort
 from repro.sim.trace import TraceLog
 from repro.types import Delivery, MessageId, View
 from repro.vsc.membership import FlushState, GroupMembership
-from tests.fsr.nullring import CountingScheduler, NullRing, SilentPort
+from tests.fsr.nullring import CountingScheduler, NullRing
 
 ME = 7
 
