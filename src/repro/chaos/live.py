@@ -78,10 +78,14 @@ _NETEM_SCENARIOS = ("degraded_network", "hostile_network")
 
 #: How often the parent-side quiescence monitor samples journals.
 _QUIESCE_POLL_S = 0.05
-#: Extra wait past the last kill before quiescence may be declared:
-#: covers the heartbeat-timeout detection latency plus one flush, so
-#: the final view change (whose recovery propagates the last stability
-#: watermark to laggards) always runs before nodes are stopped.
+#: Extra wait past the last kill before quiescence may be declared, on
+#: top of the heartbeat timeout: one flush.  A SIGKILL is suspected in
+#: milliseconds from the refused port (DESIGN.md §5c), so this is no
+#: longer how long detection takes — it stays the bound for the case
+#: the evidence does not fire and the timeout has to, and it leaves the
+#: final view change (whose recovery propagates the last stability
+#: watermark to laggards, over links that may be shaped) time to run
+#: before nodes are stopped.
 _DETECTION_SLACK_S = 0.6
 
 

@@ -638,6 +638,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{spec.lease_s:.1f}s, {spec.read_fraction:.0%} reads"
         ),
     ))
+    if kill is not None and None not in (
+        kill["outage_s"], kill["detect_s"], kill["view_change_s"]
+    ):
+        outage, detect, change = (
+            kill[key] * 1e3 for key in ("outage_s", "detect_s", "view_change_s")
+        )
+        print(
+            f"failover: outage {outage:.0f} ms = detect {detect:.0f} + view "
+            f"change {change:.0f} + re-dial, re-broadcast, session reconnect "
+            f"{outage - detect - change:.0f}"
+        )
     all_points = payload["curve"] + ([kill] if kill else [])
     for point in all_points:
         if point.get("request_breakdown"):
@@ -957,8 +968,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="leader lease for local reads, seconds")
     serve.add_argument("--heartbeat-timeout", type=float, default=1.0,
                        metavar="S",
-                       help="failure-detector timeout (drives view-change "
-                            "latency after the kill)")
+                       help="failure-detector timeout: the ceiling for a "
+                            "silent failure (hung process, dead host, "
+                            "partition); a SIGKILL is found in ms from "
+                            "the refused port, whatever this is")
     serve.add_argument("--rate", action="append", type=float, default=None,
                        metavar="RPS",
                        help="offered-load point (repeatable; default "

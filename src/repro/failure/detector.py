@@ -7,6 +7,7 @@ membership layer does not care which one it is wired to.
 
 from __future__ import annotations
 
+import logging
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -17,6 +18,8 @@ from repro.obs.telemetry import Telemetry
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
 from repro.types import ProcessId, TimerHandle
+
+logger = logging.getLogger(__name__)
 
 
 def adaptive_floor_s(interval_s: float, ceiling_s: float) -> float:
@@ -133,6 +136,12 @@ class HeartbeatFailureDetector(FailureDetector):
     ``timeout_s`` above the worst-case heartbeat round delay makes the
     detector satisfy Perfect's strong accuracy, not merely eventual
     accuracy.
+
+    The timeout is the ceiling for failures that leave no evidence (a
+    hung process, a dead host, a partition).  A transport that *sees*
+    a process die — its connection hung up and its host refuses the
+    port — hands that in through :meth:`on_peer_refused` and the peer
+    is suspected at once (DESIGN.md §5c).
     """
 
     def __init__(
@@ -178,6 +187,34 @@ class HeartbeatFailureDetector(FailureDetector):
             self._tick_timer.cancel()
             self._tick_timer = None
 
+    def on_peer_refused(self, pid: ProcessId) -> None:
+        """Crash evidence from the transport: suspect ``pid`` now."""
+        if (
+            self._stopped
+            or pid not in self._monitored
+            or pid in self._suspected
+        ):
+            return
+        self._report(pid, "refused")
+
+    def _report(self, pid: ProcessId, cause: str, **detail: float) -> None:
+        """Suspect ``pid``: one trace event, log line and count per peer."""
+        me = self.port.node_id
+        last_heard = self._last_heard.get(pid)
+        self.trace.emit(
+            self.sim.now, "fd", "suspect", owner=me, peer=pid, cause=cause,
+            last_heard=last_heard, **detail,
+        )
+        logger.info(
+            "node %d: suspect %d, cause=%s, silent for %.3fs",
+            me, pid, cause, self.sim.now - (last_heard or 0.0),
+        )
+        if self.telemetry is not None:
+            self.telemetry.counter("fd_suspicions").inc()
+            if cause == "refused":
+                self.telemetry.counter("fd_suspicions_refused").inc()
+        self._suspect(pid)
+
     # ------------------------------------------------------------------
     def _timeout_for(self, pid: ProcessId) -> float:
         """Suspicion bound for ``pid``; subclasses adapt it per peer."""
@@ -219,14 +256,7 @@ class HeartbeatFailureDetector(FailureDetector):
             worst_level = max(worst_level, silence / max(timeout, 1e-9))
             worst_timeout = max(worst_timeout, timeout)
             if silence > timeout:
-                self.trace.emit(
-                    now, "fd", "suspect", owner=me, peer=pid,
-                    last_heard=self._last_heard.get(pid),
-                    timeout_s=timeout,
-                )
-                if self.telemetry is not None:
-                    self.telemetry.counter("fd_suspicions").inc()
-                self._suspect(pid)
+                self._report(pid, "timeout", timeout_s=timeout)
         if self.telemetry is not None and self._monitored:
             self.telemetry.gauge("fd_suspicion_level").set(round(worst_level, 4))
             self.telemetry.gauge("fd_timeout_s").set(round(worst_timeout, 6))

@@ -22,7 +22,9 @@ Membership comes in two modes:
   control port is a :class:`SilentPort` that loudly rejects any use.
 * **live view changes** (``view_changes=True``, used by the live chaos
   campaign): a real :class:`HeartbeatFailureDetector` runs on the
-  asyncio scheduler over the transport's control plane, and
+  asyncio scheduler over the transport's control plane — its timeout
+  the ceiling for silent failures, the transport's crash evidence
+  (``on_peer_refused``) the fast path for a killed process — and
   :class:`GroupMembership`'s flush/install protocol executes over TCP.
   On every installed view the ring transport is re-pointed at the new
   successor *before* FSR resumes pumping (:class:`_RewiringClient`).
@@ -566,6 +568,15 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             rtt_observer=rtt_observer,
             telemetry=telemetry,
         )
+        # The timeout above is the ceiling for silent failures; a kill
+        # the transport sees (hang-up, then the port refused) is
+        # suspected at once (DESIGN.md §5c).
+        transport.on_peer_refused = detector.on_peer_refused
+        # Registered ahead of membership's own callback: the journal
+        # line carries the instant of suspicion, before the flush.
+        detector.on_suspect(lambda peer: journal.write(
+            {"type": "suspect", "peer": peer, "time": sched.now}
+        ))
     else:
         fd_port = None
         vsc_port = SilentPort(me)

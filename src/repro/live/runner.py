@@ -349,7 +349,10 @@ class LiveCluster:
                     ],
                     env=env,
                     stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
+                    # A node asked to log writes to the launcher's
+                    # stderr as it runs; otherwise stderr is only the
+                    # tail quoted when the node fails.
+                    stderr=None if spec.log_level else subprocess.PIPE,
                 )
         except BaseException:
             # Spawning sibling k+1 failed: reap siblings 0..k before
@@ -478,7 +481,9 @@ class LiveCluster:
                 continue
             _, stderr = proc.communicate()
             if proc.returncode != 0:
-                tail = stderr.decode(errors="replace").strip().splitlines()
+                tail = (stderr or b"").decode(
+                    errors="replace"
+                ).strip().splitlines()
                 failures.append(
                     f"node {pid} exited {proc.returncode}: "
                     + ("; ".join(tail[-3:]) if tail else "<no stderr>")

@@ -86,6 +86,10 @@ RECONNECT_CAP_S = 2.0
 BLOCK_POLL_S = 0.02
 #: Receive buffer per inbound connection; only a larger frame grows it.
 RX_BUFFER_BYTES = 256 * 1024
+#: Written on every accepted control connection by an orderly
+#: :meth:`RingTransport.close`, ahead of the FIN — the one thing a
+#: crashed process cannot send (DESIGN.md §5c).
+GOODBYE = b"\x00"
 
 
 def _set_nodelay(writer: asyncio.StreamWriter) -> None:
@@ -277,22 +281,34 @@ class _ControlPeer:
     async def _loop(self) -> None:
         retries = 0
         transport = self.transport
+        # The last established connection ended with no goodbye: if a
+        # re-dial is now refused, the peer's process is gone (§5c).
+        hung_up = False
         while not self.closing and not transport._closing:
             try:
                 reader, writer = await asyncio.open_connection(*self.addr)
-            except OSError:
+            except OSError as exc:
+                # Only a refusal after a hang-up is evidence: a peer
+                # that never answered is not listening *yet*, and a
+                # timeout, an unreachable host or a reset (a re-dial
+                # that raced the dying listener) says nothing — the
+                # next dial may.
+                if hung_up and isinstance(exc, ConnectionRefusedError):
+                    hung_up = False
+                    transport._peer_refused(self.peer_id)
                 retries += 1
                 await asyncio.sleep(transport._backoff(retries))
                 continue
             _set_nodelay(writer)
             retries = 0
-            eof: Optional[asyncio.Future] = None
+            # The peer never sends here: a byte is its goodbye, EOF or
+            # a reset an unannounced hang-up.
+            eof = asyncio.ensure_future(reader.read(1))
             try:
                 writer.write(encode_frame(Hello(
                     node_id=transport.node_id, channel=CHANNEL_CONTROL,
                 )))
                 await writer.drain()
-                eof = asyncio.ensure_future(reader.read(1))
                 loop = asyncio.get_event_loop()
                 while not self.closing and not transport._closing:
                     while self.outbound:
@@ -339,9 +355,17 @@ class _ControlPeer:
             except (ConnectionError, OSError):
                 pass
             finally:
-                if eof is not None:
-                    eof.cancel()
+                hung_up = not _said_goodbye(eof)
+                eof.cancel()
                 writer.close()
+
+
+def _said_goodbye(eof: "asyncio.Future[bytes]") -> bool:
+    """Whether a control connection's one read returned the goodbye."""
+    return (
+        eof.done() and not eof.cancelled() and eof.exception() is None
+        and eof.result() == GOODBYE
+    )
 
 
 class RingTransport:
@@ -381,6 +405,10 @@ class RingTransport:
         self.on_message = on_message
         #: Control-plane upcall: ``on_control(layer, src, inner)``.
         self.on_control: Optional[ControlHandler] = None
+        #: Crash-evidence upcall, at most once per hang-up: the control
+        #: connection to ``peer`` ended without a goodbye and the peer's
+        #: host then refused the port (DESIGN.md §5c).
+        self.on_peer_refused: Optional[Callable[[ProcessId], None]] = None
         self.max_outbound_bytes = max_outbound_bytes
         self.reconnect_base_s = reconnect_base_s
         self.reconnect_cap_s = reconnect_cap_s
@@ -490,8 +518,16 @@ class RingTransport:
         self._dial_wakeup.set()
         if self._server is not None:
             self._server.close()
-            # First: from 3.12 on wait_closed() waits for these to drop.
-            for inbound in list(self._inbound_peers.values()):
+            # Goodbye, now that the listener is gone: TCP orders the
+            # byte ahead of the FIN on the very connection whose hang-up
+            # would otherwise read as a crash once dials are refused.
+            # (Said before the listener closed, a peer could read it,
+            # re-dial into the closing listener's backlog and be reset
+            # there with no goodbye.)
+            for (_, channel), inbound in list(self._inbound_peers.items()):
+                if channel == CHANNEL_CONTROL:
+                    inbound.write(GOODBYE)
+                # From 3.12 on wait_closed() waits for these to drop.
                 inbound.close()
             await self._server.wait_closed()
         for peer in list(self._control_peers.values()):
@@ -914,6 +950,20 @@ class RingTransport:
             self._control_peers[dst] = peer
         frame = encode_frame(ControlFrame(layer=layer, inner=message))
         peer.send(frame, self._plan_release(dst, len(frame), "ctl"))
+
+    def _peer_refused(self, peer_id: ProcessId) -> None:
+        logger.debug(
+            "node %d: control peer %d hung up and now refuses its port",
+            self.node_id, peer_id,
+        )
+        if self.on_peer_refused is None:
+            return
+        try:
+            self.on_peer_refused(peer_id)
+        except Exception as exc:
+            # As on the receive path: fail loudly, not with the dial task.
+            logger.exception("node %d: refusal upcall failed", self.node_id)
+            self._failure = f"refusal upcall failed: {exc!r}"
 
     def prune_control_peers(self, keep) -> None:
         """Drop control connections to peers outside ``keep``.

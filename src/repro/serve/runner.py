@@ -133,6 +133,12 @@ class ServePoint:
     #: Worst client-visible ack gap in the recovery window around the
     #: kill (the serve analogue of ``recovery_outage_from_spans``).
     outage_s: Optional[float] = None
+    #: The outage's first two legs, off the survivors' journals: kill
+    #: to first suspicion, first suspicion to the last survivor's
+    #: install of the next view.  What is left of ``outage_s`` is the
+    #: ring re-dial, the re-broadcasts and the sessions' reconnect.
+    detect_s: Optional[float] = None
+    view_change_s: Optional[float] = None
     violations: List[str] = field(default_factory=list)
     node_serve_stats: Dict[ProcessId, Dict[str, Any]] = field(default_factory=dict)
     #: Request-stage breakdown over the merged client + node trace
@@ -158,6 +164,8 @@ class ServePoint:
             "achieved_rps": achieved,
             "killed": self.killed,
             "outage_s": self.outage_s,
+            "detect_s": self.detect_s,
+            "view_change_s": self.view_change_s,
             "violations": self.violations,
             "load": self.stats.to_dict(),
             "node_serve_stats": {
@@ -280,6 +288,29 @@ def client_outage(
     return worst
 
 
+def failover_legs(
+    journals: Dict[ProcessId, List[Dict[str, Any]]], kill_issued: float
+) -> Tuple[Optional[float], Optional[float]]:
+    """``(detect_s, view_change_s)`` of one kill, off survivor journals.
+
+    Detection runs from the instant the SIGKILL was issued (the
+    :attr:`LiveCluster.killed` stamp is taken once the victim is
+    reaped, which the first suspicion can precede) to the first
+    ``suspect`` line any survivor wrote; the view change from there to
+    the last survivor's install of view 1.  ``(None, None)`` unless
+    every survivor got there.
+    """
+    events = [e for lines in journals.values() for e in lines]
+    suspects = [e["time"] for e in events if e.get("type") == "suspect"]
+    installs = [
+        e["time"] for e in events
+        if e.get("type") == "view" and e["view_id"] == 1
+    ]
+    if not suspects or len(installs) < len(journals):
+        return None, None
+    return min(suspects) - kill_issued, max(installs) - min(suspects)
+
+
 def _scrape_parity(
     scrapes: Dict[ProcessId, str],
     records: Dict[ProcessId, Dict[str, Any]],
@@ -375,6 +406,7 @@ def run_serve_point(
         trace=spec.trace_requests,
     )
     scrapes: Dict[ProcessId, str] = {}
+    kill_issued: List[float] = []
     with LiveCluster.launch(spec.live_spec(), journals=True) as cluster:
         cluster.await_started(_START_TIMEOUT_S)
         addresses = [cluster.serve_addresses[pid] for pid in cluster.members]
@@ -401,10 +433,12 @@ def run_serve_point(
             if kill_leader:
                 # Ring position 0 leads the bootstrap view; it holds
                 # the lease when the SIGKILL lands mid-load.
+                def kill() -> None:
+                    kill_issued.append(time.monotonic())
+                    cluster.kill(cluster.members[0])
+
                 kill_handle = loop.call_later(
-                    spec.duration_s * _KILL_AT_FRACTION,
-                    cluster.kill,
-                    cluster.members[0],
+                    spec.duration_s * _KILL_AT_FRACTION, kill
                 )
             try:
                 return await run_load(addresses, load_config)
@@ -420,12 +454,16 @@ def run_serve_point(
         stats = asyncio.run(drive())
         _await_drain(cluster, stats.acked_writes, _DRAIN_TIMEOUT_S)
         records = cluster.stop()
-        applied_by_node = {
-            pid: load_applied_log(path)
+        journals = {
+            pid: JsonlReader(path).poll()
             for pid, path in cluster.journal_paths.items()
         }
         timeline = cluster.timeline(records)
 
+    applied_by_node = {
+        pid: [e for e in events if e.get("type") == "apply"]
+        for pid, events in journals.items()
+    }
     killed = next(iter(cluster.killed), None)
     kill_time = cluster.killed.get(killed)
     survivors = [pid for pid in cluster.members if pid != killed]
@@ -442,7 +480,11 @@ def run_serve_point(
         {pid: serve["snapshot_hash"] for pid, serve in serve_stats.items()},
     )
     outage_s: Optional[float] = None
+    detect_s = view_change_s = None
     if kill_time is not None:
+        detect_s, view_change_s = failover_legs(
+            {pid: journals[pid] for pid in survivors}, kill_issued[0]
+        )
         if any(t >= kill_time for t in stats.ack_times):
             outage_s = client_outage(
                 stats.ack_times,
@@ -486,6 +528,8 @@ def run_serve_point(
         killed=killed,
         kill_time=kill_time,
         outage_s=outage_s,
+        detect_s=detect_s,
+        view_change_s=view_change_s,
         violations=violations,
         node_serve_stats=serve_stats,
         request_breakdown=request_bd,
