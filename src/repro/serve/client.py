@@ -8,7 +8,14 @@ unanswered past ``retry_timeout_s`` — the client rotates to the next
 server address, reconnects, and **resends every pending request in seq
 order**.  The server-side dedup table makes those resends safe: a
 request that was already applied is answered from the replicated cache
-("cached"), never executed twice.
+("cached"), never executed twice.  One failover runs at a time: a
+trigger that fires while one is under way does nothing (a rejected
+``@batch`` answers each of its requests ``unavailable`` in one write,
+and the one failover resends them all).
+
+The connection is a :class:`_Connection` protocol, the server's mirror
+image: the requests of one loop turn leave in one socket write, and
+every response of a received chunk is handled inside the callback.
 
 Session-read metadata maintained here:
 
@@ -28,11 +35,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import CodecError, NetworkError
 from repro.obs.reqtrace import CLIENT_NODE, RequestLog
 from repro.serve.wire import (
+    FrameSlicer,
     Request,
     Response,
-    encode_request,
-    read_frame,
     decode_response,
+    encode_request,
 )
 
 logger = logging.getLogger(__name__)
@@ -75,10 +82,10 @@ class SessionClient:
         self._barrier = 0
         #: seq -> (request dict sans cursors, future, submit walltime)
         self._pending: "Dict[int, _PendingRequest]" = {}
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
+        self._conn: Optional[_Connection] = None
         self._monitor_task: Optional[asyncio.Task] = None
+        #: The failover under way, if any (at most one per session).
+        self._failover_task: Optional[asyncio.Task] = None
         self._conn_lock = asyncio.Lock()
         self._closed = False
         # -- client-visible session metrics --
@@ -174,17 +181,16 @@ class SessionClient:
 
     async def close(self) -> None:
         self._closed = True
-        for task in (self._monitor_task, self._reader_task):
-            if task is not None:
-                task.cancel()
-        for task in (self._monitor_task, self._reader_task):
-            if task is not None:
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):
-                    pass
+        tasks = [t for t in (self._monitor_task, self._failover_task) if t is not None]
+        for task in tasks:
+            task.cancel()
+        for task in tasks:
+            try:
+                await task
+            except (asyncio.CancelledError, Exception):
+                pass
         self._monitor_task = None
-        self._reader_task = None
+        self._failover_task = None
         await self._teardown_connection()
         for entry in self._pending.values():
             if not entry.future.done():
@@ -194,21 +200,19 @@ class SessionClient:
     # -- connection management ----------------------------------------
     async def _ensure_connected(self) -> None:
         async with self._conn_lock:
-            if self._writer is not None or self._closed:
+            if self._conn is not None or self._closed:
                 return
+            loop = asyncio.get_running_loop()
             last_error: Optional[Exception] = None
             for attempt in range(3 * len(self.addresses)):
                 host, port = self.addresses[self._addr_index]
                 try:
-                    reader, writer = await asyncio.wait_for(
-                        asyncio.open_connection(host, port),
+                    _transport, self._conn = await asyncio.wait_for(
+                        loop.create_connection(
+                            lambda: _Connection(self), host, port
+                        ),
                         self.connect_timeout_s,
                     )
-                    self._reader = reader
-                    self._writer = writer
-                    if self._reader_task is not None:
-                        self._reader_task.cancel()
-                    self._reader_task = asyncio.ensure_future(self._read_loop(reader))
                     return
                 except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
                     last_error = exc
@@ -219,32 +223,35 @@ class SessionClient:
             )
 
     async def _teardown_connection(self) -> None:
-        writer, self._writer, self._reader = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.transport.close()
+            await conn.closed
+
+    def _start_failover(self) -> None:
+        """Fail over unless a failover is already under way."""
+        if not self._closed and self._failover_task is None:
+            self._failover_task = asyncio.ensure_future(self._failover())
 
     async def _failover(self) -> None:
         """Drop the connection, rotate servers, reconnect, resend."""
-        if self._closed:
-            return
-        self.reconnects += 1
-        await self._teardown_connection()
-        self._addr_index = (self._addr_index + 1) % len(self.addresses)
-        logger.info(
-            "client %s: failing over to %s:%d (%d pending)",
-            self.client_id, *self.addresses[self._addr_index],
-            len(self._pending),
-        )
         try:
-            await self._ensure_connected()
-        except NetworkError as exc:
-            logger.warning("client %s failover failed: %s", self.client_id, exc)
-            return
-        self._resend_pending()
+            self.reconnects += 1
+            await self._teardown_connection()
+            self._addr_index = (self._addr_index + 1) % len(self.addresses)
+            logger.info(
+                "client %s: failing over to %s:%d (%d pending)",
+                self.client_id, *self.addresses[self._addr_index],
+                len(self._pending),
+            )
+            try:
+                await self._ensure_connected()
+            except NetworkError as exc:
+                logger.warning("client %s failover failed: %s", self.client_id, exc)
+                return
+            self._resend_pending()
+        finally:
+            self._failover_task = None
 
     def _resend_pending(self) -> None:
         for entry in sorted(self._pending.values(), key=lambda e: e.seq):
@@ -257,8 +264,8 @@ class SessionClient:
             self._send(entry)
 
     def _send(self, entry: "_PendingRequest") -> None:
-        writer = self._writer
-        if writer is None:
+        conn = self._conn
+        if conn is None:
             return  # failover in progress; _resend_pending will retry
         request = Request(
             client=self.client_id,
@@ -270,30 +277,12 @@ class SessionClient:
             ordered=entry.ordered,
             trace=self.reqlog.enabled,
         )
-        try:
-            writer.write(encode_request(request))
-        except (ConnectionError, OSError):
-            pass  # reader task / monitor will notice and fail over
+        conn.send(encode_request(request))
 
-    # -- background tasks ----------------------------------------------
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
-        try:
-            while True:
-                body = await read_frame(reader)
-                if body is None:
-                    break
-                try:
-                    response = decode_response(body)
-                except CodecError as exc:
-                    logger.warning("client %s: bad response: %s", self.client_id, exc)
-                    break
-                self._on_response(response)
-        except asyncio.CancelledError:
-            return
-        except (ConnectionError, OSError):
-            pass
-        if not self._closed and reader is self._reader:
-            asyncio.ensure_future(self._failover())
+    # -- connection upcalls --------------------------------------------
+    def _on_connection_lost(self, conn: "_Connection") -> None:
+        if conn is self._conn:  # not one we tore down ourselves
+            self._start_failover()
 
     def _on_response(self, response: Response) -> None:
         entry = self._pending.pop(response.seq, None)
@@ -305,9 +294,9 @@ class SessionClient:
             self.local_reads += 1
         if not response.ok and response.error and response.error.startswith("unavailable:"):
             # Transport-level rejection, not a deterministic outcome:
-            # leave it pending and let the monitor retry elsewhere.
+            # leave it pending and retry elsewhere.
             self._pending[response.seq] = entry
-            asyncio.ensure_future(self._failover())
+            self._start_failover()
             return
         if entry.count_ack:
             self.acks += 1
@@ -324,6 +313,7 @@ class SessionClient:
         if not entry.future.done():
             entry.future.set_result(response)
 
+    # -- background task -----------------------------------------------
     async def _monitor(self) -> None:
         """Fail over when the oldest pending request is stuck."""
         try:
@@ -335,9 +325,55 @@ class SessionClient:
                 oldest = min(self._pending.values(), key=lambda e: e.sent_or_submit())
                 if now - oldest.sent_or_submit() >= self.retry_timeout_s:
                     oldest.last_resend = now
-                    await self._failover()
+                    self._start_failover()
         except asyncio.CancelledError:
             return
+
+
+class _Connection(asyncio.Protocol):
+    """The session's connection to one server.
+
+    The requests of one loop turn leave in a single ``transport.write``
+    (the first :meth:`send` of a turn schedules it); every response of
+    a received chunk is decoded and handed to the session inside
+    :meth:`data_received`.
+    """
+
+    def __init__(self, client: SessionClient) -> None:
+        self.client = client
+        self.transport: Optional[asyncio.Transport] = None
+        self._loop = asyncio.get_running_loop()
+        #: Resolved once the connection is gone, however it went.
+        self.closed: asyncio.Future = self._loop.create_future()
+        self._slicer = FrameSlicer()
+        #: Encoded requests of this turn (non-empty: a write is scheduled).
+        self._out: List[bytes] = []
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if not self.closed.done():
+            self.closed.set_result(None)
+        self.client._on_connection_lost(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for body in self._slicer.feed(data):
+                self.client._on_response(decode_response(body))
+        except CodecError as exc:
+            logger.warning("client %s: bad response: %s", self.client.client_id, exc)
+            self.transport.close()
+
+    def send(self, frame: bytes) -> None:
+        if not self._out:
+            self._loop.call_soon(self._write)
+        self._out.append(frame)
+
+    def _write(self) -> None:
+        out, self._out = self._out, []
+        if not self.transport.is_closing():
+            self.transport.write(b"".join(out))
 
 
 class _PendingRequest:

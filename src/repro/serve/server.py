@@ -19,6 +19,14 @@ one of three paths:
   batches of one, a saturated one whatever piled up in its sockets
   while it was busy, with no timer and no knob.
 
+Each client connection is a :class:`_Connection` protocol: every request
+of a received chunk is decoded and dispatched inside the callback, and
+the responses a loop turn produces for one connection leave in one
+socket write — the same turn-bounded rule as group commit (DESIGN.md
+§5h).  A client that stops reading stops being read: once its
+transport's buffer passes the high-water mark the connection pauses
+reading until it drains.
+
 Every *first* application of a session command is journalled (type
 ``"apply"``), so a SIGKILLed node still leaves its applied sequence
 behind — the serve chaos battery replays those journals to prove no
@@ -28,10 +36,11 @@ acknowledged write was lost or doubly applied.
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import json
 import logging
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import CodecError, ReproError
 from repro.live.scheduler import AsyncioScheduler
@@ -40,11 +49,11 @@ from repro.obs.telemetry import Telemetry
 from repro.serve.lease import LeaderLease
 from repro.serve.session import SessionMachine, lease_command, session_command
 from repro.serve.wire import (
+    FrameSlicer,
     Request,
     Response,
-    encode_response,
-    read_frame,
     decode_request,
+    encode_response,
 )
 from repro.smr.machine import Command, ReplicatedStateMachine, batch_command
 from repro.types import ProcessId, View
@@ -114,7 +123,7 @@ class SessionServer:
         #: a flush callback is scheduled) and their wire-frame bytes.
         self._pending: List[_Pending] = []
         self._pending_bytes = 0
-        self._conn_tasks: set = set()
+        self._connections: Set[_Connection] = set()
         self._renew_handle: Optional[Any] = None
         self._closed = False
         self._requests = self.telemetry.counter("serve_requests")
@@ -125,13 +134,22 @@ class SessionServer:
         self._barrier_rejects = self.telemetry.counter("serve_barrier_rejects")
         self._batches = self.telemetry.counter("serve_batches")
         self._batch_commands = self.telemetry.histogram("serve_batch_commands")
+        self._rx_chunks = self.telemetry.counter("serve_rx_chunks")
+        self._requests_per_chunk = self.telemetry.histogram(
+            "serve_requests_per_chunk"
+        )
+        self._responses_per_write = self.telemetry.histogram(
+            "serve_responses_per_write"
+        )
         machine.on_session_apply(self._on_session_apply)
         machine.on_traced_apply(self._on_traced_apply)
         machine.on_lease_apply(self._on_lease_apply)
 
     # -- lifecycle -----------------------------------------------------
     async def start(self, host: str, port: int) -> None:
-        self._server = await asyncio.start_server(self._handle_conn, host, port)
+        self._server = await self.sched.loop.create_server(
+            lambda: _Connection(self), host, port
+        )
         self._renew_tick()
         logger.info("session server %d listening on %s:%d", self.node_id, host, port)
 
@@ -142,12 +160,12 @@ class SessionServer:
             self._renew_handle = None
         if self._server is not None:
             self._server.close()
+            # Unsent responses go with the connections: their clients
+            # resend on the next server they reach.
+            for conn in list(self._connections):
+                conn.transport.abort()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         for waiters in self._waiters.values():
             for fut in waiters:
                 if not fut.done():
@@ -254,75 +272,16 @@ class SessionServer:
                     fut.set_result(outcome)
 
     # -- request handling ----------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        write_lock = asyncio.Lock()
-        pending: set = set()
-        try:
-            while True:
-                body = await read_frame(reader)
-                if body is None:
-                    break
-                try:
-                    request = decode_request(body)
-                except CodecError as exc:
-                    logger.warning("bad request frame: %s", exc)
-                    break
-                if self.reqlog.enabled and request.trace:
-                    self._trace("recv", request.client, request.seq)
-                sub = asyncio.ensure_future(
-                    self._serve_one(request, writer, write_lock, len(body))
-                )
-                pending.add(sub)
-                sub.add_done_callback(pending.discard)
-        except (CodecError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            for sub in list(pending):
-                sub.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            if task is not None:
-                self._conn_tasks.discard(task)
-
-    async def _serve_one(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        frame_bytes: int,
-    ) -> None:
-        try:
-            response = await self._dispatch(request, frame_bytes)
-        except asyncio.CancelledError:
-            return
-        except ReproError as exc:
-            # Transport-level failure (e.g. broadcast rejected during a
-            # view change): tell the client to retry, possibly elsewhere.
-            logger.debug(
-                "server %d: %s#%d unavailable: %s",
-                self.node_id, request.client, request.seq, exc,
-            )
-            response = self._response(
-                request, ok=False, error=f"unavailable: {exc}", served="ordered"
-            )
-        async with write_lock:
-            try:
-                writer.write(encode_response(response))
-                await writer.drain()
-                if self.reqlog.enabled and request.trace:
-                    self._trace("responded", request.client, request.seq)
-            except (ConnectionError, OSError):
-                pass  # client gone; it will retry on a new connection
+    def _unavailable(self, request: Request, exc: Exception) -> Response:
+        """Transport-level failure (e.g. broadcast rejected during a view
+        change): tell the client to retry, possibly elsewhere."""
+        logger.debug(
+            "server %d: %s#%d unavailable: %s",
+            self.node_id, request.client, request.seq, exc,
+        )
+        return self._response(
+            request, ok=False, error=f"unavailable: {exc}", served="ordered"
+        )
 
     def _response(
         self,
@@ -351,9 +310,13 @@ class SessionServer:
             return self._response(request, ok=True, result=value, served=served)
         return self._response(request, ok=False, error=value, served=served)
 
-    async def _dispatch(self, request: Request, frame_bytes: int = 0) -> Response:
-        """Answer one request; ``frame_bytes`` is the size of the wire
-        frame it came in (counted against the batch byte cap)."""
+    def _dispatch(
+        self, request: Request, conn: "_Connection", frame_bytes: int = 0
+    ) -> None:
+        """Answer one request on ``conn``: at once from the cache or the
+        local replica, or once the total order applies it.
+        ``frame_bytes`` is the size of the wire frame it came in
+        (counted against the batch byte cap)."""
         self._requests.inc()
         client, seq = request.client, request.seq
         traced = self.reqlog.enabled and request.trace
@@ -362,7 +325,8 @@ class SessionServer:
             self._cached.inc()
             if traced:
                 self._trace("cached", client, seq)
-            return self._from_outcome(request, cached, served="cached")
+            conn.respond(request, self._from_outcome(request, cached, "cached"))
+            return
         read_only_ops = getattr(self.machine.inner, "READ_ONLY_OPS", frozenset())
         if request.op in read_only_ops and not request.ordered:
             if not self.lease.holds():
@@ -383,31 +347,46 @@ class SessionServer:
                 result = self.machine.local_read(
                     Command(request.op, request.args)
                 )
-                return self._response(request, ok=True, result=result, served="local")
+                conn.respond(request, self._response(
+                    request, ok=True, result=result, served="local"
+                ))
+                return
         # Ordered path: through the total order, exactly once.
         fut: asyncio.Future = self.sched.loop.create_future()
         key = (client, seq)
         self._waiters.setdefault(key, []).append(fut)
-        try:
-            if traced:
-                self._trace("enqueued", client, seq)
-            self._enqueue(
-                session_command(
-                    client, seq, request.first_unacked, request.op,
-                    request.args, trace=request.trace,
-                ),
-                key, traced, fut, frame_bytes,
+        if traced:
+            self._trace("enqueued", client, seq)
+        self._enqueue(
+            session_command(
+                client, seq, request.first_unacked, request.op,
+                request.args, trace=request.trace,
+            ),
+            key, traced, fut, frame_bytes,
+        )
+        self._ordered.inc()
+        fut.add_done_callback(functools.partial(self._answer, request, conn))
+
+    def _answer(
+        self, request: Request, conn: "_Connection", fut: asyncio.Future
+    ) -> None:
+        """Done-callback of an ordered request's waiter."""
+        key = (request.client, request.seq)
+        waiters = self._waiters.get(key)
+        if waiters is not None:
+            if fut in waiters:
+                waiters.remove(fut)
+            if not waiters:
+                del self._waiters[key]
+        if fut.cancelled():
+            return  # server closing
+        exc = fut.exception()
+        if exc is not None:
+            conn.respond(request, self._unavailable(request, exc))
+        else:
+            conn.respond(
+                request, self._from_outcome(request, fut.result(), "ordered")
             )
-            self._ordered.inc()
-            outcome = await fut
-        finally:
-            waiters = self._waiters.get(key)
-            if waiters is not None:
-                if fut in waiters:
-                    waiters.remove(fut)
-                if not waiters:
-                    del self._waiters[key]
-        return self._from_outcome(request, outcome, served="ordered")
 
     # -- group commit --------------------------------------------------
     def _enqueue(
@@ -478,6 +457,9 @@ class SessionServer:
             "barrier_rejects": self._barrier_rejects.value,
             "batches": self._batches.value,
             "batch_commands": self._batch_commands.summary(),
+            "rx_chunks": self._rx_chunks.value,
+            "requests_per_chunk": self._requests_per_chunk.summary(),
+            "responses_per_write": self._responses_per_write.summary(),
             "dedup_hits": self.machine.dedup_hits,
             "session_applies": self.machine.session_applies,
             "lease_applies": self.machine.lease_applies,
@@ -485,3 +467,78 @@ class SessionServer:
             "applied_index": self.machine.applied_index,
             "snapshot_hash": snapshot_hash(self.machine.snapshot()),
         }
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: requests in, each turn's responses out.
+
+    Every request of a received chunk is decoded and dispatched inside
+    :meth:`data_received`.  A response joins the connection's out-list;
+    the first one of a loop turn schedules the single
+    ``transport.write`` that carries them all.
+    """
+
+    def __init__(self, server: SessionServer) -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self._slicer = FrameSlicer()
+        #: Encoded responses of this turn (non-empty means a write is
+        #: scheduled) and the traced requests among them.
+        self._out: List[bytes] = []
+        self._traced: List[Tuple[str, int]] = []
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        server._rx_chunks.inc()
+        requests = 0
+        try:
+            for body in self._slicer.feed(data):
+                request = decode_request(body)
+                requests += 1
+                if server.reqlog.enabled and request.trace:
+                    server._trace("recv", request.client, request.seq)
+                try:
+                    server._dispatch(request, self, len(body))
+                except ReproError as exc:
+                    self.respond(request, server._unavailable(request, exc))
+        except CodecError as exc:
+            logger.warning("bad request frame: %s", exc)
+            self.transport.close()
+        server._requests_per_chunk.observe(requests)
+
+    def respond(self, request: Request, response: Response) -> None:
+        """Queue ``response`` for this turn's write."""
+        if not self._out:
+            self.server.sched.loop.call_soon(self._write)
+        self._out.append(encode_response(response))
+        if request.trace and self.server.reqlog.enabled:
+            self._traced.append((request.client, request.seq))
+
+    def _write(self) -> None:
+        out, self._out = self._out, []
+        traced = self._traced
+        if traced:
+            self._traced = []
+        if self.transport.is_closing():
+            return  # client gone; it resends on its next connection
+        self.transport.write(b"".join(out))
+        server = self.server
+        server._responses_per_write.observe(len(out))
+        for client, seq in traced:
+            server._trace("responded", client, seq)
+
+    # Backpressure: a client that does not read its responses is not
+    # read either.  The requests of the chunk being dispatched still
+    # answer, so the buffer peaks at the high-water mark plus one turn.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()

@@ -5,6 +5,8 @@ prefix, a hard frame-size cap, and :class:`~repro.errors.CodecError`
 (and nothing else) on any malformed input — but carries JSON bodies:
 client requests are low-rate relative to ring traffic, and a
 self-describing body keeps the loadgen and external clients trivial.
+Server and client both receive through :class:`FrameSlicer`: every
+complete frame of a received chunk comes out in one call.
 
 Request fields::
 
@@ -36,11 +38,10 @@ Response fields::
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.errors import CodecError
 
@@ -191,14 +192,57 @@ def encode_frame(body: dict) -> bytes:
     return _LENGTH.pack(len(encoded)) + encoded
 
 
-def frame_length(buffer: bytes) -> Optional[int]:
-    """Body length announced by a buffered prefix, or None if short."""
-    if len(buffer) < LENGTH_PREFIX_BYTES:
+def frame_length(buffer: bytes, start: int = 0) -> Optional[int]:
+    """Body length announced by the prefix at ``start``, or None if short."""
+    if len(buffer) - start < LENGTH_PREFIX_BYTES:
         return None
-    (length,) = _LENGTH.unpack_from(buffer)
+    (length,) = _LENGTH.unpack_from(buffer, start)
     if length > MAX_FRAME_BYTES:
         raise CodecError(f"announced frame of {length} bytes exceeds cap {MAX_FRAME_BYTES}")
     return length
+
+
+class FrameSlicer:
+    """Frame bodies out of a byte stream that arrives in arbitrary chunks.
+
+    :meth:`feed` takes what one ``data_received`` brought and yields the
+    body of every frame the chunk completes, in order; the bytes of a
+    partial frame wait for the next chunk.  Only bytes that arrived are
+    held — a prefix announcing a 1 MB body allocates nothing — and an
+    oversize prefix raises :class:`CodecError` once every body in front
+    of it has been yielded.
+    """
+
+    __slots__ = ("_tail", "_need")
+
+    def __init__(self) -> None:
+        #: Bytes of the partial frame at the head of the stream.
+        self._tail = bytearray()
+        #: Bytes ``_tail`` must hold before a frame can complete.
+        self._need = LENGTH_PREFIX_BYTES
+
+    def feed(self, data: bytes) -> Iterator[bytes]:
+        tail = self._tail
+        if tail:
+            tail += data
+            if len(tail) < self._need:
+                return
+            data = bytes(tail)
+            tail.clear()
+        start, end = 0, len(data)
+        while True:
+            length = frame_length(data, start)
+            if length is None:
+                need = LENGTH_PREFIX_BYTES
+                break
+            need = LENGTH_PREFIX_BYTES + length
+            if start + need > end:
+                break
+            yield data[start + LENGTH_PREFIX_BYTES:start + need]
+            start += need
+        if start < end:
+            tail += memoryview(data)[start:]
+            self._need = need
 
 
 def decode_body(body: bytes) -> Any:
@@ -223,19 +267,3 @@ def decode_request(body: bytes) -> Request:
 
 def decode_response(body: bytes) -> Response:
     return Response.from_dict(decode_body(body))
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read one length-prefixed frame body; None on clean EOF."""
-    try:
-        prefix = await reader.readexactly(LENGTH_PREFIX_BYTES)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    length = frame_length(prefix)
-    assert length is not None
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise CodecError(
-            f"connection closed mid-frame: got {len(exc.partial)} of {length} bytes"
-        ) from exc

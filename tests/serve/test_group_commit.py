@@ -23,10 +23,10 @@ from repro.serve.lease import LeaderLease
 from repro.serve.server import MAX_BATCH_BYTES, SessionServer
 from repro.serve.session import SessionMachine, session_command
 from repro.serve.wire import (
+    FrameSlicer,
     Request,
     decode_response,
     encode_request,
-    read_frame,
 )
 from repro.smr.kvstore import KVStore
 from repro.smr.machine import BATCH_OP, batch_command, unbatch
@@ -70,9 +70,11 @@ def _burst(requests, prepare=None):
             writer.write(b"".join(encode_request(r) for r in requests))
             await writer.drain()
             responses = []
-            for _ in requests:
-                body = await asyncio.wait_for(read_frame(reader), 5.0)
-                responses.append(decode_response(body))
+            slicer = FrameSlicer()
+            while len(responses) < len(requests):
+                chunk = await asyncio.wait_for(reader.read(65536), 5.0)
+                assert chunk, "server closed before answering every request"
+                responses.extend(decode_response(b) for b in slicer.feed(chunk))
         finally:
             writer.close()
             await server.close()

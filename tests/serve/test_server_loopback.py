@@ -56,6 +56,16 @@ class _Harness:
         await self.server.close()
 
 
+class _RecordingConnection:
+    """Stands in for a client connection: records what it is answered."""
+
+    def __init__(self) -> None:
+        self.responses = []
+
+    def respond(self, request, response) -> None:
+        self.responses.append((request, response))
+
+
 @pytest.fixture
 def loopback():
     async def runner(scenario):
@@ -185,7 +195,11 @@ def test_dispatch_rejects_mutating_local_read_attempts():
                 client="c", seq=1, first_unacked=1, barrier=0,
                 op="put", args=("k", "v"),
             )
-            response = await harness.server._dispatch(request)
+            conn = _RecordingConnection()
+            harness.server._dispatch(request, conn)
+            while not conn.responses:
+                await asyncio.sleep(0)
+            ((_request, response),) = conn.responses
             assert response.served == "ordered"  # never the local path
         finally:
             await harness.stop()

@@ -1,6 +1,5 @@
 """Tests for the serve wire protocol (length-prefixed JSON frames)."""
 
-import asyncio
 import json
 import struct
 
@@ -10,6 +9,7 @@ from repro.errors import CodecError
 from repro.serve.wire import (
     LENGTH_PREFIX_BYTES,
     MAX_FRAME_BYTES,
+    FrameSlicer,
     Request,
     Response,
     decode_request,
@@ -18,7 +18,6 @@ from repro.serve.wire import (
     encode_request,
     encode_response,
     frame_length,
-    read_frame,
 )
 
 
@@ -83,35 +82,75 @@ def test_unencodable_and_oversized_frames_rejected():
         encode_frame({"x": "y" * (MAX_FRAME_BYTES + 1)})
 
 
-def _reader_with(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return reader
+def _slice(stream: bytes, chunk_sizes=()) -> list:
+    """Feed ``stream`` through one slicer in chunks of the given sizes
+    (then whole); returns every body it yielded."""
+    slicer = FrameSlicer()
+    bodies, taken, sizes = [], 0, iter(chunk_sizes)
+    while taken < len(stream):
+        count = next(sizes, len(stream))
+        bodies.extend(slicer.feed(stream[taken:taken + count]))
+        taken += count
+    return bodies
 
 
-def test_read_frame_streams_frames_and_handles_eof():
-    async def scenario():
-        frame_a = encode_frame({"a": 1})
-        frame_b = encode_frame({"b": 2})
-        reader = _reader_with(frame_a + frame_b)
-        assert json.loads(await read_frame(reader)) == {"a": 1}
-        assert json.loads(await read_frame(reader)) == {"b": 2}
-        assert await read_frame(reader) is None  # clean EOF
-
-    asyncio.run(scenario())
+def test_slicer_streams_frames_in_any_chunking():
+    frame_a = encode_frame({"a": 1})
+    frame_b = encode_frame({"b": 2})
+    stream = frame_a + frame_b
+    for chunks in ((), [1] * len(stream), [len(frame_a) - 1, 3], [5, 100]):
+        bodies = _slice(stream, chunks)
+        assert [json.loads(body) for body in bodies] == [{"a": 1}, {"b": 2}]
+        assert all(type(body) is bytes for body in bodies)
 
 
-def test_read_frame_rejects_truncation_and_oversize():
-    async def scenario():
-        # Truncated mid-frame: the prefix promises more than arrives.
-        frame = encode_frame({"a": 1})
-        reader = _reader_with(frame[:-2])
-        with pytest.raises(CodecError):
-            await read_frame(reader)
-        # Oversized length prefix: refused before buffering the body.
-        reader = _reader_with(struct.pack("!I", MAX_FRAME_BYTES + 1))
-        with pytest.raises(CodecError):
-            await read_frame(reader)
+def test_slicer_rejects_oversize_and_holds_truncation():
+    # Truncated mid-frame: the partial frame is held, nothing comes out.
+    frame = encode_frame({"a": 1})
+    slicer = FrameSlicer()
+    assert list(slicer.feed(frame[:-2])) == []
+    assert len(slicer._tail) == len(frame) - 2
+    assert [json.loads(b) for b in slicer.feed(frame[-2:])] == [{"a": 1}]
+    assert len(slicer._tail) == 0
+    # Oversized length prefix: refused before buffering the body, and
+    # only after the frames in front of it came out.
+    bodies = FrameSlicer().feed(frame + struct.pack("!I", MAX_FRAME_BYTES + 1))
+    assert json.loads(next(bodies)) == {"a": 1}
+    with pytest.raises(CodecError):
+        next(bodies)
 
-    asyncio.run(scenario())
+
+#: Frames as the wire has always carried them (pinned byte for byte:
+#: only their grouping into socket writes may change).
+_PINNED = [
+    (
+        Request(client="bench0-0", seq=12, first_unacked=9, barrier=11,
+                op="put", args=("k17", "v" * 8)),
+        b'\x00\x00\x00r{"client":"bench0-0","seq":12,"first_unacked":9,'
+        b'"barrier":11,"op":"put","args":["k17","vvvvvvvv"],"ordered":false}',
+    ),
+    (
+        Request(client="c", seq=1, first_unacked=1, barrier=0, op="get",
+                args=("k",), ordered=True, trace=True),
+        b'\x00\x00\x00h{"client":"c","seq":1,"first_unacked":1,"barrier":0,'
+        b'"op":"get","args":["k"],"ordered":true,"trace":true}',
+    ),
+    (
+        Response(seq=12, ok=True, result=None, served="ordered", leader=0,
+                 view_id=0),
+        b'\x00\x00\x00Y{"seq":12,"ok":true,"result":null,"error":null,'
+        b'"served":"ordered","leader":0,"view_id":0}',
+    ),
+    (
+        Response(seq=3, ok=False, error="unavailable: x", served="ordered",
+                 view_id=2),
+        b'\x00\x00\x00h{"seq":3,"ok":false,"result":null,'
+        b'"error":"unavailable: x","served":"ordered","leader":null,"view_id":2}',
+    ),
+]
+
+
+def test_frames_are_byte_identical_to_the_pinned_wire():
+    for obj, frame in _PINNED:
+        encode = encode_request if isinstance(obj, Request) else encode_response
+        assert encode(obj) == frame
