@@ -5,33 +5,24 @@ Usage (also via ``python -m repro``):
 .. code-block:: console
 
     python -m repro run --protocol fsr --n 5 --senders 5 --messages 40
-    python -m repro latency --max-n 10
-    python -m repro compare --n 5
-    python -m repro rounds --n 6 --k 2
     python -m repro chaos --seeds 50
-    python -m repro figures
+    python -m repro figures            # every case of repro.figures
+    python -m repro figures fig6 fig8  # or just these
 
-Every subcommand prints the same aligned tables the benchmark harnesses
-produce, so CLI output can be diffed against EXPERIMENTS.md.
+Every subcommand prints aligned tables through ``format_table``, so CLI
+output can be diffed against EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import ClusterConfig, FSRConfig, build_cluster
 from repro.analysis import ThroughputPrediction
 from repro.metrics import collect_metrics, format_table
 from repro.net import NetworkParams
-from repro.rounds.analysis import (
-    ROUND_PROTOCOLS,
-    measure_latency,
-    measure_throughput,
-    round_factory,
-)
-from repro.rounds.fsr_round import fsr_latency_formula
 from repro.workloads import KToNPattern, run_workload
 
 
@@ -157,64 +148,6 @@ def _run_packed(
         ],
         title="k-to-n experiment (packed)",
     ))
-    return 0
-
-
-def _cmd_latency(args: argparse.Namespace) -> int:
-    rows = []
-    for n in range(2, args.max_n + 1):
-        cluster = build_cluster(
-            ClusterConfig(n=n, protocol="fsr", protocol_config=FSRConfig(t=args.t))
-        )
-        cluster.start()
-        cluster.run(until=0.05)
-        mid = cluster.broadcast(args.position % n, size_bytes=args.size)
-        cluster.run_until(lambda: cluster.all_correct_delivered(1), max_time_s=60)
-        latency = cluster.results().completion_time(mid) - 0.05
-        rows.append([n, f"{latency * 1e3:.1f}"])
-    print(format_table(
-        ["n", "latency (ms)"], rows,
-        title=f"Contention-free latency, {args.size} B messages (Figure 6)",
-    ))
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    protocols = [
-        "fsr", "fixed_sequencer", "moving_sequencer",
-        "privilege", "communication_history", "destination_agreement",
-    ]
-    rows = []
-    for protocol in protocols:
-        cluster = build_cluster(ClusterConfig(n=args.n, protocol=protocol))
-        pattern = KToNPattern.n_to_n(
-            args.n, max(1, args.messages), message_bytes=args.size
-        )
-        outcome = run_workload(cluster, pattern, max_time_s=args.max_time)
-        metrics = collect_metrics(outcome)
-        rows.append([protocol, f"{metrics.completion_throughput_mbps:.1f}"])
-    print(format_table(
-        ["protocol", "Mb/s"], rows,
-        title=f"{args.n}-to-{args.n} aggregate throughput, {args.size} B messages",
-    ))
-    return 0
-
-
-def _cmd_rounds(args: argparse.Namespace) -> int:
-    rows = []
-    for name in sorted(ROUND_PROTOCOLS):
-        factory = round_factory("fsr", t=args.t) if name == "fsr" else round_factory(name)
-        result = measure_throughput(factory, args.n, args.k)
-        latency = measure_latency(factory, args.n, 1 % args.n, max_rounds=5000)
-        rows.append([name, f"{result.throughput:.3f}", latency])
-    print(format_table(
-        ["protocol", "msgs/round", "L(1) rounds"], rows,
-        title=f"Round model: n={args.n}, k={args.k} saturating senders",
-    ))
-    formula = fsr_latency_formula(args.n, args.t, 1 % args.n)
-    effective_t = FSRConfig(t=args.t).effective_t(args.n)
-    clamped = "" if effective_t == args.t else f" (t = {effective_t}, clamped to n - 1)"
-    print(f"\nFSR formula check: L(1) = 2n + t - 2 = {formula}{clamped}")
     return 0
 
 
@@ -798,20 +731,28 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    # Delegate to the example script's sections to avoid duplication.
-    import importlib.util
-    from pathlib import Path
+    from repro.errors import CheckFailure
+    from repro.figures import CASES
 
-    script = Path(__file__).resolve().parents[2] / "examples" / "paper_figures.py"
-    if not script.exists():
-        print("examples/paper_figures.py not found; run from a source checkout",
-              file=sys.stderr)
-        return 1
-    spec = importlib.util.spec_from_file_location("paper_figures", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # type: ignore[union-attr]
-    module.main()
-    return 0
+    unknown = [name for name in args.cases if name not in CASES]
+    if unknown:
+        print(
+            f"unknown case(s): {', '.join(unknown)} "
+            f"(known: {', '.join(CASES)})",
+            file=sys.stderr,
+        )
+        return 2
+    failed = 0
+    for name in args.cases or CASES:
+        try:
+            table = CASES[name]()
+        except CheckFailure as exc:
+            failed += 1
+            print(f"CHECK FAILED {name}: {exc}\n", flush=True)
+            continue
+        print(format_table(table.header, table.rows, title=table.title))
+        print(flush=True)
+    return 1 if failed else 0
 
 
 def _add_batch_flags(sub: argparse.ArgumentParser) -> None:
@@ -859,26 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-time", type=float, default=600.0)
     _add_batch_flags(run)
     run.set_defaults(func=_cmd_run)
-
-    latency = sub.add_parser("latency", help="Figure 6 latency sweep")
-    latency.add_argument("--max-n", type=int, default=10)
-    latency.add_argument("--t", type=int, default=1)
-    latency.add_argument("--position", type=int, default=1)
-    latency.add_argument("--size", type=int, default=100_000)
-    latency.set_defaults(func=_cmd_latency)
-
-    compare = sub.add_parser("compare", help="all protocols, one table")
-    compare.add_argument("--n", type=int, default=5)
-    compare.add_argument("--messages", type=int, default=10)
-    compare.add_argument("--size", type=int, default=100_000)
-    compare.add_argument("--max-time", type=float, default=600.0)
-    compare.set_defaults(func=_cmd_compare)
-
-    rounds = sub.add_parser("rounds", help="round-model comparison (§2/§4.3)")
-    rounds.add_argument("--n", type=int, default=5)
-    rounds.add_argument("--k", type=int, default=2)
-    rounds.add_argument("--t", type=int, default=1)
-    rounds.set_defaults(func=_cmd_rounds)
 
     predict = sub.add_parser("predict", help="closed-form model predictions")
     predict.add_argument("--n", type=int, default=5)
@@ -1038,7 +959,13 @@ def build_parser() -> argparse.ArgumentParser:
     live_node.add_argument("--out", required=True)
     live_node.set_defaults(func=_cmd_live_node)
 
-    figures = sub.add_parser("figures", help="regenerate Table 1 + Figures 6-9")
+    figures = sub.add_parser(
+        "figures",
+        help="regenerate the paper's tables, figures and claims "
+             "(exit 1 if a shape check fails)",
+    )
+    figures.add_argument("cases", nargs="*", metavar="NAME",
+                         help="cases to run (default: all, in order)")
     figures.set_defaults(func=_cmd_figures)
 
     return parser

@@ -14,8 +14,8 @@ order of the contained messages (every receiver unpacks in pack order,
 then in intra-pack order), so all broadcast properties carry over.
 
 With the calibrated host model the per-message fixed CPU cost dominates
-small messages; packing amortises it, which
-``benchmarks/bench_batching_ablation.py`` quantifies.
+small messages; packing amortises it, which the ``packing`` case of
+:mod:`repro.figures` quantifies.
 
 This wrapper is simulator-only (it needs a :class:`Simulator` for its
 flush timer and a ``max_delay_s`` to tune).  The live serve tier packs

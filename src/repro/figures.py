@@ -1,0 +1,853 @@
+"""The paper's evaluation as one case table: ``repro figures [NAME ...]``.
+
+:data:`CASES` maps a case name to a function that runs one sweep on the
+simulator or the round model and returns its :class:`Table` — Table 1,
+Figures 6-9, the §4.3 round-model claims, the §2 class comparison, and
+the ablations and extensions DESIGN.md §4 indexes.  Every shape check a
+case makes goes through :func:`_check`, which raises
+:class:`~repro.errors.CheckFailure`; ``repro figures`` prints each table
+through :func:`~repro.metrics.format_table` and exits 1 if any check
+failed.  Both substrates are deterministic, so the output is the same on
+every run and EXPERIMENTS.md quotes it.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+
+from repro.checker import (
+    check_integrity,
+    check_total_order,
+    check_uniformity,
+    sender_fairness,
+)
+from repro.checker.order import check_all
+from repro.cluster import ClusterConfig, build_cluster
+from repro.core.api import BroadcastListener
+from repro.core.batching import BatchingBroadcast, BatchingConfig
+from repro.core.fsr import FSRConfig
+from repro.errors import CheckFailure
+from repro.metrics import collect_metrics, percentile
+from repro.metrics.collector import ExperimentMetrics
+from repro.net import FramingModel, Network, NetworkParams
+from repro.protocols.multiring.config import MultiRingConfig
+from repro.protocols.privilege import PrivilegeConfig
+from repro.rounds.analysis import measure_latency, measure_throughput, round_factory
+from repro.rounds.engine import RoundEngine
+from repro.rounds.fsr_round import FSRRoundProcess, fsr_latency_formula
+from repro.sim import Simulator
+from repro.workloads import KToNPattern, ThrottledPattern, WorkloadPattern, run_workload
+
+#: The paper's benchmark message size.
+MESSAGE_BYTES = 100_000
+
+#: FSR and the five protocol classes of the paper's Section 2.
+CLASSES = (
+    "fsr",
+    "fixed_sequencer",
+    "moving_sequencer",
+    "privilege",
+    "communication_history",
+    "destination_agreement",
+)
+
+
+class Table(NamedTuple):
+    """One case's output, ready for :func:`~repro.metrics.format_table`."""
+
+    title: str
+    header: List[str]
+    rows: List[list]
+
+
+def _check(condition: object, message: str) -> None:
+    if not condition:
+        raise CheckFailure(message)
+
+
+# -- shared runs --------------------------------------------------------------
+def _cluster(n: int, protocol: str = "fsr", protocol_config=None, **config):
+    """A paper-calibrated cluster (Fast Ethernet unless ``network`` says)."""
+    if protocol == "fsr" and protocol_config is None:
+        protocol_config = FSRConfig(t=1)
+    return build_cluster(ClusterConfig(
+        n=n, protocol=protocol, protocol_config=protocol_config, **config
+    ))
+
+
+def _run_pattern(cluster, pattern: WorkloadPattern) -> ExperimentMetrics:
+    return collect_metrics(run_workload(cluster, pattern, max_time_s=1200.0))
+
+
+def max_throughput_mbps(
+    n: int, messages_total: int, k: Optional[int] = None, protocol: str = "fsr"
+) -> float:
+    """Saturating k-to-n goodput, 100 KB messages (paper §5.1 method)."""
+    k = n if k is None else k
+    pattern = KToNPattern.k_to_n(
+        k, n, max(1, messages_total // k), message_bytes=MESSAGE_BYTES
+    )
+    return _run_pattern(
+        _cluster(n, protocol=protocol), pattern
+    ).completion_throughput_mbps
+
+
+def contention_free_latency_ms(n: int) -> float:
+    """Average single-message latency over sender positions (Figure 6).
+
+    The paper repeats a one-sender/one-message experiment and averages
+    the latency observed per sender; with a deterministic simulator one
+    run per position is exact.  Each latency runs from the broadcast
+    instant to the last delivery.
+    """
+    latencies: List[float] = []
+    for position in range(n):
+        cluster = _cluster(n)
+        cluster.start()
+        cluster.run(until=0.05)
+        start = cluster.sim.now
+        mid = cluster.broadcast(position, size_bytes=MESSAGE_BYTES)
+        cluster.run_until(lambda: cluster.all_correct_delivered(1), max_time_s=60)
+        latencies.append((cluster.results().completion_time(mid) - start) * 1e3)
+    return sum(latencies) / len(latencies)
+
+
+def throttled_point(
+    offered_mbps: float, messages_per_sender: int
+) -> Tuple[float, float]:
+    """One Figure-7 point, n = 5: (achieved Mb/s, mean latency ms)."""
+    n = 5
+    pattern = ThrottledPattern(
+        senders=tuple(range(n)),
+        messages_per_sender=messages_per_sender,
+        message_bytes=MESSAGE_BYTES,
+        offered_load_bps=offered_mbps * 1e6,
+    )
+    metrics = _run_pattern(_cluster(n), pattern)
+    return metrics.aggregate_throughput_mbps, metrics.mean_latency_s * 1e3
+
+
+def _crash_run(protocol: str, per_sender: int, crash_at: Optional[float]):
+    """n = 5, every process broadcasts ``per_sender`` 100 KB messages;
+    process 0 (the FSR leader, the sequencer) crashes at ``crash_at``
+    unless it is ``None``.  Runs until every survivor delivered every
+    survivor's messages; the invariant battery gates the result."""
+    n = 5
+    cluster = _cluster(n, protocol=protocol, detection_delay_s=20e-3)
+    cluster.start()
+    cluster.run(until=0.05)
+    for pid in range(n):
+        for _ in range(per_sender):
+            cluster.broadcast(pid, size_bytes=MESSAGE_BYTES)
+    crashed = set()
+    if crash_at is not None:
+        cluster.schedule_crash(0, time=crash_at)
+        crashed = {0}
+    survivors = [p for p in range(n) if p not in crashed]
+    expected = per_sender * len(survivors)
+    cluster.run_until(
+        lambda: all(
+            sum(
+                1 for d in cluster.nodes[p].app_deliveries
+                if d.origin not in crashed
+            ) >= expected
+            for p in survivors
+        ),
+        step_s=0.05,
+        max_time_s=1200.0,
+    )
+    cluster.run(until=cluster.sim.now + 0.05)
+    result = cluster.results()
+    check_integrity(result)
+    check_total_order(result)
+    check_uniformity(result)
+    return result
+
+
+def _outages_ms(result, crash_at: float) -> List[float]:
+    """Per survivor that resumed: its delivery gap across ``crash_at``."""
+    outages = []
+    for node in range(1, 5):
+        times = sorted(d.time for d in result.delivery_logs[node].deliveries)
+        before = [t for t in times if t <= crash_at]
+        after = [t for t in times if t > crash_at]
+        if after:
+            resume_from = max(before) if before else crash_at
+            outages.append((min(after) - resume_from) * 1e3)
+    return outages
+
+
+# -- Table 1 and Figures 6-9 (paper §5) ---------------------------------------
+def table1() -> Table:
+    """Raw network performance, the paper's Netperf baseline.
+
+    Bulk data streams point-to-point through the simulated NIC path
+    with no protocol or middleware above it (that is what Netperf
+    measures).  Paper, 100 Mb/s switched Ethernet: TCP 94, UDP 93 Mb/s.
+    """
+    paper = {"TCP": 94.0, "UDP": 93.0}
+    results = {}
+    for name, framing in (
+        ("TCP", FramingModel.tcp_like()),
+        ("UDP", FramingModel.udp_like()),
+    ):
+        params = NetworkParams(
+            cpu_per_message_s=0.0, cpu_per_byte_s=0.0, framing=framing
+        )
+        sim = Simulator()
+        net = Network(sim, params)
+        sender, receiver = net.attach(0), net.attach(1)
+        received = []
+        receiver.on_receive(lambda src, msg: received.append(sim.now))
+        messages = 200
+        for _ in range(messages):
+            sender.send(1, b"", size_bytes=MESSAGE_BYTES)
+        sim.run()
+        results[name] = messages * MESSAGE_BYTES * 8 / received[-1] / 1e6
+    _check(92.0 < results["TCP"] < 96.0, f"TCP goodput {results['TCP']:.2f}")
+    _check(92.0 < results["UDP"] < 96.0, f"UDP goodput {results['UDP']:.2f}")
+    return Table(
+        "Table 1 — raw point-to-point bandwidth",
+        ["Protocol", "Measured Mb/s", "Paper Mb/s"],
+        [[name, f"{results[name]:.1f}", f"{paper[name]:.0f}"] for name in paper],
+    )
+
+
+def fig6() -> Table:
+    """Contention-free latency vs n, averaged over sender positions.
+
+    Paper: linear in n (≈ 230 ms at n = 10 on their testbed).  The slope
+    depends on the calibrated host model; what must reproduce is the
+    linearity, checked with a least-squares fit.
+    """
+    sizes = (2, 3, 4, 5, 6, 7, 8, 9, 10)
+    latencies = {n: contention_free_latency_ms(n) for n in sizes}
+    xs = list(sizes)
+    ys = [latencies[n] for n in sizes]
+    x_mean = sum(xs) / len(xs)
+    y_mean = sum(ys) / len(ys)
+    slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sum(
+        (x - x_mean) ** 2 for x in xs
+    )
+    intercept = y_mean - slope * x_mean
+    residuals = [abs(y - (slope * x + intercept)) for x, y in zip(xs, ys)]
+    _check(slope > 0, f"latency must grow with n: slope {slope:.2f} ms")
+    _check(
+        max(residuals) < 0.08 * max(ys),
+        f"latency must be linear in n: residual {max(residuals):.2f} ms",
+    )
+    return Table(
+        "Figure 6 — latency vs number of processes (100 KB, no load)",
+        ["n", "latency (ms)"],
+        [[n, f"{latencies[n]:.1f}"] for n in sizes],
+    )
+
+
+def fig7() -> Table:
+    """Latency vs offered throughput, n = 5, throttled n-to-n senders.
+
+    Paper: roughly flat (≈ 130 ms) up to the maximum throughput
+    (≈ 79 Mb/s), then a sharp rise as queues build.
+    """
+    offered_mbps = (10, 20, 30, 40, 50, 60, 70, 75, 85, 95)
+    # Overloaded points run longer: the queue growth that produces the
+    # paper's latency spike needs sustained input.
+    points = {
+        offered: throttled_point(offered, 45 if offered >= 85 else 25)
+        for offered in offered_mbps
+    }
+    low_band = sorted(points[o][1] for o in (10, 20, 30, 40, 50, 60))
+    low_median = low_band[len(low_band) // 2]
+    _check(
+        max(low_band) < 2.0 * min(low_band),
+        f"sub-saturation latency ~flat: {low_band}",
+    )
+    _check(
+        points[95][1] > 2.5 * low_median,
+        f"post-saturation latency spikes: {points[95][1]:.1f} ms",
+    )
+    # Achieved throughput caps near the protocol maximum.
+    _check(points[95][0] < 85.0, f"achieved {points[95][0]:.1f} Mb/s at 95")
+    return Table(
+        "Figure 7 — latency vs throughput (n = 5, 100 KB)",
+        ["offered Mb/s", "achieved Mb/s", "mean latency (ms)"],
+        [
+            [offered, f"{achieved:.1f}", f"{latency:.1f}"]
+            for offered, (achieved, latency) in points.items()
+        ],
+    )
+
+
+def fig8() -> Table:
+    """Maximum throughput vs n, saturating n-to-n.
+
+    Paper: ≈ 79 Mb/s on the 100 Mb/s network, independent of n.
+    """
+    paper_mbps = 79.0
+    throughput = {
+        n: max_throughput_mbps(n, 180) for n in (2, 3, 4, 5, 6, 7, 8, 9, 10)
+    }
+    values = list(throughput.values())
+    _check(all(74.0 < v < 84.0 for v in values), f"Mb/s {values}")
+    _check(max(values) - min(values) < 0.06 * max(values), f"flat in n: {values}")
+    return Table(
+        "Figure 8 — max throughput vs number of processes (n-to-n, 100 KB)",
+        ["n", "measured Mb/s", "paper Mb/s"],
+        [[n, f"{v:.1f}", f"{paper_mbps:.0f}"] for n, v in throughput.items()],
+    )
+
+
+def fig9() -> Table:
+    """Maximum throughput vs sender count, saturating k-to-5.
+
+    Paper: independent of k — the property that separates FSR from
+    privilege-based protocols.
+    """
+    throughput = {k: max_throughput_mbps(5, 180, k=k) for k in (1, 2, 3, 4, 5)}
+    values = list(throughput.values())
+    _check(all(72.0 < v < 84.0 for v in values), f"Mb/s {values}")
+    _check(max(values) - min(values) < 0.07 * max(values), f"flat in k: {values}")
+    return Table(
+        "Figure 9 — max throughput vs number of senders (k-to-5, 100 KB)",
+        ["senders k", "measured Mb/s"],
+        [[k, f"{v:.1f}"] for k, v in throughput.items()],
+    )
+
+
+# -- §4.3 and §2 in the round model -------------------------------------------
+def latency_formula() -> Table:
+    """§4.3.1: ``L(i) = 2n + t - i - 1`` rounds, equal for every i."""
+    mismatches = []
+    rows = []
+    for n, t in ((3, 0), (5, 1), (8, 2), (10, 1)):
+        factory = round_factory("fsr", t=t)
+        measured = [measure_latency(factory, n, position) for position in range(n)]
+        for position, rounds in enumerate(measured):
+            formula = fsr_latency_formula(n, t, position)
+            if rounds != formula:
+                mismatches.append((n, t, position, rounds, formula))
+        rows.append([n, t, measured[1 % n], fsr_latency_formula(n, t, 1 % n)])
+    _check(mismatches == [], f"(n, t, i, measured, formula): {mismatches}")
+    return Table(
+        "§4.3.1 — FSR latency in rounds (formula validated for ALL i)",
+        ["n", "t", "measured L(1)", "formula 2n+t-2"],
+        rows,
+    )
+
+
+def round_throughput() -> Table:
+    """§4.3.2: at least one completed broadcast per round for any n, t, k."""
+    results = {
+        (n, t, k): measure_throughput(
+            round_factory("fsr", t=t), n, k,
+            warmup_rounds=300, window_rounds=1500,
+        ).throughput
+        for n, t, k in ((5, 1, 1), (5, 1, 2), (5, 1, 5), (8, 2, 3), (10, 0, 4))
+    }
+    _check(all(v >= 0.999 for v in results.values()), f"msgs/round {results}")
+    return Table(
+        "§4.3.2 — FSR throughput in the round model (>= 1 everywhere)",
+        ["n", "t", "k", "msgs/round"],
+        [[n, t, k, f"{v:.3f}"] for (n, t, k), v in sorted(results.items())],
+    )
+
+
+def section2_rounds() -> Table:
+    """§2: only FSR is throughput-efficient (>= 1) for every k, n = 6."""
+    n = 6
+    senders = (1, 2, n)
+    results = {}
+    for name in CLASSES:
+        factory = round_factory(name)
+        for k in senders:
+            results[(name, k)] = measure_throughput(
+                factory, n, k, warmup_rounds=300, window_rounds=1200
+            ).throughput
+    for k in senders:
+        _check(results[("fsr", k)] >= 0.999, f"fsr k={k}: {results[('fsr', k)]}")
+    for name in CLASSES[1:]:
+        _check(
+            min(results[(name, k)] for k in senders) < 0.999,
+            f"{name} is throughput-efficient for every k",
+        )
+    return Table(
+        f"Section 2 — msgs/round by protocol class (n = {n})",
+        ["protocol"] + [f"k={k}" for k in senders],
+        [[name] + [f"{results[(name, k)]:.3f}" for k in senders] for name in CLASSES],
+    )
+
+
+def rotation() -> Table:
+    """§4.3.1 note: leader rotation evens out per-process latency.
+
+    Round model, n = 6: with a static leader the latency spread across
+    processes is n - 1 rounds; averaged over a full rotation cycle every
+    process sees the same mean.  (On the simulated cluster the position
+    effect is tiny — the extra hops of distant senders carry small
+    acks — so rotation buys little there; ``tests/vsc/test_rotation.py``
+    exercises the machinery.)
+    """
+    n, t = 6, 1
+
+    def latency_for(members: Tuple[int, ...], sender: int) -> int:
+        completions = {}
+        engine = RoundEngine()
+        for pid in members:
+            engine.attach(FSRRoundProcess(
+                pid, members, t=t, supply=1 if pid == sender else 0,
+                deliver_cb=lambda pid, mid, seq, rnd: completions.__setitem__(pid, rnd),
+            ))
+        engine.run_until(lambda: len(completions) == len(members), max_rounds=5000)
+        return max(completions.values()) + 1
+
+    base = tuple(range(n))
+    static = {pid: latency_for(base, pid) for pid in range(n)}
+    # One full rotation cycle: each process occupies each position.
+    totals = {pid: 0 for pid in range(n)}
+    for shift in range(n):
+        members = base[shift:] + base[:shift]
+        for pid in range(n):
+            totals[pid] += latency_for(members, pid)
+    rotating_mean = {pid: totals[pid] / n for pid in range(n)}
+
+    # Static: the best case is the leader (n + t - 1), the worst its
+    # successor (2n + t - 2), so the spread is exactly n - 1 rounds.
+    _check(static[1] == fsr_latency_formula(n, t, 1), f"static {static}")
+    spread = max(static.values()) - min(static.values())
+    _check(spread == n - 1, f"static spread {spread}: {static}")
+    values = list(rotating_mean.values())
+    _check(max(values) - min(values) < 1e-9, f"rotating means {rotating_mean}")
+    return Table(
+        f"§4.3.1 — per-process broadcast latency, round model (n={n}, t={t})",
+        ["process", "static leader (rounds)", "rotating mean (rounds)"],
+        [[pid, static[pid], f"{rotating_mean[pid]:.2f}"] for pid in range(n)],
+    )
+
+
+# -- §2 and §4.2 on the simulated cluster -------------------------------------
+def n_to_n() -> Table:
+    """§2 on the cluster: n-to-n throughput of all six protocols.
+
+    FSR stays at the host-limited ≈ 79 Mb/s for every n; the fixed
+    sequencer (its NIC carries every payload n - 1 times) and privilege
+    (only the token holder transmits) collapse as n grows.
+    """
+    sizes = (2, 5, 8)
+    results = {
+        (protocol, n): max_throughput_mbps(n, 120, protocol=protocol)
+        for protocol in CLASSES
+        for n in sizes
+    }
+    fsr = [results[("fsr", n)] for n in sizes]
+    _check(max(fsr) - min(fsr) < 0.06 * max(fsr), f"FSR flat in n: {fsr}")
+    for protocol in ("fixed_sequencer", "privilege"):
+        _check(
+            results[(protocol, 8)] < 0.5 * results[(protocol, 2)],
+            f"{protocol} degrades with n",
+        )
+        _check(
+            results[(protocol, 8)] < 0.3 * results[("fsr", 8)],
+            f"{protocol} far below FSR at n=8",
+        )
+    return Table(
+        "n-to-n aggregate throughput (Mb/s), 100 KB messages",
+        ["protocol"] + [f"n={n}" for n in sizes],
+        [[p] + [f"{results[(p, n)]:.1f}" for n in sizes] for p in CLASSES],
+    )
+
+
+def one_to_n() -> Table:
+    """§2 on the cluster, 1-to-6: every broadcast-payload class pays the
+    sender-NIC tax of pushing n - 1 copies; FSR does not."""
+    n = 6
+    results = {
+        protocol: max_throughput_mbps(n, 100, k=1, protocol=protocol)
+        for protocol in CLASSES
+    }
+    _check(results["fsr"] > 70.0, f"fsr {results['fsr']:.1f} Mb/s")
+    for protocol in CLASSES[1:]:
+        _check(
+            results[protocol] < 0.55 * results["fsr"],
+            f"{protocol} should pay the 1-to-n dissemination tax",
+        )
+    return Table(
+        f"1-to-{n} throughput (Mb/s), 100 KB messages",
+        ["protocol", "Mb/s"],
+        [[protocol, f"{v:.1f}"] for protocol, v in results.items()],
+    )
+
+
+def fairness() -> Table:
+    """§4.2.3: fairness without a throughput trade-off.
+
+    Two processes at opposite sides of an n = 6 ring broadcast 20 KB
+    messages on a network-bound host model (the wire, not the CPU, is
+    the bottleneck, so send-slot scheduling is what gets measured).  FSR
+    with its forward list is fair at full speed; without it the relayed
+    sender starves; privilege is fair only by burning rotation time.
+    """
+    n, senders, per_sender = 6, (1, 4), 60
+    network_bound = NetworkParams(cpu_per_message_s=30e-6, cpu_per_byte_s=2e-9)
+
+    def run(protocol, protocol_config):
+        cluster = _cluster(
+            n, protocol=protocol, protocol_config=protocol_config,
+            network=network_bound,
+        )
+        pattern = KToNPattern(
+            senders=senders, messages_per_sender=per_sender, message_bytes=20_000
+        )
+        outcome = run_workload(cluster, pattern, max_time_s=1200.0)
+        midpoint = outcome.start_time + (
+            outcome.result.duration_s - outcome.start_time
+        ) / 2
+        return (
+            collect_metrics(outcome).completion_throughput_mbps,
+            sender_fairness(outcome.result, senders=list(senders), until=midpoint),
+        )
+
+    results = {
+        "fsr": run("fsr", FSRConfig(t=1)),
+        "fsr (no forward list)": run("fsr", FSRConfig(t=1, fairness=False)),
+        "privilege quota=1": run(
+            "privilege", PrivilegeConfig(max_per_token=1, idle_hold_s=0.5e-3)
+        ),
+        "privilege quota=60": run(
+            "privilege",
+            PrivilegeConfig(max_per_token=per_sender, idle_hold_s=0.5e-3),
+        ),
+    }
+    fsr_mbps, fsr_fair = results["fsr"]
+    _check(fsr_fair > 0.95, f"FSR Jain index {fsr_fair:.3f}")
+    _check(
+        results["fsr (no forward list)"][1] < fsr_fair,
+        "the forward list is what provides fairness",
+    )
+    _check(
+        results["privilege quota=1"][0] < 0.75 * fsr_mbps,
+        "privilege pays throughput for its fairness",
+    )
+    return Table(
+        "Fairness: 2 senders at opposite ring positions (20 KB msgs)",
+        ["configuration", "Mb/s", "mid-run Jain index"],
+        [[name, f"{mbps:.1f}", f"{fair:.3f}"] for name, (mbps, fair) in results.items()],
+    )
+
+
+def piggyback_rounds() -> Table:
+    """§4.2.2 in the round model, n = 5: every message takes a send slot,
+    so without piggy-backing ack traffic steals slots and FSR drops
+    below one broadcast per round."""
+    n = 5
+    results = {}
+    for k in (2, 3, n):
+        on, off = (
+            measure_throughput(
+                round_factory("fsr", t=1, piggyback=piggyback), n, k,
+                warmup_rounds=300, window_rounds=1500,
+            ).throughput
+            for piggyback in (True, False)
+        )
+        results[k] = (on, off)
+    for k, (on, off) in results.items():
+        _check(on >= 0.999, f"k={k} piggyback {on}")
+        _check(off < 0.999, f"k={k} standalone {off}")
+    _check(results[2][1] <= 0.70, f"k=2 standalone {results[2][1]}")
+    return Table(
+        f"§4.2.2 in the round model (n = {n})",
+        ["senders k", "piggyback (msgs/round)", "standalone (msgs/round)"],
+        [[k, f"{on:.3f}", f"{off:.3f}"] for k, (on, off) in sorted(results.items())],
+    )
+
+
+def piggyback_cluster() -> Table:
+    """§4.2.2 on the simulated cluster, 5-to-5: byte-accurate costs make
+    standalone acks cheap, so the penalty is a few percent on small
+    segments and negligible at 100 KB."""
+    n, sizes = 5, (5_000, 100_000)
+    results = {
+        (mode, size): _run_pattern(
+            _cluster(n, protocol_config=FSRConfig(t=1, piggyback_acks=mode == "on")),
+            KToNPattern.n_to_n(n, max(1, 200 // n), message_bytes=size),
+        ).completion_throughput_mbps
+        for size in sizes
+        for mode in ("on", "off")
+    }
+    _check(
+        results[("off", 5_000)] <= results[("on", 5_000)],
+        f"eager acks beat piggy-backing at 5 KB: {results}",
+    )
+    small_gap = results[("on", 5_000)] - results[("off", 5_000)]
+    large_gap = abs(results[("on", 100_000)] - results[("off", 100_000)])
+    _check(small_gap >= 0, f"5 KB gap {small_gap}")
+    _check(
+        large_gap <= max(small_gap, 0.02 * results[("on", 100_000)]),
+        f"100 KB gap {large_gap} beyond the 5 KB one {small_gap}",
+    )
+    return Table(
+        "§4.2.2 on the simulated cluster",
+        ["message bytes", "piggyback ON (Mb/s)", "eager acks (Mb/s)"],
+        [
+            [size, f"{results[('on', size)]:.1f}", f"{results[('off', size)]:.1f}"]
+            for size in sizes
+        ],
+    )
+
+
+def segmentation() -> Table:
+    """§4.1: uniform segment size keeps large messages from stalling
+    small ones.  Four processes stream 100 KB messages below saturation
+    while a fifth sends 1 KB messages; 8 KB segments shrink the
+    head-of-line unit, and the small messages' latency with it."""
+    n, small_sender, bulk_senders = 5, 2, (0, 1, 3, 4)
+
+    def small_message_latencies(segment_size):
+        cluster = _cluster(n, protocol_config=FSRConfig(t=1, segment_size=segment_size))
+        cluster.start()
+        cluster.run(until=0.05)
+        # Bulk: each sender offers one 100 KB message every 60 ms
+        # (~53 Mb/s aggregate, below the ~79 Mb/s capacity).
+        remaining = {pid: 25 for pid in bulk_senders}
+
+        def send_bulk(pid):
+            if remaining[pid] <= 0:
+                return
+            remaining[pid] -= 1
+            cluster.broadcast(pid, size_bytes=MESSAGE_BYTES)
+            cluster.sim.schedule(0.060, send_bulk, pid)
+
+        for index, pid in enumerate(bulk_senders):
+            cluster.sim.schedule(index * 0.015, send_bulk, pid)
+
+        small_ids = []
+
+        def send_small():
+            if len(small_ids) >= 12:
+                return
+            small_ids.append(cluster.broadcast(small_sender, size_bytes=1_000))
+            cluster.sim.schedule(0.1, send_small)
+
+        cluster.sim.schedule(0.2, send_small)  # after the pipeline fills
+        cluster.run_until(
+            lambda: cluster.all_correct_delivered(12 + 25 * len(bulk_senders)),
+            max_time_s=600,
+        )
+        cluster.run(until=cluster.sim.now + 0.05)
+        result = cluster.results()
+        submit = {r.message_id: r.submit_time for r in result.broadcasts}
+        return [(result.completion_time(mid) - submit[mid]) * 1e3 for mid in small_ids]
+
+    results = {
+        "off": small_message_latencies(None),
+        "on (8 KB)": small_message_latencies(8_000),
+    }
+    mean = {mode: sum(v) / len(v) for mode, v in results.items()}
+    _check(
+        mean["on (8 KB)"] < 0.6 * mean["off"],
+        f"mean 1 KB latency on {mean['on (8 KB)']:.1f} vs off {mean['off']:.1f} ms",
+    )
+    return Table(
+        "Ablation — segmentation: 1 KB messages among 100 KB bulk",
+        ["segmentation", "mean 1 KB latency (ms)", "p99 (ms)"],
+        [
+            [mode, f"{mean[mode]:.1f}", f"{percentile(values, 99):.1f}"]
+            for mode, values in results.items()
+        ],
+    )
+
+
+def view_change() -> Table:
+    """§4.2.1: the leader crashes mid-way through a saturating n-to-n
+    run.  Recovery must be correct (the battery) and bounded: the
+    survivors' delivery outage by detection + flush + merged-state
+    transfer, the drain by a modest constant over a no-crash run."""
+    crash_at = 1.0
+    baseline = _crash_run("fsr", 60, None)
+    crashed = _crash_run("fsr", 60, crash_at)
+    max_outage = max(_outages_ms(crashed, crash_at))
+    overhead = crashed.duration_s - baseline.duration_s
+    _check(max_outage < 300.0, f"worst outage {max_outage:.0f} ms")
+    # The crashed run has *less* payload to deliver (the dead leader's
+    # undelivered messages are dropped), so this bound is conservative.
+    _check(overhead < 1.0, f"recovery overhead {overhead:.2f} s")
+    return Table(
+        f"View change under load — leader crash at t={crash_at}s (n=5, t=1)",
+        ["metric", "value"],
+        [
+            ["worst survivor outage (ms)", f"{max_outage:.0f}"],
+            ["no-crash run time (s)", f"{baseline.duration_s:.2f}"],
+            ["leader-crash run time (s)", f"{crashed.duration_s:.2f}"],
+            ["recovery overhead (s)", f"{overhead:.2f}"],
+        ],
+    )
+
+
+# -- extensions ---------------------------------------------------------------
+def gigabit() -> Table:
+    """What-if, not in the paper: the same n-to-n sweep on 1 Gb/s with
+    faster hosts.  The CPU stays the bottleneck, so FSR is flat in n at
+    the higher budget and the fixed sequencer still collapses."""
+    sizes = (2, 5, 8)
+    results = {
+        (protocol, n): _run_pattern(
+            _cluster(n, protocol=protocol, network=NetworkParams.gigabit()),
+            KToNPattern.n_to_n(n, max(1, 120 // n), message_bytes=MESSAGE_BYTES),
+        ).completion_throughput_mbps
+        for protocol in ("fsr", "fixed_sequencer")
+        for n in sizes
+    }
+    fsr = [results[("fsr", n)] for n in sizes]
+    _check(min(fsr) > 300, f"FSR Mb/s {fsr}")
+    _check(max(fsr) - min(fsr) < 0.08 * max(fsr), f"FSR flat in n: {fsr}")
+    _check(
+        results[("fixed_sequencer", 8)] < 0.55 * results[("fsr", 8)],
+        "the sequencer bottleneck persists at 1 Gb/s",
+    )
+    return Table(
+        "What-if: 1 Gb/s network, faster hosts (Mb/s)",
+        ["protocol"] + [f"n={n}" for n in sizes],
+        [
+            [p] + [f"{results[(p, n)]:.0f}" for n in sizes]
+            for p in ("fsr", "fixed_sequencer")
+        ],
+    )
+
+
+def failover() -> Table:
+    """Failover cost, FSR vs fixed sequencer: the critical process
+    crashes mid-stream.  Both recover through the same membership/flush
+    machinery, so this isolates the protocols' own recovery work."""
+    crash_at, per_sender = 1.2, 30  # safely mid-stream for the slow baseline too
+    results = {}
+    for protocol in ("fsr", "fixed_sequencer"):
+        result = _crash_run(protocol, per_sender, crash_at)
+        outages = _outages_ms(result, crash_at)
+        _check(outages, f"{protocol}: the crash must land mid-stream")
+        results[protocol] = (max(outages), result.duration_s)
+    fsr_outage, fsr_duration = results["fsr"]
+    seq_outage, seq_duration = results["fixed_sequencer"]
+    # Both recover with a bounded outage (the fixed sequencer's is even
+    # slightly cheaper: its all-acked delivery rule means recovery ships
+    # no payload state at all).
+    _check(
+        fsr_outage < 300 and seq_outage < 300,
+        f"outages fsr {fsr_outage:.0f}, sequencer {seq_outage:.0f} ms",
+    )
+    # FSR's steady-state throughput advantage dominates end-to-end.
+    _check(
+        fsr_duration < 0.6 * seq_duration,
+        f"drain fsr {fsr_duration:.2f}, sequencer {seq_duration:.2f} s",
+    )
+    return Table(
+        f"Failover: critical-process crash at t={crash_at}s "
+        f"(5x{per_sender} x 100 KB)",
+        ["protocol", "worst outage (ms)", "total drain (s)"],
+        [
+            [protocol, f"{outage:.0f}", f"{duration:.2f}"]
+            for protocol, (outage, duration) in results.items()
+        ],
+    )
+
+
+def packing() -> Table:
+    """Message packing (the paper's related-work ref [20]) over FSR,
+    4-to-4: packing recovers most of the goodput that per-message fixed
+    costs eat at small sizes and is neutral at 100 KB."""
+    n, sizes = 4, (1_000, 5_000, 100_000)
+
+    def goodput_mbps(message_bytes: int, batching: bool, messages: int) -> float:
+        cluster = _cluster(n)
+        count = [0]
+        senders = {}
+        for pid, node in cluster.nodes.items():
+            source = node.protocol
+            if batching:
+                source = BatchingBroadcast(
+                    cluster.sim, source, origin=pid, config=BatchingConfig()
+                )
+            senders[pid] = source
+        senders[0].set_listener(
+            BroadcastListener(lambda *a: count.__setitem__(0, count[0] + 1))
+        )
+        cluster.start()
+        cluster.run(until=0.05)
+        start = cluster.sim.now
+        per_sender = messages // n
+        for pid in range(n):
+            for _ in range(per_sender):
+                senders[pid].broadcast(b"x" * message_bytes)
+        if batching:
+            for pid in range(n):
+                senders[pid].flush()
+        total = per_sender * n
+        cluster.run_until(lambda: count[0] >= total, max_time_s=600)
+        return total * message_bytes * 8 / (cluster.sim.now - start) / 1e6
+
+    results = {}
+    for size in sizes:
+        messages = max(n, min(1_200, 1_200_000 // size * 2))
+        results[("plain", size)] = goodput_mbps(size, False, messages)
+        results[("packed", size)] = goodput_mbps(size, True, messages)
+    _check(
+        results[("packed", 1_000)] > 2.0 * results[("plain", 1_000)],
+        "packing at least doubles 1 KB goodput",
+    )
+    ratio = results[("packed", 100_000)] / results[("plain", 100_000)]
+    _check(0.9 < ratio < 1.1, f"packing is neutral at 100 KB: ratio {ratio:.3f}")
+    return Table(
+        f"Extension — message packing over FSR ({n}-to-{n})",
+        ["message bytes", "plain (Mb/s)", "packed (Mb/s)"],
+        [
+            [size, f"{results[('plain', size)]:.1f}", f"{results[('packed', size)]:.1f}"]
+            for size in sizes
+        ],
+    )
+
+
+def multiring() -> Table:
+    """Multi-ring sharding (DESIGN.md §5f): aggregate goodput vs ring
+    count S, 8-to-8.  With 8 senders over S = 4 rings the worst ring
+    carries 3 of 8 senders, so the ideal speedup is 8/3 ≈ 2.7x; the
+    gate is S = 4 at least twice S = 1.  S = 1 runs the byte-identical
+    single-ring delegation; the battery gates every point."""
+    n = 8
+    points = {}
+    for shards in (1, 2, 4):
+        cluster = _cluster(
+            n, protocol="multiring",
+            protocol_config=MultiRingConfig(shards=shards, fsr=FSRConfig(t=1)),
+        )
+        pattern = KToNPattern.k_to_n(n, n, 24, message_bytes=MESSAGE_BYTES)
+        outcome = run_workload(cluster, pattern, max_time_s=1200.0)
+        check_all(outcome.result)
+        points[shards] = collect_metrics(outcome)
+    base = points[1].aggregate_throughput_mbps
+    speedup = points[4].aggregate_throughput_mbps / base
+    _check(speedup >= 2.0, f"S=4 goodput only {speedup:.2f}x S=1 (need >= 2.0x)")
+    return Table(
+        "Multiring — sim goodput vs ring count S",
+        ["rings S", "agg Mb/s", "compl Mb/s", "mean lat ms", "speedup"],
+        [
+            [
+                shards,
+                f"{m.aggregate_throughput_mbps:.1f}",
+                f"{m.completion_throughput_mbps:.1f}",
+                f"{m.mean_latency_s * 1e3:.1f}",
+                f"{m.aggregate_throughput_mbps / base:.2f}",
+            ]
+            for shards, m in points.items()
+        ],
+    )
+
+
+#: Every case, in the order ``repro figures`` prints them.
+CASES: Dict[str, Callable[[], Table]] = {
+    case.__name__: case
+    for case in (
+        table1, fig6, fig7, fig8, fig9,
+        latency_formula, round_throughput, section2_rounds, rotation,
+        n_to_n, one_to_n, fairness, piggyback_rounds, piggyback_cluster,
+        segmentation, view_change,
+        gigabit, failover, packing, multiring,
+    )
+}

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import CheckFailure
+from repro.figures import CASES
 
 
 def test_run_subcommand(capsys):
@@ -23,22 +31,6 @@ def test_run_baseline_protocol(capsys):
     assert "fixed_sequencer" in capsys.readouterr().out
 
 
-def test_latency_subcommand(capsys):
-    assert main(["latency", "--max-n", "4", "--size", "20000"]) == 0
-    out = capsys.readouterr().out
-    assert "latency (ms)" in out
-    # One row per n in 2..4.
-    assert len([l for l in out.splitlines() if l.strip() and l.strip()[0].isdigit()]) == 3
-
-
-def test_rounds_subcommand(capsys):
-    assert main(["rounds", "--n", "4", "--k", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "msgs/round" in out
-    assert "fsr" in out
-    assert "formula check" in out
-
-
 def test_predict_subcommand(capsys):
     assert main(["predict", "--n", "5"]) == 0
     out = capsys.readouterr().out
@@ -56,3 +48,40 @@ def test_seed_changes_nothing_semantically(capsys):
           "--size", "1000", "--seed", "7"])
     out = capsys.readouterr().out
     assert "throughput" in out
+
+
+def test_figures_subcommand(capsys):
+    assert main(["figures", "table1", "fig6", "fig7", "fig8", "fig9"]) == 0
+    out = capsys.readouterr().out
+    for marker in ("Table 1", "Figure 6", "Figure 7", "Figure 8", "Figure 9"):
+        assert marker in out
+
+
+def test_figures_exit_status_is_the_checks(capsys, monkeypatch):
+    def broken():
+        raise CheckFailure("latency must be linear in n")
+
+    monkeypatch.setitem(CASES, "broken", broken)
+    assert main(["figures", "broken", "table1"]) == 1
+    out = capsys.readouterr().out
+    assert "CHECK FAILED broken: latency must be linear in n" in out
+    assert "Table 1" in out  # the other cases still run
+    assert main(["figures", "no_such_case"]) == 2
+
+
+def test_figures_runs_outside_a_source_checkout(tmp_path):
+    """The case table is part of the package: an installed copy of
+    ``repro`` alone regenerates the tables, whatever the cwd."""
+    site = tmp_path / "site"
+    shutil.copytree(
+        Path(__file__).resolve().parents[2] / "src" / "repro",
+        site / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    env = dict(os.environ, PYTHONPATH=str(site))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "figures", "table1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Table 1 — raw point-to-point bandwidth" in proc.stdout

@@ -9,8 +9,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
@@ -46,10 +44,3 @@ def test_crash_timeline_runs(capsys):
     assert "deliveries over" in out
     assert "0 invariant violations" in out
 
-
-@pytest.mark.slow
-def test_paper_figures_runs(capsys):
-    _run_example("paper_figures.py")
-    out = capsys.readouterr().out
-    for marker in ("Table 1", "Figure 6", "Figure 7", "Figure 8", "Figure 9"):
-        assert marker in out

@@ -2,18 +2,18 @@
 
 Everything here reads the real automaton's own state and counters
 through the round host — what the compact restatement it replaced could
-not offer — plus the goldens that until now only ``benchmarks/`` scripts
-looked at.
+not offer — plus the round-model goldens of the evaluation.
 """
 
 import pytest
 
-from repro.cli import main
+from repro.core.fsr import FSRConfig
 from repro.core.fsr.process import FSRProcess
 from repro.core.fsr.ring import Ring
 from repro.errors import SimulationError
 from repro.rounds import RoundEngine, RoundProcess, fsr_latency_formula
 from repro.rounds.analysis import (
+    ROUND_PROTOCOLS,
     _build,
     measure_latency,
     measure_throughput,
@@ -45,7 +45,7 @@ def test_host_runs_the_real_automaton():
     assert isinstance(host, RoundProcess)
 
 
-# -- (a) §4.2.2 goldens, so far only printed by bench_piggyback_ablation --
+# -- (a) §4.2.2 goldens (the piggyback_rounds case prints k = 2, 3, 5) -
 @pytest.mark.parametrize("k,standalone", [(1, "1.000"), (2, "0.666"), (4, "0.572")])
 def test_piggyback_ablation_goldens(k, standalone):
     on = measure_throughput(round_factory("fsr", t=1, piggyback=True), 5, k)
@@ -106,42 +106,41 @@ def test_single_process_group():
     assert measure_throughput(factory, 1, 1).throughput == 1.0
 
 
-# -- (e) CLI output, captured at the parent commit ------------------------
-ROUNDS_N5_K2 = """\
-Round model: n=5, k=2 saturating senders
-protocol               msgs/round  L(1) rounds
----------------------  ----------  -----------
-communication_history       0.500            8
-destination_agreement       0.752            7
-      fixed_sequencer       0.230            7
-                  fsr       1.000            9
-     moving_sequencer       0.555            6
-            privilege       0.616           10
-
-FSR formula check: L(1) = 2n + t - 2 = 9
-"""
+# -- (e) the n = 5, k = 2 round-model table, pinned when it was printed --
+#: protocol -> (msgs/round with k = 2 saturating senders, L(1) in rounds)
+ROUNDS_N5_K2 = {
+    "communication_history": ("0.500", 8),
+    "destination_agreement": ("0.752", 7),
+    "fixed_sequencer": ("0.230", 7),
+    "fsr": ("1.000", 9),
+    "moving_sequencer": ("0.555", 6),
+    "privilege": ("0.616", 10),
+}
 
 
-def test_cli_rounds_table_is_byte_identical(capsys):
-    assert main(["rounds", "--n", "5", "--k", "2"]) == 0
-    assert capsys.readouterr().out == ROUNDS_N5_K2
+def test_rounds_n5_k2_table_matches_pinned_values():
+    assert set(ROUNDS_N5_K2) == set(ROUND_PROTOCOLS)
+    for name, (throughput, latency) in ROUNDS_N5_K2.items():
+        factory = round_factory(name)
+        assert f"{measure_throughput(factory, 5, 2).throughput:.3f}" == throughput, name
+        assert measure_latency(factory, 5, 1, max_rounds=5000) == latency, name
+    assert fsr_latency_formula(5, 1, 1) == 9
 
 
 # -- one closed form ------------------------------------------------------
-def test_formula_clamps_t_like_the_automaton(capsys):
+def test_formula_clamps_t_like_the_automaton():
     """``t >= n`` is clamped to ``n - 1`` per view; the formula used to
     print 9 under a table that measured 6."""
     assert fsr_latency_formula(3, 5, 1) == fsr_latency_formula(3, 2, 1) == 6
-    assert measure_latency(round_factory("fsr", t=5), 3, 1) == 6
+    factory = round_factory("fsr", t=5)
+    assert measure_latency(factory, 3, 1) == 6
+    assert f"{measure_throughput(factory, 3, 1).throughput:.3f}" == "1.000"
+    assert FSRConfig(t=5).effective_t(3) == 2
     for n in (1, 2, 5):
         for position in range(n):
             assert fsr_latency_formula(n, 1, position) == Ring(
                 members=tuple(range(n)), t=min(1, n - 1)
             ).latency_rounds(position)
-    assert main(["rounds", "--n", "3", "--k", "1", "--t", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "fsr       1.000            6" in out
-    assert out.endswith("= 6 (t = 2, clamped to n - 1)\n")
 
 
 # -- a duplicate delivery must not complete a broadcast -------------------
