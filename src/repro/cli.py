@@ -732,7 +732,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.errors import CheckFailure
-    from repro.figures import CASES
+    from repro.figures import CASES, run_case
 
     unknown = [name for name in args.cases if name not in CASES]
     if unknown:
@@ -745,7 +745,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     failed = 0
     for name in args.cases or CASES:
         try:
-            table = CASES[name]()
+            table = run_case(name)
         except CheckFailure as exc:
             failed += 1
             print(f"CHECK FAILED {name}: {exc}\n", flush=True)

@@ -5,7 +5,8 @@ simulator or the round model and returns its :class:`Table` — Table 1,
 Figures 6-9, the §4.3 round-model claims, the §2 class comparison, and
 the ablations and extensions DESIGN.md §4 indexes.  Every shape check a
 case makes goes through :func:`_check`, which raises
-:class:`~repro.errors.CheckFailure`; ``repro figures`` prints each table
+:class:`~repro.errors.CheckFailure`; ``repro figures`` runs each case
+through :func:`run_case`, which adds the table-shape checks, prints it
 through :func:`~repro.metrics.format_table` and exits 1 if any check
 failed.  Both substrates are deterministic, so the output is the same on
 every run and EXPERIMENTS.md quotes it.
@@ -34,7 +35,7 @@ from repro.protocols.multiring.config import MultiRingConfig
 from repro.protocols.privilege import PrivilegeConfig
 from repro.rounds.analysis import measure_latency, measure_throughput, round_factory
 from repro.rounds.engine import RoundEngine
-from repro.rounds.fsr_round import FSRRoundProcess, fsr_latency_formula
+from repro.rounds.host import fsr_latency_formula
 from repro.sim import Simulator
 from repro.workloads import KToNPattern, ThrottledPattern, WorkloadPattern, run_workload
 
@@ -388,14 +389,15 @@ def rotation() -> Table:
     exercises the machinery.)
     """
     n, t = 6, 1
+    factory = round_factory("fsr", t=t)
 
     def latency_for(members: Tuple[int, ...], sender: int) -> int:
         completions = {}
         engine = RoundEngine()
         for pid in members:
-            engine.attach(FSRRoundProcess(
-                pid, members, t=t, supply=1 if pid == sender else 0,
-                deliver_cb=lambda pid, mid, seq, rnd: completions.__setitem__(pid, rnd),
+            engine.attach(factory(
+                pid, members, 1 if pid == sender else 0,
+                lambda pid, mid, seq, rnd: completions.__setitem__(pid, rnd),
             ))
         engine.run_until(lambda: len(completions) == len(members), max_rounds=5000)
         return max(completions.values()) + 1
@@ -851,3 +853,17 @@ CASES: Dict[str, Callable[[], Table]] = {
         gigabit, failover, packing, multiring,
     )
 }
+
+
+def run_case(name: str) -> Table:
+    """Run case ``name`` and check its table's shape: a title, some rows,
+    and every row as wide as the header (``format_table`` would zip a
+    long row short without saying so)."""
+    table = CASES[name]()
+    _check(table.title and table.rows, f"empty table {table.title!r}")
+    widths = sorted({len(row) for row in table.rows})
+    _check(
+        widths == [len(table.header)],
+        f"rows {widths} wide under a {len(table.header)}-column header",
+    )
+    return table

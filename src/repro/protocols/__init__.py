@@ -13,9 +13,11 @@ benchmark can swap protocols freely:
 
 The baselines target the paper's failure-free performance comparison;
 they implement correct total order under crash-free runs (verified by
-the same checkers as FSR) but, unlike FSR, do not implement view-change
-recovery — the paper compares their throughput, not their fault
-tolerance.
+the same checkers as FSR).  Only the fixed sequencer also implements
+view-change recovery (sequencer failover through the same membership
+flush as FSR); the others do not — the paper compares their
+throughput, not their fault tolerance.  The round model
+(:mod:`repro.rounds`) hosts these same classes.
 """
 
 from repro.protocols.registry import PROTOCOLS, ProtocolContext, build_protocol

@@ -16,9 +16,8 @@ from repro.core.api import BroadcastListener, TotalOrderBroadcast
 from repro.core.fsr.process import ProtocolDeliverCallback
 from repro.errors import ProtocolError
 from repro.net.dispatch import Port
-from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
-from repro.types import Delivery, MessageId, ProcessId, SequenceNumber
+from repro.types import Delivery, MessageId, ProcessId, Scheduler, SequenceNumber
 
 
 class BaselineProcess(TotalOrderBroadcast):
@@ -26,7 +25,7 @@ class BaselineProcess(TotalOrderBroadcast):
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: Scheduler,
         port: Port,
         members: Tuple[ProcessId, ...],
         trace: Optional[TraceLog] = None,

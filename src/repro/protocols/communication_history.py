@@ -82,6 +82,8 @@ class CommunicationHistoryProcess(BaselineProcess):
         self._pending: List[Tuple[int, ProcessId, MessageId]] = []
         self._payloads: Dict[MessageId, _ChData] = {}
         self._delivery_index = 0
+        #: Data broadcast since the last null tick (a null would be redundant).
+        self._sent_data = False
 
     # ------------------------------------------------------------------
     def on_start(self) -> None:
@@ -103,6 +105,7 @@ class CommunicationHistoryProcess(BaselineProcess):
                 timestamp=self._clock,
             )
             self._latest[self.me] = self._clock
+            self._sent_data = True
             self._enqueue(data)
             self.best_effort_broadcast(data)
             self._try_deliver()
@@ -138,10 +141,12 @@ class CommunicationHistoryProcess(BaselineProcess):
             return
         # Only send a null if the peers have not heard from us lately;
         # data traffic already advances our clock front.
-        self._clock += 1
-        self._latest[self.me] = self._clock
-        self.best_effort_broadcast(_ChNull(timestamp=self._clock))
-        self._try_deliver()
+        if not self._sent_data:
+            self._clock += 1
+            self._latest[self.me] = self._clock
+            self.best_effort_broadcast(_ChNull(timestamp=self._clock))
+            self._try_deliver()
+        self._sent_data = False
         self.sim.schedule(self.config.null_period_s, self._schedule_null)
 
     def _try_deliver(self) -> None:

@@ -13,17 +13,19 @@ Throughput is measured in *completed TO-broadcasts per round* (a
 broadcast completes when every process has delivered it), and a
 protocol is throughput-efficient when this is ``>= 1``.
 
-This package implements the model (:class:`RoundEngine`), a host that
-runs the real :class:`~repro.core.fsr.process.FSRProcess` under it
-(:class:`FSRRoundProcess`) and compact pattern automata for the five
-baseline classes the paper surveys, so Section 4.3's claims —
-``L(i) = 2n + t - i - 1``, throughput 1 regardless of ``n``, ``t`` and
-the sender pattern — are checked on the automaton the simulator and the
-sockets run, and Section 2's per-class deficiencies mechanically.
+This package implements the model (:class:`RoundEngine`) and one host
+(:class:`RoundHost`) that runs any registered protocol — FSR and the
+baseline classes the paper surveys — under it, so Section 4.3's claims
+— ``L(i) = 2n + t - i - 1``, throughput 1 regardless of ``n``, ``t``
+and the sender pattern — and Section 2's per-class deficiencies are
+checked on the classes the simulator runs (FSR's also runs on the
+sockets).  The
+communication-history class keeps a round automaton of its own
+(:mod:`repro.rounds.history_round` says why).
 """
 
 from repro.rounds.engine import RoundEngine, RoundMessage, RoundProcess
-from repro.rounds.fsr_round import FSRRoundProcess, fsr_latency_formula
+from repro.rounds.host import RoundHost, fsr_latency_formula
 from repro.rounds.analysis import (
     RoundRunResult,
     measure_latency,
@@ -34,7 +36,7 @@ __all__ = [
     "RoundEngine",
     "RoundMessage",
     "RoundProcess",
-    "FSRRoundProcess",
+    "RoundHost",
     "fsr_latency_formula",
     "RoundRunResult",
     "measure_latency",

@@ -7,8 +7,8 @@ Two measurements match the paper's analytical section:
 * :func:`measure_throughput` — ``k`` saturating senders, completed
   TO-broadcasts per round over a steady-state window (paper §4.3.2).
 
-``ROUND_PROTOCOLS`` maps protocol names to automaton factories so the
-benchmark can sweep every class of Section 2 uniformly.
+:func:`round_factory` hosts any registered protocol under the model,
+so a sweep reaches every class of Section 2 by name.
 """
 
 from __future__ import annotations
@@ -16,61 +16,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core.fsr.config import FSRConfig
 from repro.errors import ConfigurationError, SimulationError
-from repro.rounds.agreement_round import DestinationAgreementRoundProcess
+from repro.protocols.destination_agreement import DestinationAgreementConfig
+from repro.protocols.moving_sequencer import MovingSequencerConfig
+from repro.protocols.registry import PROTOCOLS
 from repro.rounds.engine import RoundEngine, RoundMsgId, RoundProcess
-from repro.rounds.fsr_round import FSRRoundProcess
 from repro.rounds.history_round import CommunicationHistoryRoundProcess
-from repro.rounds.moving_round import MovingSequencerRoundProcess
-from repro.rounds.privilege_round import PrivilegeRoundProcess
-from repro.rounds.sequencer_round import FixedSequencerRoundProcess
+from repro.rounds.host import RoundHost
 from repro.types import ProcessId
 
-#: Factory signature: (pid, members, supply, deliver_cb) -> RoundProcess.
+#: Factory signature: (pid, members, supply, deliver_cb, window) -> RoundProcess.
 RoundFactory = Callable[..., RoundProcess]
 
-
-def _fsr_factory(
-    t: int = 1, fairness: bool = True, piggyback: bool = True
-) -> RoundFactory:
-    def make(pid, members, supply, deliver_cb, window=None):
-        return FSRRoundProcess(
-            pid, members, t=t, supply=supply, deliver_cb=deliver_cb,
-            fairness=fairness, window=window, piggyback=piggyback,
-        )
-
-    return make
-
-
-def _simple_factory(cls: type) -> RoundFactory:
-    def make(pid, members, supply, deliver_cb, window=None):
-        return cls(pid, members, supply=supply, deliver_cb=deliver_cb, window=window)
-
-    return make
-
-
-ROUND_PROTOCOLS: Dict[str, RoundFactory] = {
-    "fsr": _fsr_factory(t=1),
-    "fixed_sequencer": _simple_factory(FixedSequencerRoundProcess),
-    "moving_sequencer": _simple_factory(MovingSequencerRoundProcess),
-    "privilege": _simple_factory(PrivilegeRoundProcess),
-    "communication_history": _simple_factory(CommunicationHistoryRoundProcess),
-    "destination_agreement": _simple_factory(DestinationAgreementRoundProcess),
+#: Round-model settings of the baselines whose defaults are tuned for
+#: the cluster: one sequencing decision per token visit, and consensus
+#: batches of eight.
+_ROUND_CONFIGS = {
+    "moving_sequencer": MovingSequencerConfig(max_per_token=1),
+    "destination_agreement": DestinationAgreementConfig(max_batch=8),
 }
 
 
-def round_factory(name: str, **kwargs) -> RoundFactory:
-    """Look up a round-automaton factory; ``fsr`` accepts ``t``/``fairness``."""
+def round_factory(name: str, **options) -> RoundFactory:
+    """A factory of :class:`RoundHost` endpoints of protocol ``name``.
+
+    ``fsr`` accepts ``t``/``fairness``/``piggyback``.
+    ``communication_history`` runs its own automaton
+    (:mod:`repro.rounds.history_round` says why).
+    """
+    if name not in PROTOCOLS:
+        known = ", ".join(sorted(PROTOCOLS))
+        raise ConfigurationError(f"unknown protocol {name!r}; registered: {known}")
+    config = _ROUND_CONFIGS.get(name)
     if name == "fsr":
-        return _fsr_factory(**kwargs)
-    try:
-        base = ROUND_PROTOCOLS[name]
-    except KeyError:
-        known = ", ".join(sorted(ROUND_PROTOCOLS))
-        raise ConfigurationError(f"unknown round protocol {name!r}; known: {known}")
-    if kwargs:
-        raise ConfigurationError(f"{name!r} accepts no factory options")
-    return base
+        config = FSRConfig(
+            t=options.pop("t", 1),
+            fairness=options.pop("fairness", True),
+            piggyback_acks=options.pop("piggyback", True),
+        )
+    if options:
+        raise ConfigurationError(f"{name!r} accepts no factory options {sorted(options)}")
+    if name == "communication_history":
+        return CommunicationHistoryRoundProcess
+
+    def make(pid, members, supply, deliver_cb, window=None):
+        return RoundHost(pid, members, name, config, supply, deliver_cb, window)
+
+    return make
 
 
 @dataclass
@@ -141,26 +134,6 @@ def measure_latency(
     engine.run_until(lambda: len(observer.completion) == 1, max_rounds=max_rounds)
     (completion_round,) = observer.completion.values()
     return completion_round + 1  # rounds are 0-indexed
-
-
-def is_throughput_efficient(
-    name: str,
-    n: int,
-    k: int,
-    threshold: float = 0.999,
-    **factory_options,
-) -> bool:
-    """The paper's §1 criterion: ≥ 1 completed broadcast per round.
-
-    Example::
-
-        is_throughput_efficient("fsr", 5, 2, t=1)      # True
-        is_throughput_efficient("privilege", 5, 2)     # False
-    """
-    factory = round_factory(name, **factory_options)
-    result = measure_throughput(factory, n, k, warmup_rounds=300,
-                                window_rounds=1200)
-    return result.throughput >= threshold
 
 
 def measure_throughput(

@@ -7,6 +7,17 @@ arriving per round, so senders must throttle to a rate of one message
 every ``n - 1`` rounds for the system to stay stable — the quadratic
 message complexity the paper criticises, expressed in round-model
 terms.  ``k``-to-``n`` throughput is therefore about ``k / (n - 1)``.
+
+Why this class alone is not the :mod:`repro.protocols` one under
+:class:`~repro.rounds.host.RoundHost`: the round model charges a 16 B
+null a full receive slot, and the simulator class sends a null every
+``null_period_s`` it has not sent data.  Hosted, that is a null per
+idle member per round — ``n - 1`` arrivals at every one-message receive
+slot each round, and a null in each sender's send slot before its
+broadcast is offered: nothing completes (0.000 msgs/round at ``n = 6``,
+``k = 1, 2, 6``).  Mapping the period onto rounds would need a
+protocol-specific null period in rounds, a new option; the throttle
+above is the stable rate such a period would have to find.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import CheckFailure
-from repro.figures import CASES
+from repro.figures import CASES, Table
 
 
 def test_run_subcommand(capsys):
@@ -67,6 +67,16 @@ def test_figures_exit_status_is_the_checks(capsys, monkeypatch):
     assert "CHECK FAILED broken: latency must be linear in n" in out
     assert "Table 1" in out  # the other cases still run
     assert main(["figures", "no_such_case"]) == 2
+
+
+def test_figures_checks_each_table_shape(capsys, monkeypatch):
+    """A ragged row or an empty table fails the case, not the printout."""
+    monkeypatch.setitem(CASES, "ragged", lambda: Table("t", ["a", "b"], [[1, 2], [1, 2, 3]]))
+    monkeypatch.setitem(CASES, "empty", lambda: Table("t", ["a"], []))
+    assert main(["figures", "ragged", "empty"]) == 1
+    out = capsys.readouterr().out
+    assert "CHECK FAILED ragged: rows [2, 3] wide under a 2-column header" in out
+    assert "CHECK FAILED empty: empty table" in out
 
 
 def test_figures_runs_outside_a_source_checkout(tmp_path):

@@ -5,6 +5,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.figures import CLASSES
 from repro.net import ChannelStack, Network, NetworkParams
 from repro.rounds.analysis import measure_throughput, round_factory
 from repro.sim import Simulator
@@ -60,10 +61,7 @@ def test_round_model_fsr_total_order_any_configuration(n, t, k, fairness):
 @given(
     n=st.integers(min_value=2, max_value=6),
     k=st.integers(min_value=1, max_value=6),
-    name=st.sampled_from(
-        ["fixed_sequencer", "moving_sequencer", "privilege",
-         "communication_history", "destination_agreement"]
-    ),
+    name=st.sampled_from(CLASSES[1:]),
 )
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_round_model_baselines_total_order_any_configuration(n, k, name):

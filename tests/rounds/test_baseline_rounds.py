@@ -2,20 +2,12 @@
 
 import pytest
 
-from repro.rounds.analysis import (
-    ROUND_PROTOCOLS,
-    measure_latency,
-    measure_throughput,
-    round_factory,
-)
+from repro.cluster import ClusterConfig, build_cluster
+from repro.figures import CLASSES
+from repro.rounds.analysis import measure_latency, measure_throughput, round_factory
+from repro.rounds.history_round import CommunicationHistoryRoundProcess
 
-BASELINES = [
-    "fixed_sequencer",
-    "moving_sequencer",
-    "privilege",
-    "communication_history",
-    "destination_agreement",
-]
+BASELINES = list(CLASSES[1:])
 
 
 @pytest.mark.parametrize("name", BASELINES)
@@ -79,11 +71,16 @@ def test_fsr_beats_every_baseline_at_k2():
         assert baseline < fsr, f"{name} unexpectedly matched FSR"
 
 
-def test_round_registry_contents():
-    assert set(ROUND_PROTOCOLS) == {
-        "fsr", "fixed_sequencer", "moving_sequencer", "privilege",
-        "communication_history", "destination_agreement",
-    }
+def test_round_factory_hosts_the_registered_classes():
+    """The round model runs the class the simulator runs, not a copy;
+    communication history alone keeps its own automaton."""
+    for name in CLASSES:
+        host = round_factory(name)(0, (0, 1, 2), 0, None)
+        if name == "communication_history":
+            assert type(host) is CommunicationHistoryRoundProcess
+            continue
+        simulated = build_cluster(ClusterConfig(n=3, protocol=name)).nodes[0].protocol
+        assert type(host.process) is type(simulated), name
 
 
 def test_round_factory_rejects_unknown():

@@ -1,8 +1,15 @@
-"""The paper's throughput-efficiency criterion as a one-call helper."""
+"""The paper's throughput-efficiency criterion, checked per class."""
 
-import pytest
+from repro.rounds.analysis import measure_throughput, round_factory
 
-from repro.rounds.analysis import is_throughput_efficient
+
+def is_throughput_efficient(name, n, k, **factory_options):
+    """The paper's §1 criterion: >= 1 completed broadcast per round."""
+    result = measure_throughput(
+        round_factory(name, **factory_options), n, k,
+        warmup_rounds=300, window_rounds=1200,
+    )
+    return result.throughput >= 0.999
 
 
 def test_fsr_is_efficient_everywhere():

@@ -1,8 +1,8 @@
-"""The round-model FSR automaton *is* ``FSRProcess``.
+"""The round host, and the round-model FSR automaton *is* ``FSRProcess``.
 
-Everything here reads the real automaton's own state and counters
-through the round host — what the compact restatement it replaced could
-not offer — plus the round-model goldens of the evaluation.
+The host's slot and timer rules on a probe protocol; then the real
+automaton's own state and counters read through the host, and the
+round-model goldens of the evaluation.
 """
 
 import pytest
@@ -11,25 +11,26 @@ from repro.core.fsr import FSRConfig
 from repro.core.fsr.process import FSRProcess
 from repro.core.fsr.ring import Ring
 from repro.errors import SimulationError
-from repro.rounds import RoundEngine, RoundProcess, fsr_latency_formula
+from repro.figures import CLASSES
+from repro.protocols.registry import PROTOCOLS
+from repro.rounds import RoundEngine, RoundHost, RoundProcess, fsr_latency_formula
 from repro.rounds.analysis import (
-    ROUND_PROTOCOLS,
     _build,
     measure_latency,
     measure_throughput,
     round_factory,
 )
-from repro.rounds.fsr_round import FSRRoundProcess
 
 
 def _ring(members, sender, t=1):
     """One broadcast from ``sender`` on an otherwise idle ring."""
     done = {}
     engine = RoundEngine()
+    factory = round_factory("fsr", t=t)
     hosts = [
-        FSRRoundProcess(
-            pid, members, t=t, supply=1 if pid == sender else 0,
-            deliver_cb=lambda pid, mid, seq, rnd: done.__setitem__(pid, rnd),
+        factory(
+            pid, members, 1 if pid == sender else 0,
+            lambda pid, mid, seq, rnd: done.__setitem__(pid, rnd),
         )
         for pid in members
     ]
@@ -39,8 +40,62 @@ def _ring(members, sender, t=1):
     return hosts, max(done.values()) + 1
 
 
+class _Probe:
+    """A protocol that sends only when the test calls its port."""
+
+    def __init__(self, context):
+        self.port = context.port
+        self.received = []
+        self.port.on_receive(lambda src, message: self.received.append((src, message)))
+
+    def on_protocol_deliver(self, callback):
+        pass
+
+    def start(self):
+        pass
+
+
+@pytest.fixture
+def probe_group(monkeypatch):
+    monkeypatch.setitem(PROTOCOLS, "round_probe", _Probe)
+    engine = RoundEngine()
+    hosts = [RoundHost(pid, (0, 1, 2, 3), "round_probe") for pid in range(4)]
+    for host in hosts:
+        engine.attach(host)
+    return engine, [host.process for host in hosts]
+
+
+def test_a_fan_out_costs_one_slot_and_the_next_message_waits(probe_group):
+    engine, probes = probe_group
+    first, second = object(), object()
+    for dst in (1, 2, 3):  # a best-effort broadcast: n - 1 unicasts
+        probes[0].port.send(dst, first)
+    probes[0].port.send(1, second)
+    engine.run_round()
+    assert [probe.received for probe in probes[1:]] == [[(0, first)]] * 3
+    engine.run_round()
+    assert probes[1].received == [(0, first), (0, second)]
+
+
+def test_a_positive_delay_fires_at_the_start_of_the_next_round(probe_group):
+    engine, probes = probe_group
+    host, fired = probes[0].port, []
+
+    def tick(label):
+        fired.append((label, engine.round_index))
+        if label == "positive":
+            host.send(1, label)  # the round's slot is still free
+            host.schedule(0.0, tick, "zero")
+
+    engine.run_round()
+    host.schedule(1e-3, tick, "positive")
+    engine.run_round()
+    assert fired == [("positive", 1), ("zero", 1)]
+    assert probes[1].received == [(0, "positive")]
+
+
 def test_host_runs_the_real_automaton():
-    host = FSRRoundProcess(0, (0, 1, 2), t=1)
+    host = round_factory("fsr", t=1)(0, (0, 1, 2), 0, None)
     assert type(host.process) is FSRProcess
     assert isinstance(host, RoundProcess)
 
@@ -88,13 +143,15 @@ def test_retention_does_not_grow_with_run_length():
 
 
 # -- (d) no timers; the idle ring ships its acks standalone (§4.2.2) ------
-def test_still_clock_and_low_load_acks():
+def test_still_clock_and_low_load_acks(monkeypatch):
+    def refuse(self, delay, callback, *args):
+        raise SimulationError("FSR armed a timer in the round model")
+
+    # Nothing in that run arms a timer: a clock that refuses them runs it.
+    monkeypatch.setattr(RoundHost, "schedule", refuse)
     hosts, rounds = _ring(tuple(range(5)), sender=1)
     assert rounds == fsr_latency_formula(5, 1, 1) == 9
-    # Nothing in that run armed a timer: the host's clock refuses them.
     assert hosts[0].now == 0.0
-    with pytest.raises(SimulationError, match="no timers"):
-        hosts[0].schedule(0.0, lambda: None)
     piggybacked = sum(h.process.stats_acks_piggybacked for h in hosts)
     standalone = sum(h.process.stats_acks_standalone for h in hosts)
     assert (piggybacked, standalone) == (0, 5)
@@ -110,16 +167,24 @@ def test_single_process_group():
 #: protocol -> (msgs/round with k = 2 saturating senders, L(1) in rounds)
 ROUNDS_N5_K2 = {
     "communication_history": ("0.500", 8),
-    "destination_agreement": ("0.752", 7),
+    # a member with a candidate nudges the coordinator, and every nudge
+    # costs the coordinator a receive slot.
+    "destination_agreement": ("0.648", 7),
     "fixed_sequencer": ("0.230", 7),
     "fsr": ("1.000", 9),
-    "moving_sequencer": ("0.555", 6),
-    "privilege": ("0.616", 10),
+    # the token is its own unicast after each assignment broadcast, and
+    # a member learns stability only when it passes the token on, so
+    # delivery waits for a second token lap.
+    "moving_sequencer": ("0.354", 11),
+    # L = 12: p0 keeps the initial token until its idle-hold timer fires in
+    # round 1, and the last member learns stability when its idle-hold
+    # timer passes the token on, one round after receiving it.
+    "privilege": ("0.616", 12),
 }
 
 
 def test_rounds_n5_k2_table_matches_pinned_values():
-    assert set(ROUNDS_N5_K2) == set(ROUND_PROTOCOLS)
+    assert set(ROUNDS_N5_K2) == set(CLASSES)
     for name, (throughput, latency) in ROUNDS_N5_K2.items():
         factory = round_factory(name)
         assert f"{measure_throughput(factory, 5, 2).throughput:.3f}" == throughput, name

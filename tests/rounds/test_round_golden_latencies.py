@@ -1,7 +1,7 @@
 """Golden single-broadcast latencies of every round automaton.
 
 The FSR value is the paper's closed form.  The baseline values are
-pinned measurements: they follow from each automaton's message pattern
+pinned measurements: they follow from each protocol class's message pattern
 and the round model's one-send/one-receive costs, and any change to
 them changes what Section 2's comparison *means* — so drift fails
 loudly here.  (Setting: n = 5, sender at position 1, idle system.)
@@ -9,6 +9,7 @@ loudly here.  (Setting: n = 5, sender at position 1, idle system.)
 
 import pytest
 
+from repro.figures import CLASSES
 from repro.rounds import fsr_latency_formula, measure_latency
 from repro.rounds.analysis import round_factory
 
@@ -29,15 +30,19 @@ def test_fixed_sequencer_golden():
 
 
 def test_moving_sequencer_golden():
-    # data broadcast, token-holder announcement, and the aru evidence
-    # needed before min(aru) covers the message.
-    assert _latency("moving_sequencer") == 6
+    # data broadcast, token-holder announcement, then the token as its
+    # own unicast; a member learns stability only when it passes the
+    # token on, so delivery waits for a second token lap.
+    assert _latency("moving_sequencer") == 11
 
 
 def test_privilege_golden():
     # the token must first travel from p0 to the sender, then the data
-    # broadcast plus an aru rotation establish uniform delivery.
-    assert _latency("privilege") == 10
+    # broadcast plus an aru rotation establish uniform delivery; p0 keeps
+    # the initial token until its idle-hold timer fires in round 1, and
+    # the last member learns stability when its idle-hold timer passes
+    # the token on, one round after receiving it.
+    assert _latency("privilege") == 12
 
 
 def test_communication_history_golden():
@@ -47,8 +52,8 @@ def test_communication_history_golden():
 
 
 def test_destination_agreement_golden():
-    # data broadcast + propose + the coordinator absorbing votes one
-    # per round + decide.
+    # nudge + propose (the data broadcast takes the same round) + the
+    # coordinator absorbing votes and nudges one per round + decide.
     assert _latency("destination_agreement") == 7
 
 
@@ -57,12 +62,6 @@ def test_fsr_has_no_latency_penalty_for_its_throughput():
     baselines' despite its throughput dominance — the paper's 'linear
     latency' selling point in comparative form."""
     fsr = _latency("fsr", t=1)
-    others = [
-        _latency("fixed_sequencer"),
-        _latency("moving_sequencer"),
-        _latency("privilege"),
-        _latency("communication_history"),
-        _latency("destination_agreement"),
-    ]
+    others = [_latency(name) for name in CLASSES[1:]]
     assert fsr <= 2 * min(others)
     assert fsr <= max(others) + 2
