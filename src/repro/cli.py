@@ -440,9 +440,16 @@ def _cmd_live(args: argparse.Namespace) -> int:
     node_stats = payload["live"]["node_stats"].values()
     flushes = sum(s["flushes"] for s in node_stats)
     frames = sum(s["frames_sent"] for s in node_stats)
-    rows.append(["ring tx writes (one per loop turn)", flushes])
+    rows.append(["ring tx writes", flushes])
     rows.append([
         "frames per write", f"{frames / flushes:.1f}" if flushes else "-"
+    ])
+    rows.append([
+        "acks in data headers", sum(s["acks_piggybacked"] for s in node_stats)
+    ])
+    rows.append([
+        "acks in standalone ack frames",
+        sum(s["acks_standalone"] for s in node_stats),
     ])
     if any(s.get("batches_sent") for s in node_stats):
         rows.append([

@@ -20,7 +20,10 @@ FIFO channel the paper assumes; what this module adds is:
   fills in place; frames are sliced out as ``memoryview``s and handed
   up synchronously, so the codec's payload copy is the only user-space
   copy on the way in, and an upcall's exception fails the transport
-  (``failure``) instead of vanishing with the connection (§5g);
+  (``failure``) instead of vanishing with the connection (§5g); a batch
+  frame is one unit of work: its messages are handed up behind a held
+  TX gate, then one pump answers them and the ring link writes the
+  answer before the next frame is decoded;
 * a callback send path: the successor hop and every control peer are
   one :class:`_Link` each, whose connection is an
   :class:`asyncio.Protocol`; the first frame queued in a loop turn
@@ -222,16 +225,26 @@ class _InboundConnection(asyncio.BufferedProtocol):
             if owner.on_control is not None:
                 owner.on_control(message.layer, peer_id, message.inner)
             return 1
-        # A batch is one coalesced flush from the predecessor: deliver
-        # each ride-along in wire order.
-        batch = isinstance(message, FrameBatch)
-        messages = message.messages if batch else (message,)
-        if batch:
-            owner.batches_received += 1
-        owner.frames_received += len(messages)
         owner.bytes_received += LENGTH_PREFIX_BYTES + len(body)
-        for inner in messages:
-            owner.on_message(peer_id, inner)
+        if not isinstance(message, FrameBatch):
+            owner.frames_received += 1
+            owner.on_message(peer_id, message)
+            return 1
+        # A batch is one write of the predecessor's and one unit of work
+        # here: its ride-alongs are handed up in wire order behind a
+        # held gate, so the automaton only queues, then one pump answers
+        # the whole frame and its output is written before the next
+        # frame is decoded (DESIGN.md §5g).
+        messages = message.messages
+        owner.batches_received += 1
+        owner.frames_received += len(messages)
+        owner._holding = True
+        try:
+            for inner in messages:
+                owner.on_message(peer_id, inner)
+        finally:
+            owner._holding = False
+        owner._frame_done()
         return len(messages)
 
 
@@ -287,9 +300,10 @@ class _Link:
     a loop turn schedules :meth:`_flush`, which hands every releasable
     queued frame to ``pack`` and writes what it returns in one
     ``transport.write`` — the same turn-bounded rule as the serve tier's
-    connections (DESIGN.md §5g).  A task dials, greets, holds the
-    connection until it is lost and re-dials with capped backoff; no
-    task runs around the writes.
+    connections (DESIGN.md §5g) — unless :meth:`write_now` takes it
+    sooner (the ring hop, once per batch frame received).  A task dials,
+    greets, holds the connection until it is lost and re-dials with
+    capped backoff; no task runs around the writes.
     """
 
     def __init__(
@@ -349,6 +363,12 @@ class _Link:
         self.queue.append((frame, release, is_ack))
         self.queued_bytes += len(frame)
         self._kick()
+
+    def write_now(self) -> None:
+        """Flush now instead of when the turn ends (shaping still holds)."""
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+        self._flush()
 
     def _kick(self) -> None:
         """Schedule a flush for the end of this turn, unless one is due."""
@@ -562,6 +582,8 @@ class RingTransport:
             self._pack_ring, max_retries,
         )
         self._gate_closed = False
+        #: A batch frame is being handed up: the gate reads closed.
+        self._holding = False
         self._tx_idle_callbacks: List[Callable[[], None]] = []
         self._inbound_hello = asyncio.Event()
         #: Inbound connections keyed by (peer id, channel).
@@ -594,7 +616,8 @@ class RingTransport:
         self.tx_pauses = 0
         #: High-water mark of the outbound queue depth, in bytes.
         self.queued_bytes_hwm = 0
-        #: Ring writes (one per loop turn that queued frames), batch
+        #: Ring writes (one per loop turn that queued frames, and one
+        #: per batch frame received whose pump queued any), batch
         #: frames sent, frames that rode inside them, AckBatches that
         #: shared a batch frame with data, and batch frames received.
         self.flushes = 0
@@ -731,8 +754,12 @@ class RingTransport:
     # ------------------------------------------------------------------
     @property
     def tx_ready(self) -> bool:
-        """True while the outbound queue can take another message."""
-        return self._ring.queued_bytes < self.max_outbound_bytes
+        """True while the outbound queue can take another message and no
+        batch frame is being handed up."""
+        return (
+            not self._holding
+            and self._ring.queued_bytes < self.max_outbound_bytes
+        )
 
     @property
     def queued_bytes(self) -> int:
@@ -742,6 +769,18 @@ class RingTransport:
     def on_tx_idle(self, callback: Callable[[], None]) -> None:
         """Register a callback fired when a closed TX gate reopens."""
         self._tx_idle_callbacks.append(callback)
+
+    def _reopen(self) -> None:
+        self._gate_closed = False
+        for callback in list(self._tx_idle_callbacks):
+            callback()
+
+    def _frame_done(self) -> None:
+        """A batch frame has been handed up: reopen the gate, which pumps
+        once, and write what that pump queued before the next frame."""
+        if self.tx_ready:
+            self._reopen()
+        self._ring.write_now()
 
     def send(self, dst: ProcessId, message: WireMessage) -> None:
         """Queue ``message`` for the ring successor."""
@@ -815,9 +854,7 @@ class RingTransport:
             self._flush_frames_hist.observe(len(taken))
             self._flush_bytes_hist.observe(wire)
         if self._gate_closed and self.tx_ready:
-            self._gate_closed = False
-            for callback in list(self._tx_idle_callbacks):
-                callback()
+            self._reopen()
         return parts
 
     # ------------------------------------------------------------------

@@ -4,7 +4,10 @@ import pytest
 
 from repro.checker import check_all
 from repro.core.fsr import FSRConfig
+from repro.core.fsr.messages import AckBatch, AckMsg, SeqData
+from repro.types import MessageId
 from tests.conftest import run_broadcasts, small_cluster
+from tests.fsr.nullring import NullRing
 
 
 def test_eager_ack_mode_is_still_correct():
@@ -81,3 +84,70 @@ def test_idle_latency_not_penalised_by_piggybacking():
     # Small message on the fast test network: milliseconds, not a
     # piggyback-wait artifact.
     assert latency < 10e-3
+
+
+def _closed_gate_ring():
+    """A 3-ring whose TX gate is shut: ``p1`` only queues until opened."""
+    gate = [False]
+    ring = NullRing(n=3, t=1, tx_gate=lambda: gate[0])
+    return ring, ring.processes[1], gate
+
+
+def _seq(seq):
+    return SeqData(MessageId(0, seq), 0, b"x", 1, seq, False, 0)
+
+
+def _acks(seqs):
+    return AckBatch([AckMsg(MessageId(0, s), s, True, 0) for s in seqs], 0)
+
+
+@pytest.mark.parametrize("k", [1, 4, 40])
+def test_acks_queued_behind_a_closed_gate_ride_in_data_headers(k):
+    """What the live transport does with a batch frame: its k messages
+    are handed up behind a closed gate, then one pump answers them all,
+    so the acks leave inside the data headers (§4.2.2), at most
+    ``max_piggybacked_acks`` per data message."""
+    ring, p1, gate = _closed_gate_ring()
+    for seq in range(1, k + 1):
+        p1.on_message(0, _seq(seq))
+        p1.on_message(0, _acks([seq]))
+    assert ring.sent == []
+    gate[0] = True
+    p1.on_tx_ready()
+    sent = [message for _dst, _src, message in ring.sent]
+    assert [type(m) for m in sent] == [SeqData] * k
+    riding = [len(m.piggybacked) for m in sent]
+    cap = p1.config.max_piggybacked_acks
+    assert riding[0] == min(k, cap) and max(riding) <= cap
+    assert sum(riding) == p1.stats_acks_piggybacked == k
+    assert p1.stats_acks_standalone == 0
+
+
+def test_acks_queued_behind_a_closed_gate_with_no_data_leave_as_one_ack_batch():
+    ring, p1, gate = _closed_gate_ring()
+    gate[0] = True
+    for seq in range(1, 6):  # learn the payloads, forward them
+        p1.on_message(0, _seq(seq))
+    del ring.sent[:]
+    gate[0] = False
+    for seq in range(1, 6):
+        p1.on_message(0, _acks([seq]))
+    gate[0] = True
+    p1.on_tx_ready()
+    sent = [message for _dst, _src, message in ring.sent]
+    assert [type(m) for m in sent] == [AckBatch]
+    assert [ack.sequence for ack in sent[0].acks] == [1, 2, 3, 4, 5]
+    assert p1.stats_acks_standalone == 5
+    assert p1.stats_acks_piggybacked == 0
+
+
+def test_an_open_gate_pumps_per_message_and_the_acks_go_standalone():
+    """The contrast: pumped after every message, an ack arriving behind
+    its data finds nothing left to ride on."""
+    ring, p1, gate = _closed_gate_ring()
+    gate[0] = True
+    for seq in range(1, 5):
+        p1.on_message(0, _seq(seq))
+        p1.on_message(0, _acks([seq]))
+    assert p1.stats_acks_standalone == 4
+    assert p1.stats_acks_piggybacked == 0

@@ -18,6 +18,10 @@ load-bearing claims:
   bad frame and nothing but ``CodecError`` handled on the way;
 * an exception raised by an upcall fails the transport loudly instead
   of silently losing the frames drained behind it;
+* a batch frame is one unit of work: its messages are handed up behind
+  a held TX gate, the gate then reopens once (one pump), and what that
+  pump queued is written before the next frame is handed up; a raising
+  upcall cannot leave the gate held;
 * the teardown of a superseded connection does not unregister the
   connection that replaced it.
 """
@@ -379,6 +383,124 @@ def test_control_upcall_exception_fails_the_transport_too():
     harness.feed(_stream([ControlFrame("vsc", 1)] * 2, CHANNEL_CONTROL))
     assert harness.link.closed
     assert "KeyError" in harness.owner.failure
+
+
+# -- a batch frame is one unit of work ---------------------------------------
+class _Wire:
+    """The socket transport of the outbound (successor) connection."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def close(self):
+        pass
+
+    def is_closing(self):
+        return False
+
+
+def _connect_successor(owner):
+    """Greet a stub successor connection on ``owner``'s ring link."""
+    link = owner._ring
+    link._loop = asyncio.get_running_loop()
+    wire = _Wire()
+    conn = transport_module._OutboundConnection(link)
+    conn.connection_made(wire)
+    link._greet(conn)
+    wire.writes.clear()  # the Hello
+    return wire
+
+
+def test_batch_frame_is_handed_up_behind_a_held_gate_and_pumped_once():
+    harness = _Harness()
+    owner = harness.owner
+    gate = []
+    owner.on_message = lambda src, msg: gate.append(owner.tx_ready)
+    pumps = []
+    owner.on_tx_idle(lambda: pumps.append(len(gate)))
+    messages = [_data(seq, b"x") for seq in range(7)]
+    harness.feed(_stream([
+        messages[0],
+        FrameBatch(messages=messages[1:4]),
+        messages[4],
+        FrameBatch(messages=messages[5:]),
+    ]))
+    assert gate == [True, False, False, False, True, False, False]
+    # Once per batch frame, after its last upcall; never for a plain one.
+    assert pumps == [4, 7]
+    assert owner.tx_ready
+
+
+def test_each_batch_frame_is_written_before_the_next_is_handed_up():
+    async def main():
+        harness = _Harness()
+        owner = harness.owner
+        wire = _connect_successor(owner)
+        writes_at_upcall = []
+        owner.on_message = lambda src, msg: writes_at_upcall.append(
+            len(wire.writes)
+        )
+        answers = [_data(100 + n, b"answer") for n in range(2)]
+        owner.on_tx_idle(
+            lambda: owner.send(1, answers[len(wire.writes)])
+        )
+        first = [_data(seq, b"a") for seq in range(3)]
+        second = [_data(seq, b"b") for seq in range(3, 6)]
+        harness.feed(_stream([
+            FrameBatch(messages=first), FrameBatch(messages=second),
+        ]))
+        assert owner.rx_chunks == 1  # both frames arrived in one chunk
+        assert writes_at_upcall == [0, 0, 0, 1, 1, 1]
+        assert wire.writes == [encode_frame(answer) for answer in answers]
+        assert owner.flushes == 2
+        # The end of the turn has nothing left to write.
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        assert len(wire.writes) == 2
+
+    asyncio.run(main())
+
+
+def test_plain_frames_still_write_once_per_turn():
+    async def main():
+        harness = _Harness()
+        owner = harness.owner
+        wire = _connect_successor(owner)
+        owner.on_message = lambda src, msg: owner.send(1, msg)
+        messages = [_data(seq, b"p") for seq in range(4)]
+        harness.feed(_stream(messages))
+        assert wire.writes == []
+        await asyncio.sleep(0)
+        assert wire.writes == [b"".join(encode_frame(m) for m in messages)]
+
+    asyncio.run(main())
+
+
+def test_an_upcall_that_raises_mid_batch_cannot_leave_the_gate_held(caplog):
+    harness = _Harness()
+    owner = harness.owner
+    upcalls = []
+
+    def on_message(src, msg):
+        upcalls.append(msg)
+        if len(upcalls) == 2:
+            raise RuntimeError("automaton rejected the message")
+
+    owner.on_message = on_message
+    pumps = []
+    owner.on_tx_idle(lambda: pumps.append(1))
+    with caplog.at_level(logging.ERROR, logger=transport_module.__name__):
+        harness.feed(_stream([
+            FrameBatch(messages=[_data(seq, b"x") for seq in range(4)]),
+        ]))
+    assert len(upcalls) == 2
+    assert harness.link.closed
+    assert "automaton rejected the message" in owner.failure
+    assert owner.tx_ready
+    assert pumps == []  # the failed frame is not answered
 
 
 # -- teardown ---------------------------------------------------------------
