@@ -22,39 +22,48 @@ See README.md for the architecture tour and DESIGN.md for the
 paper-to-module map.
 """
 
-from repro.chaos import CampaignConfig, CampaignReport, FaultSchedule, run_campaign
-from repro.cluster import Cluster, ClusterConfig, ExperimentResult, build_cluster
-from repro.core.api import BroadcastListener, TotalOrderBroadcast
-from repro.core.batching import BatchingBroadcast, BatchingConfig
-from repro.core.fsr import FSRConfig, FSRProcess, Ring, Role
-from repro.net import FramingModel, NetworkParams
-from repro.protocols import PROTOCOLS
-from repro.types import Delivery, MessageId, View
+import importlib
+from typing import Any
+
+#: Public name -> the module that defines it.  Names resolve on first
+#: use (PEP 562), so ``import repro`` costs nothing and a live node
+#: process, which imports only ``repro.live.node``, never loads the
+#: simulator, the chaos campaign or the figure stack.
+_EXPORTS = {
+    "CampaignConfig": "repro.chaos",
+    "CampaignReport": "repro.chaos",
+    "FaultSchedule": "repro.chaos",
+    "run_campaign": "repro.chaos",
+    "Cluster": "repro.cluster",
+    "ClusterConfig": "repro.cluster",
+    "ExperimentResult": "repro.cluster",
+    "build_cluster": "repro.cluster",
+    "BroadcastListener": "repro.core.api",
+    "TotalOrderBroadcast": "repro.core.api",
+    "BatchingBroadcast": "repro.core.batching",
+    "BatchingConfig": "repro.core.batching",
+    "FSRConfig": "repro.core.fsr",
+    "FSRProcess": "repro.core.fsr",
+    "Ring": "repro.core.fsr",
+    "Role": "repro.core.fsr",
+    "FramingModel": "repro.net",
+    "NetworkParams": "repro.net",
+    "PROTOCOLS": "repro.protocols",
+    "Delivery": "repro.types",
+    "MessageId": "repro.types",
+    "View": "repro.types",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CampaignConfig",
-    "CampaignReport",
-    "FaultSchedule",
-    "run_campaign",
-    "Cluster",
-    "ClusterConfig",
-    "ExperimentResult",
-    "build_cluster",
-    "BroadcastListener",
-    "TotalOrderBroadcast",
-    "BatchingBroadcast",
-    "BatchingConfig",
-    "FSRConfig",
-    "FSRProcess",
-    "Ring",
-    "Role",
-    "FramingModel",
-    "NetworkParams",
-    "PROTOCOLS",
-    "Delivery",
-    "MessageId",
-    "View",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+

@@ -110,7 +110,6 @@ class LiveChaosConfig:
     window: int = 2
     #: Senders stop submitting this long after the start barrier.
     duration_s: float = 2.5
-    settle_s: float = 0.3
     quiet_s: float = 0.6
     max_run_s: float = 30.0
     connect_timeout_s: float = 10.0
@@ -205,7 +204,6 @@ class LiveChaosConfig:
             duration_s=self.duration_s,
             window=self.window,
             host=self.host,
-            settle_s=self.settle_s,
             quiet_s=self.quiet_s,
             max_run_s=self.max_run_s,
             connect_timeout_s=self.connect_timeout_s,
@@ -361,9 +359,7 @@ def run_live_schedule(
     timeline: Optional[Timeline] = None
     with LiveCluster.launch(spec, journals=True) as cluster:
         try:
-            starts = cluster.await_started(
-                spec.connect_timeout_s + spec.settle_s + 15.0
-            )
+            starts = cluster.await_started(spec.connect_timeout_s + 15.0)
             base = max(starts.values())
             for event in crashes:
                 delay = base + event.time - time.monotonic()

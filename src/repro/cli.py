@@ -19,16 +19,24 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro import ClusterConfig, FSRConfig, build_cluster
-from repro.analysis import ThroughputPrediction
-from repro.metrics import collect_metrics, format_table
-from repro.net import NetworkParams
-from repro.workloads import KToNPattern, run_workload
+# Each command imports what it runs: ``repro live-node`` is one cluster
+# member and must not load the simulator, the chaos campaign or the
+# figure stack on its way to ``repro.live.node``.
+
+
+def format_table(*args, **kwargs) -> str:
+    from repro.metrics.report import format_table as render
+
+    return render(*args, **kwargs)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.cluster import ClusterConfig, build_cluster
     from repro.core.batching import batching_config_from_flags
+    from repro.core.fsr import FSRConfig
     from repro.errors import ConfigurationError
+    from repro.metrics import collect_metrics
+    from repro.workloads import KToNPattern, run_workload
 
     protocol = args.protocol
     if args.shards > 1 and protocol == "fsr":
@@ -92,6 +100,7 @@ def _run_packed(
     packing the live transport's fast path applies at the frame level —
     and reports pack statistics next to goodput.
     """
+    from repro.cluster import ClusterConfig, build_cluster
     from repro.core.api import BroadcastListener
     from repro.core.batching import BatchingBroadcast
 
@@ -152,6 +161,9 @@ def _run_packed(
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from repro.analysis import ThroughputPrediction
+    from repro.net import NetworkParams
+
     params = NetworkParams.fast_ethernet()
     prediction = ThroughputPrediction.for_paper_setup(
         params, n=args.n, message_bytes=args.size
@@ -387,8 +399,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
+    from statistics import median
+
     from repro.errors import ReproError
-    from repro.live.runner import LiveClusterSpec, run_live_benchmark
+    from repro.live.runner import (
+        STARTUP_STAGES,
+        LiveClusterSpec,
+        run_live_benchmark,
+    )
 
     try:
         spec = LiveClusterSpec(
@@ -455,6 +473,13 @@ def _cmd_live(args: argparse.Namespace) -> int:
         rows.append([
             "acks ridden on data",
             sum(s["acks_ridden"] for s in node_stats),
+        ])
+    # Where set-up time goes: the median over nodes of each stage.
+    stamps = payload["live"]["startup"].values()
+    for before, stage in zip(STARTUP_STAGES, STARTUP_STAGES[1:]):
+        rows.append([
+            f"start-up: -> {stage.replace('_', ' ')} (ms, median)",
+            f"{median(s[stage] - s[before] for s in stamps) * 1e3:.1f}",
         ])
     if payload["sim"] is not None:
         sim = payload["sim"]["metrics"]

@@ -6,8 +6,9 @@
    :class:`GroupMembership` the simulator runs, wired to an
    :class:`AsyncioScheduler` and a TCP :class:`RingTransport` instead of
    the simulated NIC;
-2. barrier on ring connectivity (outbound connected and predecessor
-   greeted), settle, then install the bootstrap view and start;
+2. barrier on evidence — ring connectivity (outbound connected and
+   predecessor greeted) and, with live membership, every member's
+   listener up — then install the bootstrap view and start;
 3. if this node is a sender, drive a closed-loop windowed workload
    until the configured deadline (or a fixed message count);
 4. run to quiescence (no ring or membership traffic for ``quiet_s``),
@@ -131,8 +132,6 @@ class LiveNodeConfig:
     duration_s: float = 5.0
     #: Closed-loop window: own messages in flight per sender.
     window: int = 4
-    #: Barrier settle time after ring connectivity, before senders start.
-    settle_s: float = 0.5
     #: Ring silence needed to declare the run quiescent.
     quiet_s: float = 0.5
     #: Hard cap on the whole run past the start barrier.
@@ -461,6 +460,51 @@ def _configure_logging(config: LiveNodeConfig) -> logging.Logger:
     return logging.getLogger(f"repro.live.node.{config.node_id}")
 
 
+async def start_barrier(
+    transports: List[RingTransport],
+    timeout: float,
+    *,
+    members: bool,
+    stamps: Dict[str, float],
+) -> None:
+    """The start barrier: evidence, not a timer (DESIGN.md §5c).
+
+    Every ring's successor connection is up and its predecessor has
+    said Hello; with ``members`` (live membership), ring 0's control
+    link to every member is connected too — every member's listener is
+    up, which a ring neighbour does not prove about a non-adjacent
+    member once n >= 4.  The protocol, and with it the heartbeat
+    detector's monitoring, starts only once this holds, so a sibling
+    that starts slowly is waited for, not suspected; traffic from peers
+    that pass earlier waits in FSR's future-view buffer until our own
+    bootstrap view installs.  Stamps ``ring_up`` and ``members_up`` into
+    ``stamps``; raises :class:`NetworkError` past ``timeout`` per wait.
+    """
+    loop = asyncio.get_running_loop()
+    for ring_index, ring_transport in enumerate(transports):
+        if not await ring_transport.wait_outbound_connected(timeout):
+            raise NetworkError(
+                ring_transport.failure
+                or f"node {ring_transport.node_id}: ring {ring_index} "
+                f"successor {ring_transport.successor_id} not connected "
+                f"after {timeout:.0f}s"
+            )
+        if ring_transport.successor_id != ring_transport.node_id and not (
+            await ring_transport.wait_inbound_hello(timeout)
+        ):
+            raise NetworkError(
+                f"node {ring_transport.node_id}: ring {ring_index} got no "
+                f"inbound connection after {timeout:.0f}s"
+            )
+    stamps["ring_up"] = loop.time()
+    if members and not await transports[0].wait_members_connected(timeout):
+        raise NetworkError(
+            f"node {transports[0].node_id}: not every member listening "
+            f"after {timeout:.0f}s"
+        )
+    stamps["members_up"] = loop.time()
+
+
 @dataclass
 class _NodeRun:
     """Mutable state of one node's workload while the loop runs."""
@@ -474,6 +518,14 @@ class _NodeRun:
 
 async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     loop = asyncio.get_running_loop()
+    # First thing: from here on a SIGTERM is a stop request, never the
+    # default kill, so a stop that lands while the node starts still
+    # ends it with exit 0 and a record.
+    stop_requested = asyncio.Event()
+    try:
+        loop.add_signal_handler(signal.SIGTERM, stop_requested.set)
+    except (NotImplementedError, RuntimeError):  # pragma: no cover
+        pass
     sched = AsyncioScheduler(loop)
     me = config.node_id
     members = tuple(config.members)
@@ -746,35 +798,29 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
 
     for ring_transport in transports:
         await ring_transport.start()
-
-    # ------------------------------------------------------------------
-    # Barrier: ring connectivity, then a settle delay, then start.  The
-    # protocol (and with it the heartbeat detector's monitoring) only
-    # starts once the ring is up, so slow sibling startup cannot be
-    # mistaken for a crash.  Traffic from peers that start slightly
-    # earlier is buffered by FSR's future-view buffer until our own
-    # bootstrap view installs.
-    # ------------------------------------------------------------------
-    timeout = config.connect_timeout_s
-    for ring_index, ring_transport in enumerate(transports):
-        if not await ring_transport.wait_outbound_connected(timeout):
-            raise NetworkError(
-                ring_transport.failure
-                or f"node {me}: ring {ring_index} successor {successor} not "
-                f"connected after {timeout:.0f}s"
-            )
-        if len(members) > 1 and not await ring_transport.wait_inbound_hello(
-            timeout
-        ):
-            raise NetworkError(
-                f"node {me}: ring {ring_index} got no inbound connection "
-                f"after {timeout:.0f}s"
-            )
-    await asyncio.sleep(config.settle_s)
-    logger.info(
-        "ring up: position=%d successor=%d members=%s", position, successor,
-        list(members),
+    #: Start-up stages on the system-wide monotonic clock, in the
+    #: ``start`` journal line and the record (DESIGN.md §5c).
+    startup = {"listening": sched.now}
+    # A stop request ends the wait for the barrier, and the run with it.
+    barrier = asyncio.ensure_future(start_barrier(
+        transports, config.connect_timeout_s,
+        members=config.view_changes, stamps=startup,
+    ))
+    stopping = asyncio.ensure_future(stop_requested.wait())
+    await asyncio.wait(
+        (barrier, stopping), return_when=asyncio.FIRST_COMPLETED
     )
+    stopping.cancel()
+    started = barrier.done()
+    if started:
+        barrier.result()  # a barrier that failed fails the node
+        logger.info(
+            "ring up: position=%d successor=%d members=%s", position,
+            successor, list(members),
+        )
+    else:
+        barrier.cancel()
+        logger.info("stop requested (SIGTERM) before the start barrier")
 
     def transport_counters() -> Dict[str, int]:
         return {
@@ -822,17 +868,19 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         spans.add_sink(span_journal.write_event)
         if config.trace_requests:
             reqlog.add_sink(span_journal.write_event)
-    if shaper is not None:
-        # Armed at protocol start so the schedule's event times share
-        # the same origin as the workload deadline (and the sim's).
-        shaper.arm(sched)
-    process.start()
-    if serve_server is not None:
-        # The bootstrap view may have installed without the rewire hook
-        # (static mode has none); seed the lease from it either way.
-        serve_server.on_view(membership.view)
-        host, serve_port = config.serve_addr
-        await serve_server.start(host, serve_port)
+    if started:
+        if shaper is not None:
+            # Armed at protocol start so the schedule's event times share
+            # the same origin as the workload deadline (and the sim's).
+            shaper.arm(sched)
+        process.start()
+        if serve_server is not None:
+            # The bootstrap view may have installed without the rewire
+            # hook (static mode has none); seed the lease from it either
+            # way.
+            serve_server.on_view(membership.view)
+            host, serve_port = config.serve_addr
+            await serve_server.start(host, serve_port)
 
     # Observability plane: the lag sampler always runs (10 Hz timer —
     # its absence from the disabled-cost budget is deliberate, it IS
@@ -876,15 +924,19 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         )
 
     start_time = sched.now
-    journal.write({"type": "start", "time": start_time, "node_id": me})
-    logger.info("protocol started at %.6f", start_time)
     if config.messages_per_sender is not None:
         # Fixed-count workload: no time deadline; quiescence decides.
         deadline[0] = start_time
     else:
         deadline[0] = start_time + config.duration_s
-    if me in config.senders:
-        refill()
+    if started:
+        journal.write(
+            {"type": "start", "time": start_time, "node_id": me,
+             "startup": startup}
+        )
+        logger.info("protocol started at %.6f", start_time)
+        if me in config.senders:
+            refill()
 
     # ------------------------------------------------------------------
     # Run until told to stop.  Static mode self-detects quiescence:
@@ -895,13 +947,9 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     # laggards.  The launcher owns termination there: it watches all
     # survivor journals and SIGTERMs everyone simultaneously (which
     # also avoids a suspect-and-reflush cascade as nodes wind down).
-    # ``max_run_s`` stays as the local backstop in both modes.
+    # ``max_run_s`` stays as the local backstop in both modes.  A stop
+    # requested before the start barrier ends the loop at once.
     # ------------------------------------------------------------------
-    stop_requested = asyncio.Event()
-    try:
-        loop.add_signal_handler(signal.SIGTERM, stop_requested.set)
-    except (NotImplementedError, RuntimeError):  # pragma: no cover
-        pass
     timed_out = False
     last_counters = (-1, -1)
     last_change = sched.now
@@ -977,6 +1025,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         "schema": "repro.live_node/1",
         "node_id": me,
         "start_time": start_time,
+        "startup": startup,
         "end_time": end_time,
         "timed_out": timed_out,
         "final_view": {

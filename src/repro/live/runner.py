@@ -60,6 +60,11 @@ _START_POLL_S = 0.02
 _SHUTDOWN_GRACE_S = 15.0
 #: Simulated comparison runs cap messages per sender to stay quick.
 _SIM_MESSAGES_CAP = 30
+#: A node's start-up stamps (``CLOCK_MONOTONIC``) in the order they
+#: happen: the launcher spawns it, its ring listeners are bound, its
+#: rings are connected both ways, every member listens (live
+#: membership; the same instant otherwise), and the protocol starts.
+STARTUP_STAGES = ("spawned", "listening", "ring_up", "members_up", "start")
 
 
 @dataclass
@@ -77,7 +82,6 @@ class LiveClusterSpec:
     duration_s: float = 5.0
     window: int = 4
     host: str = "127.0.0.1"
-    settle_s: float = 0.5
     quiet_s: float = 0.5
     max_run_s: float = 60.0
     connect_timeout_s: float = 10.0
@@ -189,6 +193,8 @@ class LiveRunResult:
     breakdown: Optional[StageBreakdown] = None
     #: Per-inner-ring breakdowns (multiring runs with spans only).
     per_ring_breakdown: Optional[Dict[int, StageBreakdown]] = None
+    #: Every node's :data:`STARTUP_STAGES` stamps.
+    startup: Dict[ProcessId, Dict[str, float]] = field(default_factory=dict)
 
 
 def _free_ports(host: str, count: int) -> List[int]:
@@ -270,6 +276,8 @@ class LiveCluster:
         #: ``CLOCK_MONOTONIC`` stamp of every SIGKILL :meth:`kill`
         #: delivered — the nodes' own time axis.
         self.killed: Dict[ProcessId, float] = {}
+        #: ``CLOCK_MONOTONIC`` stamp of each node's ``Popen``.
+        self.spawned: Dict[ProcessId, float] = {}
         ephemeral_metrics = spec.metrics and not spec.metrics_base_port
         blocks = spec.shards + int(spec.serve) + int(ephemeral_metrics)
         ports = iter(_free_ports(spec.host, spec.processes * blocks))
@@ -336,6 +344,7 @@ class LiveCluster:
                 )
                 with open(config_path, "w") as fh:
                     json.dump(config.to_dict(), fh)
+                self.spawned[pid] = time.monotonic()
                 self.procs[pid] = subprocess.Popen(
                     [
                         sys.executable,
@@ -540,6 +549,19 @@ class LiveCluster:
             return None
         return merge_span_journals(self.span_paths, t0=run_origin(records))
 
+    def startup(
+        self, records: Dict[ProcessId, Dict[str, Any]]
+    ) -> Dict[ProcessId, Dict[str, float]]:
+        """Each node's :data:`STARTUP_STAGES` stamps, from its record."""
+        return {
+            pid: {
+                "spawned": self.spawned[pid],
+                **record["startup"],
+                "start": record["start_time"],
+            }
+            for pid, record in records.items()
+        }
+
     def shutdown(self) -> None:
         """Kill and *reap* every child still alive. Idempotent."""
         for proc in self.procs.values():
@@ -594,6 +616,7 @@ def load_journal_record(
         "node_id": pid,
         "start_time": start["time"],
         "end_time": max(e["time"] for e in events if "time" in e),
+        "startup": start.get("startup", {}),
         "timed_out": False,
         "sent": [],
         **{key: [] for key in _JOURNAL_LISTS.values()},
@@ -755,6 +778,7 @@ def run_live_cluster(spec: LiveClusterSpec) -> LiveRunResult:
         cluster.wait(spec.connect_timeout_s + spec.max_run_s + _KILL_SLACK_S)
         records = cluster.stop()
         timeline = cluster.timeline(records)
+        startup = cluster.startup(records)
     result, outcome = merge_node_records(spec, records)
     order_error = check_live_order(result)
     metrics = collect_metrics(outcome)
@@ -790,6 +814,7 @@ def run_live_cluster(spec: LiveClusterSpec) -> LiveRunResult:
         timeline=timeline,
         breakdown=breakdown,
         per_ring_breakdown=per_ring,
+        startup=startup,
     )
 
 
@@ -825,6 +850,9 @@ def bench_payload(
             "node_stats": {
                 str(pid): record["stats"]
                 for pid, record in live.node_records.items()
+            },
+            "startup": {
+                str(pid): stamps for pid, stamps in live.startup.items()
             },
             "stage_breakdown": (
                 live.breakdown.to_dict() if live.breakdown is not None else None

@@ -696,6 +696,27 @@ class RingTransport:
         except asyncio.TimeoutError:
             return False
 
+    async def wait_members_connected(self, timeout: float) -> bool:
+        """Open the control link to every configured peer and wait until
+        each one is connected: every member's listener is up.
+
+        These are the links heartbeats and flushes use anyway; a dial
+        that is refused before it ever connected is no crash evidence,
+        so a member that starts late is waited for, not suspected.
+        """
+        links = [
+            self._control_link(pid)
+            for pid in self._peer_addrs if pid != self.node_id
+        ]
+        try:
+            await asyncio.wait_for(
+                asyncio.gather(*(link.connected.wait() for link in links)),
+                timeout,
+            )
+            return True
+        except asyncio.TimeoutError:
+            return False
+
     def _backoff(self, retries: int) -> float:
         base = min(
             self.reconnect_cap_s,
@@ -872,6 +893,13 @@ class RingTransport:
                 f"node {self.node_id}: control plane does not loop back "
                 "to self (local sends go through the scheduler)"
             )
+        frame = encode_frame(ControlFrame(layer=layer, inner=message))
+        self._control_link(dst).send(
+            frame, self._plan_release(dst, len(frame), "ctl")
+        )
+
+    def _control_link(self, dst: ProcessId) -> _Link:
+        """The control link to ``dst``, dialled on first use."""
         link = self._control_peers.get(dst)
         if link is None:
             addr = self._peer_addrs.get(dst)
@@ -883,8 +911,7 @@ class RingTransport:
             link = _Link(self, dst, addr, CHANNEL_CONTROL, self._pack_control)
             link.start()
             self._control_peers[dst] = link
-        frame = encode_frame(ControlFrame(layer=layer, inner=message))
-        link.send(frame, self._plan_release(dst, len(frame), "ctl"))
+        return link
 
     def _pack_control(self, taken: List[_Queued]) -> List[bytes]:
         self.control_frames_sent += len(taken)

@@ -300,7 +300,11 @@ class SessionClient:
             return
         if entry.count_ack:
             self.acks += 1
-            self._barrier = max(self._barrier, response.seq)
+            if response.served != "local":
+                # Only what the session table records can be a barrier:
+                # a local read is never applied, so no replica would
+                # ever reach it (DESIGN.md §5h).
+                self._barrier = max(self._barrier, response.seq)
             if not response.ok:
                 self.errors += 1
             elif entry.op not in ("get",):

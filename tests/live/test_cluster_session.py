@@ -29,7 +29,6 @@ def _spec(**overrides):
         message_bytes=5_000,
         duration_s=1.0,
         window=1,
-        settle_s=0.1,
         quiet_s=0.2,
         max_run_s=20.0,
         connect_timeout_s=8.0,
@@ -104,6 +103,10 @@ def test_stop_answers_for_a_killed_node_from_its_journal():
     # Spans merge on the records' origin (the earliest start), and the
     # victim's span journal testifies like its event journal does.
     assert runner.run_origin(records) == min(starts.values())
+    # Every node's start-up stages read in order, the victim's too.
+    for stamps in cluster.startup(records).values():
+        values = [stamps[stage] for stage in runner.STARTUP_STAGES]
+        assert values == sorted(values), stamps
     assert {event.node for event in timeline.events} == {0, 1, 2}
     assert min(event.time for event in timeline.events) >= 0.0
     assert _all_reaped(cluster)

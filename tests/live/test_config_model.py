@@ -70,7 +70,6 @@ def node_kwargs(draw):
         message_bytes=draw(st.integers(1, 1 << 20)),
         duration_s=draw(_SECONDS),
         window=draw(st.integers(1, 64)),
-        settle_s=draw(_SECONDS),
         quiet_s=draw(_SECONDS),
         max_run_s=draw(_SECONDS),
         connect_timeout_s=draw(_SECONDS),

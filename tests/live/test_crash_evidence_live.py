@@ -29,7 +29,7 @@ def test_staggered_graceful_stop_suspects_nobody():
     and its goodbye is why that is not a crash."""
     spec = LiveClusterSpec(
         processes=3, senders=1, message_bytes=5_000, duration_s=1.0,
-        window=1, settle_s=0.1, max_run_s=20.0, sim_compare=False,
+        window=1, max_run_s=20.0, sim_compare=False,
         view_changes=True,
     )
     with LiveCluster.launch(spec, journals=True) as cluster:

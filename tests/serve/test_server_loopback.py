@@ -140,6 +140,21 @@ def test_reads_fall_back_to_ordered_without_the_lease(loopback):
     loopback(scenario)
 
 
+def test_local_read_ack_leaves_the_barrier_where_it_was(loopback):
+    """A local read is never applied to the session table, so its ack
+    must not become the client's barrier: if it did, no replica could
+    ever satisfy the next read, which would go through the total order."""
+    async def scenario(harness, client):
+        await client.request("put", "k", "v")
+        first = await client.request("get", "k")
+        second = await client.request("get", "k")
+        assert (first.served, second.served) == ("local", "local")
+        assert client.barrier == 1
+        assert harness.server.stats()["barrier_rejects"] == 0
+
+    loopback(scenario)
+
+
 def test_stale_barrier_forces_ordered_read(loopback):
     async def scenario(harness, client):
         await client.request("put", "k", "v")
