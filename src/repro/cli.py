@@ -541,7 +541,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             profile_dir=args.profile,
             log_level=args.log_level,
         )
-    except (ReproError, ValueError) as exc:
+    except ReproError as exc:
         print(f"invalid serve spec: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ sockets because it is written against the
   an asyncio event loop.
 * :mod:`repro.live.transport` — ring transport: one persistent TCP
   connection to the ring successor, reconnect with capped backoff.
+* :mod:`repro.live.config` — the cluster spec and each node's placement.
 * :mod:`repro.live.node` — one FSR process hosted in one OS process.
 * :mod:`repro.live.runner` — multi-process localhost cluster launcher
   and benchmark driver (``python -m repro live``).

@@ -43,14 +43,13 @@ import asyncio
 import logging
 import random
 import signal
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.api import BroadcastListener
-from repro.core.batching import BatchingConfig, batching_config_from_flags
 from repro.core.fsr.config import FSRConfig
 from repro.core.fsr.process import FSRProcess
-from repro.errors import ConfigurationError, NetworkError
+from repro.errors import NetworkError
 from repro.failure.detector import (
     AdaptiveFailureDetector,
     FailureDetector,
@@ -58,6 +57,7 @@ from repro.failure.detector import (
     StaticDetector,  # bench/layers.py imports it from this module
     adaptive_floor_s,
 )
+from repro.live.config import LiveNodeConfig
 from repro.live.scheduler import AsyncioScheduler
 from repro.live.transport import RingTransport
 from repro.net.channel import MAX_RETRIES
@@ -102,196 +102,6 @@ _TRANSPORT_COUNTERS = (
     "rx_chunks",
     "rx_compacted_bytes",
 )
-
-
-@dataclass
-class LiveNodeConfig:
-    """Everything one live node needs to know; JSON round-trippable."""
-
-    node_id: ProcessId
-    #: Initial membership in ring order (position 0 is the leader).
-    members: List[ProcessId]
-    #: TCP listen address of every member.
-    addresses: Dict[ProcessId, Tuple[str, int]]
-    #: FSR backup count.
-    t: int = 1
-    #: Concurrent FSR rings (``repro.protocols.multiring``); 1 runs the
-    #: classic single-ring stack untouched.
-    shards: int = 1
-    #: Per-ring listen addresses, one map per ring, when ``shards > 1``.
-    #: Ring 0 conventionally reuses ``addresses``; each ring gets its
-    #: own TCP port per node so the S rings genuinely parallelise the
-    #: send path (the live analogue of the sim's per-ring alias NICs).
-    ring_addresses: List[Dict[ProcessId, Tuple[str, int]]] = field(
-        default_factory=list
-    )
-    #: Members driving the workload.
-    senders: List[ProcessId] = field(default_factory=list)
-    message_bytes: int = 100_000
-    #: Senders stop submitting new messages after this long.
-    duration_s: float = 5.0
-    #: Closed-loop window: own messages in flight per sender.
-    window: int = 4
-    #: Ring silence needed to declare the run quiescent.
-    quiet_s: float = 0.5
-    #: Hard cap on the whole run past the start barrier.
-    max_run_s: float = 60.0
-    connect_timeout_s: float = 10.0
-    #: Run real membership (heartbeat detector + flush over TCP).
-    view_changes: bool = False
-    heartbeat_interval_s: float = 0.1
-    heartbeat_timeout_s: float = 1.0
-    #: Failure-detector flavour when ``view_changes``: "heartbeat"
-    #: (fixed timeout) or "adaptive" (EWMA-adapted, floor/ceiling
-    #: clamped — the hostile-network campaigns run this one).
-    detector_mode: str = "heartbeat"
-    #: Link-level fault events for this node's egress shaper, as
-    #: serialised :class:`repro.chaos.schedules.FaultEvent` dicts.
-    #: Empty list: no shaper, zero hot-path overhead.
-    netem_events: List[Dict[str, Any]] = field(default_factory=list)
-    #: Scenario name + seed the shaper derives its per-link RNGs from.
-    netem_scenario: str = ""
-    netem_seed: int = 0
-    #: Run-level seed for transport reconnect jitter; makes live chaos
-    #: runs reproducible from ``(scenario, seed)``.
-    run_seed: int = 0
-    #: Primary-partition guard (see ``GroupMembership``): refuse views
-    #: keeping less than a strict majority of the current one.  The
-    #: chaos driver turns this on for partitionable runs.
-    require_quorum: bool = False
-    #: Fixed-count sender mode: each sender submits exactly this many
-    #: messages (closed loop), ignoring ``duration_s`` — used by the
-    #: sim/live conformance test, where the workloads must be identical.
-    messages_per_sender: Optional[int] = None
-    #: Client-facing session server listen address (``repro.serve``);
-    #: ``None`` disables serving entirely.
-    serve_addr: Optional[Tuple[str, int]] = None
-    #: Leader lease duration for locally served reads (serve mode).
-    lease_s: float = 0.8
-    #: JSONL event journal, appended and flushed as events happen so a
-    #: SIGKILLed node still leaves its log behind.
-    journal_path: Optional[str] = None
-    #: JSONL span/telemetry journal (``repro.obs``); ``None`` disables
-    #: span emission entirely (the hot path pays one attribute check).
-    span_path: Optional[str] = None
-    #: Request tracing (``repro.obs.reqtrace``): stamp server-side
-    #: request-lifecycle events into the span journal.  Needs
-    #: ``span_path`` (the journal is the only sink) and serve mode.
-    trace_requests: bool = False
-    #: Live metrics plane (``repro.obs.httpexport``): HTTP listen
-    #: address for ``/metrics`` + ``/healthz``; ``None`` disables.
-    metrics_addr: Optional[Tuple[str, int]] = None
-    #: CPU profiling: write flamegraph-collapsed stacks of the event
-    #: loop thread here and charge protocol CPU (encode / decode / FSR
-    #: automaton / apply) to per-stage accounts.  ``None`` disables —
-    #: the hot path pays one attribute check per delivery.
-    profile_path: Optional[str] = None
-    #: Python logging level name for this node's process ("INFO", ...);
-    #: ``None`` leaves logging unconfigured (silent).
-    log_level: Optional[str] = None
-    #: Transport fast path (DESIGN.md §5g): batch caps for frame
-    #: coalescing on the ring hop.  Both caps ``None`` disables batching
-    #: — the transport stays byte-identical to the unbatched wire.
-    #: Either one set fills the other from :class:`BatchingConfig`
-    #: defaults.  (The simulator's third dial, the flush delay, has no
-    #: live counterpart: the transport has no flush timer.)
-    batch_bytes: Optional[int] = None
-    batch_messages: Optional[int] = None
-
-    def batch_config(self) -> Optional[BatchingConfig]:
-        """Transport batch caps, or ``None`` when batching is off."""
-        return batching_config_from_flags(
-            self.batch_bytes, self.batch_messages, None
-        )
-
-    def __post_init__(self) -> None:
-        # Surfaces nonpositive batch thresholds as ConfigurationError
-        # at config time, matching the sim path's validation.
-        self.batch_config()
-        if self.node_id not in self.members:
-            raise ConfigurationError(
-                f"node {self.node_id} not in members {self.members}"
-            )
-        for pid in self.members:
-            if pid not in self.addresses:
-                raise ConfigurationError(f"no address for member {pid}")
-        for pid in self.senders:
-            if pid not in self.members:
-                raise ConfigurationError(f"sender {pid} not in members")
-        if self.serve_addr is not None and self.senders:
-            raise ConfigurationError(
-                "serve mode replaces the sender workload; a serving "
-                "cluster must run with no senders (client sessions are "
-                "the only broadcast source)"
-            )
-        if self.lease_s <= 0:
-            raise ConfigurationError("lease_s must be positive")
-        if self.trace_requests and self.span_path is None:
-            raise ConfigurationError(
-                "trace_requests needs span_path: request-trace events "
-                "are journalled, never held in node memory"
-            )
-        if self.detector_mode not in ("heartbeat", "adaptive"):
-            raise ConfigurationError(
-                f"unknown detector_mode {self.detector_mode!r}; "
-                "use 'heartbeat' or 'adaptive'"
-            )
-        if self.shards < 1:
-            raise ConfigurationError("shards must be at least 1")
-        if self.shards > 1:
-            if len(self.ring_addresses) != self.shards:
-                raise ConfigurationError(
-                    f"shards={self.shards} needs {self.shards} ring address "
-                    f"maps, got {len(self.ring_addresses)}"
-                )
-            for ring, addrs in enumerate(self.ring_addresses):
-                for pid in self.members:
-                    if pid not in addrs:
-                        raise ConfigurationError(
-                            f"ring {ring}: no address for member {pid}"
-                        )
-
-    def ring_addrs(self) -> List[Dict[ProcessId, Tuple[str, int]]]:
-        """Per-ring address maps; single-ring configs use ``addresses``."""
-        if self.ring_addresses:
-            return self.ring_addresses
-        return [self.addresses]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Every declared field, by name (JSON-able)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LiveNodeConfig":
-        """Inverse of :meth:`to_dict`, also after a JSON round trip.
-
-        Absent keys take the field defaults declared above; a key that
-        names no field is a :class:`ConfigurationError` (a launcher and
-        a node that disagree about the config must not run).
-        """
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigurationError(
-                f"unknown LiveNodeConfig key(s): {', '.join(unknown)}"
-            )
-        values = dict(data)
-        # JSON stringifies int keys and turns tuples into lists; the
-        # address maps and the two optional (host, port) pairs are the
-        # only fields that carry either.
-        if "addresses" in values:
-            values["addresses"] = _address_map(values["addresses"])
-        if "ring_addresses" in values:
-            values["ring_addresses"] = [
-                _address_map(addrs) for addrs in values["ring_addresses"]
-            ]
-        for name in ("serve_addr", "metrics_addr"):
-            if values.get(name) is not None:
-                values[name] = tuple(values[name])
-        return cls(**values)
-
-
-def _address_map(raw: Dict[Any, Any]) -> Dict[ProcessId, Tuple[str, int]]:
-    return {int(pid): (host, port) for pid, (host, port) in raw.items()}
 
 
 class LivePort:
@@ -451,8 +261,9 @@ def _configure_logging(config: LiveNodeConfig) -> logging.Logger:
     Each node is its own OS process, so ``basicConfig`` here also turns
     on the transport's module-level logger without cross-node bleed.
     """
-    if config.log_level:
-        level = getattr(logging, config.log_level.upper(), logging.INFO)
+    log_level = config.spec.log_level
+    if log_level:
+        level = getattr(logging, log_level.upper(), logging.INFO)
         logging.basicConfig(
             level=level,
             format="%(asctime)s %(levelname)s %(name)s %(message)s",
@@ -527,8 +338,9 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     except (NotImplementedError, RuntimeError):  # pragma: no cover
         pass
     sched = AsyncioScheduler(loop)
+    spec = config.spec
     me = config.node_id
-    members = tuple(config.members)
+    members = tuple(range(spec.processes))
     position = members.index(me)
     successor = members[(position + 1) % len(members)]
     journal = JsonlWriter(config.journal_path)
@@ -539,11 +351,11 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     spans = SpanLog(enabled=config.span_path is not None, capacity=0)
     # Request-trace events stream the same way: capacity=0, journal
     # sink attached once the span journal opens.
-    reqlog = RequestLog(enabled=config.trace_requests, capacity=0)
+    reqlog = RequestLog(enabled=spec.trace_requests, capacity=0)
     cpu = CpuAccountant() if config.profile_path is not None else None
 
     shaper = None
-    if config.netem_events:
+    if spec.netem_events:
         # Imported lazily: repro.chaos's package init imports the live
         # runner, so a module-level import here would be circular.
         from repro.chaos.netem import NetShaper
@@ -554,15 +366,15 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         # synthetic retransmits stack up on one frame, a heartbeat can
         # never be late enough to look like a crash.
         floor = adaptive_floor_s(
-            config.heartbeat_interval_s, config.heartbeat_timeout_s
+            spec.heartbeat_interval_s, spec.heartbeat_timeout_s
         )
         shaper = NetShaper(
             me,
             len(members),
-            tuple(FaultEvent.from_dict(e) for e in config.netem_events),
-            config.netem_scenario,
-            config.netem_seed,
-            delay_cap_s=max(0.0, floor - 2 * config.heartbeat_interval_s),
+            tuple(FaultEvent.from_dict(e) for e in spec.netem_events),
+            spec.netem_scenario,
+            spec.netem_seed,
+            delay_cap_s=max(0.0, floor - 2 * spec.heartbeat_interval_s),
             telemetry=telemetry,
         )
 
@@ -571,14 +383,12 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     # in all rings — each extra ring is the same hop on its own port.
     # Ring 0 carries the control plane (and the egress shaper, which
     # models per-host faults); extra rings are pure data planes.
-    ring_addrs = config.ring_addrs()
-    batching = config.batch_config()
+    batching = spec.transport_batching()
     transports: List[RingTransport] = []
-    for ring_index in range(config.shards):
-        addrs = ring_addrs[ring_index]
+    for ring_index, addrs in enumerate(config.ring_addresses):
         seed = (
-            f"live:{config.run_seed}:{me}" if ring_index == 0
-            else f"live:{config.run_seed}:{me}:{ring_index}"
+            f"live:{spec.run_seed}:{me}" if ring_index == 0
+            else f"live:{spec.run_seed}:{me}:{ring_index}"
         )
         transports.append(RingTransport(
             node_id=me,
@@ -589,7 +399,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             peers=dict(addrs) if ring_index == 0 else None,
             # With live membership a dead successor is not terminal: the
             # view change retargets the hop, so keep dialling until then.
-            max_retries=None if config.view_changes else MAX_RETRIES,
+            max_retries=None if spec.view_changes else MAX_RETRIES,
             shaper=shaper if ring_index == 0 else None,
             rng=random.Random(seed),
             batching=batching,
@@ -598,7 +408,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     transport = transports[0]
 
     vsc_port: Any
-    if config.view_changes:
+    if spec.view_changes:
         dispatch = _ControlDispatch()
         transport.on_control = dispatch
         fd_port = dispatch.port(transport, "fd", sched)
@@ -611,14 +421,14 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             rtt_observer = lambda peer, rtt: rtt_hist.observe(rtt)  # noqa: E731
         detector_cls = (
             AdaptiveFailureDetector
-            if config.detector_mode == "adaptive"
+            if spec.detector_mode == "adaptive"
             else HeartbeatFailureDetector
         )
         detector: FailureDetector = detector_cls(
             sched,
             fd_port,
-            interval_s=config.heartbeat_interval_s,
-            timeout_s=config.heartbeat_timeout_s,
+            interval_s=spec.heartbeat_interval_s,
+            timeout_s=spec.heartbeat_timeout_s,
             rtt_observer=rtt_observer,
             telemetry=telemetry,
         )
@@ -642,10 +452,10 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         me=me,
         initial_members=members,
         telemetry=telemetry,
-        require_quorum=config.require_quorum,
+        require_quorum=spec.require_quorum,
     )
     process: Any
-    if config.shards > 1:
+    if spec.shards > 1:
         from repro.protocols.multiring import (
             MultiRingConfig,
             MultiRingProcess,
@@ -664,7 +474,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         process = MultiRingProcess(
             sched,
             membership,
-            MultiRingConfig(shards=config.shards, fsr=FSRConfig(t=config.t)),
+            MultiRingConfig(shards=spec.shards, fsr=FSRConfig(t=spec.t)),
             links,
             spans=spans,
         )
@@ -674,7 +484,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             sched,
             port,
             membership,
-            FSRConfig(t=config.t),
+            FSRConfig(t=spec.t),
             tx_gate=lambda: transport.tx_ready,
             spans=spans,
         )
@@ -699,7 +509,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             me,
             serve_rsm,
             serve_machine,
-            LeaderLease(sched, me, config.lease_s),
+            LeaderLease(sched, me, spec.lease_s),
             sched,
             telemetry=telemetry,
             journal=journal.write,
@@ -707,12 +517,12 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         )
 
     client: Any = process
-    if config.view_changes:
+    if spec.view_changes:
         def rewire(view: View) -> None:
             ring = view.members
             succ = ring[(ring.index(me) + 1) % len(ring)]
-            for ring_index, ring_transport in enumerate(transports):
-                ring_transport.retarget(succ, ring_addrs[ring_index][succ])
+            for ring_transport, addrs in zip(transports, config.ring_addresses):
+                ring_transport.retarget(succ, addrs[succ])
             transport.prune_control_peers(view.members)
             if serve_server is not None:
                 serve_server.on_view(view)
@@ -735,21 +545,21 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     deadline = [float("inf")]
 
     def may_submit() -> bool:
-        if config.messages_per_sender is not None:
-            return len(run.sent) < config.messages_per_sender
+        if spec.messages_per_sender is not None:
+            return len(run.sent) < spec.messages_per_sender
         return sched.now < deadline[0]
 
     def refill() -> None:
         """Keep ``window`` own messages in flight until the deadline."""
-        while run.outstanding < config.window and may_submit():
-            payload = bytes(config.message_bytes)
+        while run.outstanding < spec.window and may_submit():
+            payload = bytes(spec.message_bytes)
             message_id = process.broadcast(payload)
             run.outstanding += 1
             run.sent.append(message_id)
             record = {
                 "origin": message_id.origin,
                 "local_seq": message_id.local_seq,
-                "size_bytes": config.message_bytes,
+                "size_bytes": spec.message_bytes,
                 "submit_time": sched.now,
             }
             run.broadcasts.append(record)
@@ -803,8 +613,8 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     startup = {"listening": sched.now}
     # A stop request ends the wait for the barrier, and the run with it.
     barrier = asyncio.ensure_future(start_barrier(
-        transports, config.connect_timeout_s,
-        members=config.view_changes, stamps=startup,
+        transports, spec.connect_timeout_s,
+        members=spec.view_changes, stamps=startup,
     ))
     stopping = asyncio.ensure_future(stop_requested.wait())
     await asyncio.wait(
@@ -866,7 +676,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     if config.span_path is not None:
         span_journal = SpanJournal(config.span_path, me, start_time=sched.now)
         spans.add_sink(span_journal.write_event)
-        if config.trace_requests:
+        if spec.trace_requests:
             reqlog.add_sink(span_journal.write_event)
     if started:
         if shaper is not None:
@@ -924,18 +734,18 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         )
 
     start_time = sched.now
-    if config.messages_per_sender is not None:
+    if spec.messages_per_sender is not None:
         # Fixed-count workload: no time deadline; quiescence decides.
         deadline[0] = start_time
     else:
-        deadline[0] = start_time + config.duration_s
+        deadline[0] = start_time + spec.duration_s
     if started:
         journal.write(
             {"type": "start", "time": start_time, "node_id": me,
              "startup": startup}
         )
         logger.info("protocol started at %.6f", start_time)
-        if me in config.senders:
+        if me in spec.sender_ids:
             refill()
 
     # ------------------------------------------------------------------
@@ -982,15 +792,15 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
                     "transport failure: %s", ring_transport.failure
                 )
                 raise NetworkError(f"node {me}: {ring_transport.failure}")
-        if now - start_time >= config.max_run_s:
+        if now - start_time >= spec.max_run_s:
             timed_out = True
-            logger.warning("max_run_s (%.1fs) reached", config.max_run_s)
+            logger.warning("max_run_s (%.1fs) reached", spec.max_run_s)
             break
-        if config.view_changes or serve_server is not None:
+        if spec.view_changes or serve_server is not None:
             continue  # the launcher signals the stop
         if now < deadline[0]:
             continue
-        if now - last_change >= config.quiet_s:
+        if now - last_change >= spec.quiet_s:
             break
     try:
         loop.remove_signal_handler(signal.SIGTERM)

@@ -2,8 +2,9 @@
 
 ``run_live_cluster(spec)`` is what ``python -m repro live`` executes:
 
-1. allocate one loopback TCP port per node and write a
-   :class:`~repro.live.node.LiveNodeConfig` JSON per node;
+1. allocate one loopback TCP port per node and ring and write a
+   :class:`~repro.live.config.LiveNodeConfig` JSON per node — the
+   cluster's :class:`LiveClusterSpec` plus that node's placement;
 2. spawn one OS process per FSR process (``python -m repro live-node``),
    so marshalling and protocol CPU genuinely run in parallel, like the
    paper's one-host-per-process cluster;
@@ -29,17 +30,16 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.checker.order import check_all
 from repro.cluster.config import ClusterConfig
 from repro.cluster.results import AppDelivery, ExperimentResult
 from repro.core.api import DeliveryLog
-from repro.core.batching import batching_config_from_flags
 from repro.core.fsr.config import FSRConfig
-from repro.errors import ConfigurationError, NetworkError
-from repro.live.node import LiveNodeConfig
+from repro.errors import NetworkError
+from repro.live.config import LiveClusterSpec, LiveNodeConfig
 from repro.metrics.collector import ExperimentMetrics, collect_metrics
 from repro.obs.analyze import (
     StageBreakdown,
@@ -65,114 +65,6 @@ _SIM_MESSAGES_CAP = 30
 #: rings are connected both ways, every member listens (live
 #: membership; the same instant otherwise), and the protocol starts.
 STARTUP_STAGES = ("spawned", "listening", "ring_up", "members_up", "start")
-
-
-@dataclass
-class LiveClusterSpec:
-    """One live loopback benchmark configuration."""
-
-    processes: int = 4
-    senders: int = 1
-    t: int = 1
-    #: Concurrent FSR rings (``repro.protocols.multiring``); 1 runs the
-    #: classic single-ring stack.  Each extra ring gets its own TCP port
-    #: per node.
-    shards: int = 1
-    message_bytes: int = 100_000
-    duration_s: float = 5.0
-    window: int = 4
-    host: str = "127.0.0.1"
-    quiet_s: float = 0.5
-    max_run_s: float = 60.0
-    connect_timeout_s: float = 10.0
-    #: Also run the simulator on this configuration for comparison.
-    sim_compare: bool = True
-    #: Run live membership (heartbeat detector + flush over TCP).
-    view_changes: bool = False
-    heartbeat_interval_s: float = 0.1
-    heartbeat_timeout_s: float = 1.0
-    #: Failure-detector flavour for view-change runs ("heartbeat" or
-    #: "adaptive"); hostile-network campaigns run "adaptive".
-    detector_mode: str = "heartbeat"
-    #: Link-level fault events (serialised ``FaultEvent`` dicts) every
-    #: node's egress shaper enforces, plus the (scenario, seed) pair the
-    #: shapers derive their per-link RNG streams from.
-    netem_events: List[Dict[str, Any]] = field(default_factory=list)
-    netem_scenario: str = ""
-    netem_seed: int = 0
-    #: Seeds each node's transport reconnect jitter.
-    run_seed: int = 0
-    #: Primary-partition guard on every node's membership layer.
-    require_quorum: bool = False
-    #: Fixed-count workload (overrides ``duration_s`` as the stop rule).
-    messages_per_sender: Optional[int] = None
-    #: Collect per-message lifecycle spans + telemetry (``repro.obs``).
-    spans: bool = False
-    #: Python logging level for the node processes ("INFO", "DEBUG", ...).
-    log_level: Optional[str] = None
-    #: Transport fast-path batch caps (DESIGN.md §5g); both ``None``
-    #: ships one frame per syscall, byte-identical to the unbatched
-    #: wire.  Validation matches the sim's ``BatchingConfig``.
-    #: ``batch_delay_s`` is the sim's dial: it is validated, but the
-    #: live transport flushes when the event-loop turn ends, so it
-    #: stops at the launcher (kept because callers still pass it).
-    batch_bytes: Optional[int] = None
-    batch_messages: Optional[int] = None
-    batch_delay_s: Optional[float] = None
-    #: Run a client-facing session server on every node
-    #: (``repro.serve``); implies ``senders == 0`` — client sessions
-    #: are the only broadcast source, and the launcher owns termination.
-    serve: bool = False
-    #: Leader lease duration for locally served reads (serve runs).
-    lease_s: float = 0.8
-    #: Request tracing (``repro.obs.reqtrace``): servers journal
-    #: request-lifecycle events.  Requires ``spans`` (the events ride
-    #: the span journals) and only does anything for serve runs.
-    trace_requests: bool = False
-    #: Live metrics plane: every node serves ``/metrics`` + ``/healthz``
-    #: on its own loopback port (``LiveCluster.metrics_addresses``).
-    metrics: bool = False
-    #: Fixed base for the metrics ports (node ``i`` listens on
-    #: ``base + i``); 0 allocates ephemeral ports like everything else.
-    metrics_base_port: int = 0
-    #: Directory for per-node flamegraph-collapsed CPU profiles
-    #: (``node<id>.collapsed.txt``); ``None`` disables profiling.
-    #: Deliberately not the run's tempdir — profiles outlive the run.
-    profile_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.processes < 2:
-            raise ConfigurationError("a live ring needs at least 2 processes")
-        low = 0 if self.serve else 1
-        if not low <= self.senders <= self.processes:
-            raise ConfigurationError(
-                f"senders={self.senders} out of range for "
-                f"n={self.processes}"
-            )
-        if self.serve and self.senders != 0:
-            raise ConfigurationError(
-                "serve clusters take their load from client sessions; "
-                "set senders=0"
-            )
-        if self.duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive")
-        if self.trace_requests and not self.spans:
-            raise ConfigurationError(
-                "trace_requests rides the span journals; enable spans"
-            )
-        if self.shards < 1:
-            raise ConfigurationError("shards must be at least 1")
-        # Shared BatchConfig validation with the sim path: nonpositive
-        # thresholds raise ConfigurationError here, not at node startup.
-        batching_config_from_flags(
-            self.batch_bytes, self.batch_messages, self.batch_delay_s
-        )
-
-    @property
-    def sender_ids(self) -> Tuple[ProcessId, ...]:
-        """First ``senders`` ring positions drive the workload, like the
-        paper's k-to-n benchmark."""
-        return tuple(range(self.senders))
 
 
 @dataclass
@@ -225,32 +117,6 @@ def _node_env() -> Dict[str, str]:
     return env
 
 
-#: Spec fields the launcher consumes itself (cluster shape, port and
-#: path allocation, what to do with the records).  Every *other* spec
-#: field is forwarded to every node under the same name, so a field
-#: added to the spec alone fails the first launch (and a test) instead
-#: of silently stopping here.
-LAUNCHER_ONLY_FIELDS = frozenset({
-    "processes", "host", "sim_compare", "spans", "serve", "metrics",
-    "metrics_base_port", "profile_dir", "batch_delay_s",
-})
-
-
-def forwarded_fields(spec: LiveClusterSpec) -> Dict[str, Any]:
-    """The node-config keyword arguments the spec supplies by name.
-
-    ``senders`` is the one shared name that means something else (a
-    count here, the sender ids there), so it is translated.
-    """
-    shared = {
-        f.name: getattr(spec, f.name)
-        for f in fields(spec)
-        if f.name not in LAUNCHER_ONLY_FIELDS
-    }
-    shared["senders"] = list(spec.sender_ids)
-    return shared
-
-
 class LiveCluster:
     """One cluster session: launch, start barrier, inject, stop, records.
 
@@ -299,7 +165,6 @@ class LiveCluster:
                 pid: (spec.host, spec.metrics_base_port + pid)
                 for pid in self.members
             }
-        self.addresses = self.ring_addresses[0]
         self.out_paths: Dict[ProcessId, str] = {}
         self.journal_paths: Dict[ProcessId, str] = {}
         self.span_paths: Dict[ProcessId, str] = {}
@@ -307,7 +172,6 @@ class LiveCluster:
         if spec.profile_dir is not None:
             os.makedirs(spec.profile_dir, exist_ok=True)
         env = _node_env()
-        shared = forwarded_fields(spec)
         try:
             for pid in self.members:
                 if journals:
@@ -319,12 +183,9 @@ class LiveCluster:
                         workdir, f"node{pid}.spans.jsonl"
                     )
                 config = LiveNodeConfig(
+                    spec=spec,
                     node_id=pid,
-                    members=self.members,
-                    addresses=self.addresses,
-                    ring_addresses=(
-                        self.ring_addresses if spec.shards > 1 else []
-                    ),
+                    ring_addresses=self.ring_addresses,
                     serve_addr=self.serve_addresses.get(pid),
                     journal_path=self.journal_paths.get(pid),
                     span_path=self.span_paths.get(pid),
@@ -336,7 +197,6 @@ class LiveCluster:
                         if spec.profile_dir is not None
                         else None
                     ),
-                    **shared,
                 )
                 config_path = os.path.join(workdir, f"node{pid}.json")
                 self.out_paths[pid] = os.path.join(

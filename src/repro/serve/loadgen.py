@@ -19,47 +19,16 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.reqtrace import RequestEvent, RequestLog
 from repro.serve.client import SessionClient
 
+if TYPE_CHECKING:  # the runner imports this module
+    from repro.serve.runner import ServeSpec
+
 #: Extra time after the last scheduled arrival to drain pending acks.
 _DRAIN_GRACE_S = 2.0
-
-
-@dataclass
-class LoadConfig:
-    """One open-loop load point."""
-
-    #: Total offered load across all sessions, requests/second.
-    rate_rps: float = 200.0
-    #: Concurrent light sessions the load is spread over.
-    sessions: int = 20
-    #: Submission window; the run drains pending requests afterwards.
-    duration_s: float = 5.0
-    #: Fraction of requests that are reads (``get``).
-    read_fraction: float = 0.5
-    #: Key space size; keys are ``k0 .. k{keys-1}``.
-    keys: int = 100
-    #: Zipf skew (1.0 = classic; larger = more skewed).
-    zipf_s: float = 1.1
-    #: Payload bytes per ``put`` value.
-    value_bytes: int = 64
-    #: Client-side retry/failover timeout per request.
-    retry_timeout_s: float = 1.0
-    seed: int = 0
-    #: Request tracing: stamp send/acked client-side and set the wire
-    #: ``trace`` flag so servers emit the server-side stages.
-    trace: bool = False
-
-    def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
-        if self.sessions < 1:
-            raise ValueError("sessions must be at least 1")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ValueError("read_fraction must be in [0, 1]")
 
 
 class ZipfKeys:
@@ -102,7 +71,7 @@ class LoadStats:
     acked_writes: List[Tuple[str, int, str, Tuple[Any, ...]]] = field(
         default_factory=list
     )
-    #: Client-side request-trace events (``LoadConfig.trace`` runs);
+    #: Client-side request-trace events (``trace_requests`` runs);
     #: raw monotonic timestamps — the runner rebases them onto the
     #: merged timeline.  Not serialised by :meth:`to_dict`.
     request_events: List[RequestEvent] = field(default_factory=list)
@@ -137,33 +106,36 @@ class LoadStats:
 
 async def run_load(
     addresses: List[Tuple[str, int]],
-    config: LoadConfig,
+    spec: "ServeSpec",
+    rate_rps: float,
     *,
     client_prefix: str = "c",
 ) -> LoadStats:
-    """Drive one open-loop load point against a serve cluster."""
+    """Drive one open-loop load point against a serve cluster: the
+    spec's load (sessions, duration, read mix, keys, values, retry
+    timeout, seed, tracing) at ``rate_rps`` offered in total."""
     stats = LoadStats()
     loop = asyncio.get_running_loop()
     # One shared log across sessions: client ids disambiguate, and the
     # runner wants a single event stream to merge into the timeline.
-    reqlog = RequestLog(enabled=config.trace)
+    reqlog = RequestLog(enabled=spec.trace_requests)
 
     async def one_session(index: int) -> None:
-        rng = random.Random((config.seed << 16) ^ index)
-        zipf = ZipfKeys(config.keys, config.zipf_s, rng)
+        rng = random.Random((spec.seed << 16) ^ index)
+        zipf = ZipfKeys(spec.keys, spec.zipf_s, rng)
         client = SessionClient(
-            f"{client_prefix}{config.seed}-{index}",
+            f"{client_prefix}{spec.seed}-{index}",
             addresses,
-            retry_timeout_s=config.retry_timeout_s,
+            retry_timeout_s=spec.retry_timeout_s,
             prefer=index,  # spread the fan-in round-robin over servers
             reqlog=reqlog,
         )
         await client.connect()
-        value = "v" * config.value_bytes
-        rate = config.rate_rps / config.sessions
+        value = "v" * spec.value_bytes
+        rate = rate_rps / spec.sessions
         pending: set = set()
         start = loop.time()
-        deadline = start + config.duration_s
+        deadline = start + spec.duration_s
         next_arrival = start + rng.expovariate(rate)
         try:
             while next_arrival < deadline:
@@ -177,7 +149,7 @@ async def run_load(
                 # stamps "send", so the 5% cross-check compares like
                 # with like.
                 submitted = loop.time()
-                if rng.random() < config.read_fraction:
+                if rng.random() < spec.read_fraction:
                     fut = client.submit("get", key)
                 else:
                     fut = client.submit("put", key, value)
@@ -198,7 +170,7 @@ async def run_load(
             if pending:
                 done, still_pending = await asyncio.wait(
                     pending,
-                    timeout=config.retry_timeout_s * 3 + _DRAIN_GRACE_S,
+                    timeout=spec.retry_timeout_s * 3 + _DRAIN_GRACE_S,
                 )
                 stats.timeouts += len(still_pending)
         finally:
@@ -214,6 +186,6 @@ async def run_load(
             )
             await client.close()
 
-    await asyncio.gather(*(one_session(i) for i in range(config.sessions)))
+    await asyncio.gather(*(one_session(i) for i in range(spec.sessions)))
     stats.request_events = reqlog.records()
     return stats

@@ -28,6 +28,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.live.runner import LiveCluster, LiveClusterSpec, run_origin
 from repro.obs.httpexport import fetch_metrics, prometheus_metric_names
 from repro.obs.journal import JsonlReader, Timeline
@@ -38,7 +39,7 @@ from repro.obs.reqtrace import (
     request_sort_key,
 )
 from repro.obs.telemetry import render_prometheus
-from repro.serve.loadgen import LoadConfig, LoadStats, run_load
+from repro.serve.loadgen import LoadStats, run_load
 from repro.types import ProcessId
 
 #: How long the nodes get to reach their start barrier.
@@ -95,6 +96,18 @@ class ServeSpec:
     profile_dir: Optional[str] = None
     #: Node process logging level ("INFO", "DEBUG", ...).
     log_level: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # The load checks run before any point launches a cluster.
+        offered = list(self.rates)
+        if self.kill_rate is not None:
+            offered.append(self.kill_rate)
+        if any(rate <= 0 for rate in offered):
+            raise ConfigurationError("every offered rate must be positive")
+        if self.sessions < 1:
+            raise ConfigurationError("sessions must be at least 1")
+        if not 0.0 <= self.read_fraction <= 1.0:
+            raise ConfigurationError("read_fraction must be in [0, 1]")
 
     def live_spec(self) -> LiveClusterSpec:
         return LiveClusterSpec(
@@ -393,18 +406,6 @@ def run_serve_point(
     spec: ServeSpec, rate_rps: float, kill_leader: bool = False
 ) -> ServePoint:
     """Launch a serve cluster, drive one load point, verify, tear down."""
-    load_config = LoadConfig(
-        rate_rps=rate_rps,
-        sessions=spec.sessions,
-        duration_s=spec.duration_s,
-        read_fraction=spec.read_fraction,
-        keys=spec.keys,
-        zipf_s=spec.zipf_s,
-        value_bytes=spec.value_bytes,
-        retry_timeout_s=spec.retry_timeout_s,
-        seed=spec.seed,
-        trace=spec.trace_requests,
-    )
     scrapes: Dict[ProcessId, str] = {}
     kill_issued: List[float] = []
     with LiveCluster.launch(spec.live_spec(), journals=True) as cluster:
@@ -441,7 +442,7 @@ def run_serve_point(
                     spec.duration_s * _KILL_AT_FRACTION, kill
                 )
             try:
-                return await run_load(addresses, load_config)
+                return await run_load(addresses, spec, rate_rps)
             finally:
                 if kill_handle is not None:
                     kill_handle.cancel()

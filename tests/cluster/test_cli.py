@@ -95,3 +95,20 @@ def test_figures_runs_outside_a_source_checkout(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Table 1 — raw point-to-point bandwidth" in proc.stdout
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--read-fraction", "2"), ("--sessions", "0"), ("--rate", "-5"),
+    ("--kill-rate", "-1"),
+])
+def test_serve_rejects_an_out_of_range_load_before_launching(
+    capsys, monkeypatch, flag, value
+):
+    from repro.live.runner import LiveCluster
+
+    def launch(*args, **kwargs):
+        raise AssertionError("a cluster was launched")
+
+    monkeypatch.setattr(LiveCluster, "__init__", launch)
+    assert main(["serve", flag, value, "--out", os.devnull]) == 2
+    assert "invalid serve spec" in capsys.readouterr().err

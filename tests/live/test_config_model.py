@@ -1,13 +1,12 @@
-"""The live config model: declared once, derived everywhere else.
+"""The live config model: one spec per cluster, one placement per node.
 
-* ``LiveNodeConfig`` serde is derived from its dataclass fields, so
-  every field must survive ``to_dict`` -> JSON -> ``from_dict`` (the
-  path a config takes from the launcher to a node process), and a key
-  that names no field must be rejected, not dropped.
-* ``LiveCluster`` projects the spec onto the node config by shared
-  field name.  Every ``LiveClusterSpec`` field therefore either reaches
-  ``LiveNodeConfig`` or is named in the launcher-only set — a field
-  added to one side cannot silently stop at the launcher.
+* ``LiveNodeConfig`` is the cluster's ``LiveClusterSpec`` plus what the
+  launcher works out for one node; its serde is derived from the
+  dataclass fields, so every value must survive ``to_dict`` -> JSON ->
+  ``from_dict`` (the path a config takes from the launcher to a node
+  process), and a key that names no field must be rejected, not dropped.
+* The node config restates no spec field, so there is nothing to keep
+  in step, and every check on the spec runs when it is constructed.
 * ``bench/`` drives the program through a fixed set of names and
   keyword arguments; they are pinned here so a launcher refactor fails
   in this file rather than at the benchmark driver.
@@ -22,14 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.live.node import LiveNodeConfig
-from repro.live.runner import (
-    LAUNCHER_ONLY_FIELDS,
-    LiveCluster,
-    LiveClusterSpec,
-    forwarded_fields,
-    merge_node_records,
-)
+from repro.live.config import LiveNodeConfig
+from repro.live.runner import LiveCluster, LiveClusterSpec, merge_node_records
 
 _PORTS = st.integers(min_value=1, max_value=65535)
 _ADDR = st.tuples(st.sampled_from(["127.0.0.1", "::1", "node.example"]), _PORTS)
@@ -42,37 +35,24 @@ def _names(cls):
 
 
 @st.composite
-def node_kwargs(draw):
-    """Keyword arguments of a valid config, every field drawn."""
-    members = draw(
-        st.lists(st.integers(0, 9), min_size=2, max_size=5, unique=True)
-    )
-    address_map = st.fixed_dictionaries({pid: _ADDR for pid in members})
-    shards = draw(st.integers(1, 3))
-    serve_addr = draw(st.none() | _ADDR)
-    span_path = draw(st.none() | st.just("/tmp/spans.jsonl"))
+def spec_kwargs(draw):
+    """Keyword arguments of a valid spec, every field drawn."""
+    processes = draw(st.integers(2, 6))
+    serve = draw(st.booleans())
+    spans = draw(st.booleans())
     return dict(
-        node_id=draw(st.sampled_from(members)),
-        members=members,
-        addresses=draw(address_map),
+        processes=processes,
+        senders=0 if serve else draw(st.integers(1, processes)),
         t=draw(st.integers(0, 3)),
-        shards=shards,
-        ring_addresses=(
-            draw(st.lists(address_map, min_size=shards, max_size=shards))
-            if shards > 1
-            else []
-        ),
-        senders=(
-            []
-            if serve_addr is not None
-            else draw(st.lists(st.sampled_from(members), unique=True))
-        ),
+        shards=draw(st.integers(1, 3)),
         message_bytes=draw(st.integers(1, 1 << 20)),
         duration_s=draw(_SECONDS),
         window=draw(st.integers(1, 64)),
+        host=draw(st.sampled_from(["127.0.0.1", "::1"])),
         quiet_s=draw(_SECONDS),
         max_run_s=draw(_SECONDS),
         connect_timeout_s=draw(_SECONDS),
+        sim_compare=draw(st.booleans()),
         view_changes=draw(st.booleans()),
         heartbeat_interval_s=draw(_SECONDS),
         heartbeat_timeout_s=draw(_SECONDS),
@@ -90,97 +70,89 @@ def node_kwargs(draw):
         run_seed=draw(st.integers(0, 1 << 30)),
         require_quorum=draw(st.booleans()),
         messages_per_sender=draw(_OPT_POSITIVE),
-        serve_addr=serve_addr,
-        lease_s=draw(_SECONDS),
-        journal_path=draw(st.none() | st.just("/tmp/journal.jsonl")),
-        span_path=span_path,
-        trace_requests=span_path is not None and draw(st.booleans()),
-        metrics_addr=draw(st.none() | _ADDR),
-        profile_path=draw(st.none() | st.just("/tmp/node.collapsed.txt")),
+        spans=spans,
         log_level=draw(st.none() | st.sampled_from(["INFO", "DEBUG"])),
         batch_bytes=draw(_OPT_POSITIVE),
         batch_messages=draw(_OPT_POSITIVE),
+        batch_delay_s=draw(st.none() | _SECONDS),
+        serve=serve,
+        lease_s=draw(_SECONDS),
+        trace_requests=spans and draw(st.booleans()),
+        metrics=draw(st.booleans()),
+        metrics_base_port=draw(st.integers(0, 60000)),
+        profile_dir=draw(st.none() | st.just("/tmp/profiles")),
+    )
+
+
+@st.composite
+def placements(draw):
+    """A valid spec and one node's placement in it, every field drawn."""
+    spec = LiveClusterSpec(**draw(spec_kwargs()))
+    members = range(spec.processes)
+    address_map = st.fixed_dictionaries({pid: _ADDR for pid in members})
+    return spec, dict(
+        node_id=draw(st.sampled_from(members)),
+        ring_addresses=draw(st.lists(
+            address_map, min_size=spec.shards, max_size=spec.shards
+        )),
+        serve_addr=draw(_ADDR) if spec.serve else None,
+        metrics_addr=draw(st.none() | _ADDR),
+        journal_path=draw(st.none() | st.just("/tmp/journal.jsonl")),
+        span_path="/tmp/spans.jsonl" if spec.spans else None,
+        profile_path=draw(st.none() | st.just("/tmp/node.collapsed.txt")),
     )
 
 
 @settings(max_examples=60, deadline=None)
-@given(node_kwargs())
-def test_node_config_survives_the_json_round_trip(kwargs):
-    # A field added to LiveNodeConfig must join the strategy.
-    assert set(kwargs) == _names(LiveNodeConfig)
-    config = LiveNodeConfig(**kwargs)
+@given(placements())
+def test_node_config_survives_the_json_round_trip(spec_and_placement):
+    spec, placement = spec_and_placement
+    # A field added to either class must join the strategies.
+    assert set(dataclasses.asdict(spec)) == _names(LiveClusterSpec)
+    assert set(placement) | {"spec"} == _names(LiveNodeConfig)
+    config = LiveNodeConfig(spec=spec, **placement)
     wire = json.loads(json.dumps(config.to_dict()))
     assert LiveNodeConfig.from_dict(wire) == config
     # ... and the in-process form (no JSON hop) restores just the same.
     assert LiveNodeConfig.from_dict(config.to_dict()) == config
 
 
+_TWO = [{"0": ["127.0.0.1", 1], "1": ["127.0.0.1", 2]}]
+
+
 def test_absent_keys_take_the_declared_defaults():
-    minimal = {
-        "node_id": 0,
-        "members": [0, 1],
-        "addresses": {"0": ["127.0.0.1", 1], "1": ["127.0.0.1", 2]},
-    }
+    minimal = {"spec": {"processes": 2}, "node_id": 0, "ring_addresses": _TWO}
     assert LiveNodeConfig.from_dict(minimal) == LiveNodeConfig(
+        spec=LiveClusterSpec(processes=2),
         node_id=0,
-        members=[0, 1],
-        addresses={0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)},
+        ring_addresses=[{0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)}],
     )
 
 
 def test_unknown_key_is_rejected():
-    config = LiveNodeConfig(
-        node_id=0,
-        members=[0, 1],
-        addresses={0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)},
-    )
-    wire = dict(config.to_dict(), batch_delay_s=0.001)
-    with pytest.raises(ConfigurationError, match="batch_delay_s"):
-        LiveNodeConfig.from_dict(wire)
+    wire = {"spec": {"processes": 2}, "node_id": 0, "ring_addresses": _TWO}
+    # A placement key the spec now says (the members) ...
+    with pytest.raises(ConfigurationError, match="members"):
+        LiveNodeConfig.from_dict(dict(wire, members=[0, 1]))
+    # ... and a spec option that is gone.
+    with pytest.raises(ConfigurationError, match="settle_s"):
+        LiveNodeConfig.from_dict(
+            dict(wire, spec={"processes": 2, "settle_s": 0.5})
+        )
 
 
-# -- spec -> node projection -----------------------------------------------
-#: Node fields the launcher computes per node (addresses it allocated,
-#: paths in its workdir).  ``senders`` is per-node too in the sense that
-#: the spec's *count* becomes a list of ids.
-PER_NODE_FIELDS = {
-    "node_id", "members", "addresses", "ring_addresses", "serve_addr",
-    "journal_path", "span_path", "metrics_addr", "profile_path",
-}
+def test_the_node_config_is_the_spec_plus_its_placement():
+    node_fields = _names(LiveNodeConfig) - {"spec"}
+    assert not node_fields & _names(LiveClusterSpec)
+    assert len(_names(LiveNodeConfig)) <= 8
 
 
-def test_every_spec_field_reaches_the_node_or_is_launcher_only():
-    spec_fields, node_fields = _names(LiveClusterSpec), _names(LiveNodeConfig)
-    assert LAUNCHER_ONLY_FIELDS <= spec_fields
-    assert not LAUNCHER_ONLY_FIELDS & node_fields
-    # Every other spec field is a node field of the same name ...
-    assert spec_fields - LAUNCHER_ONLY_FIELDS <= node_fields
-    # ... and nothing on the node is left to its default by accident.
-    assert node_fields == (spec_fields - LAUNCHER_ONLY_FIELDS) | PER_NODE_FIELDS
-
-
-def test_forwarded_fields_carry_the_spec_values():
-    spec = LiveClusterSpec(
-        processes=3, senders=2, t=2, window=7, lease_s=0.3, run_seed=11,
-        batch_bytes=4096, log_level="INFO",
-    )
-    shared = forwarded_fields(spec)
-    assert set(shared) == _names(LiveClusterSpec) - LAUNCHER_ONLY_FIELDS
-    # ``senders`` is a count on the spec and the ids on the node.
-    assert shared.pop("senders") == [0, 1]
-    for name, value in shared.items():
-        assert value == getattr(spec, name), name
-    config = LiveNodeConfig(
-        node_id=1,
-        members=[0, 1, 2],
-        addresses={pid: ("127.0.0.1", 1 + pid) for pid in range(3)},
-        senders=[0, 1],
-        **shared,
-    )
-    assert (config.t, config.window, config.lease_s) == (2, 7, 0.3)
-    assert (config.run_seed, config.batch_bytes, config.log_level) == (
-        11, 4096, "INFO",
-    )
+@pytest.mark.parametrize(
+    "bad", [{"detector_mode": "bogus"}, {"lease_s": -1}, {"lease_s": 0}]
+)
+def test_the_spec_checks_what_a_node_would_fail_on(bad):
+    with pytest.raises(ConfigurationError):
+        LiveClusterSpec(processes=3, **bad)
 
 
 # -- the surface bench/ drives ---------------------------------------------

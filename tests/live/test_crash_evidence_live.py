@@ -15,7 +15,7 @@ import pytest
 
 from repro.live.runner import LiveCluster, LiveClusterSpec
 from repro.obs.journal import JsonlReader
-from repro.serve.loadgen import LoadConfig, run_load
+from repro.serve.loadgen import run_load
 from repro.serve.runner import ServeSpec, _await_drain, verify_serve_run
 
 pytestmark = pytest.mark.live_smoke
@@ -50,11 +50,11 @@ def test_silent_failure_is_found_by_the_heartbeat_timeout():
     """SIGSTOP the leader under light load: no hang-up, no refusal, so
     nothing but the timeout can find it — the completeness half of the
     detector, and the one path that still waits the full second."""
-    serve = ServeSpec(processes=3, heartbeat_timeout_s=1.0)
-    interval, timeout = serve.heartbeat_interval_s, serve.heartbeat_timeout_s
-    load = LoadConfig(
-        rate_rps=60.0, sessions=6, duration_s=3.0, retry_timeout_s=1.0
+    serve = ServeSpec(
+        processes=3, heartbeat_timeout_s=1.0, sessions=6, duration_s=3.0,
+        retry_timeout_s=1.0,
     )
+    interval, timeout = serve.heartbeat_interval_s, serve.heartbeat_timeout_s
     stopped = {}
     with LiveCluster.launch(serve.live_spec(), journals=True) as cluster:
         cluster.await_started(_START_TIMEOUT_S)
@@ -67,7 +67,7 @@ def test_silent_failure_is_found_by_the_heartbeat_timeout():
 
         async def drive():
             asyncio.get_running_loop().call_later(0.8, freeze)
-            return await run_load(addresses, load)
+            return await run_load(addresses, serve, 60.0)
 
         stats = asyncio.run(drive())
         assert cluster.kill(victim), "a stopped process is still a process"

@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from repro.live.node import LiveNodeConfig, start_barrier
+from repro.live.config import LiveClusterSpec, LiveNodeConfig
+from repro.live.node import start_barrier
 from repro.live.runner import _node_env
 from repro.live.transport import RingTransport
 from tests.live.test_transport_recovery import _free_port
@@ -72,16 +73,10 @@ def test_no_barrier_passes_before_a_late_member_listens():
     assert refused == []  # a member not yet listening is not a crash
 
 
-def _node_config(tmp_path, **overrides):
-    """Node 0 of a three-member ring whose two siblings never start."""
-    members = [0, 1, 2]
-    addresses = {pid: ("127.0.0.1", _free_port()) for pid in members}
-    config = LiveNodeConfig(
-        node_id=0, members=members, addresses=addresses,
-        journal_path=str(tmp_path / "node0.journal.jsonl"),
-        connect_timeout_s=30.0, **overrides,
-    )
-    path = tmp_path / "node0.json"
+def _node_config(tmp_path, spec, pid=0, **placement):
+    """Node ``pid`` of ``spec``'s ring; writes its config file."""
+    config = LiveNodeConfig(spec=spec, node_id=pid, **placement)
+    path = tmp_path / f"node{pid}.json"
     path.write_text(json.dumps(config.to_dict()))
     return config, str(path)
 
@@ -99,7 +94,15 @@ def _spawn(config_path, out_path, *python_flags):
 def test_sigterm_before_the_start_barrier_ends_the_node_cleanly(
     tmp_path, view_changes
 ):
-    config, config_path = _node_config(tmp_path, view_changes=view_changes)
+    # Node 0 of a three-member ring whose two siblings never start.
+    config, config_path = _node_config(
+        tmp_path,
+        LiveClusterSpec(
+            processes=3, connect_timeout_s=30.0, view_changes=view_changes
+        ),
+        ring_addresses=[{pid: ("127.0.0.1", _free_port()) for pid in range(3)}],
+        journal_path=str(tmp_path / "node0.journal.jsonl"),
+    )
     out_path = str(tmp_path / "node0.out.json")
     proc = _spawn(config_path, out_path)
     try:
@@ -107,7 +110,7 @@ def test_sigterm_before_the_start_barrier_ends_the_node_cleanly(
         while True:  # the node's listening stamp: its ring port accepts
             assert proc.poll() is None, proc.communicate()
             try:
-                socket.create_connection(config.addresses[0], 0.5).close()
+                socket.create_connection(config.ring_addresses[0][0], 0.5).close()
                 break
             except OSError:
                 assert time.monotonic() < deadline, "node never listened"
@@ -133,33 +136,38 @@ def test_sigterm_before_the_start_barrier_ends_the_node_cleanly(
 #: campaign and the paper's figures.
 _NOT_A_NODE = (
     "repro.chaos.campaign", "repro.figures", "repro.cluster",
-    "repro.metrics", "repro.workloads",
+    "repro.metrics", "repro.workloads", "repro.live.runner",
+    "repro.serve.runner",
 )
 
 
 @pytest.mark.live_smoke
 def test_a_node_process_imports_only_the_node(tmp_path):
-    """A one-member ring runs to quiescence under ``-X importtime``,
-    which names every module the process imported."""
-    config = LiveNodeConfig(
-        node_id=0, members=[0], addresses={0: ("127.0.0.1", _free_port())},
-        duration_s=0.05, quiet_s=0.05,
+    """A two-member ring runs to quiescence under ``-X importtime``,
+    which names every module each process imported."""
+    spec = LiveClusterSpec(
+        processes=2, message_bytes=64, duration_s=0.05, quiet_s=0.05
     )
-    config_path = tmp_path / "node0.json"
-    config_path.write_text(json.dumps(config.to_dict()))
-    out_path = str(tmp_path / "node0.out.json")
-    proc = _spawn(str(config_path), out_path, "-X", "importtime")
-    _, stderr = proc.communicate(timeout=60.0)
-    text = stderr.decode(errors="replace")
-    assert proc.returncode == 0, text
-    assert os.path.exists(out_path)
-    imported = {
-        line.rsplit("|", 1)[1].strip()
-        for line in text.splitlines() if line.startswith("import time:")
-    }
-    assert "repro.live.node" in imported
-    leaked = sorted(
-        name for name in imported
-        if any(name == bad or name.startswith(bad + ".") for bad in _NOT_A_NODE)
-    )
-    assert leaked == []
+    ring = {pid: ("127.0.0.1", _free_port()) for pid in range(2)}
+    procs = {}
+    for pid in range(2):
+        _, config_path = _node_config(
+            tmp_path, spec, pid, ring_addresses=[ring]
+        )
+        out_path = str(tmp_path / f"node{pid}.out.json")
+        procs[out_path] = _spawn(config_path, out_path, "-X", "importtime")
+    for out_path, proc in procs.items():
+        _, stderr = proc.communicate(timeout=60.0)
+        text = stderr.decode(errors="replace")
+        assert proc.returncode == 0, text
+        assert os.path.exists(out_path)
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in text.splitlines() if line.startswith("import time:")
+        }
+        assert "repro.live.node" in imported
+        leaked = sorted(
+            name for name in imported
+            if any(name == bad or name.startswith(bad + ".") for bad in _NOT_A_NODE)
+        )
+        assert leaked == []

@@ -28,8 +28,7 @@ from repro.core.batching import BatchingConfig
 from repro.core.fsr.messages import AckBatch, AckMsg, FwdData
 from repro.errors import ConfigurationError
 from repro.live.codec import Hello, encode_frame
-from repro.live.node import LiveNodeConfig
-from repro.live.runner import LiveClusterSpec, forwarded_fields
+from repro.live.config import LiveClusterSpec, LiveNodeConfig
 from repro.live.transport import RingTransport
 from repro.types import MessageId
 
@@ -342,44 +341,31 @@ def test_control_peer_coalesces_queued_frames():
 
 
 def test_node_config_batch_serde_round_trip():
-    addresses = {0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)}
-    config = LiveNodeConfig(
-        node_id=0,
-        members=[0, 1],
-        addresses=addresses,
-        batch_bytes=4096,
-    )
-    restored = LiveNodeConfig.from_dict(config.to_dict())
-    assert restored.batch_config() == BatchingConfig(
+    def node(spec):
+        config = LiveNodeConfig(
+            spec=spec,
+            node_id=0,
+            ring_addresses=[{0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)}],
+        )
+        return LiveNodeConfig.from_dict(config.to_dict())
+
+    restored = node(LiveClusterSpec(processes=2, batch_bytes=4096))
+    assert restored.spec.transport_batching() == BatchingConfig(
         max_batch_bytes=4096,
         max_batch_messages=BatchingConfig().max_batch_messages,
     )
     # The delay is the simulator's dial: a spec that sets it alone is
     # valid, and the node configs it launches have batching off.
     delay_only = LiveClusterSpec(processes=2, batch_delay_s=0.001)
-    assert LiveNodeConfig(
-        node_id=0,
-        members=[0, 1],
-        addresses=addresses,
-        **forwarded_fields(delay_only),
-    ).batch_config() is None
+    assert node(delay_only).spec.transport_batching() is None
     # All-None means batching off, surviving serde too.
-    plain = LiveNodeConfig(
-        node_id=0,
-        members=[0, 1],
-        addresses={0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)},
-    )
-    assert LiveNodeConfig.from_dict(plain.to_dict()).batch_config() is None
+    plain = node(LiveClusterSpec(processes=2))
+    assert plain.spec.transport_batching() is None
 
 
 def test_nonpositive_batch_config_rejected_everywhere():
     with pytest.raises(ConfigurationError):
-        LiveNodeConfig(
-            node_id=0,
-            members=[0, 1],
-            addresses={0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)},
-            batch_bytes=0,
-        )
+        LiveClusterSpec(processes=2, batch_bytes=0)
     with pytest.raises(ConfigurationError):
         LiveClusterSpec(processes=2, batch_messages=-1)
     with pytest.raises(ConfigurationError):
