@@ -118,15 +118,6 @@ def fixed_sequencer_max_throughput_bps(
     return message_bytes * 8.0 / max(wire, cpu)
 
 
-def privilege_max_throughput_bps(
-    params: NetworkParams, n: int, message_bytes: int
-) -> float:
-    """§2.3: only the token holder transmits, and each broadcast costs
-    it ``n - 1`` unicasts — sender serialisation gives the same
-    ``raw / (n - 1)`` collapse as the fixed sequencer."""
-    return fixed_sequencer_max_throughput_bps(params, n, message_bytes)
-
-
 @dataclass(frozen=True)
 class ThroughputPrediction:
     """Bundle of predictions for one configuration (for reports)."""

@@ -43,10 +43,9 @@ crash times.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.chaos.campaign import (
     CampaignReport,
@@ -57,9 +56,10 @@ from repro.chaos.campaign import (
 from repro.chaos.oracle import Verdict, Violation, judge_run
 from repro.chaos.schedules import FaultSchedule, ScheduleContext
 from repro.errors import ConfigurationError, NetworkError
+from repro.live.config import is_end_marker
 from repro.live.runner import LiveCluster, LiveClusterSpec, merge_node_records
 from repro.obs.analyze import recovery_outage_from_spans
-from repro.obs.journal import Timeline
+from repro.obs.journal import JsonlReader, Timeline
 from repro.types import ProcessId
 
 #: Scenarios portable to the live runtime: crash scenarios directly,
@@ -76,16 +76,12 @@ LIVE_SCENARIOS: Tuple[str, ...] = (
 #: Scenarios whose schedules carry link-level events the shaper enforces.
 _NETEM_SCENARIOS = ("degraded_network", "hostile_network")
 
-#: How often the parent-side quiescence monitor samples journals.
-_QUIESCE_POLL_S = 0.05
-#: Extra wait past the last kill before quiescence may be declared, on
+#: How often the launcher reads the survivors' journals for the end.
+_END_POLL_S = 0.05
+#: Extra wait past the last kill before the end may be declared, on
 #: top of the heartbeat timeout: one flush.  A SIGKILL is suspected in
-#: milliseconds from the refused port (DESIGN.md §5c), so this is no
-#: longer how long detection takes — it stays the bound for the case
-#: the evidence does not fire and the timeout has to, and it leaves the
-#: final view change (whose recovery propagates the last stability
-#: watermark to laggards, over links that may be shaped) time to run
-#: before nodes are stopped.
+#: milliseconds from the refused port (DESIGN.md §5c); this bounds the
+#: case that evidence does not fire and the timeout has to.
 _DETECTION_SLACK_S = 0.6
 
 
@@ -110,7 +106,6 @@ class LiveChaosConfig:
     window: int = 2
     #: Senders stop submitting this long after the start barrier.
     duration_s: float = 2.5
-    quiet_s: float = 0.6
     max_run_s: float = 30.0
     connect_timeout_s: float = 10.0
     host: str = "127.0.0.1"
@@ -147,10 +142,6 @@ class LiveChaosConfig:
             raise ConfigurationError(
                 "live chaos needs n - t >= 2 so a ring survives worst case"
             )
-        if not 1 <= self.senders <= self.n:
-            raise ConfigurationError(
-                f"senders={self.senders} out of range for n={self.n}"
-            )
         if not self.fault_window[0] < self.fault_window[1] <= self.duration_s:
             raise ConfigurationError(
                 "fault_window must be inside the traffic window "
@@ -161,12 +152,10 @@ class LiveChaosConfig:
                 "max_run_s too tight: needs duration_s + detection + "
                 "shutdown headroom"
             )
-        for mode in (self.detector_mode, self.shaped_detector_mode):
-            if mode not in ("heartbeat", "adaptive"):
-                raise ConfigurationError(
-                    f"unknown detector mode {mode!r}; "
-                    "use 'heartbeat' or 'adaptive'"
-                )
+        if self.shaped_detector_mode not in ("heartbeat", "adaptive"):
+            raise ConfigurationError(
+                f"unknown shaped_detector_mode {self.shaped_detector_mode!r}"
+            )
         if any(s in _NETEM_SCENARIOS for s in self.scenarios):
             # Shaped runs enable the primary-partition guard, which
             # only ever installs strict-majority views — so the t-kill
@@ -176,6 +165,7 @@ class LiveChaosConfig:
                     "netem scenarios need 2*(n - t) > n: the quorum "
                     "guard must be satisfiable after t kills"
                 )
+        self.cluster_spec()  # the spec's checks (detector_mode, sizes, ...)
 
     def schedule_context(self) -> ScheduleContext:
         return ScheduleContext(
@@ -204,7 +194,6 @@ class LiveChaosConfig:
             duration_s=self.duration_s,
             window=self.window,
             host=self.host,
-            quiet_s=self.quiet_s,
             max_run_s=self.max_run_s,
             connect_timeout_s=self.connect_timeout_s,
             sim_compare=False,
@@ -233,23 +222,64 @@ class LiveChaosConfig:
 # Single-schedule execution
 # ----------------------------------------------------------------------
 
-def _await_quiescence(
+class RunEvidence:
+    """Do the survivors' journals prove a live run over?  (PROTOCOL.md
+    App. E; :meth:`add` takes a node's new journal lines.)"""
+
+    def __init__(self, senders: Iterable[ProcessId]) -> None:
+        self.senders = set(senders)
+        #: Per node: its newest ``(view_id, members)``; the ids it
+        #: broadcast and delivered, and whose end marker it delivered.
+        self.views: Dict[ProcessId, Tuple[int, Tuple[ProcessId, ...]]] = {}
+        self.logs: Dict[ProcessId, Tuple[Set, Set, Set]] = {}
+
+    def add(self, pid: ProcessId, events: List[Dict[str, Any]]) -> None:
+        broadcast, delivered, ended = self.logs.setdefault(
+            pid, (set(), set(), set())
+        )
+        for event in events:
+            kind = event.get("type")
+            if kind == "view":
+                view = (event["view_id"], tuple(event["members"]))
+                self.views[pid] = max(self.views.get(pid, view), view)
+            elif kind in ("broadcast", "delivery"):
+                message = (event["origin"], event["local_seq"])
+                (broadcast if kind == "broadcast" else delivered).add(message)
+                if kind == "delivery" and is_end_marker(event["size_bytes"]):
+                    ended.add(event["origin"])
+
+    def done(self, killed: Iterable[ProcessId]) -> bool:
+        """The newest view excludes every killed node, and each member
+        journalled it and delivered every broadcast any member
+        journalled plus the end marker of every sender in the view, the
+        same number of deliveries at each (no FIFO assumed)."""
+        view = max(self.views.values(), default=None)
+        if view is None or set(killed) & set(view[1]) or any(
+            self.views.get(pid) != view for pid in view[1]
+        ):
+            return False
+        logs = [self.logs[pid] for pid in view[1]]
+        owed = set().union(*(broadcast for broadcast, _, _ in logs))
+        ended = self.senders & set(view[1])
+        counts = {len(delivered) for _, delivered, _ in logs}
+        return len(counts) == 1 and all(
+            owed <= delivered and ended <= marked
+            for _, delivered, marked in logs
+        )
+
+
+def _await_end(
     cluster: LiveCluster,
     cfg: LiveChaosConfig,
     base: float,
     netem_end_s: float = 0.0,
 ) -> bool:
-    """Block until the surviving cluster looks done; True on timeout.
-
-    Survivor nodes never self-exit under live membership (a locally
-    silent ring can hide an undetected crash whose view change is still
-    pending), so the launcher decides: the run is quiescent once the
-    traffic deadline has passed, every executed kill has had time to be
-    detected and flushed (heartbeat timeout + interval + slack), and no
-    survivor journal has grown for ``quiet_s``.  Journals record every
-    broadcast, delivery, and view install — exactly the events whose
-    absence means the run drained.
-    """
+    """Block until the survivors' journals prove the run over; True on
+    timeout.  Nodes never stop on their own under live membership (a
+    peer may be dead but not yet suspected), so the launcher decides —
+    not before the traffic deadline has passed and every executed kill
+    has had time to be detected and flushed (heartbeat timeout +
+    interval + slack), and then on :class:`RunEvidence`."""
     detection_s = (
         cfg.heartbeat_timeout_s + cfg.heartbeat_interval_s + _DETECTION_SLACK_S
     )
@@ -263,25 +293,20 @@ def _await_quiescence(
         # release) before the cluster can genuinely drain.
         ready_at = max(ready_at, base + netem_end_s + detection_s)
     cutoff = base + cfg.max_run_s - 5.0
-    survivors = [pid for pid in cluster.members if pid not in kills]
-    last_sizes: Dict[ProcessId, int] = {}
-    last_growth = time.monotonic()
+    readers = {
+        pid: JsonlReader(path)
+        for pid, path in cluster.journal_paths.items() if pid not in kills
+    }
+    evidence = RunEvidence(cluster.spec.sender_ids)
     while True:
         now = time.monotonic()
         if now >= cutoff:
             return True
-        sizes = {}
-        for pid in survivors:
-            try:
-                sizes[pid] = os.path.getsize(cluster.journal_paths[pid])
-            except OSError:
-                sizes[pid] = -1
-        if sizes != last_sizes:
-            last_sizes = sizes
-            last_growth = now
-        if now >= ready_at and now - last_growth >= cfg.quiet_s:
+        for pid, reader in readers.items():
+            evidence.add(pid, reader.poll())
+        if now >= ready_at and evidence.done(kills):
             return False
-        time.sleep(_QUIESCE_POLL_S)
+        time.sleep(_END_POLL_S)
 
 
 @dataclass
@@ -366,7 +391,7 @@ def run_live_schedule(
                 if delay > 0:
                     time.sleep(delay)
                 cluster.kill(event.process)
-            parent_timeout = _await_quiescence(
+            parent_timeout = _await_end(
                 cluster, cfg, base, netem_end_s=netem_end_s
             )
             # Killed nodes' flushed journals stand in for their records;

@@ -297,10 +297,6 @@ class Cluster:
         """Crash ``node_id`` at simulated ``time``; returns the event."""
         return self.injector.schedule_crash(node_id, time)
 
-    def scheduled_crashes(self):
-        """Pending (not yet executed) crash events, in firing order."""
-        return self.injector.scheduled()
-
     def _on_crash(self, node_id: ProcessId) -> None:
         self._crashed[node_id] = self.sim.now
         node = self.nodes[node_id]

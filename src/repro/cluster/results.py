@@ -62,9 +62,6 @@ class ExperimentResult:
         """Processes that never crashed."""
         return set(self.delivery_logs) - set(self.crashed)
 
-    def deliveries_of(self, process: ProcessId) -> DeliveryLog:
-        return self.delivery_logs[process]
-
     def total_delivered_bytes(self) -> int:
         """Application bytes delivered, summed over processes."""
         return sum(

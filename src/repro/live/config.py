@@ -20,6 +20,12 @@ from repro.types import ProcessId
 Address = Tuple[str, int]
 
 
+def is_end_marker(size_bytes: int) -> bool:
+    """Is a delivery of this size the zero-length broadcast a sender
+    ends its workload with?  (PROTOCOL.md App. E)"""
+    return size_bytes == 0
+
+
 @dataclass
 class LiveClusterSpec:
     """One live loopback benchmark configuration."""
@@ -37,8 +43,6 @@ class LiveClusterSpec:
     #: Closed-loop window: own messages in flight per sender.
     window: int = 4
     host: str = "127.0.0.1"
-    #: Ring silence needed to declare the run quiescent.
-    quiet_s: float = 0.5
     #: Hard cap on each node's run past its start barrier.
     max_run_s: float = 60.0
     connect_timeout_s: float = 10.0
@@ -66,7 +70,8 @@ class LiveClusterSpec:
     #: views keeping less than a strict majority of the current one.
     require_quorum: bool = False
     #: Fixed-count workload: each sender submits exactly this many
-    #: messages (closed loop), ignoring ``duration_s`` as the stop rule.
+    #: messages (closed loop), ignoring ``duration_s``.  Either way a
+    #: sender ends its workload with an end marker (:func:`is_end_marker`).
     messages_per_sender: Optional[int] = None
     #: Collect per-message lifecycle spans + telemetry (``repro.obs``).
     spans: bool = False
@@ -116,16 +121,18 @@ class LiveClusterSpec:
                 "serve clusters take their load from client sessions; "
                 "set senders=0"
             )
-        if self.duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive")
+        # A zero-length payload is an end marker, not a workload message.
+        for name in (
+            "shards", "message_bytes", "window", "duration_s", "max_run_s",
+            "connect_timeout_s", "lease_s", "messages_per_sender",
+        ):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigurationError(f"{name} must be positive")
         if self.trace_requests and not self.spans:
             raise ConfigurationError(
                 "trace_requests rides the span journals; enable spans"
             )
-        if self.shards < 1:
-            raise ConfigurationError("shards must be at least 1")
-        if self.lease_s <= 0:
-            raise ConfigurationError("lease_s must be positive")
         if self.detector_mode not in ("heartbeat", "adaptive"):
             raise ConfigurationError(
                 f"unknown detector_mode {self.detector_mode!r}; "

@@ -10,11 +10,12 @@
    predecessor greeted) and, with live membership, every member's
    listener up — then install the bootstrap view and start;
 3. if this node is a sender, drive a closed-loop windowed workload
-   until the configured deadline (or a fixed message count);
-4. run to quiescence (no ring or membership traffic for ``quiet_s``),
-   then return a JSON-able record of every broadcast and delivery,
-   timestamped with the system-wide monotonic clock so the runner can
-   merge logs across processes.
+   until the configured deadline (or a fixed message count), then
+   broadcast the zero-length end marker;
+4. stop on evidence (PROTOCOL.md App. E), then return a JSON-able
+   record of every broadcast and delivery, timestamped with the
+   system-wide monotonic clock so the runner can merge logs across
+   processes.
 
 Membership comes in two modes:
 
@@ -44,7 +45,7 @@ import logging
 import random
 import signal
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.api import BroadcastListener
 from repro.core.fsr.config import FSRConfig
@@ -57,7 +58,7 @@ from repro.failure.detector import (
     StaticDetector,  # bench/layers.py imports it from this module
     adaptive_floor_s,
 )
-from repro.live.config import LiveNodeConfig
+from repro.live.config import LiveNodeConfig, is_end_marker
 from repro.live.scheduler import AsyncioScheduler
 from repro.live.transport import RingTransport
 from repro.net.channel import MAX_RETRIES
@@ -74,7 +75,7 @@ from repro.obs.telemetry import Telemetry
 from repro.types import Delivery, MessageId, ProcessId, View
 from repro.vsc.membership import FlushState, GroupMembership
 
-#: How often the quiescence monitor samples traffic counters.
+#: How often the run loop checks its stop rule and its transports.
 _POLL_S = 0.05
 #: How often a span-journalling node snapshots telemetry to its file.
 _TELEMETRY_SNAPSHOT_S = 1.0
@@ -154,33 +155,24 @@ class ControlPort:
 
     Sends go through :meth:`RingTransport.send_control` with this
     port's layer tag; receives arrive via :class:`_ControlDispatch`.
-    ``last_activity`` timestamps the most recent send *or* receive on
-    this layer — the quiescence monitor uses the membership port's to
-    avoid tearing a node down mid-flush.
     """
 
-    def __init__(
-        self, transport: RingTransport, layer: str, sched: AsyncioScheduler
-    ) -> None:
+    def __init__(self, transport: RingTransport, layer: str) -> None:
         self._transport = transport
         self.layer = layer
-        self._sched = sched
         self._handler: Optional[Callable[[ProcessId, Any], None]] = None
-        self.last_activity: float = 0.0
 
     @property
     def node_id(self) -> ProcessId:
         return self._transport.node_id
 
     def send(self, dst: ProcessId, message: Any, size_bytes=None) -> None:
-        self.last_activity = self._sched.now
         self._transport.send_control(dst, self.layer, message)
 
     def on_receive(self, handler) -> None:
         self._handler = handler
 
     def dispatch(self, src: ProcessId, message: Any) -> None:
-        self.last_activity = self._sched.now
         if self._handler is not None:
             self._handler(src, message)
 
@@ -191,11 +183,8 @@ class _ControlDispatch:
     def __init__(self) -> None:
         self._ports: Dict[str, ControlPort] = {}
 
-    def port(
-        self, transport: RingTransport, layer: str, sched: AsyncioScheduler
-    ) -> ControlPort:
-        port = ControlPort(transport, layer, sched)
-        self._ports[layer] = port
+    def port(self, transport: RingTransport, layer: str) -> ControlPort:
+        port = self._ports[layer] = ControlPort(transport, layer)
         return port
 
     def __call__(self, layer: str, src: ProcessId, inner: Any) -> None:
@@ -218,8 +207,6 @@ class _RewiringClient:
     ) -> None:
         self._process = process
         self._rewire = rewire
-        #: Last installed view, exposed in the node's result record.
-        self.current_view: Optional[View] = None
 
     def on_block(self) -> None:
         self._process.on_block()
@@ -231,7 +218,6 @@ class _RewiringClient:
         return self._process.merge_states(states, receivers)
 
     def on_view(self, view: View, state: Optional[FlushState]) -> None:
-        self.current_view = view
         self._rewire(view)
         self._process.on_view(view, state)
 
@@ -325,6 +311,11 @@ class _NodeRun:
     broadcasts: List[Dict[str, Any]] = field(default_factory=list)
     sent: List[MessageId] = field(default_factory=list)
     outstanding: int = 0
+    deadline: float = float("inf")
+    #: This sender has broadcast its end marker.
+    ended: bool = False
+    #: Senders whose end marker this node has delivered.
+    ended_senders: Set[ProcessId] = field(default_factory=set)
 
 
 async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
@@ -411,8 +402,8 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
     if spec.view_changes:
         dispatch = _ControlDispatch()
         transport.on_control = dispatch
-        fd_port = dispatch.port(transport, "fd", sched)
-        vsc_port = dispatch.port(transport, "vsc", sched)
+        fd_port = dispatch.port(transport, "fd")
+        vsc_port = dispatch.port(transport, "vsc")
         # RTT observation doubles heartbeat traffic (probe + echo), so
         # only turn it on when this run is collecting observability data.
         rtt_observer = None
@@ -516,7 +507,6 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             reqlog=reqlog,
         )
 
-    client: Any = process
     if spec.view_changes:
         def rewire(view: View) -> None:
             ring = view.members
@@ -533,24 +523,18 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
                 "time": sched.now,
             })
 
-        client = _RewiringClient(process, rewire)
-        membership.set_client(client)
-
-    def current_view() -> View:
-        if isinstance(client, _RewiringClient) and client.current_view is not None:
-            return client.current_view
-        return membership.view
+        membership.set_client(_RewiringClient(process, rewire))
 
     run = _NodeRun()
-    deadline = [float("inf")]
 
     def may_submit() -> bool:
         if spec.messages_per_sender is not None:
             return len(run.sent) < spec.messages_per_sender
-        return sched.now < deadline[0]
+        return sched.now < run.deadline
 
     def refill() -> None:
-        """Keep ``window`` own messages in flight until the deadline."""
+        """Keep ``window`` own messages in flight until the deadline,
+        then end the workload with the end marker."""
         while run.outstanding < spec.window and may_submit():
             payload = bytes(spec.message_bytes)
             message_id = process.broadcast(payload)
@@ -565,10 +549,16 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             run.broadcasts.append(record)
             if journal.enabled:
                 journal.write({"type": "broadcast", **record})
+        if not (run.ended or may_submit()):
+            run.ended = True
+            process.broadcast(b"")
 
     def on_app_deliver(
         origin: ProcessId, message_id: MessageId, payload: Any, size: int
     ) -> None:
+        if is_end_marker(size):  # not a workload message
+            run.ended_senders.add(origin)
+            return
         record = {
             "origin": origin,
             "msg_origin": message_id.origin,
@@ -708,7 +698,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         from repro.obs.httpexport import MetricsServer
 
         def health() -> Dict[str, Any]:
-            view = current_view()
+            view = membership.view
             info: Dict[str, Any] = {
                 "node": me,
                 "view_id": view.view_id,
@@ -734,11 +724,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         )
 
     start_time = sched.now
-    if spec.messages_per_sender is not None:
-        # Fixed-count workload: no time deadline; quiescence decides.
-        deadline[0] = start_time
-    else:
-        deadline[0] = start_time + spec.duration_s
+    run.deadline = start_time + spec.duration_s
     if started:
         journal.write(
             {"type": "start", "time": start_time, "node_id": me,
@@ -749,20 +735,17 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             refill()
 
     # ------------------------------------------------------------------
-    # Run until told to stop.  Static mode self-detects quiescence:
-    # deadline passed and the ring silent for ``quiet_s``.  With live
-    # membership a node must NOT self-exit on local silence — a silent
-    # peer may be dead but not yet suspected, and exiting would skip
-    # the view change whose recovery finishes propagating stability to
-    # laggards.  The launcher owns termination there: it watches all
-    # survivor journals and SIGTERMs everyone simultaneously (which
-    # also avoids a suspect-and-reflush cascade as nodes wind down).
-    # ``max_run_s`` stays as the local backstop in both modes.  A stop
-    # requested before the start barrier ends the loop at once.
+    # Run until told to stop.  A static node stops once it delivered
+    # every sender's end marker and its ring links wrote what it owes
+    # its successor (the last stable SeqData/ack, sent in the handler
+    # that delivered) or the successor, necessarily finished, hung up
+    # (PROTOCOL.md App. E).  With live membership or a serve tier the
+    # launcher owns termination: a peer may be dead but not yet
+    # suspected, and its view change must run.  ``max_run_s`` is the
+    # backstop; a stop before the start barrier ends the loop at once.
     # ------------------------------------------------------------------
+    self_stops = not (spec.view_changes or serve_server is not None)
     timed_out = False
-    last_counters = (-1, -1)
-    last_change = sched.now
     last_snapshot = sched.now
     while True:
         try:
@@ -778,14 +761,11 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         ):
             span_journal.write_telemetry(now, telemetry_snapshot())
             last_snapshot = now
-        counters = (
-            sum(t.frames_received for t in transports),
-            sum(t.frames_sent for t in transports),
-        )
-        queued = sum(t.queued_bytes for t in transports)
-        if counters != last_counters or queued > 0:
-            last_counters = counters
-            last_change = now
+        if (
+            self_stops and run.ended_senders.issuperset(spec.sender_ids)
+            and all(t.written for t in transports)
+        ):
+            break
         for ring_transport in transports:
             if ring_transport.failure is not None:
                 logger.error(
@@ -795,12 +775,6 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         if now - start_time >= spec.max_run_s:
             timed_out = True
             logger.warning("max_run_s (%.1fs) reached", spec.max_run_s)
-            break
-        if spec.view_changes or serve_server is not None:
-            continue  # the launcher signals the stop
-        if now < deadline[0]:
-            continue
-        if now - last_change >= spec.quiet_s:
             break
     try:
         loop.remove_signal_handler(signal.SIGTERM)
@@ -830,7 +804,7 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         len(run.app_deliveries), transport.reconnects, transport.tx_stalls,
     )
 
-    final_view = current_view()
+    final_view = membership.view
     record = {
         "schema": "repro.live_node/1",
         "node_id": me,

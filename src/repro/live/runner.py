@@ -39,7 +39,7 @@ from repro.cluster.results import AppDelivery, ExperimentResult
 from repro.core.api import DeliveryLog
 from repro.core.fsr.config import FSRConfig
 from repro.errors import NetworkError
-from repro.live.config import LiveClusterSpec, LiveNodeConfig
+from repro.live.config import LiveClusterSpec, LiveNodeConfig, is_end_marker
 from repro.metrics.collector import ExperimentMetrics, collect_metrics
 from repro.obs.analyze import (
     StageBreakdown,
@@ -346,17 +346,14 @@ class LiveCluster:
         """Collect stderr of nonzero exits and raise if any."""
         failures = []
         for pid, proc in self.procs.items():
-            if pid in (skip or set()) or proc.poll() is None:
+            if pid in (skip or set()) or proc.poll() in (None, 0):
                 continue
             _, stderr = proc.communicate()
-            if proc.returncode != 0:
-                tail = (stderr or b"").decode(
-                    errors="replace"
-                ).strip().splitlines()
-                failures.append(
-                    f"node {pid} exited {proc.returncode}: "
-                    + ("; ".join(tail[-3:]) if tail else "<no stderr>")
-                )
+            tail = (stderr or b"").decode(errors="replace").strip().splitlines()
+            failures.append(
+                f"node {pid} exited {proc.returncode}: "
+                + ("; ".join(tail[-3:]) if tail else "<no stderr>")
+            )
         if failures:
             raise NetworkError("live run failed: " + " | ".join(failures))
 
@@ -404,10 +401,21 @@ class LiveCluster:
         rebased to :func:`run_origin` — the *same* origin
         :func:`merge_node_records` uses, so span timestamps line up
         exactly with the merged :class:`ExperimentResult` and the stage
-        breakdown can be cross-checked against the metrics collector."""
+        breakdown can be cross-checked against the metrics collector.
+        End markers are not workload messages: their spans are dropped."""
         if not self.span_paths:
             return None
-        return merge_span_journals(self.span_paths, t0=run_origin(records))
+        timeline = merge_span_journals(self.span_paths, t0=run_origin(records))
+        markers = {
+            MessageId(entry["origin"], entry["local_seq"])
+            for record in records.values()
+            for entry in record["deliveries"]
+            if is_end_marker(entry["size_bytes"])
+        }
+        timeline.events = [
+            e for e in timeline.events if e.message_id not in markers
+        ]
+        return timeline
 
     def startup(
         self, records: Dict[ProcessId, Dict[str, Any]]
@@ -500,8 +508,9 @@ def merge_node_records(
     """Merge per-node records into the standard result containers.
 
     All timestamps are rebased to the earliest node start so merged
-    logs read like a simulated run starting at ~0.  ``crashed`` maps
-    killed nodes to their (monotonic) kill times; their records are
+    logs read like a simulated run starting at ~0, and like one they
+    hold the workload only (no end markers).  ``crashed`` maps killed
+    nodes to their (monotonic) kill times; their records are
     journal-derived partials, and the crash times flow into
     :class:`ExperimentResult` so the checkers treat them like
     simulator crashes (no liveness obligations, logs still checked
@@ -518,6 +527,8 @@ def merge_node_records(
     for pid, record in sorted(records.items()):
         log = DeliveryLog(process=pid)
         for entry in record["deliveries"]:
+            if is_end_marker(entry["size_bytes"]):
+                continue
             log.deliveries.append(
                 Delivery(
                     process=pid,
@@ -633,8 +644,9 @@ def simulate_comparison(
 def run_live_cluster(spec: LiveClusterSpec) -> LiveRunResult:
     """Launch, merge, verify, and measure one live loopback run."""
     with LiveCluster.launch(spec) as cluster:
-        # Static nodes stop themselves at quiescence; a node dying at
-        # startup ends the wait at once and stop() reports it.
+        # Static nodes stop themselves once every sender's end marker is
+        # delivered; a node dying at startup ends the wait at once and
+        # stop() reports it.
         cluster.wait(spec.connect_timeout_s + spec.max_run_s + _KILL_SLACK_S)
         records = cluster.stop()
         timeline = cluster.timeline(records)

@@ -509,8 +509,7 @@ class RingTransport:
     *current* ring successor — the ring never sends anywhere else; a
     view change re-points the hop via :meth:`retarget`.  Control-plane
     traffic goes through :meth:`send_control` / ``on_control`` and its
-    own per-peer links, and is counted separately so ring quiescence
-    detection is not defeated by heartbeats.
+    own per-peer links, and is counted separately from the ring data.
     """
 
     def __init__(
@@ -597,7 +596,7 @@ class RingTransport:
         self._failure: Optional[str] = None
 
         #: Ring-data transport counters, merged into the node's result
-        #: stats (and polled for quiescence — control traffic excluded).
+        #: stats (control traffic excluded).
         self.frames_sent = 0
         self.frames_received = 0
         self.bytes_sent = 0
@@ -786,6 +785,14 @@ class RingTransport:
     def queued_bytes(self) -> int:
         """Bytes queued but not yet written to the socket."""
         return self._ring.queued_bytes
+
+    @property
+    def written(self) -> bool:
+        """Every frame queued for the successor is in the kernel, or it hung up."""
+        conn = self._ring.conn
+        return conn is None or not (
+            self._ring.queue or conn.transport.get_write_buffer_size()
+        )
 
     def on_tx_idle(self, callback: Callable[[], None]) -> None:
         """Register a callback fired when a closed TX gate reopens."""

@@ -88,7 +88,7 @@ def test_sigkill_detected_under_concurrent_jitter():
     assert outcome.false_suspicions == []
     # Completeness under noise: the survivors noticed the crash and
     # resumed delivering with a bounded outage (ceiling + flush + slack,
-    # far under the parent's quiescence deadline).
+    # far under the launcher's run cap).
     assert outcome.outage_ms is not None and outcome.outage_ms > 0.0
     assert outcome.outage_ms <= 3_000.0
 
@@ -108,7 +108,7 @@ def _conformance_schedule():
 
 def test_shaped_run_conforms_to_shaped_sim():
     schedule = _conformance_schedule()
-    # Live: static membership (nodes self-exit at quiescence), shaper
+    # Live: static membership (nodes stop on the sender's end marker), shaper
     # armed with the schedule's loss-free jitter events.
     live = run_live_cluster(LiveClusterSpec(
         processes=4,
@@ -117,7 +117,6 @@ def test_shaped_run_conforms_to_shaped_sim():
         message_bytes=MESSAGE_BYTES,
         duration_s=10.0,  # unused: messages_per_sender is the stop rule
         window=2,
-        quiet_s=0.4,
         max_run_s=30.0,
         sim_compare=False,
         messages_per_sender=MESSAGES,

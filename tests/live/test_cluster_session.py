@@ -29,7 +29,6 @@ def _spec(**overrides):
         message_bytes=5_000,
         duration_s=1.0,
         window=1,
-        quiet_s=0.2,
         max_run_s=20.0,
         connect_timeout_s=8.0,
         sim_compare=False,

@@ -49,7 +49,6 @@ def spec_kwargs(draw):
         duration_s=draw(_SECONDS),
         window=draw(st.integers(1, 64)),
         host=draw(st.sampled_from(["127.0.0.1", "::1"])),
-        quiet_s=draw(_SECONDS),
         max_run_s=draw(_SECONDS),
         connect_timeout_s=draw(_SECONDS),
         sim_compare=draw(st.booleans()),

@@ -30,7 +30,6 @@ def _live_spec(senders):
         message_bytes=MESSAGE_BYTES,
         duration_s=10.0,  # unused: messages_per_sender is the stop rule
         window=2,
-        quiet_s=0.4,
         max_run_s=30.0,
         sim_compare=False,
         messages_per_sender=MESSAGES,

@@ -27,7 +27,6 @@ def _smoke_spec(**overrides):
         message_bytes=10_000,
         duration_s=0.6,
         window=2,
-        quiet_s=0.3,
         max_run_s=30.0,
         sim_compare=False,
     )

@@ -23,7 +23,6 @@ def test_live_loopback_multiring_total_order():
         message_bytes=10_000,
         duration_s=0.6,
         window=2,
-        quiet_s=0.3,
         max_run_s=45.0,
         sim_compare=False,
     )

@@ -26,7 +26,6 @@ def _spec():
         message_bytes=5_000,
         duration_s=0.5,
         window=1,
-        quiet_s=0.2,
         max_run_s=20.0,
         connect_timeout_s=8.0,
         sim_compare=False,

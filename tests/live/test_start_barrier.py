@@ -143,10 +143,10 @@ _NOT_A_NODE = (
 
 @pytest.mark.live_smoke
 def test_a_node_process_imports_only_the_node(tmp_path):
-    """A two-member ring runs to quiescence under ``-X importtime``,
+    """A two-member ring runs to its end under ``-X importtime``,
     which names every module each process imported."""
     spec = LiveClusterSpec(
-        processes=2, message_bytes=64, duration_s=0.05, quiet_s=0.05
+        processes=2, message_bytes=64, duration_s=0.05
     )
     ring = {pid: ("127.0.0.1", _free_port()) for pid in range(2)}
     procs = {}

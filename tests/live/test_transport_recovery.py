@@ -198,8 +198,7 @@ def test_control_plane_round_trip_and_prune():
         assert seen == [("fd", 0, {"beat": 1}), ("vsc", 0, ("flush", 7))]
         assert a.control_frames_sent == 2
         assert b.control_frames_received == 2
-        # Control traffic never pollutes the ring data counters the
-        # quiescence monitor watches.
+        # Control traffic never pollutes the ring data counters.
         assert a.frames_sent == 0 and b.frames_received == 0
 
         with pytest.raises(NetworkError):
