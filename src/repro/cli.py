@@ -659,7 +659,9 @@ def _cmd_live_node(args: argparse.Namespace) -> int:
         config = LiveNodeConfig.from_dict(_json.load(fh))
     record = run_node(config)
     with open(args.out, "w") as fh:
-        _json.dump(record, fh)
+        # One C-encoded string: ``json.dump`` streams a record of ~10^5
+        # entries through the pure-Python chunked encoder, 4x slower.
+        fh.write(_json.dumps(record))
     return 0
 
 

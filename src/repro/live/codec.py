@@ -59,19 +59,26 @@ slices entries out of the received body with ``memoryview`` — no
 per-entry copy; the single copy per payload happens directly from the
 receive buffer into its final ``bytes`` object.
 
-The hot path avoids the allocation-heavy ``b"".join`` encode:
-:class:`FrameEncoder` packs cached :class:`struct.Struct` headers
-straight into one reusable ``bytearray`` per transport (the EpTO
-exemplar's idiom — prepacked structs over attribute-heavy temporaries),
-and is guaranteed byte-identical to :func:`encode_frame`.
+Ring data has one encoder, :class:`FrameEncoder`: it packs cached
+:class:`struct.Struct` headers straight into one reusable ``bytearray``
+per transport (the EpTO exemplar's idiom — prepacked structs over
+attribute-heavy temporaries), and :func:`encode_frame` /
+:func:`encode_message` delegate ring data to it.  Golden frames in
+``tests/live/test_codec.py`` pin its bytes.
+
+Control frames (``Hello`` channel 1, kind ``0x41``) carry a pickled
+``(layer, inner)`` pair.  Decode goes through an unpickler that admits
+only the control-plane classes (:data:`_CONTROL_CLASSES`); a pickle
+naming anything else raises :class:`CodecError` before it is looked up.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.core.fsr.messages import (
     ACK_BATCH_HEADER_BYTES,
@@ -155,10 +162,9 @@ class ControlFrame:
     Mirrors the simulator's :class:`repro.net.dispatch.LayerDemux`
     envelope: ``layer`` routes to the right handler ("vsc", "fd"),
     ``inner`` is the layer's own message object.  Control messages
-    carry arbitrary protocol dataclasses (flush states, recovery
-    records), so the body is pickled — acceptable on the trusted
-    localhost harness the live runtime targets, and every pickle
-    failure is still surfaced as :class:`CodecError` only.
+    carry protocol dataclasses (flush states, recovery records), so the
+    body is pickled; decode admits only the control-plane classes, and
+    every failure, a refused class included, is :class:`CodecError`.
     """
 
     layer: str
@@ -188,13 +194,6 @@ WireMessage = Union[FwdData, SeqData, AckBatch, Hello, ControlFrame, FrameBatch]
 _BATCHABLE = (FwdData, SeqData, AckBatch)
 
 
-def _pack(fmt: struct.Struct, *values: object) -> bytes:
-    try:
-        return fmt.pack(*values)
-    except struct.error as exc:
-        raise CodecError(f"unrepresentable field value: {exc}") from exc
-
-
 def _payload_bytes(message: Union[FwdData, SeqData]) -> bytes:
     payload = message.payload
     if isinstance(payload, (bytearray, memoryview)):
@@ -209,105 +208,6 @@ def _payload_bytes(message: Union[FwdData, SeqData]) -> bytes:
             f"{len(payload)} bytes"
         )
     return payload
-
-
-def _encode_acks(acks: List[AckMsg], container_view: int) -> bytes:
-    parts = []
-    for ack in acks:
-        if ack.view_id != container_view:
-            raise CodecError(
-                f"ack {ack.message_id} has view {ack.view_id}, carrier has "
-                f"view {container_view}; the 24-byte ack record carries no "
-                "view field"
-            )
-        flags = FLAG_STABLE if ack.stable else 0
-        parts.append(
-            _pack(
-                _ACK,
-                ack.message_id.origin,
-                ack.message_id.local_seq,
-                ack.sequence,
-                flags,
-            )
-        )
-    return b"".join(parts)
-
-
-def _encode_segment(
-    segment: Optional[Tuple[MessageId, int, int]], origin: ProcessId
-) -> bytes:
-    if segment is None:
-        return b""
-    app_id, index, count = segment
-    if app_id.origin != origin:
-        raise CodecError(
-            f"segment app id {app_id} has origin {app_id.origin}, message "
-            f"has origin {origin}; the 12-byte segment record stores only "
-            "the application local_seq"
-        )
-    return _pack(_SEGMENT, app_id.local_seq, index, count)
-
-
-def encode_message(message: WireMessage) -> bytes:
-    """Serialize ``message`` to a frame body (no length prefix)."""
-    if isinstance(message, Hello):
-        return _pack(_HELLO, KIND_HELLO, message.channel, message.node_id)
-
-    if isinstance(message, ControlFrame):
-        if not isinstance(message.layer, str):
-            raise CodecError(
-                f"control layer must be str, got {type(message.layer).__name__}"
-            )
-        try:
-            body = pickle.dumps((message.layer, message.inner))
-        except Exception as exc:
-            raise CodecError(f"unpicklable control message: {exc}") from exc
-        return _CONTROL_KIND.pack(KIND_CONTROL) + body
-
-    if isinstance(message, FrameBatch):
-        return batch_header(len(message.messages)) + b"".join(
-            encode_frame(_require_batchable(inner))
-            for inner in message.messages
-        )
-
-    if isinstance(message, AckBatch):
-        header = _pack(
-            _ACK_BATCH_HEADER,
-            KIND_ACK_BATCH,
-            0,
-            len(message.acks),
-            message.view_id,
-            message.watermark,
-        )
-        return header + _encode_acks(message.acks, message.view_id)
-
-    if isinstance(message, (FwdData, SeqData)):
-        is_seq = isinstance(message, SeqData)
-        flags = 0
-        if message.segment is not None:
-            flags |= FLAG_SEGMENT
-        header = _pack(
-            _DATA_HEADER,
-            KIND_SEQ_DATA if is_seq else KIND_FWD_DATA,
-            flags,
-            len(message.piggybacked),
-            message.message_id.origin,
-            message.message_id.local_seq,
-            message.origin,
-            message.view_id,
-            message.watermark,
-        )
-        parts = [header]
-        if is_seq:
-            parts.append(
-                _pack(_SEQ_EXTRA, message.sequence, 1 if message.stable else 0)
-            )
-        parts.append(_encode_segment(message.segment, message.origin))
-        parts.append(_encode_acks(message.piggybacked, message.view_id))
-        parts.append(_payload_bytes(message))
-        return b"".join(parts)
-
-    raise CodecError(f"cannot encode {type(message).__name__}")
 
 
 def _require_batchable(message: object) -> Union[FwdData, SeqData, AckBatch]:
@@ -325,9 +225,41 @@ def batch_header(count: int) -> bytes:
     return _BATCH_HEADER.pack(KIND_BATCH, 0, count)
 
 
+def encode_message(message: WireMessage) -> bytes:
+    """Serialize ``message`` to a frame body (no length prefix)."""
+    return encode_frame(message)[LENGTH_PREFIX_BYTES:]
+
+
 def encode_frame(message: WireMessage) -> bytes:
-    """Serialize ``message`` to a complete length-prefixed frame."""
-    body = encode_message(message)
+    """Serialize ``message`` to a complete length-prefixed frame.
+
+    Ring data goes through :class:`FrameEncoder`, the one encoder of
+    ``FwdData``/``SeqData``/``AckBatch``; the other kinds are packed here.
+    """
+    if isinstance(message, _BATCHABLE):
+        return _ENCODER.encode_frame(message)
+    if isinstance(message, FrameBatch):
+        body = batch_header(len(message.messages)) + b"".join(
+            encode_frame(_require_batchable(inner))
+            for inner in message.messages
+        )
+    elif isinstance(message, Hello):
+        try:
+            body = _HELLO.pack(KIND_HELLO, message.channel, message.node_id)
+        except struct.error as exc:
+            raise CodecError(f"unrepresentable field value: {exc}") from exc
+    elif isinstance(message, ControlFrame):
+        if not isinstance(message.layer, str):
+            raise CodecError(
+                f"control layer must be str, got {type(message.layer).__name__}"
+            )
+        try:
+            pickled = pickle.dumps((message.layer, message.inner))
+        except Exception as exc:
+            raise CodecError(f"unpicklable control message: {exc}") from exc
+        body = _CONTROL_KIND.pack(KIND_CONTROL) + pickled
+    else:
+        raise CodecError(f"cannot encode {type(message).__name__}")
     if len(body) > MAX_FRAME_BYTES:
         raise CodecError(
             f"frame body of {len(body)} bytes exceeds MAX_FRAME_BYTES"
@@ -354,15 +286,15 @@ def batch_frame_parts(frames: List[bytes]) -> List[bytes]:
 
 
 class FrameEncoder:
-    """Allocation-light frame encoder for the transport hot path.
+    """The ring-data encoder: ``FwdData``, ``SeqData`` and ``AckBatch``.
 
     Packs the cached :class:`struct.Struct` headers straight into one
     reusable ``bytearray`` per transport instead of joining per-part
-    ``bytes`` temporaries (the EpTO exemplar's idiom).  Output is
-    byte-identical to :func:`encode_frame` — a property test enforces
-    it — and every validation the slow path performs is preserved.
-    Non-ring messages (greetings, control, explicit batches) fall back
-    to the plain encoder; they are off the hot path by construction.
+    ``bytes`` temporaries (the EpTO exemplar's idiom).  It is the only
+    encoder of those kinds — :func:`encode_frame` delegates to a module
+    instance — and ``tests/live/test_codec.py`` pins its bytes.
+    Non-ring messages (greetings, control, explicit batches) go to
+    :func:`encode_frame`; they are off the hot path by construction.
     """
 
     def __init__(self, initial_capacity: int = 64 * 1024) -> None:
@@ -488,6 +420,10 @@ class FrameEncoder:
         except struct.error as exc:
             raise CodecError(f"unrepresentable field value: {exc}") from exc
         return bytes(memoryview(buf)[:offset])
+
+
+#: The encoder behind :func:`encode_frame` for ring data.
+_ENCODER = FrameEncoder()
 
 
 def _truncated(what: str, needed: int, total: int) -> CodecError:
@@ -654,6 +590,44 @@ def decode_batch_entries(
     return messages
 
 
+#: The only classes a control frame's pickle may name: the membership
+#: and failure-detector messages and the recovery state a flush carries
+#: (multiring's composite state is a dict of these ``FlushState``s).
+_CONTROL_CLASSES = frozenset(
+    [
+        ("repro.vsc.membership", name)
+        for name in (
+            "FlushState", "_FlushReq", "_FlushAck", "_ViewInstall",
+            "_InstallAck", "_ViewCommit", "_JoinReq", "_LeaveReq",
+            "_RotateReq",
+        )
+    ]
+    + [
+        ("repro.core.fsr.recovery", name)
+        for name in ("FSRFlushState", "RetainedMessage", "MergedRecovery")
+    ]
+    + [
+        ("repro.failure.detector", "_Heartbeat"),
+        ("repro.types", "MessageId"),
+    ]
+)
+
+
+class _ControlUnpickler(pickle.Unpickler):
+    """Unpickles a control frame, refusing every class but the above.
+
+    A pickle that names any other global (a function to call, a class
+    to build) fails before anything is looked up or called.
+    """
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) not in _CONTROL_CLASSES:
+            raise CodecError(
+                f"control frame names {module}.{name}, not a control type"
+            )
+        return super().find_class(module, name)
+
+
 def decode_message(body: Union[bytes, memoryview]) -> WireMessage:
     """Parse one frame body back into a message.
 
@@ -682,7 +656,9 @@ def decode_message(body: Union[bytes, memoryview]) -> WireMessage:
 
     if kind == KIND_CONTROL:
         try:
-            payload = pickle.loads(body[_CONTROL_KIND.size:])
+            payload = _ControlUnpickler(
+                io.BytesIO(body[_CONTROL_KIND.size:])
+            ).load()
         except Exception as exc:
             raise CodecError(f"malformed control frame: {exc}") from exc
         if (

@@ -26,6 +26,19 @@ def is_end_marker(size_bytes: int) -> bool:
     return size_bytes == 0
 
 
+#: Journal line type -> the node-record list it is an entry of: a
+#: journal line is the entry with ``"type"`` in front, so the node
+#: writes both from one entry and the launcher files a crashed node's
+#: lines back without re-shaping them.  (A node record carries its
+#: ``final_view``, not the ``views`` list.)
+JOURNAL_LISTS = {
+    "delivery": "deliveries",
+    "app_delivery": "app_deliveries",
+    "broadcast": "broadcasts",
+    "view": "views",
+}
+
+
 @dataclass
 class LiveClusterSpec:
     """One live loopback benchmark configuration."""

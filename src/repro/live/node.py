@@ -1,41 +1,35 @@
 """One FSR process hosted in one OS process, over real TCP.
 
-``run_node(config)`` is the whole lifetime of a live cluster member:
+``run_node(config)`` is the whole lifetime of a live cluster member, a
+:class:`LiveNode` taken through four steps:
 
-1. build the protocol stack — the *same* :class:`FSRProcess` and
-   :class:`GroupMembership` the simulator runs, wired to an
-   :class:`AsyncioScheduler` and a TCP :class:`RingTransport` instead of
-   the simulated NIC;
-2. barrier on evidence — ring connectivity (outbound connected and
-   predecessor greeted) and, with live membership, every member's
-   listener up — then install the bootstrap view and start;
-3. if this node is a sender, drive a closed-loop windowed workload
-   until the configured deadline (or a fixed message count), then
-   broadcast the zero-length end marker;
-4. stop on evidence (PROTOCOL.md App. E), then return a JSON-able
-   record of every broadcast and delivery, timestamped with the
-   system-wide monotonic clock so the runner can merge logs across
-   processes.
+1. **build** (the constructor) — the *same* :class:`FSRProcess` and
+   :class:`GroupMembership` the simulator runs, on an
+   :class:`AsyncioScheduler`, talking to a TCP :class:`RingTransport`
+   (its ``Port``) instead of the simulated NIC; it awaits nothing and
+   opens no socket;
+2. **start** — listen, barrier on evidence (ring connectivity and, with
+   live membership, every member's listener up), install the bootstrap
+   view and start; a sender then drives a closed-loop windowed workload
+   until the deadline (or a fixed message count), then broadcasts the
+   zero-length end marker;
+3. **run** — poll until the stop rule holds (PROTOCOL.md App. E);
+4. **record** — shut down and return a JSON-able record of every
+   broadcast and delivery, timestamped with the system-wide monotonic
+   clock so the runner can merge logs across processes.
 
-Membership comes in two modes:
+Membership is **static** (default: the detector never suspects anyone
+and membership's port is a :class:`SilentPort` that rejects any use)
+or **live** (``view_changes=True``, the live chaos campaign): a
+:class:`HeartbeatFailureDetector` over the transport's control plane —
+its timeout the ceiling for silent failures, the transport's crash
+evidence (``on_peer_refused``) the fast path for a kill — and
+:class:`GroupMembership`'s flush/install over TCP; each installed view
+re-points the ring *before* FSR resumes pumping (:class:`_RewiringClient`).
 
-* **static** (default): the detector never suspects anyone, the
-  membership layer installs the bootstrap view and stays silent — its
-  control port is a :class:`SilentPort` that loudly rejects any use.
-* **live view changes** (``view_changes=True``, used by the live chaos
-  campaign): a real :class:`HeartbeatFailureDetector` runs on the
-  asyncio scheduler over the transport's control plane — its timeout
-  the ceiling for silent failures, the transport's crash evidence
-  (``on_peer_refused``) the fast path for a killed process — and
-  :class:`GroupMembership`'s flush/install protocol executes over TCP.
-  On every installed view the ring transport is re-pointed at the new
-  successor *before* FSR resumes pumping (:class:`_RewiringClient`).
-
-With ``journal_path`` set, every broadcast and delivery is additionally
-appended (and flushed) to a JSONL journal as it happens, so a node
-killed with SIGKILL still leaves its log behind — the chaos driver
-merges those journals into the invariant battery, which is what makes
-integrity/uniformity checks meaningful for crashed senders.
+With ``journal_path`` set, every record entry is also appended (and
+flushed) to a JSONL journal as it happens, so a node killed with
+SIGKILL still leaves its log for the chaos launcher's invariant battery.
 """
 
 from __future__ import annotations
@@ -44,8 +38,7 @@ import asyncio
 import logging
 import random
 import signal
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.api import BroadcastListener
 from repro.core.fsr.config import FSRConfig
@@ -58,7 +51,7 @@ from repro.failure.detector import (
     StaticDetector,  # bench/layers.py imports it from this module
     adaptive_floor_s,
 )
-from repro.live.config import LiveNodeConfig, is_end_marker
+from repro.live.config import JOURNAL_LISTS, LiveNodeConfig, is_end_marker
 from repro.live.scheduler import AsyncioScheduler
 from repro.live.transport import RingTransport
 from repro.net.channel import MAX_RETRIES
@@ -85,144 +78,64 @@ _TELEMETRY_SNAPSHOT_S = 1.0
 #: same numbers.  (Only ring 0 carries the control plane, so the sum of
 #: the two control counters is ring 0's.)
 _TRANSPORT_COUNTERS = (
-    "frames_sent",
-    "frames_received",
-    "bytes_sent",
-    "bytes_received",
-    "reconnects",
-    "retargets",
-    "control_frames_sent",
-    "control_frames_received",
-    "control_flushes",
-    "tx_pauses",
-    "flushes",
-    "batches_sent",
-    "batched_frames",
-    "acks_ridden",
-    "batches_received",
-    "rx_chunks",
-    "rx_compacted_bytes",
+    "frames_sent", "frames_received", "bytes_sent", "bytes_received",
+    "reconnects", "retargets", "control_frames_sent",
+    "control_frames_received", "control_flushes", "tx_pauses", "flushes",
+    "batches_sent", "batched_frames", "acks_ridden", "batches_received",
+    "rx_chunks", "rx_compacted_bytes",
 )
-
-
-class LivePort:
-    """Adapts :class:`RingTransport` to the ``Port`` surface FSR uses.
-
-    With a :class:`~repro.obs.profile.CpuAccountant`, inbound dispatch
-    (the FSR automaton's whole receive path runs inside the handler)
-    is charged to the ``fsr`` stage and outbound sends (codec encode +
-    enqueue) to ``encode`` — the seam that splits protocol CPU out of
-    event-loop wall time.
-    """
-
-    def __init__(self, transport: RingTransport, profile: Any = None) -> None:
-        self._transport = transport
-        self._handler = None
-        self._fsr_stage = profile.stage("fsr") if profile is not None else None
-        self._encode_stage = (
-            profile.stage("encode") if profile is not None else None
-        )
-        transport.on_message = self._dispatch
-
-    @property
-    def node_id(self) -> ProcessId:
-        return self._transport.node_id
-
-    def send(self, dst: ProcessId, message: Any, size_bytes=None) -> None:
-        # size_bytes is the simulator's accounting hint; the codec
-        # serialises the real payload, so it is not needed here.
-        if self._encode_stage is None:
-            self._transport.send(dst, message)
-        else:
-            with self._encode_stage:
-                self._transport.send(dst, message)
-
-    def on_receive(self, handler) -> None:
-        self._handler = handler
-
-    def _dispatch(self, src: ProcessId, message: Any) -> None:
-        if self._handler is None:
-            return
-        if self._fsr_stage is None:
-            self._handler(src, message)
-        else:
-            with self._fsr_stage:
-                self._handler(src, message)
 
 
 class ControlPort:
     """One control-plane layer's port, mirroring the sim's ``LayerDemux``.
 
     Sends go through :meth:`RingTransport.send_control` with this
-    port's layer tag; receives arrive via :class:`_ControlDispatch`.
+    port's layer tag.  :class:`_ControlDispatch` is the transport's
+    ``on_control`` upcall: it hands each frame to its layer's handler.
     """
 
-    def __init__(self, transport: RingTransport, layer: str) -> None:
-        self._transport = transport
+    def __init__(
+        self, transport: RingTransport, layer: str, dispatch: "_ControlDispatch"
+    ) -> None:
+        self.node_id = transport.node_id
         self.layer = layer
-        self._handler: Optional[Callable[[ProcessId, Any], None]] = None
-
-    @property
-    def node_id(self) -> ProcessId:
-        return self._transport.node_id
+        self._transport = transport
+        self._dispatch = dispatch
 
     def send(self, dst: ProcessId, message: Any, size_bytes=None) -> None:
         self._transport.send_control(dst, self.layer, message)
 
-    def on_receive(self, handler) -> None:
-        self._handler = handler
-
-    def dispatch(self, src: ProcessId, message: Any) -> None:
-        if self._handler is not None:
-            self._handler(src, message)
+    def on_receive(self, handler: Callable[[ProcessId, Any], None]) -> None:
+        self._dispatch[self.layer] = handler
 
 
-class _ControlDispatch:
-    """Routes inbound control frames to the right layer's port."""
-
-    def __init__(self) -> None:
-        self._ports: Dict[str, ControlPort] = {}
-
-    def port(self, transport: RingTransport, layer: str) -> ControlPort:
-        port = self._ports[layer] = ControlPort(transport, layer)
-        return port
+class _ControlDispatch(dict):
+    """Layer -> handler; called with each inbound control frame."""
 
     def __call__(self, layer: str, src: ProcessId, inner: Any) -> None:
-        port = self._ports.get(layer)
-        if port is not None:
-            port.dispatch(src, inner)
+        handler = self.get(layer)
+        if handler is not None:
+            handler(src, inner)
 
 
 class _RewiringClient:
     """VSC client wrapper: re-point the ring hop before FSR resumes.
 
-    ``FSRProcess.on_view`` immediately pumps traffic to the *new* ring
-    successor, and the transport only accepts its configured successor
-    — so the transport must be retargeted first.  Everything else
-    delegates to the wrapped process.
+    ``FSRProcess.on_view`` pumps to the *new* successor at once, and the
+    transport only accepts its configured successor, so the transport
+    is retargeted first.  The rest delegates to the process.
     """
 
-    def __init__(
-        self, process: FSRProcess, rewire: Callable[[View], None]
-    ) -> None:
+    def __init__(self, process: Any, rewire: Callable[[View], None]) -> None:
         self._process = process
         self._rewire = rewire
 
-    def on_block(self) -> None:
-        self._process.on_block()
-
-    def collect_flush_state(self) -> FlushState:
-        return self._process.collect_flush_state()
-
-    def merge_states(self, states, receivers):
-        return self._process.merge_states(states, receivers)
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._process, name)
 
     def on_view(self, view: View, state: Optional[FlushState]) -> None:
         self._rewire(view)
         self._process.on_view(view, state)
-
-    def on_view_commit(self, view: View) -> None:
-        self._process.on_view_commit(view)
 
 
 def delivery_entry(delivery: Delivery) -> Dict[str, Any]:
@@ -266,16 +179,14 @@ async def start_barrier(
 ) -> None:
     """The start barrier: evidence, not a timer (DESIGN.md §5c).
 
-    Every ring's successor connection is up and its predecessor has
-    said Hello; with ``members`` (live membership), ring 0's control
-    link to every member is connected too — every member's listener is
-    up, which a ring neighbour does not prove about a non-adjacent
-    member once n >= 4.  The protocol, and with it the heartbeat
-    detector's monitoring, starts only once this holds, so a sibling
-    that starts slowly is waited for, not suspected; traffic from peers
-    that pass earlier waits in FSR's future-view buffer until our own
-    bootstrap view installs.  Stamps ``ring_up`` and ``members_up`` into
-    ``stamps``; raises :class:`NetworkError` past ``timeout`` per wait.
+    Every ring's successor connection is up and its predecessor said
+    Hello; with ``members`` (live membership), ring 0's control link to
+    every member is up too (a ring neighbour does not prove a
+    non-adjacent member's listener once n >= 4).  The protocol and the
+    detector's monitoring start only then, so a slow sibling is waited
+    for, not suspected; traffic from peers that pass earlier waits in
+    FSR's future-view buffer.  Stamps ``ring_up`` and ``members_up``;
+    raises :class:`NetworkError` past ``timeout`` per wait.
     """
     loop = asyncio.get_running_loop()
     for ring_index, ring_transport in enumerate(transports):
@@ -302,51 +213,97 @@ async def start_barrier(
     stamps["members_up"] = loop.time()
 
 
-@dataclass
-class _NodeRun:
-    """Mutable state of one node's workload while the loop runs."""
+def _staged(stage: Any, call: Callable[..., None]) -> Callable[..., None]:
+    """``call`` charged to a :class:`CpuAccountant` stage."""
+    def charged(*args: Any) -> None:
+        with stage:
+            call(*args)
 
-    deliveries: List[Dict[str, Any]] = field(default_factory=list)
-    app_deliveries: List[Dict[str, Any]] = field(default_factory=list)
-    broadcasts: List[Dict[str, Any]] = field(default_factory=list)
-    sent: List[MessageId] = field(default_factory=list)
-    outstanding: int = 0
-    deadline: float = float("inf")
-    #: This sender has broadcast its end marker.
-    ended: bool = False
-    #: Senders whose end marker this node has delivered.
-    ended_senders: Set[ProcessId] = field(default_factory=set)
+    return charged
 
 
-async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
-    loop = asyncio.get_running_loop()
-    # First thing: from here on a SIGTERM is a stop request, never the
-    # default kill, so a stop that lands while the node starts still
-    # ends it with exit 0 and a record.
-    stop_requested = asyncio.Event()
-    try:
-        loop.add_signal_handler(signal.SIGTERM, stop_requested.set)
-    except (NotImplementedError, RuntimeError):  # pragma: no cover
-        pass
-    sched = AsyncioScheduler(loop)
-    spec = config.spec
-    me = config.node_id
-    members = tuple(range(spec.processes))
-    position = members.index(me)
-    successor = members[(position + 1) % len(members)]
-    journal = JsonlWriter(config.journal_path)
-    logger = _configure_logging(config)
-    telemetry = Telemetry()
-    # capacity=0: sinks (the span journal) still fire, but nothing
-    # accumulates in memory — a live node's spans live on disk only.
-    spans = SpanLog(enabled=config.span_path is not None, capacity=0)
-    # Request-trace events stream the same way: capacity=0, journal
-    # sink attached once the span journal opens.
-    reqlog = RequestLog(enabled=spec.trace_requests, capacity=0)
-    cpu = CpuAccountant() if config.profile_path is not None else None
+class LiveNode:
+    """One cluster member: build (here), :meth:`start`, :meth:`run`,
+    :meth:`record` (module docstring; DESIGN.md §5c).
 
-    shaper = None
-    if spec.netem_events:
+    Every record entry goes through :meth:`_entry`, which files it in
+    its list and journals it (``JOURNAL_LISTS``).
+    """
+
+    def __init__(
+        self,
+        config: LiveNodeConfig,
+        loop: asyncio.AbstractEventLoop,
+        stop_requested: asyncio.Event,
+    ) -> None:
+        self.config = config
+        self.spec = spec = config.spec
+        self.me = me = config.node_id
+        self.stop_requested = stop_requested
+        self.sched = AsyncioScheduler(loop)
+        self.members = tuple(range(spec.processes))
+        position = self.members.index(me)
+        self.successor = self.members[(position + 1) % len(self.members)]
+        self.journal = JsonlWriter(config.journal_path)
+        self.logger = _configure_logging(config)
+        self.telemetry = Telemetry()
+        # capacity=0: sinks (the span journal, and the request trace's
+        # once it opens) still fire, but nothing accumulates in memory.
+        self.spans = SpanLog(
+            enabled=config.span_path is not None, capacity=0
+        )
+        self.reqlog = RequestLog(enabled=spec.trace_requests, capacity=0)
+        profiled = config.profile_path is not None
+        self.cpu = CpuAccountant() if profiled else None
+        self.profiler = SamplingProfiler() if profiled else None
+        # The lag sampler always runs (10 Hz timer — its absence from the
+        # disabled-cost budget is deliberate, it IS the baseline).
+        self.lag_sampler = EventLoopLagSampler(self.sched, self.telemetry)
+        self.span_journal: Optional[SpanJournal] = None
+        self.metrics_server: Any = None
+
+        #: Record entries by journal line type.
+        self.entries: Dict[str, List[Dict[str, Any]]] = {
+            kind: [] for kind in JOURNAL_LISTS
+        }
+        #: Own workload messages broadcast but not yet delivered here.
+        self.outstanding = 0
+        self.deadline = float("inf")
+        #: This sender has broadcast its end marker.
+        self.ended = False
+        #: Senders whose end marker this node has delivered.
+        self.ended_senders: Set[ProcessId] = set()
+        #: Start-up stage stamps (``start`` line, record; DESIGN.md §5c).
+        self.startup: Dict[str, float] = {}
+        self.start_time = 0.0
+        self.timed_out = False
+
+        self.shaper = self._build_shaper()
+        self.transports = self._build_transports()
+        self.transport = self.transports[0]
+        self.detector, vsc_port = self._build_detector()
+        self.membership = GroupMembership(
+            self.sched, vsc_port, self.detector, me=me,
+            initial_members=self.members, telemetry=self.telemetry,
+            require_quorum=spec.require_quorum,
+        )
+        self.process = self._build_process()
+        self.serve_server: Any = None
+        self.serve_rsm: Any = None
+        if config.serve_addr is not None:
+            self._build_serve()
+        if spec.view_changes:
+            self.membership.set_client(
+                _RewiringClient(self.process, self._rewire)
+            )
+        self.process.set_listener(BroadcastListener(self._on_app_deliver))
+        self.process.on_protocol_deliver(self._on_protocol_deliver)
+
+    # -- build -----------------------------------------------------------
+    def _build_shaper(self) -> Any:
+        spec = self.spec
+        if not spec.netem_events:
+            return None
         # Imported lazily: repro.chaos's package init imports the live
         # runner, so a module-level import here would be circular.
         from repro.chaos.netem import NetShaper
@@ -359,286 +316,334 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
         floor = adaptive_floor_s(
             spec.heartbeat_interval_s, spec.heartbeat_timeout_s
         )
-        shaper = NetShaper(
-            me,
-            len(members),
+        return NetShaper(
+            self.me, len(self.members),
             tuple(FaultEvent.from_dict(e) for e in spec.netem_events),
-            spec.netem_scenario,
-            spec.netem_seed,
+            spec.netem_scenario, spec.netem_seed,
             delay_cap_s=max(0.0, floor - 2 * spec.heartbeat_interval_s),
-            telemetry=telemetry,
+            telemetry=self.telemetry,
         )
 
-    # One transport per inner ring.  Multi-ring rotation preserves the
-    # cyclic member order, so every node keeps the SAME ring successor
-    # in all rings — each extra ring is the same hop on its own port.
-    # Ring 0 carries the control plane (and the egress shaper, which
-    # models per-host faults); extra rings are pure data planes.
-    batching = spec.transport_batching()
-    transports: List[RingTransport] = []
-    for ring_index, addrs in enumerate(config.ring_addresses):
-        seed = (
-            f"live:{spec.run_seed}:{me}" if ring_index == 0
-            else f"live:{spec.run_seed}:{me}:{ring_index}"
-        )
-        transports.append(RingTransport(
-            node_id=me,
-            listen_addr=addrs[me],
-            successor_id=successor,
-            successor_addr=addrs[successor],
-            on_message=lambda src, msg: None,  # replaced by LivePort
-            peers=dict(addrs) if ring_index == 0 else None,
-            # With live membership a dead successor is not terminal: the
-            # view change retargets the hop, so keep dialling until then.
-            max_retries=None if spec.view_changes else MAX_RETRIES,
-            shaper=shaper if ring_index == 0 else None,
-            rng=random.Random(seed),
-            batching=batching,
-            telemetry=telemetry,
-        ))
-    transport = transports[0]
+    def _build_transports(self) -> List[RingTransport]:
+        """One transport per inner ring, all to the SAME successor
+        (multi-ring rotation keeps the cyclic member order).  Ring 0
+        carries the control plane and the egress shaper (per-host
+        faults); extra rings are pure data planes."""
+        spec, me, successor = self.spec, self.me, self.successor
+        batching = spec.transport_batching()
+        transports = []
+        for ring_index, addrs in enumerate(self.config.ring_addresses):
+            seed = (
+                f"live:{spec.run_seed}:{me}" if ring_index == 0
+                else f"live:{spec.run_seed}:{me}:{ring_index}"
+            )
+            transports.append(RingTransport(
+                node_id=me,
+                listen_addr=addrs[me],
+                successor_id=successor,
+                successor_addr=addrs[successor],
+                on_message=lambda src, msg: None,  # the process's on_receive
+                peers=dict(addrs) if ring_index == 0 else None,
+                # With live membership a dead successor is not terminal:
+                # the view change retargets the hop, so keep dialling.
+                max_retries=None if spec.view_changes else MAX_RETRIES,
+                shaper=self.shaper if ring_index == 0 else None,
+                rng=random.Random(seed),
+                batching=batching,
+                telemetry=self.telemetry,
+            ))
+        return transports
 
-    vsc_port: Any
-    if spec.view_changes:
+    def _build_detector(self) -> Tuple[FailureDetector, Any]:
+        """The failure detector and membership's port: silent when static."""
+        spec = self.spec
+        if not spec.view_changes:
+            return StaticDetector(), SilentPort(self.me)
+        transport = self.transport
         dispatch = _ControlDispatch()
         transport.on_control = dispatch
-        fd_port = dispatch.port(transport, "fd")
-        vsc_port = dispatch.port(transport, "vsc")
         # RTT observation doubles heartbeat traffic (probe + echo), so
         # only turn it on when this run is collecting observability data.
         rtt_observer = None
-        if config.span_path is not None:
-            rtt_hist = telemetry.histogram("heartbeat_rtt_s")
+        if self.config.span_path is not None:
+            rtt_hist = self.telemetry.histogram("heartbeat_rtt_s")
             rtt_observer = lambda peer, rtt: rtt_hist.observe(rtt)  # noqa: E731
         detector_cls = (
             AdaptiveFailureDetector
             if spec.detector_mode == "adaptive"
             else HeartbeatFailureDetector
         )
-        detector: FailureDetector = detector_cls(
-            sched,
-            fd_port,
+        detector = detector_cls(
+            self.sched, ControlPort(transport, "fd", dispatch),
             interval_s=spec.heartbeat_interval_s,
             timeout_s=spec.heartbeat_timeout_s,
-            rtt_observer=rtt_observer,
-            telemetry=telemetry,
+            rtt_observer=rtt_observer, telemetry=self.telemetry,
         )
-        # The timeout above is the ceiling for silent failures; a kill
-        # the transport sees (hang-up, then the port refused) is
-        # suspected at once (DESIGN.md §5c).
+        # The timeout is the ceiling for silent failures; a kill the
+        # transport sees (hang-up, then port refused) is suspected at
+        # once (DESIGN.md §5c).
         transport.on_peer_refused = detector.on_peer_refused
         # Registered ahead of membership's own callback: the journal
         # line carries the instant of suspicion, before the flush.
-        detector.on_suspect(lambda peer: journal.write(
-            {"type": "suspect", "peer": peer, "time": sched.now}
+        detector.on_suspect(lambda peer: self.journal.write(
+            {"type": "suspect", "peer": peer, "time": self.sched.now}
         ))
-    else:
-        fd_port = None
-        vsc_port = SilentPort(me)
-        detector = StaticDetector()
-    membership = GroupMembership(
-        sched,
-        vsc_port,
-        detector,
-        me=me,
-        initial_members=members,
-        telemetry=telemetry,
-        require_quorum=spec.require_quorum,
-    )
-    process: Any
-    if spec.shards > 1:
-        from repro.protocols.multiring import (
-            MultiRingConfig,
-            MultiRingProcess,
-            RingLink,
-        )
+        return detector, ControlPort(transport, "vsc", dispatch)
 
-        links = [
-            RingLink(
-                ring=ring_index,
-                port=LivePort(ring_transport, cpu),
-                tx_gate=(lambda _t=ring_transport: _t.tx_ready),
-                on_tx_idle=ring_transport.on_tx_idle,
+    def _build_process(self) -> Any:
+        """The protocol, talking to its ring transport(s) directly.
+
+        A profiled run charges each transport's upcall (the automaton's
+        whole receive path) to the ``fsr`` stage and its ``send`` (codec
+        encode + enqueue) to ``encode``; any other run adds no call.
+        """
+        spec, transports = self.spec, self.transports
+        fsr = FSRConfig(t=spec.t)
+        process: Any
+        if spec.shards > 1:
+            from repro.protocols.multiring import (
+                MultiRingConfig,
+                MultiRingProcess,
+                RingLink,
             )
-            for ring_index, ring_transport in enumerate(transports)
-        ]
-        process = MultiRingProcess(
-            sched,
-            membership,
-            MultiRingConfig(shards=spec.shards, fsr=FSRConfig(t=spec.t)),
-            links,
-            spans=spans,
-        )
-    else:
-        port = LivePort(transport, cpu)
-        process = FSRProcess(
-            sched,
-            port,
-            membership,
-            FSRConfig(t=spec.t),
-            tx_gate=lambda: transport.tx_ready,
-            spans=spans,
-        )
-        transport.on_tx_idle(process.on_tx_ready)
 
-    serve_server: Any = None
-    if config.serve_addr is not None:
-        # Imported lazily: repro.serve imports the live scheduler, so a
-        # module-level import here would be circular for some paths.
+            links = [
+                RingLink(
+                    ring=ring_index, port=ring_transport,
+                    tx_gate=(lambda _t=ring_transport: _t.tx_ready),
+                    on_tx_idle=ring_transport.on_tx_idle,
+                )
+                for ring_index, ring_transport in enumerate(transports)
+            ]
+            process = MultiRingProcess(
+                self.sched, self.membership,
+                MultiRingConfig(shards=spec.shards, fsr=fsr), links,
+                spans=self.spans,
+            )
+        else:
+            transport = self.transport
+            process = FSRProcess(
+                self.sched, transport, self.membership, fsr,
+                tx_gate=lambda: transport.tx_ready, spans=self.spans,
+            )
+            transport.on_tx_idle(process.on_tx_ready)
+        if self.cpu is not None:
+            fsr_stage = self.cpu.stage("fsr")
+            encode_stage = self.cpu.stage("encode")
+            for t in transports:
+                t.on_message = _staged(fsr_stage, t.on_message)
+                t.send = _staged(encode_stage, t.send)  # type: ignore
+        return process
+
+    def _build_serve(self) -> None:
+        # Imported lazily: repro.serve imports the live scheduler.
         from repro.serve.lease import LeaderLease
         from repro.serve.server import SessionServer
         from repro.serve.session import SessionMachine
         from repro.smr.kvstore import KVStore
         from repro.smr.machine import ReplicatedStateMachine
 
-        serve_machine = SessionMachine(KVStore())
-        # Claims the broadcast listener slot; the combined listener
-        # installed below hands every delivery back to it.
-        serve_rsm = ReplicatedStateMachine(process, serve_machine)
-        serve_rsm.profile = cpu
-        serve_server = SessionServer(
-            me,
-            serve_rsm,
-            serve_machine,
-            LeaderLease(sched, me, spec.lease_s),
-            sched,
-            telemetry=telemetry,
-            journal=journal.write,
-            reqlog=reqlog,
+        machine = SessionMachine(KVStore())
+        # Claims the broadcast listener slot; the node's own listener,
+        # installed after this, hands every delivery back to it.
+        self.serve_rsm = ReplicatedStateMachine(self.process, machine)
+        self.serve_rsm.profile = self.cpu
+        self.serve_server = SessionServer(
+            self.me, self.serve_rsm, machine,
+            LeaderLease(self.sched, self.me, self.spec.lease_s), self.sched,
+            telemetry=self.telemetry, journal=self.journal.write,
+            reqlog=self.reqlog,
         )
 
-    if spec.view_changes:
-        def rewire(view: View) -> None:
-            ring = view.members
-            succ = ring[(ring.index(me) + 1) % len(ring)]
-            for ring_transport, addrs in zip(transports, config.ring_addresses):
-                ring_transport.retarget(succ, addrs[succ])
-            transport.prune_control_peers(view.members)
-            if serve_server is not None:
-                serve_server.on_view(view)
-            journal.write({
-                "type": "view",
-                "view_id": view.view_id,
-                "members": list(ring),
-                "time": sched.now,
-            })
+    # -- what the protocol calls ----------------------------------------
+    def _rewire(self, view: View) -> None:
+        """Re-point every ring at the view's successor (live membership)."""
+        ring = view.members
+        succ = ring[(ring.index(self.me) + 1) % len(ring)]
+        for ring_transport, addrs in zip(
+            self.transports, self.config.ring_addresses
+        ):
+            ring_transport.retarget(succ, addrs[succ])
+        self.transport.prune_control_peers(view.members)
+        if self.serve_server is not None:
+            self.serve_server.on_view(view)
+        self._entry("view", {
+            "view_id": view.view_id,
+            "members": list(ring),
+            "time": self.sched.now,
+        })
 
-        membership.set_client(_RewiringClient(process, rewire))
+    def _entry(self, kind: str, entry: Dict[str, Any]) -> None:
+        """File ``entry`` in its record list and journal it."""
+        self.entries[kind].append(entry)
+        if self.journal.enabled:
+            self.journal.write({"type": kind, **entry})
 
-    run = _NodeRun()
+    def _may_submit(self) -> bool:
+        cap = self.spec.messages_per_sender
+        if cap is not None:
+            return len(self.entries["broadcast"]) < cap
+        return self.sched.now < self.deadline
 
-    def may_submit() -> bool:
-        if spec.messages_per_sender is not None:
-            return len(run.sent) < spec.messages_per_sender
-        return sched.now < run.deadline
-
-    def refill() -> None:
+    def _refill(self) -> None:
         """Keep ``window`` own messages in flight until the deadline,
         then end the workload with the end marker."""
-        while run.outstanding < spec.window and may_submit():
-            payload = bytes(spec.message_bytes)
-            message_id = process.broadcast(payload)
-            run.outstanding += 1
-            run.sent.append(message_id)
-            record = {
+        spec = self.spec
+        while self.outstanding < spec.window and self._may_submit():
+            # Stamped before the call: a leader sequences its own
+            # message inside ``broadcast``.
+            submit_time = self.sched.now
+            message_id = self.process.broadcast(bytes(spec.message_bytes))
+            self.outstanding += 1
+            self._entry("broadcast", {
                 "origin": message_id.origin,
                 "local_seq": message_id.local_seq,
                 "size_bytes": spec.message_bytes,
-                "submit_time": sched.now,
-            }
-            run.broadcasts.append(record)
-            if journal.enabled:
-                journal.write({"type": "broadcast", **record})
-        if not (run.ended or may_submit()):
-            run.ended = True
-            process.broadcast(b"")
+                "submit_time": submit_time,
+            })
+        if not (self.ended or self._may_submit()):
+            self.ended = True
+            self.process.broadcast(b"")
 
-    def on_app_deliver(
-        origin: ProcessId, message_id: MessageId, payload: Any, size: int
+    def _on_app_deliver(
+        self, origin: ProcessId, message_id: MessageId, payload: Any, size: int
     ) -> None:
         if is_end_marker(size):  # not a workload message
-            run.ended_senders.add(origin)
-            return
-        record = {
-            "origin": origin,
-            "msg_origin": message_id.origin,
-            "local_seq": message_id.local_seq,
-            "size_bytes": size,
-            "time": sched.now,
-        }
-        run.app_deliveries.append(record)
-        if journal.enabled:
-            journal.write({"type": "app_delivery", **record})
-        if origin == me and run.outstanding > 0:
-            run.outstanding -= 1
-            # Refill from a fresh loop iteration, not reentrantly from
-            # inside the protocol's receive path.
-            loop.call_soon(refill)
-
-    def on_protocol_deliver(delivery: Delivery) -> None:
-        entry = delivery_entry(delivery)
-        run.deliveries.append(entry)
-        if journal.enabled:
-            journal.write({"type": "delivery", **entry})
-
-    if serve_server is not None:
-        def app_deliver(
-            origin: ProcessId, message_id: MessageId, payload: Any, size: int
-        ) -> None:
-            on_app_deliver(origin, message_id, payload, size)
+            self.ended_senders.add(origin)
+        else:
+            self._entry("app_delivery", {
+                "origin": origin,
+                "msg_origin": message_id.origin,
+                "local_seq": message_id.local_seq,
+                "size_bytes": size,
+                "time": self.sched.now,
+            })
+            if origin == self.me and self.outstanding > 0:
+                self.outstanding -= 1
+                # Refill from a fresh loop iteration, not reentrantly
+                # from inside the protocol's receive path.
+                self.sched.loop.call_soon(self._refill)
+        if self.serve_server is not None:
             # Total-order boundary: a traced request this node proposed
             # just got delivered — stamp "ordered" before the apply.
-            serve_server.note_ordered(message_id)
-            serve_rsm.deliver(origin, message_id, payload, size)
+            self.serve_server.note_ordered(message_id)
+            self.serve_rsm.deliver(origin, message_id, payload, size)
 
-        process.set_listener(BroadcastListener(app_deliver))
-    else:
-        process.set_listener(BroadcastListener(on_app_deliver))
-    process.on_protocol_deliver(on_protocol_deliver)
+    def _on_protocol_deliver(self, delivery: Delivery) -> None:
+        self._entry("delivery", delivery_entry(delivery))
 
-    for ring_transport in transports:
-        await ring_transport.start()
-    #: Start-up stages on the system-wide monotonic clock, in the
-    #: ``start`` journal line and the record (DESIGN.md §5c).
-    startup = {"listening": sched.now}
-    # A stop request ends the wait for the barrier, and the run with it.
-    barrier = asyncio.ensure_future(start_barrier(
-        transports, spec.connect_timeout_s,
-        members=spec.view_changes, stamps=startup,
-    ))
-    stopping = asyncio.ensure_future(stop_requested.wait())
-    await asyncio.wait(
-        (barrier, stopping), return_when=asyncio.FIRST_COMPLETED
-    )
-    stopping.cancel()
-    started = barrier.done()
-    if started:
-        barrier.result()  # a barrier that failed fails the node
-        logger.info(
-            "ring up: position=%d successor=%d members=%s", position,
-            successor, list(members),
+    # -- start -----------------------------------------------------------
+    async def start(self) -> None:
+        """Listen, pass the start barrier, then start the protocol.  A
+        stop request ends the wait for the barrier: nothing starts."""
+        for ring_transport in self.transports:
+            await ring_transport.start()
+        self.startup["listening"] = self.sched.now
+        barrier = asyncio.ensure_future(start_barrier(
+            self.transports, self.spec.connect_timeout_s,
+            members=self.spec.view_changes, stamps=self.startup,
+        ))
+        stopping = asyncio.ensure_future(self.stop_requested.wait())
+        await asyncio.wait(
+            (barrier, stopping), return_when=asyncio.FIRST_COMPLETED
         )
-    else:
-        barrier.cancel()
-        logger.info("stop requested (SIGTERM) before the start barrier")
+        stopping.cancel()
+        started = barrier.done()
+        if started:
+            barrier.result()  # a barrier that failed fails the node
+            self.logger.info(
+                "ring up: position=%d successor=%d members=%s",
+                self.members.index(self.me), self.successor,
+                list(self.members),
+            )
+        else:
+            barrier.cancel()
+            self.logger.info(
+                "stop requested (SIGTERM) before the start barrier"
+            )
+        # The span journal opens just before the protocol starts: peers
+        # that raced ahead may hand us deliverable traffic from inside
+        # ``process.start()``, and those spans must reach the sink.
+        config = self.config
+        if config.span_path is not None:
+            self.span_journal = SpanJournal(
+                config.span_path, self.me, start_time=self.sched.now
+            )
+            self.spans.add_sink(self.span_journal.write_event)
+            if self.spec.trace_requests:
+                self.reqlog.add_sink(self.span_journal.write_event)
+        if started:
+            if self.shaper is not None:
+                # Armed at protocol start so the schedule's event times
+                # share the origin of the workload deadline (and the sim's).
+                self.shaper.arm(self.sched)
+            self.process.start()
+            if self.serve_server is not None:
+                # The bootstrap view may have installed without the
+                # rewire hook (static mode has none); seed the lease
+                # from it either way.
+                self.serve_server.on_view(self.membership.view)
+                host, serve_port = config.serve_addr
+                await self.serve_server.start(host, serve_port)
+        self.lag_sampler.start()
+        if self.profiler is not None:
+            self.profiler.start()
+        if config.metrics_addr is not None:
+            await self._start_metrics()
+        self.start_time = self.sched.now
+        self.deadline = self.start_time + self.spec.duration_s
+        if started:
+            self.journal.write({
+                "type": "start", "time": self.start_time, "node_id": self.me,
+                "startup": self.startup,
+            })
+            self.logger.info("protocol started at %.6f", self.start_time)
+            if self.me in self.spec.sender_ids:
+                self._refill()
 
-    def transport_counters() -> Dict[str, int]:
+    async def _start_metrics(self) -> None:
+        # Imported lazily: a node without /metrics never loads it.
+        from repro.obs.httpexport import MetricsServer
+
+        self.metrics_server = MetricsServer(
+            self.me, self._telemetry_snapshot, self._health
+        )
+        host, port = self.config.metrics_addr
+        await self.metrics_server.start(host, port)
+        self.logger.info(
+            "metrics plane listening on %s:%s", host, self.metrics_server.port
+        )
+
+    def _health(self) -> Dict[str, Any]:
+        view, server = self.membership.view, self.serve_server
+        leads = bool(view.members) and view.members[0] == self.me
+        info: Dict[str, Any] = {
+            "node": self.me, "view_id": view.view_id,
+            "members": list(view.members),
+            "role": "leader" if leads else "follower",
+        }
+        if server is not None:
+            info["lease_holder"] = server.lease.leader
+            info["lease_held"] = server.lease.holds()
+            info["applied_index"] = server.machine.applied_index
+        return info
+
+    def _transport_counters(self) -> Dict[str, int]:
         return {
-            name: sum(getattr(t, name) for t in transports)
+            name: sum(getattr(t, name) for t in self.transports)
             for name in _TRANSPORT_COUNTERS
         }
 
-    def telemetry_snapshot() -> Dict[str, Any]:
-        """Registry snapshot merged with the transport's live counters."""
-        if cpu is not None:
-            cpu.publish(telemetry)
-        snap = telemetry.snapshot()
+    def _telemetry_snapshot(self) -> Dict[str, Any]:
+        """Registry snapshot merged with the transports' live counters."""
+        transports = self.transports
+        if self.cpu is not None:
+            self.cpu.publish(self.telemetry)
+        snap = self.telemetry.snapshot()
         counters = snap["counters"]
-        for name, value in transport_counters().items():
+        for name, value in self._transport_counters().items():
             counters[f"transport_{name}"] = value
-        counters["transport_tx_stalls"] = sum(
-            t.tx_stalls for t in transports
-        )
+        counters["transport_tx_stalls"] = sum(t.tx_stalls for t in transports)
         # Bytes per syscall: how many wire bytes each ring write (one
         # per loop turn) amortised.
         flushes = counters["transport_flushes"]
@@ -646,206 +651,150 @@ async def _run(config: LiveNodeConfig) -> Dict[str, Any]:
             counters["transport_bytes_sent"] / flushes if flushes else 0.0
         )
         snap["gauges"]["transport_bytes_per_flush"] = {
-            "value": bytes_per_flush,
-            "high_water": bytes_per_flush,
+            "value": bytes_per_flush, "high_water": bytes_per_flush,
         }
         snap["gauges"]["transport_queued_bytes"] = {
             "value": float(sum(t.queued_bytes for t in transports)),
-            "high_water": float(
-                sum(t.queued_bytes_hwm for t in transports)
-            ),
+            "high_water": float(sum(t.queued_bytes_hwm for t in transports)),
         }
-        if shaper is not None:
-            snap["netem"] = shaper.active_summary()
+        if self.shaper is not None:
+            snap["netem"] = self.shaper.active_summary()
         return snap
 
-    # The span journal opens just before the protocol starts: peers that
-    # raced ahead may hand us deliverable traffic from inside
-    # ``process.start()``, and those spans must reach the sink.
-    span_journal: Optional[SpanJournal] = None
-    if config.span_path is not None:
-        span_journal = SpanJournal(config.span_path, me, start_time=sched.now)
-        spans.add_sink(span_journal.write_event)
-        if spec.trace_requests:
-            reqlog.add_sink(span_journal.write_event)
-    if started:
-        if shaper is not None:
-            # Armed at protocol start so the schedule's event times share
-            # the same origin as the workload deadline (and the sim's).
-            shaper.arm(sched)
-        process.start()
-        if serve_server is not None:
-            # The bootstrap view may have installed without the rewire
-            # hook (static mode has none); seed the lease from it either
-            # way.
-            serve_server.on_view(membership.view)
-            host, serve_port = config.serve_addr
-            await serve_server.start(host, serve_port)
+    # -- run -------------------------------------------------------------
+    async def run(self) -> None:
+        """Run until told to stop.
 
-    # Observability plane: the lag sampler always runs (10 Hz timer —
-    # its absence from the disabled-cost budget is deliberate, it IS
-    # the baseline); profiler and /metrics are opt-in.
-    lag_sampler = EventLoopLagSampler(sched, telemetry)
-    lag_sampler.start()
-    profiler: Optional[SamplingProfiler] = None
-    if config.profile_path is not None:
-        profiler = SamplingProfiler()
-        profiler.start()
-    metrics_server: Any = None
-    if config.metrics_addr is not None:
-        # Imported lazily to keep the node's import graph lean when the
-        # metrics plane is off.
-        from repro.obs.httpexport import MetricsServer
-
-        def health() -> Dict[str, Any]:
-            view = membership.view
-            info: Dict[str, Any] = {
-                "node": me,
-                "view_id": view.view_id,
-                "members": list(view.members),
-                "role": (
-                    "leader"
-                    if view.members and view.members[0] == me
-                    else "follower"
-                ),
-            }
-            if serve_server is not None:
-                info["lease_holder"] = serve_server.lease.leader
-                info["lease_held"] = serve_server.lease.holds()
-                info["applied_index"] = serve_server.machine.applied_index
-            return info
-
-        metrics_server = MetricsServer(me, telemetry_snapshot, health)
-        metrics_host, metrics_port = config.metrics_addr
-        await metrics_server.start(metrics_host, metrics_port)
-        logger.info(
-            "metrics plane listening on %s:%s", metrics_host,
-            metrics_server.port,
-        )
-
-    start_time = sched.now
-    run.deadline = start_time + spec.duration_s
-    if started:
-        journal.write(
-            {"type": "start", "time": start_time, "node_id": me,
-             "startup": startup}
-        )
-        logger.info("protocol started at %.6f", start_time)
-        if me in spec.sender_ids:
-            refill()
-
-    # ------------------------------------------------------------------
-    # Run until told to stop.  A static node stops once it delivered
-    # every sender's end marker and its ring links wrote what it owes
-    # its successor (the last stable SeqData/ack, sent in the handler
-    # that delivered) or the successor, necessarily finished, hung up
-    # (PROTOCOL.md App. E).  With live membership or a serve tier the
-    # launcher owns termination: a peer may be dead but not yet
-    # suspected, and its view change must run.  ``max_run_s`` is the
-    # backstop; a stop before the start barrier ends the loop at once.
-    # ------------------------------------------------------------------
-    self_stops = not (spec.view_changes or serve_server is not None)
-    timed_out = False
-    last_snapshot = sched.now
-    while True:
-        try:
-            await asyncio.wait_for(stop_requested.wait(), _POLL_S)
-            logger.info("stop requested (SIGTERM)")
-            break
-        except asyncio.TimeoutError:
-            pass
-        now = sched.now
-        if (
-            span_journal is not None
-            and now - last_snapshot >= _TELEMETRY_SNAPSHOT_S
-        ):
-            span_journal.write_telemetry(now, telemetry_snapshot())
-            last_snapshot = now
-        if (
-            self_stops and run.ended_senders.issuperset(spec.sender_ids)
-            and all(t.written for t in transports)
-        ):
-            break
-        for ring_transport in transports:
-            if ring_transport.failure is not None:
-                logger.error(
-                    "transport failure: %s", ring_transport.failure
+        A static node stops once it delivered every sender's end marker
+        and its ring links wrote what it owes its successor (the last
+        stable SeqData/ack, sent in the handler that delivered) or the
+        successor, necessarily finished, hung up (PROTOCOL.md App. E).
+        With live membership or a serve tier the launcher owns
+        termination: a peer may be dead but not yet suspected, and its
+        view change must run.  ``max_run_s`` is the backstop; a stop
+        before the start barrier ends the loop at once.
+        """
+        spec, sched, transports = self.spec, self.sched, self.transports
+        self_stops = not (spec.view_changes or self.serve_server is not None)
+        last_snapshot = sched.now
+        while True:
+            try:
+                await asyncio.wait_for(self.stop_requested.wait(), _POLL_S)
+                self.logger.info("stop requested (SIGTERM)")
+                return
+            except asyncio.TimeoutError:
+                pass
+            now = sched.now
+            journal = self.span_journal
+            if (
+                journal is not None
+                and now - last_snapshot >= _TELEMETRY_SNAPSHOT_S
+            ):
+                journal.write_telemetry(now, self._telemetry_snapshot())
+                last_snapshot = now
+            if (
+                self_stops and self.ended_senders.issuperset(spec.sender_ids)
+                and all(t.written for t in transports)
+            ):
+                return
+            for t in transports:
+                if t.failure is not None:
+                    self.logger.error("transport failure: %s", t.failure)
+                    raise NetworkError(f"node {self.me}: {t.failure}")
+            if now - self.start_time >= spec.max_run_s:
+                self.timed_out = True
+                self.logger.warning(
+                    "max_run_s (%.1fs) reached", spec.max_run_s
                 )
-                raise NetworkError(f"node {me}: {ring_transport.failure}")
-        if now - start_time >= spec.max_run_s:
-            timed_out = True
-            logger.warning("max_run_s (%.1fs) reached", spec.max_run_s)
-            break
+                return
+
+    # -- record ----------------------------------------------------------
+    async def record(self) -> Dict[str, Any]:
+        """Shut down, then return the node record."""
+        end_time = self.sched.now
+        self.lag_sampler.stop()
+        if self.profiler is not None:
+            self.profiler.stop()
+            samples = self.profiler.write_collapsed(self.config.profile_path)
+            self.logger.info(
+                "profiler wrote %d samples to %s", samples,
+                self.config.profile_path,
+            )
+        if self.metrics_server is not None:
+            await self.metrics_server.close()
+        if self.serve_server is not None:
+            await self.serve_server.close()
+        self.process.stop()
+        if isinstance(self.detector, HeartbeatFailureDetector):
+            self.detector.stop()
+        for ring_transport in self.transports:
+            await ring_transport.close()
+        process, entries = self.process, self.entries
+        self.logger.info(
+            "stopped after %.3fs: %d broadcast, %d delivered, %d reconnects, "
+            "%d tx stalls", end_time - self.start_time,
+            len(entries["broadcast"]), len(entries["app_delivery"]),
+            self.transport.reconnects, self.transport.tx_stalls,
+        )
+        final_view = self.membership.view
+        record = {
+            "schema": "repro.live_node/1",
+            "node_id": self.me,
+            "start_time": self.start_time,
+            "startup": self.startup,
+            "end_time": end_time,
+            "timed_out": self.timed_out,
+            "final_view": {
+                "view_id": final_view.view_id,
+                "members": list(final_view.members),
+            },
+            **{
+                JOURNAL_LISTS[kind]: listed
+                for kind, listed in entries.items() if kind != "view"
+            },
+            "stats": {
+                **self._transport_counters(),
+                "broadcasts": process.stats_broadcasts,
+                "deliveries": process.stats_deliveries,
+                "acks_piggybacked": process.stats_acks_piggybacked,
+                "acks_standalone": process.stats_acks_standalone,
+            },
+            "telemetry": self._telemetry_snapshot(),
+        }
+        if self.serve_server is not None:
+            record["serve"] = self.serve_server.stats()
+        if self.cpu is not None:
+            record["cpu_stages"] = self.cpu.totals()
+        if self.metrics_server is not None:
+            record["metrics_port"] = self.metrics_server.port
+        if self.span_journal is not None:
+            self.span_journal.write_telemetry(end_time, record["telemetry"])
+            self.span_journal.close()
+        self.journal.write({"type": "end", "time": end_time})
+        self.journal.close()
+        return record
+
+
+async def _main(config: LiveNodeConfig) -> Dict[str, Any]:
+    loop = asyncio.get_running_loop()
+    # First thing: from here on a SIGTERM is a stop request, never the
+    # default kill, so a stop that lands while the node starts still
+    # ends it with exit 0 and a record.
+    stop_requested = asyncio.Event()
+    try:
+        loop.add_signal_handler(signal.SIGTERM, stop_requested.set)
+    except (NotImplementedError, RuntimeError):  # pragma: no cover
+        pass
+    node = LiveNode(config, loop, stop_requested)
+    await node.start()
+    await node.run()
     try:
         loop.remove_signal_handler(signal.SIGTERM)
     except (NotImplementedError, RuntimeError, ValueError):  # pragma: no cover
         pass
-
-    end_time = sched.now
-    lag_sampler.stop()
-    if profiler is not None:
-        profiler.stop()
-        samples = profiler.write_collapsed(config.profile_path)
-        logger.info(
-            "profiler wrote %d samples to %s", samples, config.profile_path
-        )
-    if metrics_server is not None:
-        await metrics_server.close()
-    if serve_server is not None:
-        await serve_server.close()
-    process.stop()
-    if isinstance(detector, HeartbeatFailureDetector):
-        detector.stop()
-    for ring_transport in transports:
-        await ring_transport.close()
-    logger.info(
-        "stopped after %.3fs: %d broadcast, %d delivered, %d reconnects, "
-        "%d tx stalls", end_time - start_time, len(run.sent),
-        len(run.app_deliveries), transport.reconnects, transport.tx_stalls,
-    )
-
-    final_view = membership.view
-    record = {
-        "schema": "repro.live_node/1",
-        "node_id": me,
-        "start_time": start_time,
-        "startup": startup,
-        "end_time": end_time,
-        "timed_out": timed_out,
-        "final_view": {
-            "view_id": final_view.view_id,
-            "members": list(final_view.members),
-        },
-        "deliveries": run.deliveries,
-        "app_deliveries": run.app_deliveries,
-        "broadcasts": run.broadcasts,
-        "sent": [
-            {"origin": mid.origin, "local_seq": mid.local_seq}
-            for mid in run.sent
-        ],
-        "stats": {
-            **transport_counters(),
-            "broadcasts": process.stats_broadcasts,
-            "deliveries": process.stats_deliveries,
-            "acks_piggybacked": process.stats_acks_piggybacked,
-            "acks_standalone": process.stats_acks_standalone,
-        },
-        "telemetry": telemetry_snapshot(),
-    }
-    if serve_server is not None:
-        record["serve"] = serve_server.stats()
-    if cpu is not None:
-        record["cpu_stages"] = cpu.totals()
-    if metrics_server is not None:
-        record["metrics_port"] = metrics_server.port
-    if span_journal is not None:
-        span_journal.write_telemetry(end_time, record["telemetry"])
-        span_journal.close()
-    journal.write({"type": "end", "time": end_time})
-    journal.close()
-    return record
+    return await node.record()
 
 
 def run_node(config: LiveNodeConfig) -> Dict[str, Any]:
     """Run one live node to completion; returns its result record."""
-    return asyncio.run(_run(config))
+    return asyncio.run(_main(config))

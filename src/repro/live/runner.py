@@ -39,7 +39,12 @@ from repro.cluster.results import AppDelivery, ExperimentResult
 from repro.core.api import DeliveryLog
 from repro.core.fsr.config import FSRConfig
 from repro.errors import NetworkError
-from repro.live.config import LiveClusterSpec, LiveNodeConfig, is_end_marker
+from repro.live.config import (
+    JOURNAL_LISTS,
+    LiveClusterSpec,
+    LiveNodeConfig,
+    is_end_marker,
+)
 from repro.metrics.collector import ExperimentMetrics, collect_metrics
 from repro.obs.analyze import (
     StageBreakdown,
@@ -451,15 +456,6 @@ def run_origin(records: Dict[ProcessId, Dict[str, Any]]) -> float:
     return min(record["start_time"] for record in records.values())
 
 
-#: Journal line type -> the node-record list it is an entry of.
-_JOURNAL_LISTS = {
-    "broadcast": "broadcasts",
-    "delivery": "deliveries",
-    "app_delivery": "app_deliveries",
-    "view": "views",
-}
-
-
 def _start_line(events: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     """The journal's ``start`` line (the start barrier), if among ``events``."""
     return next((e for e in events if e.get("type") == "start"), None)
@@ -486,17 +482,12 @@ def load_journal_record(
         "end_time": max(e["time"] for e in events if "time" in e),
         "startup": start.get("startup", {}),
         "timed_out": False,
-        "sent": [],
-        **{key: [] for key in _JOURNAL_LISTS.values()},
+        **{key: [] for key in JOURNAL_LISTS.values()},
     }
     for event in events:
         kind = event.pop("type", None)
-        if kind in _JOURNAL_LISTS:
-            record[_JOURNAL_LISTS[kind]].append(event)
-        if kind == "broadcast":
-            record["sent"].append(
-                {"origin": event["origin"], "local_seq": event["local_seq"]}
-            )
+        if kind in JOURNAL_LISTS:
+            record[JOURNAL_LISTS[kind]].append(event)
     return record
 
 
@@ -551,11 +542,6 @@ def merge_node_records(
             )
             for entry in record["app_deliveries"]
         ]
-        if record["sent"]:
-            sent[pid] = [
-                MessageId(entry["origin"], entry["local_seq"])
-                for entry in record["sent"]
-            ]
         for entry in record["broadcasts"]:
             message_id = MessageId(entry["origin"], entry["local_seq"])
             broadcasts.append(
@@ -566,6 +552,7 @@ def merge_node_records(
                 )
             )
             broadcast_origin[message_id] = pid
+            sent.setdefault(pid, []).append(message_id)
 
     broadcasts.sort(key=lambda record: record.submit_time)
     duration = max(record["end_time"] for record in records.values()) - t0

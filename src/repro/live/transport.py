@@ -504,12 +504,15 @@ class _Link:
 class RingTransport:
     """TCP ring hop: outbound to the successor, inbound from anyone.
 
-    ``on_message(src, message)`` is invoked on the event loop for every
-    decoded inbound ring frame.  ``send(dst, message)`` only accepts the
-    *current* ring successor — the ring never sends anywhere else; a
-    view change re-points the hop via :meth:`retarget`.  Control-plane
-    traffic goes through :meth:`send_control` / ``on_control`` and its
-    own per-peer links, and is counted separately from the ring data.
+    It is the ``Port`` that :class:`~repro.core.fsr.process.FSRProcess`
+    (and each multiring ``RingLink``) talks to: ``node_id``,
+    :meth:`on_receive` and ``send(dst, message)``.  ``on_message(src,
+    message)`` is invoked on the event loop for every decoded inbound
+    ring frame.  ``send`` only accepts the *current* ring successor —
+    the ring never sends anywhere else; a view change re-points the hop
+    via :meth:`retarget`.  Control-plane traffic goes through
+    :meth:`send_control` / ``on_control`` and its own per-peer links,
+    and is counted separately from the ring data.
     """
 
     def __init__(
@@ -793,6 +796,10 @@ class RingTransport:
         return conn is None or not (
             self._ring.queue or conn.transport.get_write_buffer_size()
         )
+
+    def on_receive(self, handler: ReceiveHandler) -> None:
+        """Hand every inbound ring message to ``handler(src, message)``."""
+        self.on_message = handler
 
     def on_tx_idle(self, callback: Callable[[], None]) -> None:
         """Register a callback fired when a closed TX gate reopens."""

@@ -1,4 +1,4 @@
-"""Property tests for the batch frame and the hot-path encoder.
+"""Property tests for the batch frame.
 
 The fast path's contract (PROTOCOL.md appendix C):
 
@@ -7,9 +7,6 @@ The fast path's contract (PROTOCOL.md appendix C):
 * truncated or corrupted batch bodies raise :class:`CodecError` or
   decode to something that re-encodes byte-identically — never a
   silent misparse;
-* :class:`FrameEncoder` (reusable buffer, ``pack_into``) produces
-  byte-identical frames to the allocating :func:`encode_frame`, so
-  enabling the fast path cannot change the wire;
 * ``wire_size_bytes()`` parity holds for every entry: a batch costs
   exactly :data:`BATCH_HEADER_BYTES` + the entries' plain frames, and
   the disabled-batching path stays at ``prefix + wire_size_bytes()``.
@@ -27,7 +24,6 @@ from repro.live.codec import (
     LENGTH_PREFIX_BYTES,
     ControlFrame,
     FrameBatch,
-    FrameEncoder,
     Hello,
     batch_frame_parts,
     batch_header,
@@ -116,18 +112,6 @@ def test_batch_prefixed_garbage_never_misparses(garbage):
     except CodecError:
         return
     assert encode_message(decoded) == body
-
-
-@given(
-    message=st.one_of(fwd_data(), seq_data(), ack_batch(), batches),
-)
-@settings(max_examples=200, deadline=None)
-def test_frame_encoder_byte_identical(message):
-    """The reusable-buffer fast path is indistinguishable on the wire."""
-    encoder = FrameEncoder(initial_capacity=16)  # force regrowth too
-    assert encoder.encode_frame(message) == encode_frame(message)
-    # Reuse: a second encode of a different shape from the same buffer.
-    assert encoder.encode_frame(message) == encode_frame(message)
 
 
 def test_non_batchable_entries_rejected_on_encode():

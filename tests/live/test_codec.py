@@ -1,12 +1,19 @@
 """Unit tests for the binary wire codec."""
 
+import pickle
+
 import pytest
 
 from repro.core.fsr.messages import AckBatch, AckMsg, FwdData, SeqData
 from repro.errors import CodecError
 from repro.live.codec import (
+    CHANNEL_CONTROL,
+    KIND_CONTROL,
     LENGTH_PREFIX_BYTES,
     MAX_FRAME_BYTES,
+    ControlFrame,
+    FrameBatch,
+    FrameEncoder,
     Hello,
     decode_frame,
     decode_message,
@@ -14,7 +21,14 @@ from repro.live.codec import (
     encode_message,
     frame_length,
 )
+from repro.core.fsr.recovery import (
+    FSRFlushState,
+    MergedRecovery,
+    RetainedMessage,
+)
+from repro.failure.detector import _Heartbeat
 from repro.types import MessageId
+from repro.vsc import membership as vsc
 
 
 def _ack(view_id=3, stable=True):
@@ -172,3 +186,126 @@ def test_decode_frame_rejects_incomplete_frame():
 def test_unrepresentable_field_rejected():
     with pytest.raises(CodecError, match="unrepresentable"):
         encode_message(_fwd(view_id=2**40))
+
+
+_GOLDEN_FWD = _fwd(
+    payload=b"ab", payload_size=2, piggybacked=[_ack(), _ack(stable=False)],
+    segment=(MessageId(1, 4), 2, 8),
+)
+_GOLDEN_SEQ = _seq(payload=b"cd", payload_size=2, stable=True, piggybacked=[_ack()])
+_GOLDEN_ACKS = AckBatch(acks=[_ack(), _ack(stable=False)], view_id=3, watermark=2)
+
+#: Whole frames (length prefix included), pinned: a codec change that
+#: moves one byte of the ring wire fails here.
+_GOLDEN_FRAMES = [
+    (_GOLDEN_FWD,
+     "0000005e01020002000000010000000000000009000000010000000300000000"
+     "0000000400000004000000020000000800000002000000000000000500000000"
+     "00000007000000010000000200000000000000050000000000000007000000006162"),
+    (_GOLDEN_SEQ,
+     "0000004f020200010000000100000000000000090000000100000003ffffffff"
+     "ffffffff000000000000000c0100000004000000020000000800000002000000"
+     "00000000050000000000000007000000016364"),
+    (_GOLDEN_ACKS,
+     "0000004003000002000000030000000000000002000000020000000000000005"
+     "0000000000000007000000010000000200000000000000050000000000000007"
+     "00000000"),
+    (FrameBatch(messages=[_GOLDEN_SEQ, _GOLDEN_ACKS]),
+     "0000009b040000020000004f0202000100000001000000000000000900000001"
+     "00000003ffffffffffffffff000000000000000c010000000400000002000000"
+     "0800000002000000000000000500000000000000070000000163640000004003"
+     "0000020000000300000000000000020000000200000000000000050000000000"
+     "00000700000001000000020000000000000005000000000000000700000000"),
+    (Hello(node_id=7, channel=CHANNEL_CONTROL), "00000006400100000007"),
+]
+
+
+@pytest.mark.parametrize(
+    "message,golden", _GOLDEN_FRAMES,
+    ids=["fwd", "seq", "ack_batch", "batch", "hello"],
+)
+def test_frames_are_byte_identical_to_the_pinned_wire(message, golden):
+    frame = bytes.fromhex(golden)
+    assert encode_frame(message) == frame
+    assert encode_message(message) == frame[LENGTH_PREFIX_BYTES:]
+    # The transport's encoder, grown from a tiny buffer and reused.
+    encoder = FrameEncoder(initial_capacity=16)
+    assert encoder.encode_frame(message) == frame
+    assert encoder.encode_frame(message) == frame
+    assert decode_frame(frame) == (message, len(frame))
+
+
+_CALLED = []
+
+
+def _hostile(*args):
+    _CALLED.append(args)
+    return ("vsc", None)
+
+
+class _Hostile:
+    def __reduce__(self):
+        return (_hostile, ("called",))
+
+
+def test_control_frame_naming_a_foreign_callable_is_refused():
+    """A control pickle may name only control-plane classes: one that
+    names a function is refused before the function is looked up, so
+    it is never called."""
+    body = bytes([KIND_CONTROL]) + pickle.dumps(_Hostile())
+    with pytest.raises(CodecError, match="_hostile"):
+        decode_message(body)
+    assert _CALLED == []
+
+
+def _retained(seq):
+    return RetainedMessage(
+        MessageId(1, seq), 1, seq, b"p" * 3, 3, (MessageId(1, 2), 0, 2)
+    )
+
+
+def _fsr_state():
+    return FSRFlushState(
+        last_delivered=4, watermark=3, records={5: _retained(5)}, fresh=True
+    )
+
+
+_CONTROL_MESSAGES = [
+    _Heartbeat(sender=2, echo=True, sent_at=1.5),
+    vsc._FlushReq(epoch=3, coordinator=0, proposed=(0, 2)),
+    vsc._FlushAck(
+        epoch=3, sender=2, state=vsc.FlushState(_fsr_state(), 64)
+    ),
+    vsc._ViewInstall(
+        epoch=3, coordinator=0, members=(0, 2),
+        state=vsc.FlushState(
+            MergedRecovery(
+                records={5: _retained(5)}, next_sequence=6,
+                orphaned={MessageId(2, 1)}, min_last_delivered=4,
+                max_last_delivered=5,
+            ),
+            40,
+        ),
+    ),
+    vsc._ViewInstall(epoch=4, coordinator=0, members=(0,), state=None),
+    vsc._InstallAck(epoch=3, sender=2),
+    vsc._ViewCommit(epoch=3),
+    vsc._JoinReq(joiner=4),
+    vsc._LeaveReq(leaver=1),
+    vsc._RotateReq(requester=2),
+    # Multiring's composite flush state: one FlushState per ring.
+    vsc._FlushAck(
+        epoch=5, sender=1,
+        state=vsc.FlushState(
+            {0: vsc.FlushState(_fsr_state(), 8),
+             1: vsc.FlushState(_fsr_state(), 8)},
+            16,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("inner", _CONTROL_MESSAGES)
+def test_every_control_type_round_trips(inner):
+    frame = ControlFrame(layer="vsc", inner=inner)
+    assert decode_frame(encode_frame(frame))[0] == frame

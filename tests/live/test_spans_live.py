@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from repro import ClusterConfig, FSRConfig, build_cluster
-from repro.live.runner import LiveClusterSpec, run_live_cluster
+from repro.live.runner import LiveClusterSpec, run_live_cluster, run_origin
 from repro.obs.analyze import STAGES, link_utilization
 from repro.obs.journal import Timeline
 from repro.types import MessageId
@@ -81,6 +81,15 @@ def test_live_spans_merge_and_conform_to_sim(tmp_path):
         sim_kinds = Counter(e.kind for e in sim_spans.lifecycle(message))
         assert live_kinds == sim_kinds, message
         assert timeline.lifecycle(message)[0].kind == "broadcast"
+
+    # A broadcast is submitted before its own ``broadcast`` span, the
+    # leader's too (it sequences its message inside ``broadcast()``).
+    t0 = run_origin(live.node_records)
+    for record in live.node_records.values():
+        for entry in record["broadcasts"]:
+            message = MessageId(entry["origin"], entry["local_seq"])
+            span = timeline.lifecycle(message)[0]
+            assert entry["submit_time"] - t0 <= span.time, message
 
     # The stage breakdown covered every message and explains the
     # measured latency (run_live_cluster's cross-check enforces 5%;
