@@ -77,7 +77,8 @@ class FSRProcess(TotalOrderBroadcast):
     """FSR endpoint at one process.
 
     The cluster harness wires instances together; unit tests drive the
-    automaton directly by feeding messages into ``on_message``.
+    automaton directly by feeding messages into ``on_message`` (one
+    message) or ``on_messages`` (one batch frame).
     """
 
     def __init__(
@@ -157,6 +158,9 @@ class FSRProcess(TotalOrderBroadcast):
         self._consumed_acks: Set[SequenceNumber] = set()
         self._consumed_prefix: SequenceNumber = 0
         self._gc_cursor: SequenceNumber = 0
+        #: A batch frame is being handled (``on_messages``): collection
+        #: waits for its end.
+        self._in_frame = False
 
         # --- outgoing traffic ------------------------------------------
         self._scheduler = FairSendScheduler(fairness=config.fairness)
@@ -482,22 +486,44 @@ class FSRProcess(TotalOrderBroadcast):
     # Inbound message handling
     # ==================================================================
     def on_message(self, src: ProcessId, message: Any) -> None:
-        """Entry point for all FSR ring traffic."""
+        """Entry point for FSR ring traffic, one message at a time."""
+        if self._receive(src, message):
+            self._pump()
+
+    def on_messages(self, src: ProcessId, messages: List[Any]) -> None:
+        """Entry point for one batch frame's messages, in wire order.
+
+        Each message is checked and handled as :meth:`on_message` would,
+        but garbage collection waits for the end of the frame and the
+        pump runs once, after the last message: the frame is one unit of
+        work (DESIGN.md §5g).  An exception ends the frame unanswered.
+        """
+        self._in_frame = True
+        try:
+            for message in messages:
+                self._receive(src, message)
+        finally:
+            self._in_frame = False
+        self._maybe_gc()
+        self._pump()
+
+    def _receive(self, src: ProcessId, message: Any) -> bool:
+        """Handle one message; False if it was dropped or buffered."""
         if self._stopped:
-            return
+            return False
         view_id = getattr(message, "view_id", None)
         if view_id is None:
             raise ProtocolError(f"non-FSR message on FSR port: {message!r}")
         if view_id != self._view_id:
             if view_id > self._view_id:
                 self._future_buffer.append((view_id, src, message))
-            return  # else: stale traffic from a superseded view
+            return False  # else: stale traffic from a superseded view
         if self._blocked:
             # A flush snapshot has been taken: evidence processed now
             # would create deliveries the view-change merge cannot see,
             # breaking uniform total order.  Treat the message as lost
             # in the membership change; recovery re-issues what matters.
-            return
+            return False
         if self._ring is None:
             raise ProtocolError(f"process {self.me} has no installed view yet")
 
@@ -518,7 +544,7 @@ class FSRProcess(TotalOrderBroadcast):
             self._handle_seq(message)
         else:
             raise ProtocolError(f"unexpected FSR message type: {message!r}")
-        self._pump()
+        return True
 
     # ------------------------------------------------------------------
     # Per-hop copies below are built positionally, in field order:
@@ -786,6 +812,8 @@ class FSRProcess(TotalOrderBroadcast):
             self._maybe_gc()
 
     def _maybe_gc(self) -> None:
+        if self._in_frame:
+            return  # on_messages collects once, at the end of the frame
         limit = min(self._watermark, self._holdback.last_delivered)
         while self._gc_cursor < limit:
             self._gc_cursor += 1

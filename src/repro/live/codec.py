@@ -547,7 +547,8 @@ def decode_batch_entries(
 
     ``body`` is the whole frame body including the batch header.  Each
     entry body is sliced out of a single ``memoryview`` — no per-entry
-    copy — and decoded with the ordinary per-message decoder.
+    copy — and goes by its kind byte straight to the ring-data decoder
+    of that kind; any other kind is rejected before it is parsed.
     """
     view = body if isinstance(body, memoryview) else memoryview(body)
     total = len(view)
@@ -579,11 +580,19 @@ def decode_batch_entries(
                 f"truncated batch: entry {index} needs {entry_len} bytes at "
                 f"offset {offset}, body has {total}"
             )
-        # Reject nesting *before* recursing so adversarial input cannot
-        # stack batch-in-batch decodes MAX_FRAME_BYTES/8 levels deep.
-        if entry_len and view[offset] == KIND_BATCH:
+        kind = view[offset] if entry_len else None
+        if kind == KIND_FWD_DATA or kind == KIND_SEQ_DATA:
+            messages.append(_decode_data(view[offset:end], kind))
+        elif kind == KIND_ACK_BATCH:
+            messages.append(_decode_ack_batch(view[offset:end]))
+        elif kind == KIND_BATCH:
             raise CodecError("nested batch frames are not allowed")
-        messages.append(_require_batchable(decode_message(view[offset:end])))
+        elif kind is None:
+            raise CodecError(f"batch entry {index} is empty")
+        else:
+            raise CodecError(
+                f"batch entries must be ring data, got kind {kind:#x}"
+            )
         offset = end
     if offset != total:
         raise CodecError(f"{total - offset} trailing bytes after batch")

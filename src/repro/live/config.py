@@ -26,16 +26,25 @@ def is_end_marker(size_bytes: int) -> bool:
     return size_bytes == 0
 
 
-#: Journal line type -> the node-record list it is an entry of: a
-#: journal line is the entry with ``"type"`` in front, so the node
-#: writes both from one entry and the launcher files a crashed node's
-#: lines back without re-shaping them.  (A node record carries its
-#: ``final_view``, not the ``views`` list.)
-JOURNAL_LISTS = {
-    "delivery": "deliveries",
-    "app_delivery": "app_deliveries",
-    "broadcast": "broadcasts",
-    "view": "views",
+#: Journal line type -> (the node-record list it is an entry of, the
+#: entry's field names).  A node keeps each entry as a row: a tuple of
+#: atoms in field order (a single-ring delivery stops before ``ring``
+#: and ``slot``).  Its record zips the rows into dicts, and a journal
+#: line is that dict with ``"type"`` in front, so the launcher files a
+#: crashed node's lines back without re-shaping them.  (A node record
+#: carries its ``final_view``, not the ``views`` list.)
+JOURNAL_LISTS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "delivery": ("deliveries", (
+        "origin", "local_seq", "sequence", "time", "size_bytes", "ring",
+        "slot",
+    )),
+    "app_delivery": ("app_deliveries", (
+        "origin", "msg_origin", "local_seq", "size_bytes", "time",
+    )),
+    "broadcast": ("broadcasts", (
+        "origin", "local_seq", "size_bytes", "submit_time",
+    )),
+    "view": ("views", ("view_id", "members", "time")),
 }
 
 

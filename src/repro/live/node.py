@@ -138,22 +138,6 @@ class _RewiringClient:
         self._process.on_view(view, state)
 
 
-def delivery_entry(delivery: Delivery) -> Dict[str, Any]:
-    """One protocol delivery as the node record and the journal carry it
-    (the journal line adds ``"type": "delivery"`` in front)."""
-    entry = {
-        "origin": delivery.message_id.origin,
-        "local_seq": delivery.message_id.local_seq,
-        "sequence": delivery.sequence,
-        "time": delivery.time,
-        "size_bytes": delivery.size_bytes,
-    }
-    if delivery.ring is not None:
-        entry["ring"] = delivery.ring
-        entry["slot"] = delivery.slot
-    return entry
-
-
 def _configure_logging(config: LiveNodeConfig) -> logging.Logger:
     """Per-node logger; ``log_level`` configures the root handler.
 
@@ -227,7 +211,7 @@ class LiveNode:
     :meth:`record` (module docstring; DESIGN.md §5c).
 
     Every record entry goes through :meth:`_entry`, which files it in
-    its list and journals it (``JOURNAL_LISTS``).
+    its list as a row of atoms and journals it (``JOURNAL_LISTS``).
     """
 
     def __init__(
@@ -262,12 +246,16 @@ class LiveNode:
         self.span_journal: Optional[SpanJournal] = None
         self.metrics_server: Any = None
 
-        #: Record entries by journal line type.
-        self.entries: Dict[str, List[Dict[str, Any]]] = {
+        #: Record entries by journal line type, each a tuple in the
+        #: order of its ``JOURNAL_LISTS`` fields: no per-entry dict, and
+        #: nothing in a row for the cyclic GC to walk.
+        self.rows: Dict[str, List[Tuple[Any, ...]]] = {
             kind: [] for kind in JOURNAL_LISTS
         }
         #: Own workload messages broadcast but not yet delivered here.
         self.outstanding = 0
+        #: A ``_refill`` is scheduled for the next loop turn.
+        self._refill_due = False
         self.deadline = float("inf")
         #: This sender has broadcast its end marker.
         self.ended = False
@@ -427,11 +415,16 @@ class LiveNode:
                 tx_gate=lambda: transport.tx_ready, spans=self.spans,
             )
             transport.on_tx_idle(process.on_tx_ready)
+        # A batch frame goes to its ring's automaton as one unit of work.
+        automata = process.inner if spec.shards > 1 else [process]
+        for ring_transport, automaton in zip(transports, automata):
+            ring_transport.on_messages = automaton.on_messages
         if self.cpu is not None:
             fsr_stage = self.cpu.stage("fsr")
             encode_stage = self.cpu.stage("encode")
             for t in transports:
                 t.on_message = _staged(fsr_stage, t.on_message)
+                t.on_messages = _staged(fsr_stage, t.on_messages)
                 t.send = _staged(encode_stage, t.send)  # type: ignore
         return process
 
@@ -467,40 +460,39 @@ class LiveNode:
         self.transport.prune_control_peers(view.members)
         if self.serve_server is not None:
             self.serve_server.on_view(view)
-        self._entry("view", {
-            "view_id": view.view_id,
-            "members": list(ring),
-            "time": self.sched.now,
-        })
+        self._entry("view", (view.view_id, ring, self.sched.now))
 
-    def _entry(self, kind: str, entry: Dict[str, Any]) -> None:
-        """File ``entry`` in its record list and journal it."""
-        self.entries[kind].append(entry)
+    def _entry(self, kind: str, row: Tuple[Any, ...]) -> None:
+        """File ``row`` in its record list and journal it."""
+        self.rows[kind].append(row)
         if self.journal.enabled:
-            self.journal.write({"type": kind, **entry})
+            self.journal.write(
+                {"type": kind, **dict(zip(JOURNAL_LISTS[kind][1], row))}
+            )
 
     def _may_submit(self) -> bool:
         cap = self.spec.messages_per_sender
         if cap is not None:
-            return len(self.entries["broadcast"]) < cap
+            return len(self.rows["broadcast"]) < cap
         return self.sched.now < self.deadline
 
     def _refill(self) -> None:
         """Keep ``window`` own messages in flight until the deadline,
         then end the workload with the end marker."""
+        self._refill_due = False
         spec = self.spec
         while self.outstanding < spec.window and self._may_submit():
             # Stamped before the call: a leader sequences its own
             # message inside ``broadcast``.
             submit_time = self.sched.now
-            message_id = self.process.broadcast(bytes(spec.message_bytes))
+            origin, local_seq = self.process.broadcast(
+                bytes(spec.message_bytes)
+            )
             self.outstanding += 1
-            self._entry("broadcast", {
-                "origin": message_id.origin,
-                "local_seq": message_id.local_seq,
-                "size_bytes": spec.message_bytes,
-                "submit_time": submit_time,
-            })
+            self._entry(
+                "broadcast",
+                (origin, local_seq, spec.message_bytes, submit_time),
+            )
         if not (self.ended or self._may_submit()):
             self.ended = True
             self.process.broadcast(b"")
@@ -511,18 +503,19 @@ class LiveNode:
         if is_end_marker(size):  # not a workload message
             self.ended_senders.add(origin)
         else:
-            self._entry("app_delivery", {
-                "origin": origin,
-                "msg_origin": message_id.origin,
-                "local_seq": message_id.local_seq,
-                "size_bytes": size,
-                "time": self.sched.now,
-            })
+            msg_origin, local_seq = message_id
+            self._entry(
+                "app_delivery",
+                (origin, msg_origin, local_seq, size, self.sched.now),
+            )
             if origin == self.me and self.outstanding > 0:
                 self.outstanding -= 1
                 # Refill from a fresh loop iteration, not reentrantly
-                # from inside the protocol's receive path.
-                self.sched.loop.call_soon(self._refill)
+                # from inside the protocol's receive path; one refill
+                # tops up the window for every delivery before it.
+                if not self._refill_due:
+                    self._refill_due = True
+                    self.sched.loop.call_soon(self._refill)
         if self.serve_server is not None:
             # Total-order boundary: a traced request this node proposed
             # just got delivered — stamp "ordered" before the apply.
@@ -530,7 +523,14 @@ class LiveNode:
             self.serve_rsm.deliver(origin, message_id, payload, size)
 
     def _on_protocol_deliver(self, delivery: Delivery) -> None:
-        self._entry("delivery", delivery_entry(delivery))
+        origin, local_seq = delivery.message_id
+        row: Tuple[Any, ...] = (
+            origin, local_seq, delivery.sequence, delivery.time,
+            delivery.size_bytes,
+        )
+        if delivery.ring is not None:
+            row += (delivery.ring, delivery.slot)
+        self._entry("delivery", row)
 
     # -- start -----------------------------------------------------------
     async def start(self) -> None:
@@ -729,11 +729,11 @@ class LiveNode:
             self.detector.stop()
         for ring_transport in self.transports:
             await ring_transport.close()
-        process, entries = self.process, self.entries
+        process, rows = self.process, self.rows
         self.logger.info(
             "stopped after %.3fs: %d broadcast, %d delivered, %d reconnects, "
             "%d tx stalls", end_time - self.start_time,
-            len(entries["broadcast"]), len(entries["app_delivery"]),
+            len(rows["broadcast"]), len(rows["app_delivery"]),
             self.transport.reconnects, self.transport.tx_stalls,
         )
         final_view = self.membership.view
@@ -749,8 +749,9 @@ class LiveNode:
                 "members": list(final_view.members),
             },
             **{
-                JOURNAL_LISTS[kind]: listed
-                for kind, listed in entries.items() if kind != "view"
+                name: [dict(zip(fields, row)) for row in rows[kind]]
+                for kind, (name, fields) in JOURNAL_LISTS.items()
+                if kind != "view"
             },
             "stats": {
                 **self._transport_counters(),

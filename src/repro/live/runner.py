@@ -482,12 +482,12 @@ def load_journal_record(
         "end_time": max(e["time"] for e in events if "time" in e),
         "startup": start.get("startup", {}),
         "timed_out": False,
-        **{key: [] for key in JOURNAL_LISTS.values()},
+        **{key: [] for key, _fields in JOURNAL_LISTS.values()},
     }
     for event in events:
         kind = event.pop("type", None)
         if kind in JOURNAL_LISTS:
-            record[JOURNAL_LISTS[kind]].append(event)
+            record[JOURNAL_LISTS[kind][0]].append(event)
     return record
 
 

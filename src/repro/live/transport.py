@@ -21,9 +21,9 @@ FIFO channel the paper assumes; what this module adds is:
   up synchronously, so the codec's payload copy is the only user-space
   copy on the way in, and an upcall's exception fails the transport
   (``failure``) instead of vanishing with the connection (§5g); a batch
-  frame is one unit of work: its messages are handed up behind a held
-  TX gate, then one pump answers them and the ring link writes the
-  answer before the next frame is decoded;
+  frame is one unit of work: its messages are handed up as one list
+  (``on_messages``, FSR's one-pump frame handler) and the ring link
+  writes the answer before the next frame is decoded;
 * a callback send path: the successor hop and every control peer are
   one :class:`_Link` each, whose connection is an
   :class:`asyncio.Protocol`; the first frame queued in a loop turn
@@ -80,6 +80,7 @@ from repro.types import ProcessId
 logger = logging.getLogger(__name__)
 
 ReceiveHandler = Callable[[ProcessId, Any], None]
+FrameHandler = Callable[[ProcessId, List[Any]], None]
 ControlHandler = Callable[[str, ProcessId, Any], None]
 
 #: Outbound queue bound before ``tx_ready`` goes False (bytes).
@@ -231,20 +232,14 @@ class _InboundConnection(asyncio.BufferedProtocol):
             owner.on_message(peer_id, message)
             return 1
         # A batch is one write of the predecessor's and one unit of work
-        # here: its ride-alongs are handed up in wire order behind a
-        # held gate, so the automaton only queues, then one pump answers
-        # the whole frame and its output is written before the next
-        # frame is decoded (DESIGN.md §5g).
+        # here: its ride-alongs go up in wire order as one list, whose
+        # handler answers the whole frame, and the answer is written
+        # before the next frame is decoded (DESIGN.md §5g).
         messages = message.messages
         owner.batches_received += 1
         owner.frames_received += len(messages)
-        owner._holding = True
-        try:
-            for inner in messages:
-                owner.on_message(peer_id, inner)
-        finally:
-            owner._holding = False
-        owner._frame_done()
+        owner.on_messages(peer_id, messages)
+        owner._ring.write_now()
         return len(messages)
 
 
@@ -508,9 +503,11 @@ class RingTransport:
     (and each multiring ``RingLink``) talks to: ``node_id``,
     :meth:`on_receive` and ``send(dst, message)``.  ``on_message(src,
     message)`` is invoked on the event loop for every decoded inbound
-    ring frame.  ``send`` only accepts the *current* ring successor —
-    the ring never sends anywhere else; a view change re-points the hop
-    via :meth:`retarget`.  Control-plane traffic goes through
+    plain ring frame, ``on_messages(src, messages)`` once per batch
+    frame (by default it calls ``on_message`` per message; a node
+    points it at FSR's ``on_messages``).  ``send`` only accepts the
+    *current* ring successor — the ring never sends anywhere else; a
+    view change re-points the hop via :meth:`retarget`.  Control-plane traffic goes through
     :meth:`send_control` / ``on_control`` and its own per-peer links,
     and is counted separately from the ring data.
     """
@@ -536,6 +533,8 @@ class RingTransport:
         self.node_id = node_id
         self.listen_addr = listen_addr
         self.on_message = on_message
+        #: Batch-frame upcall: the frame's messages, in wire order.
+        self.on_messages: FrameHandler = self._each_message
         #: Control-plane upcall: ``on_control(layer, src, inner)``.
         self.on_control: Optional[ControlHandler] = None
         #: Crash-evidence upcall, at most once per hang-up: the control
@@ -584,8 +583,6 @@ class RingTransport:
             self._pack_ring, max_retries,
         )
         self._gate_closed = False
-        #: A batch frame is being handed up: the gate reads closed.
-        self._holding = False
         self._tx_idle_callbacks: List[Callable[[], None]] = []
         self._inbound_hello = asyncio.Event()
         #: Inbound connections keyed by (peer id, channel).
@@ -619,7 +616,7 @@ class RingTransport:
         #: High-water mark of the outbound queue depth, in bytes.
         self.queued_bytes_hwm = 0
         #: Ring writes (one per loop turn that queued frames, and one
-        #: per batch frame received whose pump queued any), batch
+        #: per batch frame received whose handler queued any), batch
         #: frames sent, frames that rode inside them, AckBatches that
         #: shared a batch frame with data, and batch frames received.
         self.flushes = 0
@@ -777,12 +774,8 @@ class RingTransport:
     # ------------------------------------------------------------------
     @property
     def tx_ready(self) -> bool:
-        """True while the outbound queue can take another message and no
-        batch frame is being handed up."""
-        return (
-            not self._holding
-            and self._ring.queued_bytes < self.max_outbound_bytes
-        )
+        """True while the outbound queue can take another message."""
+        return self._ring.queued_bytes < self.max_outbound_bytes
 
     @property
     def queued_bytes(self) -> int:
@@ -801,6 +794,10 @@ class RingTransport:
         """Hand every inbound ring message to ``handler(src, message)``."""
         self.on_message = handler
 
+    def _each_message(self, src: ProcessId, messages: List[Any]) -> None:
+        for message in messages:
+            self.on_message(src, message)
+
     def on_tx_idle(self, callback: Callable[[], None]) -> None:
         """Register a callback fired when a closed TX gate reopens."""
         self._tx_idle_callbacks.append(callback)
@@ -809,13 +806,6 @@ class RingTransport:
         self._gate_closed = False
         for callback in list(self._tx_idle_callbacks):
             callback()
-
-    def _frame_done(self) -> None:
-        """A batch frame has been handed up: reopen the gate, which pumps
-        once, and write what that pump queued before the next frame."""
-        if self.tx_ready:
-            self._reopen()
-        self._ring.write_now()
 
     def send(self, dst: ProcessId, message: WireMessage) -> None:
         """Queue ``message`` for the ring successor."""

@@ -46,3 +46,28 @@ def test_live_loopback_multiring_total_order():
         assert all(
             d.ring is not None and d.slot is not None for d in log.deliveries
         )
+
+
+def test_live_loopback_multiring_batched_frames():
+    """Batched transports: each ring's batch frames go to that ring's
+    inner automaton as one unit (``FSRProcess.on_messages``)."""
+    spec = LiveClusterSpec(
+        processes=3,
+        senders=3,
+        t=1,
+        shards=2,
+        message_bytes=64,
+        duration_s=0.6,
+        window=16,
+        batch_bytes=60_000,
+        batch_messages=64,
+        max_run_s=45.0,
+        sim_compare=False,
+    )
+    live = run_live_cluster(spec)
+    assert live.order_ok, live.order_error
+    assert not live.timed_out
+    check_all(live.result)
+    for record in live.node_records.values():
+        assert record["stats"]["batches_received"] > 0
+        assert {entry["ring"] for entry in record["deliveries"]} == {0, 1}

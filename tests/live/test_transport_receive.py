@@ -18,10 +18,11 @@ load-bearing claims:
   bad frame and nothing but ``CodecError`` handled on the way;
 * an exception raised by an upcall fails the transport loudly instead
   of silently losing the frames drained behind it;
-* a batch frame is one unit of work: its messages are handed up behind
-  a held TX gate, the gate then reopens once (one pump), and what that
-  pump queued is written before the next frame is handed up; a raising
-  upcall cannot leave the gate held;
+* a batch frame is one unit of work: its messages are handed up as one
+  list to ``on_messages`` (FSR's frame handler: one GC pass, one pump),
+  the TX gate stays open, and what the handler queued is written before
+  the next frame is handed up; a handler that raises mid-frame leaves
+  no frame state behind and its frame unanswered;
 * the teardown of a superseded connection does not unregister the
   connection that replaced it.
 """
@@ -34,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batching import BatchingConfig
-from repro.core.fsr.messages import AckBatch, FwdData
+from repro.core.fsr.messages import AckBatch, AckMsg, FwdData, SeqData
 from repro.live import transport as transport_module
 from repro.live.codec import (
     CHANNEL_CONTROL,
@@ -50,6 +51,7 @@ from repro.live.node import _TRANSPORT_COUNTERS
 from repro.live.transport import RX_BUFFER_BYTES, RingTransport
 from repro.obs.telemetry import Telemetry
 from repro.types import MessageId
+from tests.fsr.nullring import NullRing
 from tests.live.test_codec_properties import ack_batch, fwd_data, seq_data
 from tests.live.test_transport import _free_port
 
@@ -74,19 +76,21 @@ class _StubTransport:
 
 
 class _Harness:
-    """A ``RingTransport`` that never binds, one inbound connection on
-    it, and the log of everything handed up."""
+    """A ``RingTransport`` that never binds (or ``owner``), one inbound
+    connection on it, and the log of everything handed up."""
 
-    def __init__(self, telemetry=None):
+    def __init__(self, telemetry=None, owner=None):
         self.upcalls = []
-        self.owner = RingTransport(
-            0, ("127.0.0.1", 0), 1, ("127.0.0.1", 0),
-            lambda src, msg: self.upcalls.append(("ring", src, msg)),
-            telemetry=telemetry,
-        )
-        self.owner.on_control = lambda layer, src, inner: self.upcalls.append(
-            ("ctl", layer, src, inner)
-        )
+        if owner is None:
+            owner = RingTransport(
+                0, ("127.0.0.1", 0), 1, ("127.0.0.1", 0),
+                lambda src, msg: self.upcalls.append(("ring", src, msg)),
+                telemetry=telemetry,
+            )
+            owner.on_control = lambda layer, src, inner: self.upcalls.append(
+                ("ctl", layer, src, inner)
+            )
+        self.owner = owner
         self.link = _StubTransport()
         self.conn = transport_module._InboundConnection(self.owner)
         self.conn.connection_made(self.link)
@@ -414,13 +418,18 @@ def _connect_successor(owner):
     return wire
 
 
-def test_batch_frame_is_handed_up_behind_a_held_gate_and_pumped_once():
+def test_batch_frame_is_handed_up_as_one_list_with_the_gate_open():
     harness = _Harness()
     owner = harness.owner
-    gate = []
-    owner.on_message = lambda src, msg: gate.append(owner.tx_ready)
-    pumps = []
-    owner.on_tx_idle(lambda: pumps.append(len(gate)))
+    upcalls = []
+    owner.on_message = lambda src, msg: upcalls.append(
+        ("one", src, [msg], owner.tx_ready)
+    )
+    owner.on_messages = lambda src, msgs: upcalls.append(
+        ("frame", src, msgs, owner.tx_ready)
+    )
+    idle = []
+    owner.on_tx_idle(lambda: idle.append(1))
     messages = [_data(seq, b"x") for seq in range(7)]
     harness.feed(_stream([
         messages[0],
@@ -428,10 +437,16 @@ def test_batch_frame_is_handed_up_behind_a_held_gate_and_pumped_once():
         messages[4],
         FrameBatch(messages=messages[5:]),
     ]))
-    assert gate == [True, False, False, False, True, False, False]
-    # Once per batch frame, after its last upcall; never for a plain one.
-    assert pumps == [4, 7]
-    assert owner.tx_ready
+    assert upcalls == [
+        ("one", PEER, messages[:1], True),
+        ("frame", PEER, messages[1:4], True),
+        ("one", PEER, messages[4:5], True),
+        ("frame", PEER, messages[5:], True),
+    ]
+    # The gate never closed, so nothing reopened it: the frame handler
+    # answers its own frame.
+    assert idle == []
+    assert owner.frames_received == 7 and owner.batches_received == 2
 
 
 def test_each_batch_frame_is_written_before_the_next_is_handed_up():
@@ -439,21 +454,21 @@ def test_each_batch_frame_is_written_before_the_next_is_handed_up():
         harness = _Harness()
         owner = harness.owner
         wire = _connect_successor(owner)
-        writes_at_upcall = []
-        owner.on_message = lambda src, msg: writes_at_upcall.append(
-            len(wire.writes)
-        )
         answers = [_data(100 + n, b"answer") for n in range(2)]
-        owner.on_tx_idle(
-            lambda: owner.send(1, answers[len(wire.writes)])
-        )
+        writes_at_upcall = []
+
+        def on_messages(src, msgs):
+            writes_at_upcall.append(len(wire.writes))
+            owner.send(1, answers[len(wire.writes)])
+
+        owner.on_messages = on_messages
         first = [_data(seq, b"a") for seq in range(3)]
         second = [_data(seq, b"b") for seq in range(3, 6)]
         harness.feed(_stream([
             FrameBatch(messages=first), FrameBatch(messages=second),
         ]))
         assert owner.rx_chunks == 1  # both frames arrived in one chunk
-        assert writes_at_upcall == [0, 0, 0, 1, 1, 1]
+        assert writes_at_upcall == [0, 1]
         assert wire.writes == [encode_frame(answer) for answer in answers]
         assert owner.flushes == 2
         # The end of the turn has nothing left to write.
@@ -479,28 +494,46 @@ def test_plain_frames_still_write_once_per_turn():
     asyncio.run(main())
 
 
-def test_an_upcall_that_raises_mid_batch_cannot_leave_the_gate_held(caplog):
-    harness = _Harness()
-    owner = harness.owner
-    upcalls = []
+def test_a_frame_handler_that_raises_mid_batch_leaves_no_frame_state(caplog):
+    """FSR's ``on_messages`` defers GC and the pump to the end of the
+    frame; a ``ProtocolError`` half-way must neither leave them deferred
+    for every later message nor answer the failed frame."""
 
-    def on_message(src, msg):
-        upcalls.append(msg)
-        if len(upcalls) == 2:
-            raise RuntimeError("automaton rejected the message")
+    async def main():
+        ring = NullRing(n=3, t=1)
+        receiver = ring.processes[1]  # the last backup: it delivers
+        harness = _Harness()
+        owner = harness.owner
+        wire = _connect_successor(owner)
+        owner.on_message = receiver.on_message
+        owner.on_messages = receiver.on_messages
+        sequenced = [
+            SeqData(MessageId(2, seq), 2, b"s", 1, seq, False, 0)
+            for seq in (1, 2)
+        ]
+        # An ack for a payload the receiver never saw is a protocol error.
+        unknown = AckBatch([AckMsg(MessageId(2, 9), 3, False, 0)], 0)
+        with caplog.at_level(logging.ERROR, logger=transport_module.__name__):
+            harness.feed(_stream([
+                FrameBatch(messages=[sequenced[0], unknown, sequenced[1]]),
+            ]))
+        assert harness.link.closed
+        assert "without ever seeing its payload" in owner.failure
+        # Not answered: no pump sent the first message's ack on, and the
+        # transport wrote nothing.
+        assert not ring.fifo
+        assert wire.writes == [] and owner.flushes == 0
+        assert not receiver._in_frame
+        assert receiver.last_delivered_sequence == 1
+        # The next message is handled and pumped as usual ...
+        receiver.on_message(0, sequenced[1])
+        assert receiver.last_delivered_sequence == 2
+        assert len(ring.fifo) == 1  # both acks, one AckBatch
+        # ... and collected: a watermark past both frees their records.
+        receiver.on_message(0, AckBatch([], 0, 2))
+        assert receiver._gc_cursor == 2 and receiver.retained_count == 0
 
-    owner.on_message = on_message
-    pumps = []
-    owner.on_tx_idle(lambda: pumps.append(1))
-    with caplog.at_level(logging.ERROR, logger=transport_module.__name__):
-        harness.feed(_stream([
-            FrameBatch(messages=[_data(seq, b"x") for seq in range(4)]),
-        ]))
-    assert len(upcalls) == 2
-    assert harness.link.closed
-    assert "automaton rejected the message" in owner.failure
-    assert owner.tx_ready
-    assert pumps == []  # the failed frame is not answered
+    asyncio.run(main())
 
 
 # -- teardown ---------------------------------------------------------------
