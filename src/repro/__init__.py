@@ -22,8 +22,7 @@ See README.md for the architecture tour and DESIGN.md for the
 paper-to-module map.
 """
 
-import importlib
-from typing import Any
+from repro._exports import lazy_getattr
 
 #: Public name -> the module that defines it.  Names resolve on first
 #: use (PEP 562), so ``import repro`` costs nothing and a live node
@@ -59,11 +58,4 @@ __version__ = "1.0.0"
 __all__ = [*_EXPORTS, "__version__"]
 
 
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

@@ -13,9 +13,10 @@ Verification is the same invariant battery the simulator campaign uses
 (:func:`repro.chaos.oracle.judge_run`, which wraps
 ``checker.order.check_all``) applied to the merged per-node logs.  The
 twist is the killed nodes: a SIGKILLed process cannot report its
-deliveries, so every node journals broadcasts and deliveries to an
-append-and-flush JSONL file as they happen; the journal survives the
-kill and stands in for the node's record.  Without it, uniform
+deliveries, so every node journals broadcasts and deliveries to a
+JSONL file, each loop turn's lines in one write made before any byte of
+that turn leaves the node; the journal survives the kill, short only of
+lines no peer could have seen, and stands in for the node's record.  Without it, uniform
 integrity ("only broadcast messages are delivered") and uniformity
 ("anything a crashed node delivered, every survivor delivers") would be
 unverifiable exactly where they matter.

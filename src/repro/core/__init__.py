@@ -5,16 +5,19 @@ repository implements (FSR and the five baseline classes); the
 ``repro.core.fsr`` subpackage is the paper's contribution.
 """
 
-from repro.core.api import BroadcastListener, DeliveryLog, TotalOrderBroadcast
-from repro.core.batching import BatchingBroadcast, BatchingConfig
-from repro.core.fsr import FSRConfig, FSRProcess
+from repro._exports import lazy_getattr
 
-__all__ = [
-    "BroadcastListener",
-    "DeliveryLog",
-    "TotalOrderBroadcast",
-    "BatchingBroadcast",
-    "BatchingConfig",
-    "FSRConfig",
-    "FSRProcess",
-]
+#: Public name -> the module that defines it, resolved on first use.
+_EXPORTS = {
+    "BroadcastListener": "repro.core.api",
+    "DeliveryLog": "repro.core.api",
+    "TotalOrderBroadcast": "repro.core.api",
+    "BatchingBroadcast": "repro.core.batching",
+    "BatchingConfig": "repro.core.batching",
+    "FSRConfig": "repro.core.fsr",
+    "FSRProcess": "repro.core.fsr",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

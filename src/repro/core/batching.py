@@ -32,12 +32,14 @@ from a :class:`BatchingConfig` and, having no timer either, ignores
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.core.api import BroadcastListener, TotalOrderBroadcast
 from repro.errors import ConfigurationError, ProtocolError
-from repro.sim.engine import Simulator
 from repro.types import MessageId, ProcessId, TimerHandle
+
+if TYPE_CHECKING:  # simulator-only: a live node never loads the engine here
+    from repro.sim.engine import Simulator
 
 #: Bytes of framing per packed entry (length + id).
 ENTRY_OVERHEAD_BYTES = 16

@@ -18,22 +18,19 @@ Two implementations are provided:
   stack works without the oracle.
 """
 
-from repro.failure.detector import (
-    AdaptiveFailureDetector,
-    FailureDetector,
-    HeartbeatFailureDetector,
-    OracleFailureDetector,
-    StaticDetector,
-    adaptive_floor_s,
-)
-from repro.failure.injector import CrashInjector
+from repro._exports import lazy_getattr
 
-__all__ = [
-    "AdaptiveFailureDetector",
-    "FailureDetector",
-    "HeartbeatFailureDetector",
-    "OracleFailureDetector",
-    "StaticDetector",
-    "CrashInjector",
-    "adaptive_floor_s",
-]
+#: Public name -> the module that defines it, resolved on first use.
+_EXPORTS = {
+    "AdaptiveFailureDetector": "repro.failure.detector",
+    "FailureDetector": "repro.failure.detector",
+    "HeartbeatFailureDetector": "repro.failure.detector",
+    "OracleFailureDetector": "repro.failure.detector",
+    "StaticDetector": "repro.failure.detector",
+    "CrashInjector": "repro.failure.injector",
+    "adaptive_floor_s": "repro.failure.detector",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

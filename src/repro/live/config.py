@@ -200,8 +200,9 @@ class LiveNodeConfig:
     serve_addr: Optional[Address] = None
     #: ``/metrics`` + ``/healthz`` listen address; ``None`` disables.
     metrics_addr: Optional[Address] = None
-    #: JSONL event journal, appended and flushed as events happen so a
-    #: SIGKILLed node still leaves its log behind.
+    #: JSONL event journal, written once per event-loop turn and ahead
+    #: of any socket write, so a SIGKILLed node still leaves behind
+    #: every line a peer or client could have seen.
     journal_path: Optional[str] = None
     #: JSONL span/telemetry journal (``repro.obs``); ``None`` disables
     #: span emission entirely (the hot path pays one attribute check).

@@ -27,9 +27,12 @@ evidence (``on_peer_refused``) the fast path for a kill — and
 :class:`GroupMembership`'s flush/install over TCP; each installed view
 re-points the ring *before* FSR resumes pumping (:class:`_RewiringClient`).
 
-With ``journal_path`` set, every record entry is also appended (and
-flushed) to a JSONL journal as it happens, so a node killed with
-SIGKILL still leaves its log for the chaos launcher's invariant battery.
+With ``journal_path`` set, every record entry is also journalled to a
+JSONL file: held for the rest of its event-loop turn and written once,
+at the turn's end or ahead of the turn's first ring, control or serve
+socket write (``before_write``), whichever comes first.  A node killed
+with SIGKILL still leaves its log for the chaos launcher's invariant
+battery, short only of lines that no peer or client could have seen.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from repro.live.scheduler import AsyncioScheduler
 from repro.live.transport import RingTransport
 from repro.net.channel import MAX_RETRIES
 from repro.net.dispatch import SilentPort
-from repro.obs.journal import JsonlWriter, SpanJournal
+from repro.obs.journal import JsonlWriter, SpanJournal, line_template
 from repro.obs.profile import (
     CpuAccountant,
     EventLoopLagSampler,
@@ -72,6 +75,14 @@ from repro.vsc.membership import FlushState, GroupMembership
 _POLL_S = 0.05
 #: How often a span-journalling node snapshots telemetry to its file.
 _TELEMETRY_SNAPSHOT_S = 1.0
+#: Journal line template by (line type, row length): a single-ring
+#: delivery row stops before ``ring`` and ``slot``.  A ``view`` line,
+#: rare and holding a list, goes through ``json.dumps`` instead.
+_ROW_LINES = {
+    (kind, length): line_template(kind, fields[:length])
+    for kind, (_name, fields) in JOURNAL_LISTS.items() if kind != "view"
+    for length in range(1, len(fields) + 1)
+}
 #: :class:`RingTransport` counters a node reports summed over its rings:
 #: ``record["stats"][name]`` and the telemetry counter
 #: ``transport_<name>`` (the names ``repro.obs.analyze`` reads) are the
@@ -212,6 +223,9 @@ class LiveNode:
 
     Every record entry goes through :meth:`_entry`, which files it in
     its list as a row of atoms and journals it (``JOURNAL_LISTS``).
+    The journal is flushed ahead of every socket write (each transport's
+    and the serve server's ``before_write``), so a turn's lines are in
+    the file before any byte of that turn leaves the node.
     """
 
     def __init__(
@@ -228,7 +242,7 @@ class LiveNode:
         self.members = tuple(range(spec.processes))
         position = self.members.index(me)
         self.successor = self.members[(position + 1) % len(self.members)]
-        self.journal = JsonlWriter(config.journal_path)
+        self.journal = JsonlWriter(config.journal_path, loop)
         self.logger = _configure_logging(config)
         self.telemetry = Telemetry()
         # capacity=0: sinks (the span journal, and the request trace's
@@ -286,6 +300,10 @@ class LiveNode:
             )
         self.process.set_listener(BroadcastListener(self._on_app_deliver))
         self.process.on_protocol_deliver(self._on_protocol_deliver)
+        if self.journal.enabled:
+            for writer in (*self.transports, self.serve_server):
+                if writer is not None:
+                    writer.before_write = self.journal.flush
 
     # -- build -----------------------------------------------------------
     def _build_shaper(self) -> Any:
@@ -444,7 +462,8 @@ class LiveNode:
         self.serve_server = SessionServer(
             self.me, self.serve_rsm, machine,
             LeaderLease(self.sched, self.me, self.spec.lease_s), self.sched,
-            telemetry=self.telemetry, journal=self.journal.write,
+            telemetry=self.telemetry,
+            journal=self.journal.append if self.journal.enabled else None,
             reqlog=self.reqlog,
         )
 
@@ -465,10 +484,15 @@ class LiveNode:
     def _entry(self, kind: str, row: Tuple[Any, ...]) -> None:
         """File ``row`` in its record list and journal it."""
         self.rows[kind].append(row)
-        if self.journal.enabled:
-            self.journal.write(
-                {"type": kind, **dict(zip(JOURNAL_LISTS[kind][1], row))}
-            )
+        journal = self.journal
+        if journal.enabled:
+            template = _ROW_LINES.get((kind, len(row)))
+            if template is not None:
+                journal.append(template % row)
+            else:
+                journal.write(
+                    {"type": kind, **dict(zip(JOURNAL_LISTS[kind][1], row))}
+                )
 
     def _may_submit(self) -> bool:
         cap = self.spec.messages_per_sender
@@ -759,6 +783,7 @@ class LiveNode:
                 "deliveries": process.stats_deliveries,
                 "acks_piggybacked": process.stats_acks_piggybacked,
                 "acks_standalone": process.stats_acks_standalone,
+                "journal_writes": self.journal.writes,
             },
             "telemetry": self._telemetry_snapshot(),
         }

@@ -29,7 +29,8 @@ FIFO channel the paper assumes; what this module adds is:
   :class:`asyncio.Protocol`; the first frame queued in a loop turn
   schedules the one ``transport.write`` that carries everything the
   turn queued, so a flush carries what that turn produced and an idle
-  link never waits (DESIGN.md §5g);
+  link never waits (DESIGN.md §5g); ``before_write`` runs ahead of each
+  such write (a node's journal flush);
 * TX backpressure: ``tx_ready`` mirrors the simulated NIC's ``tx_idle``
   gate, so ``FSRProcess``'s fair-send pump throttles on a slow socket
   exactly like it throttles on a busy simulated NIC — a connection whose
@@ -386,6 +387,9 @@ class _Link:
         taken = [queue.popleft() for _ in range(count)]
         self.queued_bytes -= sum(len(frame) for frame, _r, _a in taken)
         parts = self._pack(taken)
+        before_write = self.owner.before_write
+        if before_write is not None:
+            before_write()
         conn.transport.write(parts[0] if len(parts) == 1 else b"".join(parts))
 
     def _releasable(self) -> int:
@@ -537,6 +541,10 @@ class RingTransport:
         self.on_messages: FrameHandler = self._each_message
         #: Control-plane upcall: ``on_control(layer, src, inner)``.
         self.on_control: Optional[ControlHandler] = None
+        #: Called ahead of every ring and control write that carries
+        #: frames: a journalling node flushes its journal here, so what
+        #: a turn journalled is on file before that turn's bytes leave.
+        self.before_write: Optional[Callable[[], None]] = None
         #: Crash-evidence upcall, at most once per hang-up: the control
         #: connection to ``peer`` ended without a goodbye and the peer's
         #: host then refused the port (DESIGN.md §5c).

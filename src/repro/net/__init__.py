@@ -16,19 +16,21 @@ dissemination slow (the sequencer's RX carries ``n-1`` copies), so the
 model preserves the paper's throughput comparisons by construction.
 """
 
-from repro.net.message import Datagram, WireMessage
-from repro.net.network import Network, NetworkEndpoint, NicStats
-from repro.net.params import FramingModel, NetworkParams
-from repro.net.channel import ReliableChannel, ChannelStack
+from repro._exports import lazy_getattr
 
-__all__ = [
-    "Datagram",
-    "WireMessage",
-    "Network",
-    "NetworkEndpoint",
-    "NicStats",
-    "FramingModel",
-    "NetworkParams",
-    "ReliableChannel",
-    "ChannelStack",
-]
+#: Public name -> the module that defines it, resolved on first use.
+_EXPORTS = {
+    "Datagram": "repro.net.message",
+    "WireMessage": "repro.net.message",
+    "Network": "repro.net.network",
+    "NetworkEndpoint": "repro.net.network",
+    "NicStats": "repro.net.network",
+    "FramingModel": "repro.net.params",
+    "NetworkParams": "repro.net.params",
+    "ReliableChannel": "repro.net.channel",
+    "ChannelStack": "repro.net.channel",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

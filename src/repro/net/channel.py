@@ -17,13 +17,15 @@ responsible for excluding it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.net.network import NetworkEndpoint
-from repro.net.params import NetworkParams
-from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
 from repro.types import ProcessId, TimerHandle
+
+if TYPE_CHECKING:  # the simulated NIC: a live node imports only MAX_RETRIES
+    from repro.net.network import NetworkEndpoint
+    from repro.net.params import NetworkParams
+    from repro.sim.engine import Simulator
 
 #: Bytes of channel header prepended to every data message under ARQ.
 CHANNEL_HEADER_BYTES = 12

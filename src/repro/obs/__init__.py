@@ -16,82 +16,51 @@ above ``repro.errors`` / ``repro.types`` / ``repro.stats``
 a clean interpreter state to keep it so).
 """
 
-from repro.obs.analyze import (
-    LinkUtilization,
-    StageBreakdown,
-    crosscheck_latency,
-    link_utilization,
-    prometheus_snapshot,
-    recovery_outage_from_spans,
-    render_link_table,
-    stage_breakdown,
-)
-from repro.obs.event import Event, EventLog
-from repro.obs.httpexport import (
-    MetricsServer,
-    fetch_metrics,
-    http_get,
-    prometheus_metric_names,
-)
-from repro.obs.journal import (
-    JsonlReader,
-    JsonlWriter,
-    SpanJournal,
-    Timeline,
-    load_span_journal,
-    merge_span_journals,
-    timeline_from_spanlog,
-)
-from repro.obs.profile import CpuAccountant, EventLoopLagSampler, SamplingProfiler
-from repro.obs.reqtrace import (
-    RequestBreakdown,
-    RequestEvent,
-    RequestLog,
-    crosscheck_request_latency,
-    request_breakdown,
-)
-from repro.obs.span import KIND_RANK, SPAN_KINDS, SpanEvent, SpanLog
-from repro.obs.stages import StageStats
-from repro.obs.telemetry import Counter, Gauge, Histogram, Telemetry, render_prometheus
+from repro._exports import lazy_getattr
 
-__all__ = [
-    "KIND_RANK",
-    "SPAN_KINDS",
-    "Event",
-    "EventLog",
-    "SpanEvent",
-    "SpanLog",
-    "RequestEvent",
-    "RequestLog",
-    "JsonlReader",
-    "JsonlWriter",
-    "SpanJournal",
-    "Timeline",
-    "load_span_journal",
-    "merge_span_journals",
-    "timeline_from_spanlog",
-    "StageStats",
-    "StageBreakdown",
-    "RequestBreakdown",
-    "stage_breakdown",
-    "request_breakdown",
-    "crosscheck_latency",
-    "crosscheck_request_latency",
-    "LinkUtilization",
-    "link_utilization",
-    "render_link_table",
-    "prometheus_snapshot",
-    "recovery_outage_from_spans",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Telemetry",
-    "render_prometheus",
-    "MetricsServer",
-    "fetch_metrics",
-    "http_get",
-    "prometheus_metric_names",
-    "CpuAccountant",
-    "EventLoopLagSampler",
-    "SamplingProfiler",
-]
+#: Public name -> the module that defines it, resolved on first use.
+_EXPORTS = {
+    "KIND_RANK": "repro.obs.span",
+    "SPAN_KINDS": "repro.obs.span",
+    "Event": "repro.obs.event",
+    "EventLog": "repro.obs.event",
+    "SpanEvent": "repro.obs.span",
+    "SpanLog": "repro.obs.span",
+    "RequestEvent": "repro.obs.reqtrace",
+    "RequestLog": "repro.obs.reqtrace",
+    "JsonlReader": "repro.obs.journal",
+    "JsonlWriter": "repro.obs.journal",
+    "SpanJournal": "repro.obs.journal",
+    "Timeline": "repro.obs.journal",
+    "load_span_journal": "repro.obs.journal",
+    "merge_span_journals": "repro.obs.journal",
+    "timeline_from_spanlog": "repro.obs.journal",
+    "StageStats": "repro.obs.stages",
+    "StageBreakdown": "repro.obs.analyze",
+    "RequestBreakdown": "repro.obs.reqtrace",
+    "stage_breakdown": "repro.obs.analyze",
+    "request_breakdown": "repro.obs.reqtrace",
+    "crosscheck_latency": "repro.obs.analyze",
+    "crosscheck_request_latency": "repro.obs.reqtrace",
+    "LinkUtilization": "repro.obs.analyze",
+    "link_utilization": "repro.obs.analyze",
+    "render_link_table": "repro.obs.analyze",
+    "prometheus_snapshot": "repro.obs.analyze",
+    "recovery_outage_from_spans": "repro.obs.analyze",
+    "Counter": "repro.obs.telemetry",
+    "Gauge": "repro.obs.telemetry",
+    "Histogram": "repro.obs.telemetry",
+    "Telemetry": "repro.obs.telemetry",
+    "render_prometheus": "repro.obs.telemetry",
+    "MetricsServer": "repro.obs.httpexport",
+    "fetch_metrics": "repro.obs.httpexport",
+    "http_get": "repro.obs.httpexport",
+    "prometheus_metric_names": "repro.obs.httpexport",
+    "CpuAccountant": "repro.obs.profile",
+    "EventLoopLagSampler": "repro.obs.profile",
+    "SamplingProfiler": "repro.obs.profile",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

@@ -2,13 +2,17 @@
 
 Live nodes append every broadcast/delivery (the node journal) and every
 span, request event and periodic telemetry snapshot (the span journal)
-to per-node JSONL files, flushed line by line, so a SIGKILLed node's
-log survives up to at worst one torn final line.  This module holds the
-one writer (:class:`JsonlWriter`) and the one torn-tail-tolerant,
-incremental reader (:class:`JsonlReader`) every journal goes through,
-and the merger that joins per-node span journals into one
-:class:`Timeline`: all events rebased to a common origin and sorted,
-ready for ``python -m repro obs``.
+to per-node JSONL files.  The node journal holds its hot lines for the
+rest of the event-loop turn and writes them once, ahead of any socket
+write of that turn; every other line is flushed as it is written.  So a
+SIGKILLed node's log survives up to at worst one torn final line, and
+loses only lines that no peer or client could have seen.  This module
+holds the one writer (:class:`JsonlWriter`), the line templates its hot
+lines are rendered from (:func:`line_template`), the one
+torn-tail-tolerant, incremental reader (:class:`JsonlReader`) every
+journal goes through, and the merger that joins per-node span journals
+into one :class:`Timeline`: all events rebased to a common origin and
+sorted, ready for ``python -m repro obs``.
 
 The monotonic clock live nodes stamp spans with is system-wide on
 Linux, so cross-process timestamps are directly comparable after a
@@ -18,9 +22,11 @@ single rebase.  Simulated runs skip the files entirely —
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TextIO, Type, TypeVar
+from json.encoder import encode_basestring_ascii as json_string
+from typing import Any, Dict, List, Optional, Sequence, TextIO, Type, TypeVar
 
 from repro.obs.event import Event
 from repro.obs.reqtrace import RequestEvent, request_sort_key
@@ -33,17 +39,49 @@ TIMELINE_SCHEMA = "repro.timeline/1"
 E = TypeVar("E", bound=Event)
 
 
-class JsonlWriter:
-    """Append-and-flush JSONL file that survives SIGKILL.
+def line_template(kind: str, fields: Sequence[str]) -> str:
+    """The %-template of one hot journal line type.
 
-    ``flush()`` hands the line to the OS on every entry; page cache
-    contents survive the process, so a killed writer's file is intact
-    up to (at worst) one torn final line, which :class:`JsonlReader`
-    tolerates.  ``path=None`` writes nothing.
+    ``line_template(kind, fields) % row`` is byte for byte
+    ``json.dumps({"type": kind, **dict(zip(fields, row))}) + "\\n"`` for
+    a row whose values are ints, finite floats (``str`` of either is its
+    JSON) or strings already rendered by :func:`json_string` — what
+    ``json.dumps`` writes for a string, quotes included.  No dict is
+    built and no encoder runs per line.
+    """
+    names = [json.dumps(name).replace("%", "%%") for name in ("type", *fields)]
+    values = [json.dumps(kind).replace("%", "%%")] + ["%s"] * len(fields)
+    return "{" + ", ".join(
+        f"{name}: {value}" for name, value in zip(names, values)
+    ) + "}\n"
+
+
+class JsonlWriter:
+    """Append-only JSONL file that survives SIGKILL.
+
+    :meth:`write` renders a dict and flushes it at once, behind any
+    lines still held (lifecycle lines, span journals).  :meth:`append`
+    takes a line already rendered (by a :func:`line_template`) and holds
+    it for the rest of ``loop``'s turn: the turn's first line schedules
+    :meth:`flush` for the turn's end, and a node calls :meth:`flush`
+    ahead of any socket write of the turn, so everything journalled in a
+    turn is in the file before any byte of that turn leaves the process.
+    A flush is one ``write`` + ``flush``; page cache contents survive the
+    process, so a killed writer's file is intact up to (at worst) one
+    torn final line, which :class:`JsonlReader` tolerates.  ``path=None``
+    writes nothing.
     """
 
-    def __init__(self, path: Optional[str]) -> None:
+    def __init__(
+        self, path: Optional[str],
+        loop: Optional[asyncio.AbstractEventLoop] = None,
+    ) -> None:
         self._fh: Optional[TextIO] = open(path, "w") if path else None
+        #: The loop whose turns bound :meth:`append`'s lines.
+        self._loop = loop
+        self._held: List[str] = []
+        #: File writes made (each one ``write`` + ``flush``).
+        self.writes = 0
 
     @property
     def enabled(self) -> bool:
@@ -54,11 +92,28 @@ class JsonlWriter:
     def write(self, entry: Dict[str, Any]) -> None:
         if self._fh is None:
             return
-        self._fh.write(json.dumps(entry) + "\n")
-        self._fh.flush()
+        self._held.append(json.dumps(entry) + "\n")
+        self.flush()
+
+    def append(self, line: str) -> None:
+        """Hold one rendered line until the turn ends or a socket write."""
+        held = self._held
+        if not held:
+            self._loop.call_soon(self.flush)
+        held.append(line)
+
+    def flush(self) -> None:
+        """Write the held lines, if any, in one write."""
+        held = self._held
+        if held and self._fh is not None:
+            self._held = []
+            self._fh.write("".join(held))
+            self._fh.flush()
+            self.writes += 1
 
     def close(self) -> None:
         if self._fh is not None:
+            self.flush()
             self._fh.close()
             self._fh = None
 

@@ -14,10 +14,10 @@ Three instruments sized to answer one question from the ROADMAP —
   a telemetry snapshot shows protocol CPU split by stage against the
   sampler's I/O-wait remainder.
 * :class:`SamplingProfiler` — an opt-in statistical profiler: a
-  daemon thread samples the event-loop thread's stack via
-  ``sys._current_frames`` and writes flamegraph-compatible collapsed
-  stacks (``a;b;c 42`` lines, feedable to ``flamegraph.pl`` or
-  speedscope) — stdlib only, no signal handlers, safe under asyncio.
+  ``SIGPROF`` timer on process CPU time samples the event-loop
+  thread's own stack and writes flamegraph-compatible collapsed stacks
+  (``a;b;c 42`` lines, feedable to ``flamegraph.pl`` or speedscope) —
+  stdlib only.
 
 Everything is off (or not constructed) by default; the disabled-mode
 benchmarks in EXPERIMENTS.md gate the zero-cost claim.
@@ -25,8 +25,7 @@ benchmarks in EXPERIMENTS.md gate the zero-cost claim.
 
 from __future__ import annotations
 
-import sys
-import threading
+import signal
 import time
 from collections import Counter as _Counter
 from typing import Any, Dict, List, Optional
@@ -160,59 +159,49 @@ class CpuAccountant:
 class SamplingProfiler:
     """Statistical stack sampler emitting collapsed flamegraph lines.
 
-    Samples the *target thread* (default: the thread that constructed
-    the profiler, i.e. the event loop) at ``interval_s`` from a daemon
-    thread.  ``sys._current_frames`` gives a consistent snapshot of the
-    target's stack without tracing overhead on the sampled code —
-    steady-state cost is one dict build per sample, independent of the
-    workload's call rate.
+    Samples the main thread — the event loop's — every ``interval_s`` of
+    process CPU time: ``setitimer(ITIMER_PROF)`` raises ``SIGPROF``, and
+    the handler, which Python runs on the main thread between bytecodes,
+    walks the interrupted frame.  So samples fall where the CPU goes: a
+    C call (a syscall, an encoder) is charged to the Python frame that
+    made it, and a loop parked in ``select`` burns no CPU and takes no
+    samples.  (A sampler *thread* reading ``sys._current_frames`` only
+    gets the GIL where the loop releases it, at syscalls, so every
+    sample landed on one.)  Start it on the main thread: it installs a
+    signal handler, and restores the previous one on :meth:`stop`.
 
     ``write_collapsed`` emits ``root;caller;leaf count`` lines — the
     format ``flamegraph.pl`` and speedscope ingest directly.
     """
 
-    def __init__(
-        self,
-        interval_s: float = 0.005,
-        target_thread_id: Optional[int] = None,
-    ) -> None:
+    def __init__(self, interval_s: float = 0.005) -> None:
         self.interval_s = interval_s
-        self._target = (
-            target_thread_id if target_thread_id is not None
-            else threading.get_ident()
-        )
         self._stacks: _Counter = _Counter()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._previous: Any = None
+        self._running = False
         self.samples = 0
 
     def start(self) -> None:
-        if self._thread is not None:
+        if self._running:
             return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-profiler", daemon=True
-        )
-        self._thread.start()
+        self._previous = signal.signal(signal.SIGPROF, self._sample)
+        signal.setitimer(signal.ITIMER_PROF, self.interval_s, self.interval_s)
+        self._running = True
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
+        if not self._running:
+            return
+        signal.setitimer(signal.ITIMER_PROF, 0.0)
+        signal.signal(signal.SIGPROF, self._previous)
+        self._running = False
 
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            frame = sys._current_frames().get(self._target)
-            if frame is None:
-                continue
-            stack: List[str] = []
-            depth = 0
-            while frame is not None and depth < 128:
-                code = frame.f_code
-                stack.append(f"{code.co_name} ({code.co_filename.rsplit('/', 1)[-1]}:{code.co_firstlineno})")
-                frame = frame.f_back
-                depth += 1
+    def _sample(self, _signum: int, frame: Any) -> None:
+        stack: List[str] = []
+        while frame is not None and len(stack) < 128:
+            code = frame.f_code
+            stack.append(f"{code.co_name} ({code.co_filename.rsplit('/', 1)[-1]}:{code.co_firstlineno})")
+            frame = frame.f_back
+        if stack:
             self._stacks[";".join(reversed(stack))] += 1
             self.samples += 1
 

@@ -363,9 +363,10 @@ def _await_drain(
     delivery to a trailing replica can still be on the ring at that
     moment.  SIGTERMing on client completion therefore raced the final
     applies and flaked the uniformity battery (an acked write "applied
-    0 times" on the node that lost the race).  Journals are
-    append-and-flush per apply, so polling them is enough; on timeout
-    we proceed and let the battery report what's genuinely missing.
+    0 times" on the node that lost the race).  A node writes its
+    journal at the end of each loop turn (and before any reply of that
+    turn leaves), so polling the journals is enough; on timeout we
+    proceed and let the battery report what's genuinely missing.
     """
     acked = {(client, seq) for client, seq, _op, _args in acked_writes}
     survivors = [pid for pid in cluster.members if pid not in cluster.killed]

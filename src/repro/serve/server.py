@@ -28,9 +28,12 @@ transport's buffer passes the high-water mark the connection pauses
 reading until it drains.
 
 Every *first* application of a session command is journalled (type
-``"apply"``), so a SIGKILLed node still leaves its applied sequence
-behind — the serve chaos battery replays those journals to prove no
-acknowledged write was lost or doubly applied.
+``"apply"``, rendered from a fixed template), so a SIGKILLed node still
+leaves its applied sequence behind — the serve chaos battery replays
+those journals to prove no acknowledged write was lost or doubly
+applied.  ``before_write`` runs ahead of every response write: the node
+flushes its journal there, so every reply a client receives has its
+``apply`` line on file.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import CodecError, ReproError
 from repro.live.scheduler import AsyncioScheduler
+from repro.obs.journal import json_string, line_template
 from repro.obs.reqtrace import RequestLog
 from repro.obs.telemetry import Telemetry
 from repro.serve.lease import LeaderLease
@@ -74,6 +78,12 @@ _RENEWALS_PER_LEASE = 3
 #: never split, whatever its size.
 MAX_BATCH_BYTES = 60_000
 
+#: The journal's ``apply`` line: ``_APPLY_LINE % (client, seq, op,
+#: status, index, time)``, the strings through ``json_string``.
+_APPLY_LINE = line_template(
+    "apply", ("client", "seq", "op", "status", "index", "time")
+)
+
 #: One ordered request waiting for the next flush:
 #: (envelope, (client, seq), traced, waiter).
 _Pending = Tuple[Command, Tuple[str, int], bool, "asyncio.Future"]
@@ -97,7 +107,7 @@ class SessionServer:
         lease: LeaderLease,
         sched: AsyncioScheduler,
         telemetry: Optional[Telemetry] = None,
-        journal: Optional[Callable[[Dict[str, Any]], None]] = None,
+        journal: Optional[Callable[[str], None]] = None,
         reqlog: Optional[RequestLog] = None,
     ) -> None:
         self.node_id = node_id
@@ -106,7 +116,12 @@ class SessionServer:
         self.lease = lease
         self.sched = sched
         self.telemetry = telemetry or Telemetry()
+        #: Takes each rendered ``apply`` line (the node journal's
+        #: ``append``).
         self._journal = journal
+        #: Called ahead of every response write (the node journal's
+        #: ``flush``).
+        self.before_write: Optional[Callable[[], None]] = None
         # `is None`, not `or`: the caller's log is used whatever it holds.
         self.reqlog = reqlog if reqlog is not None else RequestLog(enabled=False)
         #: MessageId -> [(client, seq)] of the traced requests riding
@@ -256,15 +271,10 @@ class SessionServer:
         applied_index: int,
     ) -> None:
         if self._journal is not None:
-            self._journal({
-                "type": "apply",
-                "client": client_id,
-                "seq": seq_no,
-                "op": op,
-                "status": outcome[0],
-                "index": applied_index,
-                "time": self.sched.now,
-            })
+            self._journal(_APPLY_LINE % (
+                json_string(client_id), seq_no, json_string(op),
+                json_string(outcome[0]), applied_index, self.sched.now,
+            ))
         waiters = self._waiters.pop((client_id, seq_no), None)
         if waiters:
             for fut in waiters:
@@ -528,8 +538,10 @@ class _Connection(asyncio.Protocol):
             self._traced = []
         if self.transport.is_closing():
             return  # client gone; it resends on its next connection
-        self.transport.write(b"".join(out))
         server = self.server
+        if server.before_write is not None:
+            server.before_write()
+        self.transport.write(b"".join(out))
         server._responses_per_write.observe(len(out))
         for client, seq in traced:
             server._trace("responded", client, seq)

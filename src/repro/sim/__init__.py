@@ -7,8 +7,16 @@ the network model, the failure detector, the protocols — is built as
 callbacks scheduled on this engine.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog, TraceRecord
+from repro._exports import lazy_getattr
 
-__all__ = ["Simulator", "RngRegistry", "TraceLog", "TraceRecord"]
+#: Public name -> the module that defines it, resolved on first use.
+_EXPORTS = {
+    "Simulator": "repro.sim.engine",
+    "RngRegistry": "repro.sim.rng",
+    "TraceLog": "repro.sim.trace",
+    "TraceRecord": "repro.sim.trace",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

@@ -132,12 +132,16 @@ def test_sigterm_before_the_start_barrier_ends_the_node_cleanly(
     assert types == ["end"]  # no start line: the barrier never passed
 
 
-#: What a node never needs: the simulator's experiment stack, the chaos
-#: campaign and the paper's figures.
+#: What a node never needs: the simulator's experiment stack and its
+#: network, RNG streams and crash injector, the chaos campaign, the
+#: paper's figures, the span analysis and (with no metrics port) the
+#: ``/metrics`` server.
 _NOT_A_NODE = (
     "repro.chaos.campaign", "repro.figures", "repro.cluster",
     "repro.metrics", "repro.workloads", "repro.live.runner",
-    "repro.serve.runner",
+    "repro.serve.runner", "repro.obs.analyze", "repro.obs.httpexport",
+    "repro.net.network", "repro.net.params", "repro.sim.rng",
+    "repro.failure.injector",
 )
 
 

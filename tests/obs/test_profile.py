@@ -7,6 +7,7 @@ sampling profiler must catch a busy loop inside the busy function.
 """
 
 import asyncio
+import os
 import time
 
 from repro.live.scheduler import AsyncioScheduler
@@ -123,3 +124,36 @@ def test_sampling_profiler_stop_is_idempotent_and_restartable():
     count = profiler.samples
     time.sleep(0.03)
     assert profiler.samples == count  # sampling really stopped
+
+
+def _python_work(count: int) -> int:
+    total = 0
+    for number in range(count):
+        total += number * number
+    return total
+
+
+def test_sampling_profiler_charges_cpu_not_syscalls():
+    """A pure-Python loop alternating with a pipe round trip: the loop
+    takes nearly all the CPU, so it must take nearly all the samples.
+    (A sampler thread that only gets the GIL at the loop thread's
+    syscalls put every sample on the ``os.write`` / ``os.read``.)"""
+    read_fd, write_fd = os.pipe()
+    profiler = SamplingProfiler(interval_s=0.002)
+    profiler.start()
+    try:
+        deadline = time.perf_counter() + 1.0
+        while time.perf_counter() < deadline:
+            _python_work(2000)
+            os.write(write_fd, b"x")
+            os.read(read_fd, 1)
+    finally:
+        profiler.stop()
+        os.close(read_fd)
+        os.close(write_fd)
+    in_python = sum(
+        int(line.rsplit(" ", 1)[1]) for line in profiler.collapsed()
+        if "_python_work" in line
+    )
+    assert profiler.samples >= 20
+    assert in_python >= 0.8 * profiler.samples, profiler.collapsed()[:5]
