@@ -161,14 +161,17 @@ class SamplingProfiler:
 
     Samples the main thread — the event loop's — every ``interval_s`` of
     process CPU time: ``setitimer(ITIMER_PROF)`` raises ``SIGPROF``, and
-    the handler, which Python runs on the main thread between bytecodes,
-    walks the interrupted frame.  So samples fall where the CPU goes: a
-    C call (a syscall, an encoder) is charged to the Python frame that
-    made it, and a loop parked in ``select`` burns no CPU and takes no
-    samples.  (A sampler *thread* reading ``sys._current_frames`` only
-    gets the GIL where the loop releases it, at syscalls, so every
-    sample landed on one.)  Start it on the main thread: it installs a
-    signal handler, and restores the previous one on :meth:`stop`.
+    the handler walks the frame it runs in.  Python runs the handler at
+    its next check between bytecodes (a C call returning, a function
+    entered, a loop jumping back): a C call (a syscall, an encoder) is
+    charged to the frame that made it, but C work that is not a call (a
+    ``%`` format) to whatever Python code runs next, so per-function
+    self time is good to the caller, not the line.  A loop parked in
+    ``select`` takes no samples.  (A sampler *thread* reading
+    ``sys._current_frames`` only gets the GIL where the loop releases
+    it, at syscalls, so every sample landed on one.)  Start it on the
+    main thread: it installs a signal handler, and restores the
+    previous one on :meth:`stop`.
 
     ``write_collapsed`` emits ``root;caller;leaf count`` lines — the
     format ``flamegraph.pl`` and speedscope ingest directly.

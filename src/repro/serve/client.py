@@ -267,17 +267,10 @@ class SessionClient:
         conn = self._conn
         if conn is None:
             return  # failover in progress; _resend_pending will retry
-        request = Request(
-            client=self.client_id,
-            seq=entry.seq,
-            first_unacked=self.first_unacked,
-            barrier=self._barrier,
-            op=entry.op,
-            args=entry.args,
-            ordered=entry.ordered,
-            trace=self.reqlog.enabled,
-        )
-        conn.send(encode_request(request))
+        conn.send(encode_request(Request(
+            self.client_id, entry.seq, self.first_unacked, self._barrier,
+            entry.op, entry.args, entry.ordered, self.reqlog.enabled,
+        )))
 
     # -- connection upcalls --------------------------------------------
     def _on_connection_lost(self, conn: "_Connection") -> None:

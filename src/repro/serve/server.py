@@ -39,7 +39,6 @@ flushes its journal there, so every reply a client receives has its
 from __future__ import annotations
 
 import asyncio
-import functools
 import hashlib
 import json
 import logging
@@ -84,9 +83,13 @@ _APPLY_LINE = line_template(
     "apply", ("client", "seq", "op", "status", "index", "time")
 )
 
+#: An ordered request waiting for its apply: the request and the
+#: connection its answer goes to.
+_Waiter = Tuple[Request, "_Connection"]
+
 #: One ordered request waiting for the next flush:
 #: (envelope, (client, seq), traced, waiter).
-_Pending = Tuple[Command, Tuple[str, int], bool, "asyncio.Future"]
+_Pending = Tuple[Command, Tuple[str, int], bool, _Waiter]
 
 
 def snapshot_hash(snapshot: Any) -> str:
@@ -133,7 +136,7 @@ class SessionServer:
         self._ordered_keys: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._view: Optional[View] = None
-        self._waiters: Dict[Tuple[str, int], List[asyncio.Future]] = {}
+        self._waiters: Dict[Tuple[str, int], List[_Waiter]] = {}
         #: Ordered requests decoded since the last flush (non-empty means
         #: a flush callback is scheduled) and their wire-frame bytes.
         self._pending: List[_Pending] = []
@@ -181,10 +184,6 @@ class SessionServer:
                 conn.transport.abort()
             await self._server.wait_closed()
             self._server = None
-        for waiters in self._waiters.values():
-            for fut in waiters:
-                if not fut.done():
-                    fut.cancel()
         self._waiters.clear()
         self._pending.clear()
         self._pending_bytes = 0
@@ -277,9 +276,10 @@ class SessionServer:
             ))
         waiters = self._waiters.pop((client_id, seq_no), None)
         if waiters:
-            for fut in waiters:
-                if not fut.done():
-                    fut.set_result(outcome)
+            for request, conn in waiters:
+                conn.respond(
+                    request, self._from_outcome(seq_no, outcome, "ordered")
+                )
 
     # -- request handling ----------------------------------------------
     def _unavailable(self, request: Request, exc: Exception) -> Response:
@@ -290,35 +290,26 @@ class SessionServer:
             self.node_id, request.client, request.seq, exc,
         )
         return self._response(
-            request, ok=False, error=f"unavailable: {exc}", served="ordered"
+            request.seq, False, None, f"unavailable: {exc}", "ordered"
         )
 
     def _response(
-        self,
-        request: Request,
-        ok: bool,
-        result: Any = None,
-        error: Optional[str] = None,
-        served: str = "ordered",
+        self, seq: int, ok: bool, result: Any, error: Optional[str], served: str
     ) -> Response:
+        """A response with this server's leader and view hints."""
         view = self._view
         return Response(
-            seq=request.seq,
-            ok=ok,
-            result=result,
-            error=error,
-            served=served,
-            leader=self.lease.leader,
-            view_id=view.view_id if view is not None else self.lease.view_id,
+            seq, ok, result, error, served, self.lease.leader,
+            view.view_id if view is not None else self.lease.view_id,
         )
 
     def _from_outcome(
-        self, request: Request, outcome: Tuple[str, Any], served: str
+        self, seq: int, outcome: Tuple[str, Any], served: str
     ) -> Response:
         status, value = outcome
         if status == "ok":
-            return self._response(request, ok=True, result=value, served=served)
-        return self._response(request, ok=False, error=value, served=served)
+            return self._response(seq, True, value, None, served)
+        return self._response(seq, False, None, value, served)
 
     def _dispatch(
         self, request: Request, conn: "_Connection", frame_bytes: int = 0
@@ -335,7 +326,7 @@ class SessionServer:
             self._cached.inc()
             if traced:
                 self._trace("cached", client, seq)
-            conn.respond(request, self._from_outcome(request, cached, "cached"))
+            conn.respond(request, self._from_outcome(seq, cached, "cached"))
             return
         read_only_ops = getattr(self.machine.inner, "READ_ONLY_OPS", frozenset())
         if request.op in read_only_ops and not request.ordered:
@@ -357,14 +348,14 @@ class SessionServer:
                 result = self.machine.local_read(
                     Command(request.op, request.args)
                 )
-                conn.respond(request, self._response(
-                    request, ok=True, result=result, served="local"
-                ))
+                conn.respond(
+                    request, self._response(seq, True, result, None, "local")
+                )
                 return
-        # Ordered path: through the total order, exactly once.
-        fut: asyncio.Future = self.sched.loop.create_future()
+        # Ordered path: through the total order, exactly once; apply answers.
         key = (client, seq)
-        self._waiters.setdefault(key, []).append(fut)
+        waiter = (request, conn)
+        self._waiters.setdefault(key, []).append(waiter)
         if traced:
             self._trace("enqueued", client, seq)
         self._enqueue(
@@ -372,31 +363,9 @@ class SessionServer:
                 client, seq, request.first_unacked, request.op,
                 request.args, trace=request.trace,
             ),
-            key, traced, fut, frame_bytes,
+            key, traced, waiter, frame_bytes,
         )
         self._ordered.inc()
-        fut.add_done_callback(functools.partial(self._answer, request, conn))
-
-    def _answer(
-        self, request: Request, conn: "_Connection", fut: asyncio.Future
-    ) -> None:
-        """Done-callback of an ordered request's waiter."""
-        key = (request.client, request.seq)
-        waiters = self._waiters.get(key)
-        if waiters is not None:
-            if fut in waiters:
-                waiters.remove(fut)
-            if not waiters:
-                del self._waiters[key]
-        if fut.cancelled():
-            return  # server closing
-        exc = fut.exception()
-        if exc is not None:
-            conn.respond(request, self._unavailable(request, exc))
-        else:
-            conn.respond(
-                request, self._from_outcome(request, fut.result(), "ordered")
-            )
 
     # -- group commit --------------------------------------------------
     def _enqueue(
@@ -404,7 +373,7 @@ class SessionServer:
         command: Command,
         key: Tuple[str, int],
         traced: bool,
-        fut: asyncio.Future,
+        waiter: _Waiter,
         size: int,
     ) -> None:
         """Queue one envelope for this loop turn's broadcast.
@@ -416,7 +385,7 @@ class SessionServer:
             self._submit_pending()  # full: goes out now, the rest follows
         if not self._pending:
             self.sched.loop.call_soon(self._flush)
-        self._pending.append((command, key, traced, fut))
+        self._pending.append((command, key, traced, waiter))
         self._pending_bytes += size
 
     def _flush(self) -> None:
@@ -429,19 +398,25 @@ class SessionServer:
         batch, self._pending, self._pending_bytes = self._pending, [], 0
         try:
             message_id = self.rsm.submit(
-                batch_command([command for command, _k, _t, _f in batch])
+                batch_command([command for command, _k, _t, _w in batch])
             )
         except ReproError as exc:
             # Broadcast rejected (view change in progress): every
-            # request of the batch answers ``unavailable``, as one
-            # submitted alone would have.
-            for _command, _key, _traced, fut in batch:
-                if not fut.done():
-                    fut.set_exception(exc)
+            # request of the batch still waiting answers
+            # ``unavailable``, as one submitted alone would have.
+            for _command, key, _traced, waiter in batch:
+                waiters = self._waiters.get(key)
+                if waiters is None or waiter not in waiters:
+                    continue  # applied through another batch: answered
+                waiters.remove(waiter)
+                if not waiters:
+                    del self._waiters[key]
+                request, conn = waiter
+                conn.respond(request, self._unavailable(request, exc))
             return
         self._batches.inc()
         self._batch_commands.observe(len(batch))
-        for _command, key, traced, _fut in batch:
+        for _command, key, traced, _waiter in batch:
             if traced:
                 # The submit return is the broadcast MessageId — the
                 # join key onto the message-lifecycle spans, shared by
@@ -524,10 +499,18 @@ class _Connection(asyncio.Protocol):
         server._requests_per_chunk.observe(requests)
 
     def respond(self, request: Request, response: Response) -> None:
-        """Queue ``response`` for this turn's write."""
+        """Queue ``response`` for this turn's write.  Never raises (the
+        apply upcall calls it mid-batch): a response too large to frame
+        closes the connection, as a bad request frame does."""
+        try:
+            frame = encode_response(response)
+        except CodecError as exc:
+            logger.warning("unframeable response to %s: %s", request.client, exc)
+            self.transport.close()
+            return
         if not self._out:
             self.server.sched.loop.call_soon(self._write)
-        self._out.append(encode_response(response))
+        self._out.append(frame)
         if request.trace and self.server.reqlog.enabled:
             self._traced.append((request.client, request.seq))
 

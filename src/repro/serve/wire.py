@@ -8,6 +8,10 @@ self-describing body keeps the loadgen and external clients trivial.
 Server and client both receive through :class:`FrameSlicer`: every
 complete frame of a received chunk comes out in one call.
 
+:class:`Request` and :class:`Response` are named tuples, each framed
+from one ``%``-template byte for byte as ``encode_frame(obj.to_dict())``
+would (property-tested in ``tests/serve/test_wire.py``).
+
 Request fields::
 
     client   str   session identity (unique per client session)
@@ -40,10 +44,10 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, NamedTuple, Optional, Tuple
 
 from repro.errors import CodecError
+from repro.obs.journal import json_string
 
 _LENGTH = struct.Struct("!I")
 
@@ -53,9 +57,26 @@ LENGTH_PREFIX_BYTES = 4
 #: Hard cap on a request/response body; larger frames are rejected.
 MAX_FRAME_BYTES = 1 << 20
 
+#: The one compact encoder (of ``args``, ``result`` and every
+#: ``encode_frame`` body); ``json.dumps`` would build one per call.
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
-@dataclass(frozen=True)
-class Request:
+#: A request body: ``_REQUEST % (client, seq, first_unacked, barrier,
+#: op, args, ordered, trace)``, the strings rendered already.
+_REQUEST = (
+    '{"client":%s,"seq":%d,"first_unacked":%d,"barrier":%d,"op":%s,'
+    '"args":%s,"ordered":%s%s}'
+)
+
+#: A response body: ``_RESPONSE % (seq, ok, result, error, served,
+#: leader, view_id)``, the values rendered already.
+_RESPONSE = (
+    '{"seq":%d,"ok":%s,"result":%s,"error":%s,"served":%s,"leader":%s,'
+    '"view_id":%s}'
+)
+
+
+class Request(NamedTuple):
     """One client session request."""
 
     client: str
@@ -68,19 +89,12 @@ class Request:
     trace: bool = False
 
     def to_dict(self) -> dict:
-        body = {
-            "client": self.client,
-            "seq": self.seq,
-            "first_unacked": self.first_unacked,
-            "barrier": self.barrier,
-            "op": self.op,
-            "args": list(self.args),
-            "ordered": self.ordered,
-        }
-        if self.trace:
+        body = self._asdict()
+        body["args"] = list(self.args)
+        if not self.trace:
             # Omitted when off so untraced requests stay byte-identical
             # to the pre-tracing wire format.
-            body["trace"] = True
+            del body["trace"]
         return body
 
     @classmethod
@@ -117,20 +131,10 @@ class Request:
         trace = body.get("trace", False)
         if not isinstance(trace, bool):
             raise CodecError(f"request trace must be a bool: {trace!r}")
-        return cls(
-            client=client,
-            seq=seq,
-            first_unacked=first_unacked,
-            barrier=barrier,
-            op=op,
-            args=tuple(args),
-            ordered=ordered,
-            trace=trace,
-        )
+        return cls(client, seq, first_unacked, barrier, op, tuple(args), ordered, trace)
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     """One server response, matched to its request by ``seq``."""
 
     seq: int
@@ -142,15 +146,7 @@ class Response:
     view_id: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "ok": self.ok,
-            "result": self.result,
-            "error": self.error,
-            "served": self.served,
-            "leader": self.leader,
-            "view_id": self.view_id,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, body: Any) -> "Response":
@@ -165,31 +161,35 @@ class Response:
             raise CodecError(f"response seq must be an int: {seq!r}")
         if not isinstance(ok, bool):
             raise CodecError(f"response ok must be a bool: {ok!r}")
+        error = body.get("error")
+        if error is not None and not isinstance(error, str):
+            raise CodecError(f"response error must be a str or null: {error!r}")
         served = body.get("served", "ordered")
         if served not in ("ordered", "local", "cached"):
             raise CodecError(f"response served must be ordered|local|cached: {served!r}")
-        return cls(
-            seq=seq,
-            ok=ok,
-            result=body.get("result"),
-            error=body.get("error"),
-            served=served,
-            leader=body.get("leader"),
-            view_id=body.get("view_id"),
-        )
+        leader, view_id = body.get("leader"), body.get("view_id")
+        for name, value in (("leader", leader), ("view_id", view_id)):
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                raise CodecError(f"response {name} must be an int or null: {value!r}")
+        return cls(seq, ok, body.get("result"), error, served, leader, view_id)
 
 
-def encode_frame(body: dict) -> bytes:
-    """Length-prefix a JSON body for the wire."""
-    try:
-        encoded = json.dumps(body, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise CodecError(f"unencodable frame body: {exc}") from exc
+def _frame(text: str) -> bytes:
+    """Length-prefix a rendered JSON body."""
+    encoded = text.encode("utf-8")
     if len(encoded) > MAX_FRAME_BYTES:
         raise CodecError(
             f"frame body of {len(encoded)} bytes exceeds cap {MAX_FRAME_BYTES}"
         )
     return _LENGTH.pack(len(encoded)) + encoded
+
+
+def encode_frame(body: dict) -> bytes:
+    """Length-prefix a JSON body for the wire."""
+    try:
+        return _frame(_JSON.encode(body))
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"unencodable frame body: {exc}") from exc
 
 
 def frame_length(buffer: bytes, start: int = 0) -> Optional[int]:
@@ -254,11 +254,32 @@ def decode_body(body: bytes) -> Any:
 
 
 def encode_request(request: Request) -> bytes:
-    return encode_frame(request.to_dict())
+    """``encode_frame(request.to_dict())``, byte for byte, from the template."""
+    client, seq, first_unacked, barrier, op, args, ordered, trace = request
+    try:
+        return _frame(_REQUEST % (
+            json_string(client), seq, first_unacked, barrier, json_string(op),
+            _JSON.encode(args), "true" if ordered else "false",
+            ',"trace":true' if trace else "",
+        ))
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"unencodable request: {exc}") from exc
 
 
 def encode_response(response: Response) -> bytes:
-    return encode_frame(response.to_dict())
+    """``encode_frame(response.to_dict())``, byte for byte, from the template."""
+    seq, ok, result, error, served, leader, view_id = response
+    try:
+        return _frame(_RESPONSE % (
+            seq, "true" if ok else "false",
+            "null" if result is None else _JSON.encode(result),
+            "null" if error is None else json_string(error),
+            json_string(served),
+            "null" if leader is None else leader,
+            "null" if view_id is None else view_id,
+        ))
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"unencodable response: {exc}") from exc
 
 
 def decode_request(body: bytes) -> Request:

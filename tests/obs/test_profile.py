@@ -157,3 +157,31 @@ def test_sampling_profiler_charges_cpu_not_syscalls():
     )
     assert profiler.samples >= 20
     assert in_python >= 0.8 * profiler.samples, profiler.collapsed()[:5]
+
+
+def _after_format(text: str) -> int:
+    return len(text)
+
+
+def test_sampling_profiler_charges_a_format_to_the_next_call():
+    """A ``%`` format is C work but not a call: Python runs the
+    ``SIGPROF`` handler at its next check, the entry of the trivial
+    function called after it, so that function takes the format's
+    samples and the line that formats takes almost none."""
+    template = "%s," * 50_000
+    values = ("x",) * 50_000
+    profiler = SamplingProfiler(interval_s=0.002)
+    profiler.start()
+    try:
+        deadline = time.perf_counter() + 0.5
+        while time.perf_counter() < deadline:
+            _after_format(template % values)
+    finally:
+        profiler.stop()
+    on_next_call = sum(
+        int(line.rsplit(" ", 1)[1]) for line in profiler.collapsed()
+        if line.rsplit(" ", 1)[0].endswith(f"_after_format (test_profile.py:"
+                                           f"{_after_format.__code__.co_firstlineno})")
+    )
+    assert profiler.samples >= 20
+    assert on_next_call >= 0.8 * profiler.samples, profiler.collapsed()[:5]

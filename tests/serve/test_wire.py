@@ -4,6 +4,8 @@ import json
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CodecError
 from repro.serve.wire import (
@@ -66,6 +68,26 @@ def test_malformed_request_bodies_rejected(mutate):
         decode_request(json.dumps(body).encode())
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(error=5),
+    lambda d: d.update(error=["x"]),
+    lambda d: d.update(error=True),
+    lambda d: d.update(leader="x"),
+    lambda d: d.update(leader=True),
+    lambda d: d.update(leader=1.5),
+    lambda d: d.update(view_id=[1]),
+    lambda d: d.update(view_id=False),
+    lambda d: d.update(view_id="2"),
+])
+def test_malformed_response_bodies_rejected(mutate):
+    # Each of these was once accepted; a non-str ``error`` then made the
+    # client's ``startswith`` raise AttributeError inside data_received.
+    body = Response(seq=1, ok=False, error="boom", leader=0, view_id=1).to_dict()
+    mutate(body)
+    with pytest.raises(CodecError):
+        decode_response(json.dumps(body).encode())
+
+
 def test_non_dict_and_non_json_bodies_rejected():
     with pytest.raises(CodecError):
         decode_request(b"[1, 2]")
@@ -80,6 +102,24 @@ def test_unencodable_and_oversized_frames_rejected():
         encode_frame({"x": object()})
     with pytest.raises(CodecError):
         encode_frame({"x": "y" * (MAX_FRAME_BYTES + 1)})
+    # The templated encoders refuse what the dict encoder refuses.
+    for bad in (
+        Request(client=7, seq=1, first_unacked=1, barrier=0, op="get"),
+        Request(client="c", seq=1, first_unacked=1, barrier=0, op="put",
+                args=(object(),)),
+        Request(client="c", seq="1", first_unacked=1, barrier=0, op="get"),
+        Request(client="c", seq=1, first_unacked=1, barrier=0, op="put",
+                args=("y" * MAX_FRAME_BYTES,)),
+    ):
+        with pytest.raises(CodecError):
+            encode_request(bad)
+    for bad in (
+        Response(seq=1, ok=True, result={1j}),
+        Response(seq=1, ok=False, error=5),
+        Response(seq=1, ok=True, result="y" * MAX_FRAME_BYTES),
+    ):
+        with pytest.raises(CodecError):
+            encode_response(bad)
 
 
 def _slice(stream: bytes, chunk_sizes=()) -> list:
@@ -154,3 +194,60 @@ def test_frames_are_byte_identical_to_the_pinned_wire():
     for obj, frame in _PINNED:
         encode = encode_request if isinstance(obj, Request) else encode_response
         assert encode(obj) == frame
+
+
+# -- the templated encoders against the dict encoder ------------------------
+#: Text with the characters a template could get wrong: quotes,
+#: backslashes, control characters, ``%`` and non-ASCII (surrogates too).
+_text = st.lists(st.one_of(
+    st.sampled_from(['"', "\\", "%", "%s", "%d", "\x00", "\n", "\x1f", "\x7f",
+                     "\u00e9", "\u20ac", "\U0001f600", "\ud800"]),
+    st.characters(blacklist_categories=()),
+), max_size=8).map("".join)
+_uint = st.integers(min_value=0, max_value=2 ** 63)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 63), 2 ** 63)
+    | st.floats(allow_nan=False) | _text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=12,
+)
+_requests = st.builds(
+    Request,
+    client=_text.filter(bool),
+    seq=_uint.filter(bool),
+    first_unacked=_uint.filter(bool),
+    barrier=_uint,
+    op=_text,
+    args=st.lists(_json, max_size=4).map(tuple),
+    ordered=st.booleans(),
+    trace=st.booleans(),
+)
+_responses = st.builds(
+    Response,
+    seq=_uint,
+    ok=st.booleans(),
+    result=_json,
+    error=st.none() | _text,
+    served=st.sampled_from(["ordered", "local", "cached"]),
+    leader=st.none() | _uint,
+    view_id=st.none() | _uint,
+)
+
+
+@given(request=_requests)
+@settings(max_examples=300, deadline=None)
+def test_request_template_is_the_dict_encoding_byte_for_byte(request):
+    frame = encode_request(request)
+    assert frame == encode_frame(request.to_dict())
+    decoded = decode_request(_strip(frame))
+    assert type(decoded) is Request and decoded == request
+
+
+@given(response=_responses)
+@settings(max_examples=300, deadline=None)
+def test_response_template_is_the_dict_encoding_byte_for_byte(response):
+    frame = encode_response(response)
+    assert frame == encode_frame(response.to_dict())
+    decoded = decode_response(_strip(frame))
+    assert type(decoded) is Response and decoded == response
