@@ -73,6 +73,49 @@ from repro.vsc.membership import FlushState, GroupMembership
 ProtocolDeliverCallback = Callable[[Delivery], None]
 
 
+class DeliveredIds:
+    """Every message id a process delivered, in space bounded by origins.
+
+    An origin draws its ids from a counter that starts at 1, and each id
+    is delivered once or lost with its crashed origin.  So, per origin,
+    ``floor[origin]`` is the highest ``local_seq`` up to which all of
+    that origin's ids are delivered, and ``above`` holds the delivered
+    ids past a gap as plain ``(origin, local_seq)`` tuples, which the
+    collector untracks (it never untracks a ``MessageId``).  ``above``
+    is empty while each origin delivers in order, holds at most what
+    was in flight otherwise, and keeps only the delivered tail of an
+    origin that crashed with a gap.  A process that joined a running
+    group starts with every floor at 0, so its ``above`` grows: it is
+    exact there, not bounded.
+
+    Membership is exact whatever the delivery order.  The hot paths of
+    :class:`FSRProcess` test ``floor`` and ``above`` inline rather than
+    through :meth:`__contains__`.
+    """
+
+    __slots__ = ("floor", "above")
+
+    def __init__(self) -> None:
+        self.floor: Dict[ProcessId, int] = {}
+        self.above: Set[Tuple[ProcessId, int]] = set()
+
+    def __contains__(self, message_id: Tuple[ProcessId, int]) -> bool:
+        origin, local_seq = message_id
+        return local_seq <= self.floor.get(origin, 0) or message_id in self.above
+
+    def add(self, origin: ProcessId, local_seq: int) -> None:
+        """Record ``(origin, local_seq)`` as delivered."""
+        floor, above = self.floor, self.above
+        last = floor.get(origin, 0)
+        if local_seq != last + 1:
+            above.add((origin, local_seq))
+            return
+        while (origin, local_seq + 1) in above:
+            local_seq += 1
+            above.remove((origin, local_seq))
+        floor[origin] = local_seq
+
+
 class FSRProcess(TotalOrderBroadcast):
     """FSR endpoint at one process.
 
@@ -92,6 +135,7 @@ class FSRProcess(TotalOrderBroadcast):
         cpu_submit: Optional[Callable[[int, Callable[[], None]], Any]] = None,
         spans: Optional[SpanLog] = None,
         id_factory: Optional[Callable[[], MessageId]] = None,
+        delivered: Optional[DeliveredIds] = None,
     ) -> None:
         self.sim = sim
         self.port = port
@@ -116,6 +160,11 @@ class FSRProcess(TotalOrderBroadcast):
         #: ids stay unique per origin regardless of which ring carried
         #: the message; stand-alone instances use a private counter.
         self._id_factory = id_factory
+        #: Ids delivered here; processes that share an ``id_factory``
+        #: share it too, or no origin's floor would rise past a gap.
+        self._delivered_ids = delivered if delivered is not None else DeliveredIds()
+        self._delivered_floor = self._delivered_ids.floor
+        self._delivered_above = self._delivered_ids.above
 
         self._listener = BroadcastListener()
         self._protocol_deliver_cb: Optional[ProtocolDeliverCallback] = None
@@ -151,7 +200,6 @@ class FSRProcess(TotalOrderBroadcast):
         self._known_payloads: Dict[
             MessageId, Tuple[ProcessId, Any, int, Optional[Tuple[MessageId, int, int]]]
         ] = {}
-        self._delivered_ids: Set[MessageId] = set()
 
         # --- stability watermark ---------------------------------------
         self._watermark: SequenceNumber = 0
@@ -558,7 +606,10 @@ class FSRProcess(TotalOrderBroadcast):
     # ------------------------------------------------------------------
     def _handle_fwd(self, msg: FwdData) -> None:
         message_id = msg.message_id
-        if message_id in self._delivered_ids:
+        origin, local_seq = message_id
+        if local_seq <= self._delivered_floor.get(origin, 0) or (
+            self._delivered_above and message_id in self._delivered_above
+        ):
             # The transport resends queued frames after a reconnect.  A
             # copy that arrives once the message was delivered (and, at
             # the leader, garbage-collected out of ``_seq_of``) must not
@@ -725,7 +776,10 @@ class FSRProcess(TotalOrderBroadcast):
     def _learn_from_ack(self, ack: AckMsg) -> None:
         if ack.sequence in self._records or ack.sequence <= self._gc_cursor:
             return
-        if ack.message_id in self._delivered_ids:
+        origin, local_seq = message_id = ack.message_id
+        if local_seq <= self._delivered_floor.get(origin, 0) or (
+            self._delivered_above and message_id in self._delivered_above
+        ):
             return
         known = self._known_payloads.get(ack.message_id)
         if known is None:
@@ -759,9 +813,16 @@ class FSRProcess(TotalOrderBroadcast):
 
     def _on_holdback_release(self, entry: RetainedMessage) -> None:
         message_id = entry.message_id
-        if message_id in self._delivered_ids:
+        origin, local_seq = message_id
+        floor = self._delivered_floor.get(origin, 0)
+        if local_seq <= floor or (
+            self._delivered_above and message_id in self._delivered_above
+        ):
             raise ProtocolError(f"{message_id} delivered twice at {self.me}")
-        self._delivered_ids.add(message_id)
+        if local_seq == floor + 1 and not self._delivered_above:
+            self._delivered_floor[origin] = local_seq
+        else:
+            self._delivered_ids.add(origin, local_seq)
         self._pending_own.pop(message_id, None)
         self.stats_deliveries += 1
         if self.trace.enabled:

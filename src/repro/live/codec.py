@@ -57,7 +57,10 @@ ring data (``FwdData``/``SeqData``/``AckBatch``) may ride in a batch;
 ``Hello``/control/nested batches are rejected on both sides.  Decode
 slices entries out of the received body with ``memoryview`` — no
 per-entry copy; the single copy per payload happens directly from the
-receive buffer into its final ``bytes`` object.
+receive buffer into its final ``bytes`` object.  It is the only
+user-space copy of a payload per hop: :meth:`FrameEncoder.encode_parts`
+hands the transport a data frame's packed headers and the payload
+object itself, which ``os.writev`` sends as they are.
 
 Ring data has one encoder, :class:`FrameEncoder`: it packs cached
 :class:`struct.Struct` headers straight into one reusable ``bytearray``
@@ -267,6 +270,17 @@ def encode_frame(message: WireMessage) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
+def batch_frame_head(count: int, entries_bytes: int) -> bytes:
+    """Length prefix and header of a batch frame whose ``count`` entries
+    (already-encoded frames) take ``entries_bytes`` on the wire."""
+    body_len = BATCH_HEADER_BYTES + entries_bytes
+    if body_len > MAX_FRAME_BYTES:
+        raise CodecError(
+            f"batch body of {body_len} bytes exceeds MAX_FRAME_BYTES"
+        )
+    return _LENGTH.pack(body_len) + batch_header(count)
+
+
 def batch_frame_parts(frames: List[bytes]) -> List[bytes]:
     """Wire parts of a batch frame wrapping already-encoded frames.
 
@@ -274,15 +288,9 @@ def batch_frame_parts(frames: List[bytes]) -> List[bytes]:
     :func:`encode_frame` produced them; they become the batch entries
     byte-for-byte, so the transport never re-encodes queued messages.
     The returned list is one prefix+header part followed by the
-    original frame objects, to be joined into the write that carries
-    them.
+    original frame objects.
     """
-    body_len = BATCH_HEADER_BYTES + sum(len(f) for f in frames)
-    if body_len > MAX_FRAME_BYTES:
-        raise CodecError(
-            f"batch body of {body_len} bytes exceeds MAX_FRAME_BYTES"
-        )
-    return [_LENGTH.pack(body_len) + batch_header(len(frames)), *frames]
+    return [batch_frame_head(len(frames), sum(len(f) for f in frames)), *frames]
 
 
 class FrameEncoder:
@@ -308,10 +316,22 @@ class FrameEncoder:
     def encode_frame(self, message: WireMessage) -> bytes:
         """Length-prefixed frame for ``message``; see :func:`encode_frame`."""
         if isinstance(message, (FwdData, SeqData)):
-            return self._encode_data(message)
+            payload = _payload_bytes(message)
+            return self._encode_data_head(message, len(payload)) + payload
         if isinstance(message, AckBatch):
             return self._encode_ack_batch(message)
         return encode_frame(message)
+
+    def encode_parts(self, message: WireMessage) -> Tuple[bytes, ...]:
+        """The frame of ``message`` as wire parts, joined byte-identical
+        to :meth:`encode_frame`: a data frame is its packed headers and
+        the payload object itself, so the payload is not copied."""
+        if isinstance(message, (FwdData, SeqData)):
+            payload = _payload_bytes(message)
+            return (self._encode_data_head(message, len(payload)), payload)
+        if isinstance(message, AckBatch):
+            return (self._encode_ack_batch(message),)
+        return (encode_frame(message),)
 
     def _pack_acks(
         self,
@@ -338,9 +358,11 @@ class FrameEncoder:
             offset += ACK_BYTES
         return offset
 
-    def _encode_data(self, message: Union[FwdData, SeqData]) -> bytes:
+    def _encode_data_head(
+        self, message: Union[FwdData, SeqData], payload_len: int
+    ) -> bytes:
+        """Everything of a data frame that precedes its payload."""
         is_seq = isinstance(message, SeqData)
-        payload = _payload_bytes(message)
         acks = message.piggybacked
         segment = message.segment
         body_len = (
@@ -348,13 +370,13 @@ class FrameEncoder:
             + (SEQ_EXTRA_BYTES if is_seq else 0)
             + (_SEGMENT_BYTES if segment is not None else 0)
             + ACK_BYTES * len(acks)
-            + len(payload)
+            + payload_len
         )
         if body_len > MAX_FRAME_BYTES:
             raise CodecError(
                 f"frame body of {body_len} bytes exceeds MAX_FRAME_BYTES"
             )
-        buf = self._reserve(LENGTH_PREFIX_BYTES + body_len - len(payload))
+        buf = self._reserve(LENGTH_PREFIX_BYTES + body_len - payload_len)
         try:
             _LENGTH.pack_into(buf, 0, body_len)
             _DATA_HEADER.pack_into(
@@ -388,9 +410,7 @@ class FrameEncoder:
             offset = self._pack_acks(buf, offset, acks, message.view_id)
         except struct.error as exc:
             raise CodecError(f"unrepresentable field value: {exc}") from exc
-        # Headers are packed in place; the payload is copied exactly once,
-        # by the concatenation that builds the outgoing frame.
-        return bytes(memoryview(buf)[:offset]) + payload
+        return bytes(memoryview(buf)[:offset])
 
     def _encode_ack_batch(self, message: AckBatch) -> bytes:
         acks = message.acks

@@ -93,7 +93,7 @@ _TRANSPORT_COUNTERS = (
     "reconnects", "retargets", "control_frames_sent",
     "control_frames_received", "control_flushes", "tx_pauses", "flushes",
     "batches_sent", "batched_frames", "acks_ridden", "batches_received",
-    "rx_chunks", "rx_compacted_bytes",
+    "rx_chunks", "rx_compacted_bytes", "tx_partial_writes",
 )
 
 

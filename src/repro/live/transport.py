@@ -18,8 +18,7 @@ FIFO channel the paper assumes; what this module adds is:
 * a callback receive path: each accepted connection, ring or control,
   is an :class:`asyncio.BufferedProtocol` whose one buffer the kernel
   fills in place; frames are sliced out as ``memoryview``s and handed
-  up synchronously, so the codec's payload copy is the only user-space
-  copy on the way in, and an upcall's exception fails the transport
+  up synchronously, and an upcall's exception fails the transport
   (``failure``) instead of vanishing with the connection (§5g); a batch
   frame is one unit of work: its messages are handed up as one list
   (``on_messages``, FSR's one-pump frame handler) and the ring link
@@ -27,10 +26,14 @@ FIFO channel the paper assumes; what this module adds is:
 * a callback send path: the successor hop and every control peer are
   one :class:`_Link` each, whose connection is an
   :class:`asyncio.Protocol`; the first frame queued in a loop turn
-  schedules the one ``transport.write`` that carries everything the
-  turn queued, so a flush carries what that turn produced and an idle
-  link never waits (DESIGN.md §5g); ``before_write`` runs ahead of each
-  such write (a node's journal flush);
+  schedules the one write that carries everything the turn queued, so a
+  flush carries what that turn produced and an idle link never waits
+  (DESIGN.md §5g); ``before_write`` runs ahead of each such write (a
+  node's journal flush).  A frame is queued as its wire parts — a data
+  frame's packed headers and its payload object — and a write hands
+  them to ``os.writev`` on the socket, so a payload is not copied on
+  the way out: the decode's copy on the way in, which detaches it from
+  the receive buffer, is the only user-space copy of a payload per hop;
 * TX backpressure: ``tx_ready`` mirrors the simulated NIC's ``tx_idle``
   gate, so ``FSRProcess``'s fair-send pump throttles on a slow socket
   exactly like it throttles on a busy simulated NIC — a connection whose
@@ -52,9 +55,10 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import os
 import random
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.batching import BatchingConfig
 from repro.core.fsr.messages import AckBatch
@@ -70,7 +74,7 @@ from repro.live.codec import (
     FrameEncoder,
     Hello,
     WireMessage,
-    batch_frame_parts,
+    batch_frame_head,
     decode_message,
     encode_frame,
     frame_length,
@@ -92,14 +96,19 @@ RECONNECT_CAP_S = 2.0
 #: Poll period while the shaper holds a link fully blocked (partition).
 BLOCK_POLL_S = 0.02
 #: Receive buffer per inbound connection; only a larger frame grows it.
-RX_BUFFER_BYTES = 256 * 1024
+#: One wake-up drains about ten 100 KB frames, and the tail of a partial
+#: frame rarely has to move (EXPERIMENTS.md has the sweep).
+RX_BUFFER_BYTES = 1024 * 1024
 #: Written on every accepted control connection by an orderly
 #: :meth:`RingTransport.close`, ahead of the FIN — the one thing a
 #: crashed process cannot send (DESIGN.md §5c).
 GOODBYE = b"\x00"
 
-#: One queued frame: (bytes, earliest-release loop time, is-ack).
-_Queued = Tuple[bytes, float, bool]
+#: One queued frame: (wire parts, their length, earliest-release loop
+#: time, is-ack).
+_Queued = Tuple[Sequence[bytes], int, float, bool]
+#: Buffers one ``os.writev`` takes at most.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 class _InboundConnection(asyncio.BufferedProtocol):
@@ -257,6 +266,9 @@ class _OutboundConnection(asyncio.Protocol):
     def __init__(self, link: "_Link") -> None:
         self.link = link
         self.transport: Optional[asyncio.Transport] = None
+        #: The connected socket's descriptor, set by the dialling link;
+        #: ``None`` (a transport without a socket) joins every write.
+        self.fd: Optional[int] = None
         #: The transport's send buffer is past its high-water mark.
         self.paused = False
         self.said_goodbye = False
@@ -287,17 +299,59 @@ class _OutboundConnection(asyncio.Protocol):
         self.paused = False
         self.link._kick()
 
+    def write(self, parts: List[bytes]) -> None:
+        """Put ``parts`` on the wire, in order, copying none the kernel takes.
+
+        While the transport holds no unsent bytes, the parts go straight
+        to the socket, one ``os.writev`` per ``_IOV_MAX`` of them (what
+        ``transport.writelines`` does from Python 3.12 on), and only what
+        the kernel did not take is joined into ``transport.write``,
+        where every later write queues behind it.  Without a socket, or
+        behind unsent bytes, the parts are joined.  An error other than
+        a full socket buffer leaves the rest to ``transport.write`` too,
+        which meets it again and reports the loss.
+        """
+        transport = self.transport
+        if self.fd is not None and not transport.get_write_buffer_size():
+            start = 0
+            count = len(parts)
+            while start < count:
+                chunk = parts[start:start + _IOV_MAX]
+                try:
+                    sent = os.writev(self.fd, chunk)
+                except OSError:
+                    break
+                if sent == sum(map(len, chunk)):
+                    start += len(chunk)
+                    continue
+                # The socket's buffer is full: skip what it took.
+                for part in chunk:
+                    if len(part) > sent:
+                        break
+                    sent -= len(part)
+                    start += 1
+                if sent:
+                    parts[start] = memoryview(parts[start])[sent:]
+                break
+            if start == count:
+                return
+            self.link.owner.tx_partial_writes += 1
+            parts = parts[start:]
+        transport.write(parts[0] if len(parts) == 1 else b"".join(parts))
+
 
 class _Link:
     """One outbound destination: the ring successor or a control peer.
 
-    Frames queue here until a write takes them, so a connection that
-    drops resends what it had not yet taken.  The first frame queued in
-    a loop turn schedules :meth:`_flush`, which hands every releasable
-    queued frame to ``pack`` and writes what it returns in one
-    ``transport.write`` — the same turn-bounded rule as the serve tier's
-    connections (DESIGN.md §5g) — unless :meth:`write_now` takes it
-    sooner (the ring hop, once per batch frame received).  A task dials,
+    Frames queue here, as their wire parts, until a write takes them,
+    so a connection that drops resends what it had not yet taken.  The
+    first frame queued in a loop turn schedules :meth:`_flush`, which
+    hands every releasable queued frame to ``pack`` and writes the parts
+    it returns in one scatter-gather write
+    (:meth:`_OutboundConnection.write`) — the same turn-bounded rule as
+    the serve tier's connections (DESIGN.md §5g) — unless
+    :meth:`write_now` takes it sooner (the ring hop, once per batch
+    frame received).  A task dials,
     greets, holds the connection until it is lost and re-dials with
     capped backoff; no task runs around the writes.
     """
@@ -355,9 +409,12 @@ class _Link:
         self._dial_wakeup.set()
 
     # -- send side ------------------------------------------------------
-    def send(self, frame: bytes, release: float, is_ack: bool = False) -> None:
-        self.queue.append((frame, release, is_ack))
-        self.queued_bytes += len(frame)
+    def send(
+        self, parts: Sequence[bytes], size: int, release: float,
+        is_ack: bool = False,
+    ) -> None:
+        self.queue.append((parts, size, release, is_ack))
+        self.queued_bytes += size
         self._kick()
 
     def write_now(self) -> None:
@@ -378,19 +435,22 @@ class _Link:
     def _flush(self) -> None:
         self._flush_handle = None
         conn = self.conn
-        if conn is None or conn.paused or not self.queue:
-            return  # hung up, or the send buffer is full: stays queued
+        if (
+            conn is None or conn.paused or not self.queue
+            or conn.transport.is_closing()
+        ):
+            return  # hung up, closing or the send buffer is full: stays queued
         count = self._releasable()
         if not count:
             return
         queue = self.queue
         taken = [queue.popleft() for _ in range(count)]
-        self.queued_bytes -= sum(len(frame) for frame, _r, _a in taken)
+        self.queued_bytes -= sum(size for _p, size, _r, _a in taken)
         parts = self._pack(taken)
         before_write = self.owner.before_write
         if before_write is not None:
             before_write()
-        conn.transport.write(parts[0] if len(parts) == 1 else b"".join(parts))
+        conn.write(parts)
 
     def _releasable(self) -> int:
         """How many queued frames the shaper lets onto the wire now.
@@ -410,7 +470,7 @@ class _Link:
             return 0
         now = loop.time()
         count = 0
-        for _frame, release, _ack in queue:
+        for _parts, _size, release, _ack in queue:
             if release > now:
                 self._flush_handle = loop.call_at(release, self._flush)
                 break
@@ -485,6 +545,8 @@ class _Link:
             if self.epoch != epoch:
                 conn.transport.close()
                 continue
+            sock = conn.transport.get_extra_info("socket")
+            conn.fd = None if sock is None else sock.fileno()
             if ring and retries:
                 owner.reconnects += 1
                 logger.warning(
@@ -632,6 +694,9 @@ class RingTransport:
         self.batched_frames = 0
         self.acks_ridden = 0
         self.batches_received = 0
+        #: Writes, ring or control, whose tail the socket did not take at
+        #: once and the transport's buffer holds.
+        self.tx_partial_writes = 0
         #: Receive wake-ups, and bytes moved to make room in a buffer.
         self.rx_chunks = 0
         self.rx_compacted_bytes = 0
@@ -823,9 +888,10 @@ class RingTransport:
                 f"ring transport at node {self.node_id} can only send to "
                 f"successor {ring.peer_id}, not {dst}"
             )
-        frame = self._encoder.encode_frame(message)
+        parts = self._encoder.encode_parts(message)
+        size = sum(map(len, parts))
         ring.send(
-            frame, self._plan_release(dst, len(frame), "ring"),
+            parts, size, self._plan_release(dst, size, "ring"),
             isinstance(message, AckBatch),
         )
         queued = ring.queued_bytes
@@ -843,22 +909,24 @@ class RingTransport:
     def _pack_ring(self, taken: List[_Queued]) -> List[bytes]:
         """Wire parts of one ring write, counted; reopens the TX gate.
 
-        Unbatched, the frames go as they are.  Batched, each longest run
-        that fits ``max_batch_messages`` / ``max_batch_bytes`` (always at
-        least one frame) becomes one batch frame, and a run of one stays
-        a plain frame — byte-identical to the unbatched wire.
+        Unbatched, the frames' parts go as they are.  Batched, each
+        longest run that fits ``max_batch_messages`` / ``max_batch_bytes``
+        (always at least one frame) becomes one batch frame — its length
+        prefix and header, then its entries' parts — and a run of one
+        stays a plain frame, byte-identical to the unbatched wire.
         """
         batching = self.batching
+        wire = sum(size for _p, size, _r, _a in taken)
         if batching is None:
-            parts = [frame for frame, _r, _a in taken]
+            parts = [part for frame, _s, _r, _a in taken for part in frame]
         else:
             parts = []
             start = 0
             while start < len(taken):
                 end = start + 1
-                total = len(taken[start][0])
+                total = taken[start][1]
                 while end < len(taken) and end - start < batching.max_batch_messages:
-                    size = len(taken[end][0])
+                    size = taken[end][1]
                     if (
                         total + size > batching.max_batch_bytes
                         or BATCH_HEADER_BYTES + total + size > MAX_FRAME_BYTES
@@ -868,18 +936,19 @@ class RingTransport:
                     end += 1
                 run = taken[start:end]
                 start = end
-                if len(run) == 1:
-                    parts.append(run[0][0])
-                    continue
-                parts.extend(batch_frame_parts([frame for frame, _r, _a in run]))
-                self.batches_sent += 1
-                self.batched_frames += len(run)
-                acks = sum(ack for _f, _r, ack in run)
-                if acks and acks < len(run):
-                    # AckBatches sharing a batch frame with data frames:
-                    # the live analogue of the sim's piggybacked acks.
-                    self.acks_ridden += acks
-        wire = sum(len(part) for part in parts)
+                if len(run) > 1:
+                    parts.append(batch_frame_head(len(run), total))
+                    wire += LENGTH_PREFIX_BYTES + BATCH_HEADER_BYTES
+                    self.batches_sent += 1
+                    self.batched_frames += len(run)
+                    acks = sum(ack for _p, _s, _r, ack in run)
+                    if acks and acks < len(run):
+                        # AckBatches sharing a batch frame with data
+                        # frames: the live analogue of the sim's
+                        # piggybacked acks.
+                        self.acks_ridden += acks
+                for frame, _s, _r, _a in run:
+                    parts.extend(frame)
         self.frames_sent += len(taken)
         self.flushes += 1
         self.bytes_sent += wire
@@ -907,7 +976,7 @@ class RingTransport:
             )
         frame = encode_frame(ControlFrame(layer=layer, inner=message))
         self._control_link(dst).send(
-            frame, self._plan_release(dst, len(frame), "ctl")
+            (frame,), len(frame), self._plan_release(dst, len(frame), "ctl")
         )
 
     def _control_link(self, dst: ProcessId) -> _Link:
@@ -928,7 +997,7 @@ class RingTransport:
     def _pack_control(self, taken: List[_Queued]) -> List[bytes]:
         self.control_frames_sent += len(taken)
         self.control_flushes += 1
-        return [frame for frame, _r, _a in taken]
+        return [frame for (frame,), _s, _r, _a in taken]
 
     def _peer_refused(self, peer_id: ProcessId) -> None:
         logger.debug(

@@ -31,7 +31,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.api import BroadcastListener, TotalOrderBroadcast
-from repro.core.fsr.process import FSRProcess, ProtocolDeliverCallback
+from repro.core.fsr.process import (
+    DeliveredIds,
+    FSRProcess,
+    ProtocolDeliverCallback,
+)
 from repro.errors import ProtocolError
 from repro.net.dispatch import Port
 from repro.obs.span import SpanLog
@@ -151,6 +155,9 @@ class MultiRingProcess(TotalOrderBroadcast):
 
         self.inner: List[FSRProcess] = []
         self._ring_views: List[Optional[View]] = [None] * config.shards
+        # The inner rings draw ids from one counter, so they share one
+        # record of the ids delivered.
+        delivered = DeliveredIds()
         for link in ring_links:
             process = FSRProcess(
                 sim,
@@ -162,6 +169,7 @@ class MultiRingProcess(TotalOrderBroadcast):
                 cpu_submit=link.cpu_submit,
                 spans=_RingTaggedSpanLog(self.spans, link.ring),  # type: ignore[arg-type]
                 id_factory=self._next_message_id,
+                delivered=delivered,
             )
             link.on_tx_idle(process.on_tx_ready)
             process.set_listener(

@@ -35,7 +35,7 @@ Design points:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.smr.machine import BATCH_OP, Command, StateMachine, unbatch
@@ -169,22 +169,24 @@ class SessionMachine(StateMachine):
         self.dedup_hits = 0
         #: Lease renewals applied.
         self.lease_applies = 0
-        self._session_callbacks: List[SessionApplyCallback] = []
-        self._traced_callbacks: List[TracedApplyCallback] = []
-        self._lease_callbacks: List[LeaseApplyCallback] = []
+        # Tuples, rebuilt on registration: an apply iterates them as
+        # they stand, with no copy.
+        self._session_callbacks: Tuple[SessionApplyCallback, ...] = ()
+        self._traced_callbacks: Tuple[TracedApplyCallback, ...] = ()
+        self._lease_callbacks: Tuple[LeaseApplyCallback, ...] = ()
 
     # -- observation ---------------------------------------------------
     def on_session_apply(self, callback: SessionApplyCallback) -> None:
         """Observe the *first* application of each session command."""
-        self._session_callbacks.append(callback)
+        self._session_callbacks += (callback,)
 
     def on_traced_apply(self, callback: TracedApplyCallback) -> None:
         """Observe first applications of trace-flagged envelopes."""
-        self._traced_callbacks.append(callback)
+        self._traced_callbacks += (callback,)
 
     def on_lease_apply(self, callback: LeaseApplyCallback) -> None:
         """Observe every lease renewal in the total order."""
-        self._lease_callbacks.append(callback)
+        self._lease_callbacks += (callback,)
 
     def lookup(self, client_id: str, seq_no: int) -> Optional[Tuple[str, Any]]:
         """Cached outcome for a session request, or None if unapplied."""
@@ -240,8 +242,9 @@ class SessionMachine(StateMachine):
         if cached is not None:
             self.dedup_hits += 1
             return cached
+        args = tuple(args)
         try:
-            result = self.inner.apply(Command(op, tuple(args)))
+            result = self.inner.apply(Command(op, args))
             outcome = (OK, result)
         except ProtocolError as exc:
             # Deterministic rejection: cache it so the retry sees the
@@ -249,10 +252,10 @@ class SessionMachine(StateMachine):
             outcome = (ERROR, str(exc))
         session.record(seq_no, outcome)
         self.session_applies += 1
-        for callback in list(self._session_callbacks):
-            callback(client_id, seq_no, op, tuple(args), outcome, self.applied_index)
+        for callback in self._session_callbacks:
+            callback(client_id, seq_no, op, args, outcome, self.applied_index)
         if trace:
-            for traced in list(self._traced_callbacks):
+            for traced in self._traced_callbacks:
                 traced(client_id, seq_no, self.applied_index)
         return outcome
 
@@ -262,7 +265,7 @@ class SessionMachine(StateMachine):
         except ValueError as exc:
             raise ProtocolError(f"malformed lease command: {command.args!r}") from exc
         self.lease_applies += 1
-        for callback in list(self._lease_callbacks):
+        for callback in self._lease_callbacks:
             callback(node_id, submit_time)
         return None
 

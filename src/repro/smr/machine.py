@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.api import BroadcastListener, TotalOrderBroadcast
 from repro.errors import ProtocolError
@@ -134,7 +134,8 @@ class ReplicatedStateMachine:
         #: apply to separate CPU stages.  ``None`` costs one attribute
         #: check per delivery.
         self.profile: Optional[Any] = None
-        self._apply_callbacks: List[ApplyCallback] = []
+        #: Rebuilt on registration, so a delivery iterates it uncopied.
+        self._apply_callbacks: Tuple[ApplyCallback, ...] = ()
         #: Results of locally submitted commands, by message id, from
         #: submit until :meth:`result_of` collects them — at most the
         #: newest ``MAX_UNCOLLECTED_RESULTS``, whatever the delivery count.
@@ -152,7 +153,7 @@ class ReplicatedStateMachine:
 
     def on_apply(self, callback: ApplyCallback) -> None:
         """Observe every applied command (testing, metrics)."""
-        self._apply_callbacks.append(callback)
+        self._apply_callbacks += (callback,)
 
     def result_of(self, message_id: MessageId) -> Any:
         """Collect the result of a locally submitted command.
@@ -204,7 +205,7 @@ class ReplicatedStateMachine:
     def _apply(self, origin: ProcessId, command: Command) -> Any:
         result = self.machine.apply(command)
         self.applied_count += 1
-        for callback in list(self._apply_callbacks):
+        for callback in self._apply_callbacks:
             callback(self.applied_count, origin, command, result)
         return result
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core.fsr.messages import AckBatch, AckMsg, FwdData, SeqData
 from repro.errors import CodecError
 from repro.live.codec import (
+    FrameEncoder,
     Hello,
     decode_message,
     encode_frame,
@@ -117,6 +118,12 @@ def test_frame_round_trip(message):
     decoded, consumed = decode_frame(frame)
     assert decoded == message
     assert consumed == len(frame)
+    # The transport's parts are the same bytes, and a data frame's last
+    # part is its payload object, not a copy.
+    parts = FrameEncoder().encode_parts(message)
+    assert b"".join(parts) == frame
+    if isinstance(message, (FwdData, SeqData)):
+        assert parts[-1] is message.payload
 
 
 @given(

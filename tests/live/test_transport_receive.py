@@ -188,13 +188,19 @@ def test_control_channel_shares_the_slicer():
 
 
 # -- buffer ownership -------------------------------------------------------
+#: Two of these frames fit in the receive buffer and three do not.
+_SMALL = RX_BUFFER_BYTES * 2 // 5
+
+
 def test_payloads_never_alias_the_receive_buffer():
     harness = _Harness()
-    # 100 KB frames overwrite and compact the 256 KB buffer over and
-    # over; the 700 KB one grows it (and it shrinks back afterwards).
+    # Frames of two fifths of the buffer overwrite and compact it over
+    # and over; one of 2.75 buffers grows it (and it shrinks back
+    # afterwards).
+    large = RX_BUFFER_BYTES * 11 // 4
     sent = [
         bytes([seq + 1]) * size
-        for seq, size in enumerate([100_000] * 8 + [700_000] + [100_000] * 4)
+        for seq, size in enumerate([_SMALL] * 8 + [large] + [_SMALL] * 4)
     ]
     stream = _stream([_data(seq, payload) for seq, payload in enumerate(sent)])
     harness.feed(stream, [65_536] * (len(stream) // 65_536 + 1))
@@ -209,16 +215,18 @@ def test_payloads_never_alias_the_receive_buffer():
 def test_partial_tail_moves_only_when_the_next_frame_would_not_fit():
     harness = _Harness()
     harness.feed(_stream([]))
-    frame = encode_frame(_data(1, bytes(100_000)))
-    # One and a half frames: the half stays where it is (100 KB more
-    # fits behind it).
-    harness.feed(frame + frame[:50_000])
+    frame = encode_frame(_data(1, bytes(_SMALL)))
+    half = len(frame) // 2
+    # One and a half frames: the half stays where it is (a whole frame
+    # more fits behind it).
+    harness.feed(frame + frame[:half])
     assert harness.owner.rx_compacted_bytes == 0
     assert harness.conn._start == len(frame)
-    # The rest of it and most of a third: that one would run past the
-    # end of the buffer, so its 56 KB move to the front.
+    # The rest of it and the start of a third: that one would run past
+    # the end of the buffer, so the bytes of it that arrived move to
+    # the front.
     tail = RX_BUFFER_BYTES - 2 * len(frame)
-    harness.feed(frame[50_000:] + frame[:tail])
+    harness.feed(frame[half:] + frame[:tail])
     assert harness.owner.rx_compacted_bytes == tail
     assert (harness.conn._start, harness.conn._end) == (0, tail)
     harness.feed(frame[tail:])
